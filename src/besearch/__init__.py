@@ -6,7 +6,7 @@ from .model import (
     PROMISE_BAD,
     IndexClass,
     ProblemInstance,
-    Branch,
+    InvariantError,
     StructuredState,
     StateStats,
     make_instance,
@@ -18,6 +18,7 @@ from .model import (
 )
 from .amplification import AmplificationFactors, amplification_factors, apply_amplification
 from .error_reduction import (
+    MAX_ROUNDS,
     RoundSchedule,
     majority_prob,
     repetitions_for,

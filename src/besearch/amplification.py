@@ -3,9 +3,10 @@
 The reflection pair G = -A S0 A^-1 S1 rotates the state by 2*theta in
 the plane spanned by its normalized flag-1 and flag-0 components, taking
 the flag-1 weight from sin(theta) to sin(3*theta). Componentwise that is
-a scaling of every flag-1 amplitude by sin(3t)/sin(t) = 3 - 4sin^2(t)
-and every flag-0 amplitude by cos(3t)/cos(t) = 1 - 4sin^2(t); the closed
-forms are used so the endpoints theta in {0, pi/2} need no special
+a scaling of every flag-1 amplitude by g1 = sin(3t)/sin(t) = 3 - 4sin^2(t)
+and every flag-0 amplitude by g0 = cos(3t)/cos(t) = 1 - 4sin^2(t), so each
+class's flag-1 mass scales by g1^2 and its flag-0 mass by g0^2; the
+closed forms are used so the endpoints theta in {0, pi/2} need no special
 casing. The simulator knows theta exactly (amplification itself would
 work without knowing it) and recomputes it from the state at each call.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .model import (
     NORM_TOL,
-    Branch,
+    InvariantError,
     ProblemInstance,
     StructuredState,
     state_stats,
@@ -34,7 +35,7 @@ class AmplificationFactors:
 
 
 def amplification_factors(theta: float) -> AmplificationFactors:
-    """Exact branch scalings (3 - 4sin^2, 1 - 4sin^2) at the given angle.
+    """Exact amplitude scalings (3 - 4sin^2, 1 - 4sin^2) at the given angle.
 
     At theta = 0 this is the small-angle limit (3, 1); at theta = pi/2 it
     is (-1, -3), where g0 is irrelevant because the flag-0 mass is zero.
@@ -53,19 +54,14 @@ def apply_amplification(
 ) -> StructuredState:
     """Apply one amplification round G to a normalized structured state.
 
-    Every flag-1 amplitude is scaled by g1 and every flag-0 amplitude by
-    g0, with theta recomputed from the state. Norm is preserved exactly:
+    Every class's flag-1 mass is scaled by g1^2 and its flag-0 mass by
+    g0^2, with theta recomputed from the state. Norm is preserved exactly:
     g1^2 sin^2 + g0^2 cos^2 = 1. The ledger cost triples (the round runs
     the state preparation twice more, once inverted).
     """
     if abs(total_mass(state, instance) - 1.0) > NORM_TOL:
-        raise ValueError("state is not normalized")
+        raise InvariantError("state is not normalized")
     f = amplification_factors(state_stats(state, instance).theta)
-    branches = []
-    for b in state.branches:
-        amp = b.amplitude * (f.g1 if b.flag == 1 else f.g0)
-        if amp != 0.0:
-            branches.append(Branch(class_id=b.class_id, flag=b.flag, amplitude=amp))
     if ledger is not None:
         ledger.scale(3)
-    return StructuredState(branches=tuple(branches), round=state.round)
+    return StructuredState(w1=state.w1 * f.g1**2, w0=state.w0 * f.g0**2, round=state.round)

@@ -12,7 +12,9 @@ reproduces byte-identical files. A config file (JSON document or
 environment variable ``BESEARCH_OUTDIR`` supplies a default directory
 for relative output paths.
 
-Exit codes: 0 success, 1 invariant violation, 2 usage error.
+Exit codes: 0 success, 1 invariant violation, 2 usage error. A
+``ValueError`` from the library is a usage error, except for its
+``InvariantError`` subclass, and so is an unreadable or unwritable file.
 """
 from __future__ import annotations
 
@@ -40,8 +42,9 @@ from .driver import (
     verification_repetitions,
 )
 from .error_reduction import schedule_for_round
-from .model import IndexClass, ProblemInstance, make_instance
+from .model import IndexClass, InvariantError, ProblemInstance, make_instance
 from .oracles import (
+    MAX_DENSE_DIM,
     amplification_residual,
     block_recursion_cost,
     enumerate_majority,
@@ -196,14 +199,11 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _instance(cfg, n: Optional[int] = None):
-    try:
-        return make_instance(
-            cfg["n"] if n is None else n,
-            cfg["t"], cfg["p_good"], cfg["p_bad"],
-            strict=not cfg["relaxed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return make_instance(
+        cfg["n"] if n is None else n,
+        cfg["t"], cfg["p_good"], cfg["p_bad"],
+        strict=not cfg["relaxed"],
+    )
 
 
 # ---------------------------------------------------------------- search
@@ -216,10 +216,7 @@ SEARCH_DEFAULTS = dict(
 def cmd_search(args) -> int:
     cfg = resolve_config("search", args, SEARCH_DEFAULTS)
     inst = _instance(cfg)
-    try:
-        result = run_search(inst, cfg["seed"], cfg["shots"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = run_search(inst, cfg["seed"], cfg["shots"])
     print(
         f"besearch search: n={inst.n} t={inst.t} strict={inst.strict} "
         f"seed={cfg['seed']} shots={cfg['shots']} config={cfg.config_hash}"
@@ -369,6 +366,8 @@ ROUND_TOL = 1e-9
 def cmd_check_facts(args) -> int:
     cfg = resolve_config("check-facts", args, CHECK_DEFAULTS)
     dims = _parse_grid(cfg["dims"])
+    if cfg["scenarios"] < 1 or not dims or not all(2 <= d <= MAX_DENSE_DIM for d in dims):
+        raise UsageError(f"check-facts needs --scenarios >= 1 and --dims in [2, {MAX_DENSE_DIM}]")
     failures = 0
 
     worst = 0.0
@@ -519,7 +518,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

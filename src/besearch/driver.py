@@ -22,7 +22,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .amplification import apply_amplification
-from .error_reduction import repetitions_for, schedule_for_round, apply_error_reduction
+from .error_reduction import (
+    MAX_ROUNDS, apply_error_reduction, repetitions_for, schedule_for_round
+)
 from .model import (
     ProblemInstance,
     StructuredState,
@@ -105,10 +107,15 @@ def ceil_log9(n: int) -> int:
     return m
 
 
+def _check_rounds(rounds: int) -> None:
+    """Reject a round count outside [0, MAX_ROUNDS] before any round runs."""
+    if not 0 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must lie in [0, {MAX_ROUNDS}], got {rounds}")
+
+
 def analytic_cost(m: int) -> int:
     """Query cost of the m-round preparation: C(0)=1, C(k)=3C(k-1)+r_k."""
-    if m < 0:
-        raise ValueError(f"rounds must be >= 0, got {m}")
+    _check_rounds(m)
     c = 1
     for k in range(1, m + 1):
         c = 3 * c + schedule_for_round(k).r
@@ -139,8 +146,7 @@ def build_state(
     rounds = 0 returns the base state (cost 1). The ledger equals
     analytic_cost(rounds) exactly, by construction of the same recursion.
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    _check_rounds(rounds)
     ledger = CostLedger()
     state = init_state(instance, ledger)
     for k in range(1, rounds + 1):
@@ -157,8 +163,7 @@ def exact_success_curve(
     Computed in one incremental pass; since the round maps are
     deterministic, each row equals an independent m-round build.
     """
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    _check_rounds(m_max)
     ledger = CostLedger()
     state = init_state(instance, ledger)
     rows = []
@@ -196,6 +201,7 @@ def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
     times and classically verifies every sample, so the total is
     sum_m shots * (C(m) + v(n)).
     """
+    _check_rounds(search_blocks(n) - 1)
     v = verification_repetitions(n, shots)
     return sum(shots * (analytic_cost(m) + v) for m in range(search_blocks(n)))
 
@@ -214,12 +220,11 @@ def _sample_block(
     Binomial(v, p_j) draw compared against v/2; it stops at the first
     accepted sample.
     """
-    weights = np.asarray(measurement_weights(state, instance), dtype=float)
-    weights = np.maximum(weights, 0.0)
+    weights = np.maximum(measurement_weights(state, instance), 0.0)
     weights /= weights.sum()
     sampled = rng.choice(len(weights), size=shots, p=weights)
-    ps = np.asarray([instance.classes[cid].p for cid in sampled])
-    accepts = rng.binomial(v, ps) * 2 > v
+    ps = np.array([c.p for c in instance.classes])
+    accepts = rng.binomial(v, ps[sampled]) * 2 > v
     hits = np.flatnonzero(accepts)
     if hits.size:
         first = int(hits[0])
@@ -231,7 +236,6 @@ def run_search(
     instance: ProblemInstance,
     seed: Seed,
     shots_per_m: int = DEFAULT_SHOTS,
-    mode: str = "exact-sampling",
 ) -> SearchResult:
     """Run the full search loop and return its outcome, cost, and trace.
 
@@ -241,8 +245,6 @@ def run_search(
     first verified solution. Charges shots_per_m * C(m) per entered
     block plus v(n) per verified sample.
     """
-    if mode != "exact-sampling":
-        raise ValueError(f"unsupported mode {mode!r}")
     if not (isinstance(shots_per_m, int) and shots_per_m >= 1):
         raise ValueError(f"shots_per_m must be a positive integer, got {shots_per_m!r}")
     if isinstance(seed, (bool, float)) or not isinstance(
@@ -254,8 +256,9 @@ def run_search(
 
     rng = np.random.default_rng(seed)
     n = instance.n
-    v = verification_repetitions(n, shots_per_m)
     blocks = search_blocks(n)
+    _check_rounds(blocks - 1)
+    v = verification_repetitions(n, shots_per_m)
 
     ledger = CostLedger()
     state = init_state(instance, ledger)

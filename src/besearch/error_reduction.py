@@ -5,21 +5,30 @@ ties) and taking the majority drives the error down exponentially in r.
 This module computes exact binomial majority probabilities, the minimal
 odd repetition count meeting a target error, the per-round schedule of
 the search algorithm (round k gets error budget 2^-(k+5)), and the exact
-effect of one error-reduction step on a structured state: every flag-1
-branch splits into a kept flag-1 part and a pushed-back flag-0 part.
+effect of one error-reduction step on a structured state: each class
+keeps the majority-probability share of its flag-1 mass and pushes the
+rest back to flag 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
-from .model import NORM_TOL, ProblemInstance, Branch, StructuredState, total_mass
+import numpy as np
+
+from .model import NORM_TOL, InvariantError, ProblemInstance, StructuredState, total_mass
 
 # Base error of the promise: each subroutine is wrong with probability <= 1/10.
 BASE_ERROR = 0.1
 
 # Hard cap on the repetition scan; reached only for absurdly small budgets.
 _MAX_REPS = 100_001
+
+# Largest round index the schedule serves. Round 479 needs r = 649, but
+# from r = 647 on every term of majority_prob(r, 1/10) underflows to 0.0,
+# so the scan would stop short; every r_k up to this cap is exact.
+MAX_ROUNDS = 478
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,7 @@ def majority_prob(r: int, p: float) -> float:
     )
 
 
+@cache
 def repetitions_for(eps: float, p_fail: float) -> int:
     """Minimal odd r whose majority error at base error p_fail is <= eps.
 
@@ -63,6 +73,7 @@ def repetitions_for(eps: float, p_fail: float) -> int:
     the two probabilities sum to exactly 1 for odd r). The failure
     probability is summed directly, which is the numerically meaningful
     form when eps is tiny. Scales as O(log(1/eps)) for p_fail < 1/2.
+    Memoized: the scan costs O(r^2) and callers ask for the same budgets.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
@@ -78,8 +89,8 @@ def repetitions_for(eps: float, p_fail: float) -> int:
 
 def schedule_for_round(k: int) -> RoundSchedule:
     """Round k's schedule: budget eps_k = 2^-(k+5), minimal odd repetitions."""
-    if k < 1:
-        raise ValueError(f"round index starts at 1, got {k}")
+    if not 1 <= k <= MAX_ROUNDS:
+        raise ValueError(f"round index must lie in [1, {MAX_ROUNDS}], got {k}")
     eps = 2.0 ** -(k + 5)
     return RoundSchedule(k=k, eps=eps, r=repetitions_for(eps, BASE_ERROR))
 
@@ -93,30 +104,20 @@ def apply_error_reduction(
     """Apply the round-k error-reduction step E_k to a structured state.
 
     Conditioned on flag 1, E_k majority-votes r_k fresh runs of the
-    index's subroutine into a new flag qubit: a flag-1 branch of a class
-    with per-run probability p keeps amplitude fraction a = sqrt(m) on
-    flag 1 (m the majority probability) and sheds sqrt(1 - m) into a new
-    flag-0 branch. Flag-0 branches pass through unchanged. Charges r_k
-    queries to ``ledger``.
+    index's subroutine into a new flag qubit: a class with per-run
+    probability p keeps share m (its majority probability) of its flag-1
+    mass on flag 1 and pushes 1 - m of it back to flag 0, into a junk
+    sector orthogonal to the existing flag-0 part. Flag-0 mass is
+    otherwise unchanged. Charges r_k queries to ``ledger``.
     """
     if state.round != k:
         raise ValueError(f"state is at round {state.round}, not {k}")
     if abs(total_mass(state, instance) - 1.0) > NORM_TOL:
-        raise ValueError("state is not normalized")
+        raise InvariantError("state is not normalized")
     sched = schedule_for_round(k)
-    kept: list[Branch] = []
-    shed: list[Branch] = []
-    for b in state.branches:
-        if b.flag != 1:
-            kept.append(b)
-            continue
-        m = majority_prob(sched.r, instance.classes[b.class_id].p)
-        a = math.sqrt(m)
-        rest = math.sqrt(max(0.0, 1.0 - m))
-        if a != 0.0:
-            kept.append(Branch(class_id=b.class_id, flag=1, amplitude=b.amplitude * a))
-        if rest != 0.0 and b.amplitude != 0.0:
-            shed.append(Branch(class_id=b.class_id, flag=0, amplitude=b.amplitude * rest))
+    m = np.array([majority_prob(sched.r, c.p) for c in instance.classes])
     if ledger is not None:
         ledger.add(sched.r)
-    return StructuredState(branches=tuple(kept + shed), round=k + 1)
+    return StructuredState(
+        w1=state.w1 * m, w0=state.w0 + state.w1 * np.maximum(0.0, 1.0 - m), round=k + 1
+    )

@@ -3,19 +3,23 @@
 The search space is a family of n black-box subroutines; subroutine i
 outputs a "this index is a solution" bit that is correct only with some
 probability p_i per run. Indices sharing the same (p, is_solution) pair
-are grouped into an :class:`IndexClass`, and the simulator tracks one
-signed real amplitude per (class, flag, history) branch instead of one
-per index. State size then depends on classes and rounds only, which
-keeps exact simulation cheap for n up to ~1e12.
+are grouped into an :class:`IndexClass`. By symmetry every index of a
+class carries the same amplitudes, and the round operators either scale
+a class's flag-1 or flag-0 part or move mass from flag 1 to flag 0, so
+the state is two numbers per class: its flag-1 and flag-0 mass. State
+size is the number of classes, independent of n and of the round count,
+which keeps exact simulation cheap for n up to ~1e12.
 
-Workspace/junk registers are never materialized: a branch's identity
-(its position in the split history) encodes the orthogonality of its
-junk sector, which is all the round operators rely on.
+Workspace/junk registers are never materialized: every flag-0 part a
+push-back creates sits in a junk sector orthogonal to everything else,
+so only its mass matters to later rounds and to every statistic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # The promise separating solutions from non-solutions: a solution
 # subroutine says "1" with probability >= 9/10, a non-solution with
@@ -25,6 +29,10 @@ PROMISE_BAD = 0.1
 
 # Tolerance for the "state is normalized" precondition of round operations.
 NORM_TOL = 1e-6
+
+
+class InvariantError(ValueError):
+    """A round operator's precondition on the state does not hold."""
 
 
 @dataclass(frozen=True)
@@ -136,29 +144,24 @@ def expand_classes(instance: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(classes=singles, strict=instance.strict)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One amplitude branch of the structured state.
+@dataclass(frozen=True, eq=False)
+class StructuredState:
+    """Per-class masses of the round-k preparation state A_k|0>.
 
-    ``amplitude`` is the per-index amplitude, identical for all indices
-    of the class by symmetry. ``flag`` is the algorithm's current
-    solution-claim qubit. Distinct branches are orthogonal sectors.
+    ``w1[c]`` and ``w0[c]`` are the probabilities that measuring the
+    index and flag registers yields an index of class c with flag 1 and
+    flag 0. Both are read-only float arrays with one entry per class.
     """
 
-    class_id: int
-    flag: int
-    amplitude: float
-
-
-@dataclass(frozen=True)
-class StructuredState:
-    """Exact branch decomposition of the round-k preparation state A_k|0>."""
-
-    branches: tuple[Branch, ...]
+    w1: np.ndarray
+    w0: np.ndarray
     round: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
+        for name in ("w1", "w0"):
+            masses = np.array(getattr(self, name), dtype=float)
+            masses.flags.writeable = False
+            object.__setattr__(self, name, masses)
         if self.round < 1:
             raise ValueError("round index starts at 1")
 
@@ -182,62 +185,42 @@ class StateStats:
 def init_state(instance: ProblemInstance, ledger=None) -> StructuredState:
     """Run every subroutine once in uniform superposition over indices.
 
-    Per class: a flag-1 branch with per-index amplitude sqrt(p/n) and a
-    flag-0 branch with sqrt((1-p)/n). Exactly-zero branches are omitted.
+    Class c gets flag-1 mass count*p/n and flag-0 mass count*(1-p)/n.
     Charges one query to ``ledger`` if given (one superposed call over
     all indices costs one unit).
     """
     n = instance.n
-    branches = []
-    for cid, c in enumerate(instance.classes):
-        if c.p > 0.0:
-            branches.append(Branch(class_id=cid, flag=1, amplitude=math.sqrt(c.p / n)))
-        if c.p < 1.0:
-            branches.append(Branch(class_id=cid, flag=0, amplitude=math.sqrt((1.0 - c.p) / n)))
     if ledger is not None:
         ledger.add(1)
-    return StructuredState(branches=tuple(branches), round=1)
+    return StructuredState(
+        w1=[c.count * c.p / n for c in instance.classes],
+        w0=[c.count * (1.0 - c.p) / n for c in instance.classes],
+    )
 
 
 def total_mass(state: StructuredState, instance: ProblemInstance) -> float:
     """Total probability mass of the state (1 for a normalized state)."""
-    return math.fsum(
-        instance.classes[b.class_id].count * b.amplitude * b.amplitude
-        for b in state.branches
-    )
+    return float(state.w1.sum() + state.w0.sum())
 
 
 def state_stats(state: StructuredState, instance: ProblemInstance) -> StateStats:
     """Compute (alpha, beta, theta, p_solution) for a structured state."""
-    a2: list[float] = []
-    b2: list[float] = []
-    psol: list[float] = []
-    for b in state.branches:
-        c = instance.classes[b.class_id]
-        mass = c.count * b.amplitude * b.amplitude
-        if c.is_solution:
-            psol.append(mass)
-        if b.flag == 1:
-            (a2 if c.is_solution else b2).append(mass)
-    alpha2 = math.fsum(a2)
-    beta2 = math.fsum(b2)
+    sol = np.array([c.is_solution for c in instance.classes])
+    alpha2 = float(state.w1[sol].sum())
+    beta2 = float(state.w1[~sol].sum())
     s = min(1.0, math.sqrt(min(1.0, alpha2 + beta2)))
     return StateStats(
         alpha=math.sqrt(alpha2),
         beta=math.sqrt(beta2),
         theta=math.asin(s),
-        p_solution=math.fsum(psol),
+        p_solution=float((state.w1 + state.w0)[sol].sum()),
     )
 
 
-def measurement_weights(state: StructuredState, instance: ProblemInstance) -> list[float]:
+def measurement_weights(state: StructuredState, instance: ProblemInstance) -> np.ndarray:
     """Exact index-register measurement distribution, per class.
 
     Entry c is the probability that measuring the index register yields
-    an index of class c, i.e. count_c * sum of amplitude^2 over all of
-    class c's branches (any flag).
+    an index of class c (any flag): w1[c] + w0[c].
     """
-    weights = [0.0] * len(instance.classes)
-    for b in state.branches:
-        weights[b.class_id] += instance.classes[b.class_id].count * b.amplitude * b.amplitude
-    return weights
+    return state.w1 + state.w0

@@ -230,9 +230,7 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
     dense_mass = np.sum(np.abs(psi2) ** 2, axis=(1, 2))
 
     state, _ = build_state(per_index, rounds=1)
-    engine_mass = np.zeros((n, 2))
-    for b in state.branches:
-        engine_mass[b.class_id, b.flag] += b.amplitude * b.amplitude
+    engine_mass = np.column_stack([state.w0, state.w1])
 
     return float(np.max(np.abs(dense_mass - engine_mass)))
 

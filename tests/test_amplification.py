@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from besearch import (
+    InvariantError,
     amplification_factors,
     apply_amplification,
     build_state,
@@ -68,35 +70,30 @@ class TestApply:
         inst = make_instance(5, 0, 0.9, 0.0)
         state = init_state(inst)
         after = apply_amplification(state, inst)
-        assert after.branches == state.branches
+        assert np.array_equal(after.w1, state.w1)
+        assert np.array_equal(after.w0, state.w0)
 
     def test_rejects_denormalized_state(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state = init_state(inst)
-        bad = type(state)(branches=state.branches[:1], round=1)
-        with pytest.raises(ValueError):
+        bad = type(state)(w1=state.w1, w0=np.zeros_like(state.w0), round=1)
+        with pytest.raises(InvariantError):
             apply_amplification(bad, inst)
 
     @given(relaxed_instances(), st.integers(0, 4))
     @settings(max_examples=60)
     def test_componentwise_rotation(self, inst, rounds):
         # post-state = sin(3t) (flag-1 part / sin t) + cos(3t) (flag-0 part / cos t),
-        # branch by branch; order is preserved, exact zeros are dropped.
+        # so class by class the flag-1 mass scales by (sin 3t / sin t)^2 and
+        # the flag-0 mass by (cos 3t / cos t)^2.
         state, _ = build_state(inst, rounds)
         theta = state_stats(state, inst).theta
         after = apply_amplification(state, inst)
-        expected = []
-        for b in state.branches:
-            scale = (3.0 - 4.0 * math.sin(theta) ** 2) if b.flag else (
-                1.0 - 4.0 * math.sin(theta) ** 2
-            )
-            amp = b.amplitude * scale
-            if amp != 0.0:
-                expected.append((b.class_id, b.flag, amp))
-        assert len(after.branches) == len(expected)
-        for b, (cid, flag, amp) in zip(after.branches, expected):
-            assert (b.class_id, b.flag) == (cid, flag)
-            assert b.amplitude == pytest.approx(amp, abs=1e-12)
+        g1 = 3.0 - 4.0 * math.sin(theta) ** 2
+        g0 = 1.0 - 4.0 * math.sin(theta) ** 2
+        assert after.w1.shape == after.w0.shape == (len(inst.classes),)
+        assert after.w1 == pytest.approx(state.w1 * g1**2, abs=1e-12)
+        assert after.w0 == pytest.approx(state.w0 * g0**2, abs=1e-12)
 
     @given(strict_instances(), st.integers(0, 3))
     @settings(max_examples=60)
@@ -110,24 +107,16 @@ class TestApply:
     def test_double_application_composes_angles(self, inst):
         # Each application rotates by twice the current angle, so two of
         # them take theta to 9 theta: amplitudes scale by sin(9t)/sin(t)
-        # on flag 1 and cos(9t)/cos(t) on flag 0.
+        # on flag 1 and cos(9t)/cos(t) on flag 0, masses by their squares.
         state = init_state(inst)
         theta = state_stats(state, inst).theta
         twice = apply_amplification(apply_amplification(state, inst), inst)
-        by_key = {(b.class_id, b.flag): b.amplitude for b in twice.branches}
-        for b in state.branches:
-            if b.flag == 1:
-                scale = (3 - 4 * math.sin(theta) ** 2) * (
-                    3 - 4 * math.sin(3 * theta) ** 2
-                )
-            else:
-                scale = (1 - 4 * math.sin(theta) ** 2) * (
-                    1 - 4 * math.sin(3 * theta) ** 2
-                )
-            expected = b.amplitude * scale
-            got = by_key.get((b.class_id, b.flag), 0.0)
-            assert got == pytest.approx(expected, abs=1e-10)
-            if b.flag == 1 and math.sin(theta) > 1e-12:
-                assert expected == pytest.approx(
-                    b.amplitude * math.sin(9 * theta) / math.sin(theta), abs=1e-9
-                )
+        scale1 = (3 - 4 * math.sin(theta) ** 2) * (3 - 4 * math.sin(3 * theta) ** 2)
+        scale0 = (1 - 4 * math.sin(theta) ** 2) * (1 - 4 * math.sin(3 * theta) ** 2)
+        expected = state.w1 * scale1**2
+        assert twice.w1 == pytest.approx(expected, abs=1e-10)
+        assert twice.w0 == pytest.approx(state.w0 * scale0**2, abs=1e-10)
+        if math.sin(theta) > 1e-12:
+            assert expected == pytest.approx(
+                state.w1 * (math.sin(9 * theta) / math.sin(theta)) ** 2, abs=1e-9
+            )

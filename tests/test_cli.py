@@ -1,6 +1,10 @@
 import json
+import time
 
-from besearch import AndOrTree, GATE_OR, dump_tree
+import pytest
+
+import besearch.cli
+from besearch import AndOrTree, GATE_OR, InvariantError, dump_tree
 from besearch.cli import run_cli
 
 
@@ -187,3 +191,41 @@ class TestBaselines:
         assert "n=100 simple_cost=104" in out
         lines = path.read_text().splitlines()
         assert len(lines) == 2 + 2
+
+
+BAD_INPUTS = {
+    "sweep-shots-0": ["sweep", "--shots", "0"],
+    "baselines-n-1": ["baselines", "--n", "1"],
+    "check-facts-dims-0": ["check-facts", "--dims", "0"],
+    "check-facts-dims-100": ["check-facts", "--dims", "100"],
+    "check-facts-scenarios-0": ["check-facts", "--scenarios", "0"],
+    "config-n-abc": ["search", "--config", "{config}"],
+    "config-missing": ["search", "--config", "{config}.missing"],
+    "csv-unwritable": ["baselines", "--csv", "{config}/out.csv"],
+}
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+        config = tmp_path / "cfg.txt"
+        config.write_text("n = abc\n")
+        code, _, err = run(capsys, *(arg.format(config=config) for arg in argv))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_round_cap_rejected_before_any_round(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "curve", "--m-max", "100000")
+        assert code == 2
+        assert "rounds" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_invariant_violation_exits_one(self, capsys, monkeypatch):
+        def broken(*args):
+            raise InvariantError("state is not normalized")
+
+        monkeypatch.setattr(besearch.cli, "run_search", broken)
+        code, _, err = run(capsys, "search")
+        assert code == 1
+        assert "not normalized" in err

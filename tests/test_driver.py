@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from besearch import (
+    MAX_ROUNDS,
     analytic_cost,
     build_state,
     ceil_log9,
@@ -72,7 +74,10 @@ class TestBuildState:
     def test_zero_rounds_is_base_state(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state, ledger = build_state(inst, 0)
-        assert state == init_state(inst)
+        base = init_state(inst)
+        assert np.array_equal(state.w1, base.w1)
+        assert np.array_equal(state.w0, base.w0)
+        assert state.round == base.round
         assert ledger.invocations == 1
 
     def test_one_round_against_arithmetic_oracle(self):
@@ -88,6 +93,22 @@ class TestBuildState:
         assert st_.alpha == pytest.approx(0.8501527862684448, abs=1e-12)
         assert st_.beta**2 == pytest.approx(0.00208008, abs=1e-12)
         assert ledger.invocations == 8
+
+    def test_rejects_rounds_past_cap_up_front(self):
+        # Each call would otherwise scan r_k for hundreds of rounds first.
+        inst = make_instance(4, 1, 0.9, 0.1)
+        huge = 9 ** (MAX_ROUNDS + 2)  # needs MAX_ROUNDS + 1 rounds
+        start = time.perf_counter()
+        for call in (
+            lambda: build_state(inst, MAX_ROUNDS + 1),
+            lambda: exact_success_curve(inst, MAX_ROUNDS + 1),
+            lambda: analytic_cost(MAX_ROUNDS + 1),
+            lambda: full_sweep_cost(huge),
+            lambda: run_search(make_instance(huge, 1, 0.9, 0.1), 0),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        assert time.perf_counter() - start < 1.0
 
     @given(strict_instances(), st.integers(0, 6))
     @settings(max_examples=40)
@@ -219,8 +240,6 @@ class TestRunSearch:
         for bad_shots in (0, -5, 2.0):
             with pytest.raises(ValueError):
                 run_search(inst, 0, shots_per_m=bad_shots)
-        with pytest.raises(ValueError):
-            run_search(inst, 0, mode="state-vector")
 
     def test_accepts_seed_sequence(self):
         inst = make_instance(81, 1, 0.9, 0.1)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from besearch import (
+    MAX_ROUNDS,
     apply_amplification,
     apply_error_reduction,
     init_state,
@@ -113,6 +114,20 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_for_round(0)
 
+    def test_round_cap_is_exact(self):
+        # At base error 1/10 the majority error of r runs is T(r) / 10^r with
+        # T(r) = sum_{j > r/2} C(r, j) 9^(r-j), so this scan is integer-exact.
+        def over_budget(r, k):
+            tail = sum(math.comb(r, j) * 9 ** (r - j) for j in range(r // 2 + 1, r + 1))
+            return tail * 2 ** (k + 5) > 10**r
+
+        r = 1
+        while over_budget(r, MAX_ROUNDS):
+            r += 2
+        assert schedule_for_round(MAX_ROUNDS).r == r
+        with pytest.raises(ValueError):
+            schedule_for_round(MAX_ROUNDS + 1)
+
     @given(st.integers(1, 25))
     @settings(max_examples=25)
     def test_budget_formula_and_logarithmic_growth(self, k):
@@ -126,38 +141,35 @@ class TestApplyErrorReduction:
     def test_solution_branch_split_factor(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state = apply_amplification(init_state(inst), inst)
-        before = {(b.class_id, b.flag): b.amplitude for b in state.branches}
         after = apply_error_reduction(state, 1, inst)
-        by_key = {(b.class_id, b.flag): [] for b in after.branches}
-        for b in after.branches:
-            by_key[(b.class_id, b.flag)].append(b.amplitude)
-        # solution class (id 0): flag-1 amplitude scaled by sqrt(0.99144)
-        assert by_key[(0, 1)][0] == pytest.approx(
-            before[(0, 1)] * math.sqrt(enumerate_majority(5, 0.9)), abs=1e-15
+        # solution class (id 0): flag-1 mass scaled by 0.99144
+        assert after.w1[0] == pytest.approx(
+            state.w1[0] * enumerate_majority(5, 0.9), abs=1e-15
         )
-        # non-solution class (id 1): scaled by sqrt(0.00856)
-        assert by_key[(1, 1)][0] == pytest.approx(
-            before[(1, 1)] * math.sqrt(enumerate_majority(5, 0.1)), abs=1e-15
+        # non-solution class (id 1): scaled by 0.00856
+        assert after.w1[1] == pytest.approx(
+            state.w1[1] * enumerate_majority(5, 0.1), abs=1e-15
         )
         assert after.round == 2
 
     def test_perfect_subroutine_spawns_no_branch(self):
+        # p = 1 keeps all flag-1 mass: nothing is pushed back to flag 0.
         inst = make_instance(2, 2, 1.0, 0.1)
         state = init_state(inst)
         after = apply_error_reduction(state, 1, inst)
-        assert len(after.branches) == 1
-        assert after.branches[0].amplitude == pytest.approx(1 / math.sqrt(2) * 1.0)
+        assert after.w1 == pytest.approx([1.0])
+        assert list(after.w0) == [0.0]
 
     def test_flag_zero_branches_untouched(self):
+        # Flag-0 mass only gains what flag 1 pushes back: w0 + w1 (1 - m).
         inst = make_instance(4, 1, 0.9, 0.1)
         state = init_state(inst)
-        flag0_before = [b for b in state.branches if b.flag == 0]
         after = apply_error_reduction(state, 1, inst)
-        flag0_after = [b for b in after.branches if b.flag == 0]
-        for b in flag0_before:
-            assert any(
-                c.class_id == b.class_id and c.amplitude == b.amplitude
-                for c in flag0_after
+        m = [enumerate_majority(5, c.p) for c in inst.classes]
+        assert all(after.w0 >= state.w0)
+        for c in range(len(inst.classes)):
+            assert after.w0[c] == pytest.approx(
+                state.w0[c] + state.w1[c] * (1 - m[c]), abs=1e-15
             )
 
     def test_round_mismatch_rejected(self):

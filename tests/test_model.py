@@ -71,10 +71,11 @@ class TestInitState:
         assert st_.beta == pytest.approx(math.sqrt(0.075), abs=1e-15)
 
     def test_deterministic_subroutines_single_branch(self):
+        # One class with p = 1: all mass on flag 1, none on flag 0.
         inst = make_instance(3, 3, 1.0, 0.1)
         state = init_state(inst)
-        assert len(state.branches) == 1
-        assert state.branches[0].flag == 1
+        assert len(state.w1) == 1
+        assert list(state.w0) == [0.0]
         assert state_stats(state, inst).alpha == pytest.approx(1.0, abs=1e-15)
 
     @given(strict_instances(require_solution=True))
@@ -148,14 +149,18 @@ class TestInvariants:
 
     @given(strict_instances(), st.integers(0, 6))
     @settings(max_examples=40)
-    def test_branch_count_bound(self, inst, rounds):
+    def test_state_has_one_entry_per_class(self, inst, rounds):
         state, _ = build_state(inst, rounds)
-        assert len(state.branches) <= len(inst.classes) * (state.round + 2)
+        assert state.w1.shape == state.w0.shape == (len(inst.classes),)
+        assert state.round == rounds + 1
+        assert (state.w1 >= 0).all() and (state.w0 >= 0).all()
 
     def test_states_are_immutable(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state = init_state(inst)
         with pytest.raises(AttributeError):
             state.round = 5
+        with pytest.raises(ValueError):
+            state.w1[0] = 0.5
         with pytest.raises(AttributeError):
             inst.classes[0].p = 0.5
