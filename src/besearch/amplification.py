@@ -20,7 +20,6 @@ from .model import (
     InvariantError,
     ProblemInstance,
     StructuredState,
-    state_stats,
     total_mass,
 )
 
@@ -55,13 +54,19 @@ def apply_amplification(
     """Apply one amplification round G to a normalized structured state.
 
     Every class's flag-1 mass is scaled by g1^2 and its flag-0 mass by
-    g0^2, with theta recomputed from the state. Norm is preserved exactly:
-    g1^2 sin^2 + g0^2 cos^2 = 1. The ledger cost triples (the round runs
-    the state preparation twice more, once inverted).
+    g0^2, with sin^2(theta) recomputed as the flag-1 share of the state's
+    total mass. Norm is preserved exactly: g1^2 sin^2 + g0^2 cos^2 = 1.
+    The ledger cost triples (the round runs the state preparation twice
+    more, once inverted).
     """
-    if abs(total_mass(state, instance) - 1.0) > NORM_TOL:
+    total = total_mass(state, instance)
+    if abs(total - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
-    f = amplification_factors(state_stats(state, instance).theta)
+    # A share of the actual total keeps a rounding deficit in the total as
+    # it is; taking sin^2 as sum(w1) alone would multiply the deficit by
+    # about 9 per round once theta nears pi/2.
+    s = min(1.0, float(state.w1.sum()) / total)
+    f = amplification_factors(math.asin(math.sqrt(s)))
     if ledger is not None:
         ledger.scale(3)
     return StructuredState(w1=state.w1 * f.g1**2, w0=state.w0 * f.g0**2, round=state.round)

@@ -45,6 +45,7 @@ from .error_reduction import schedule_for_round
 from .model import IndexClass, InvariantError, ProblemInstance, make_instance
 from .oracles import (
     MAX_DENSE_DIM,
+    MAX_ENUM_R,
     amplification_residual,
     block_recursion_cost,
     enumerate_majority,
@@ -368,6 +369,8 @@ def cmd_check_facts(args) -> int:
     dims = _parse_grid(cfg["dims"])
     if cfg["scenarios"] < 1 or not dims or not all(2 <= d <= MAX_DENSE_DIM for d in dims):
         raise UsageError(f"check-facts needs --scenarios >= 1 and --dims in [2, {MAX_DENSE_DIM}]")
+    if not 1 <= cfg["max_r"] <= MAX_ENUM_R:
+        raise UsageError(f"check-facts needs --max-r in [1, {MAX_ENUM_R}]")
     failures = 0
 
     worst = 0.0

@@ -223,8 +223,7 @@ def _sample_block(
     weights = np.maximum(measurement_weights(state, instance), 0.0)
     weights /= weights.sum()
     sampled = rng.choice(len(weights), size=shots, p=weights)
-    ps = np.array([c.p for c in instance.classes])
-    accepts = rng.binomial(v, ps[sampled]) * 2 > v
+    accepts = rng.binomial(v, instance.ps[sampled]) * 2 > v
     hits = np.flatnonzero(accepts)
     if hits.size:
         first = int(hits[0])

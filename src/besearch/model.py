@@ -17,7 +17,7 @@ so only its mass matters to later rounds and to every statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class InvariantError(ValueError):
     """A round operator's precondition on the state does not hold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexClass:
     """A group of indices whose subroutines behave identically.
 
@@ -67,13 +67,35 @@ class ProblemInstance:
     ``strict=True`` enforces the promise: solution classes must have
     p >= 9/10 and non-solution classes p <= 1/10. Relaxed instances are
     allowed for exploratory sweeps and are flagged in all CLI output.
+
+    Construction also fixes the per-class arrays the round operators use,
+    all read-only with one entry per class: ``ps`` (success probability),
+    ``counts`` (class size as a float) and ``solution`` (truth mask), and
+    the total number of indices ``n``.
     """
 
     classes: tuple[IndexClass, ...]
     strict: bool = True
+    n: int = field(init=False, repr=False, compare=False)
+    ps: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    solution: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "n", sum(c.count for c in self.classes))
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError("instance size n is too large for float masses") from None
+        for name, values, dtype in (
+            ("ps", [c.p for c in self.classes], float),
+            ("counts", [float(c.count) for c in self.classes], float),
+            ("solution", [c.is_solution for c in self.classes], bool),
+        ):
+            array = np.array(values, dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.n < 1:
             raise ValueError("instance must contain at least one index")
         if self.strict:
@@ -86,11 +108,6 @@ class ProblemInstance:
                     raise ValueError(
                         f"strict mode: non-solution class has p={c.p} > {PROMISE_BAD}"
                     )
-
-    @property
-    def n(self) -> int:
-        """Total number of indices."""
-        return sum(c.count for c in self.classes)
 
     @property
     def t(self) -> int:
@@ -189,12 +206,12 @@ def init_state(instance: ProblemInstance, ledger=None) -> StructuredState:
     Charges one query to ``ledger`` if given (one superposed call over
     all indices costs one unit).
     """
-    n = instance.n
+    n = float(instance.n)
     if ledger is not None:
         ledger.add(1)
     return StructuredState(
-        w1=[c.count * c.p / n for c in instance.classes],
-        w0=[c.count * (1.0 - c.p) / n for c in instance.classes],
+        w1=instance.counts * instance.ps / n,
+        w0=instance.counts * (1.0 - instance.ps) / n,
     )
 
 
@@ -205,7 +222,7 @@ def total_mass(state: StructuredState, instance: ProblemInstance) -> float:
 
 def state_stats(state: StructuredState, instance: ProblemInstance) -> StateStats:
     """Compute (alpha, beta, theta, p_solution) for a structured state."""
-    sol = np.array([c.is_solution for c in instance.classes])
+    sol = instance.solution
     alpha2 = float(state.w1[sol].sum())
     beta2 = float(state.w1[~sol].sum())
     s = min(1.0, math.sqrt(min(1.0, alpha2 + beta2)))

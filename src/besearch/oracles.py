@@ -31,6 +31,10 @@ MAX_DENSE_DIM = 64
 # Resource guard for the one-round cross-check (total dimension 2^14).
 MAX_ROUND_DIM = 2**14
 
+# The enumeration oracle sums 2^r outcomes for every odd r up to its bound,
+# so its time doubles per step of r; at this cap it runs about 12 s.
+MAX_ENUM_R = 21
+
 # Explicit repetition count of the dense round-1 majority vote.
 ROUND_ONE_REPS = 5
 
@@ -192,7 +196,7 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
     work = 2 ** (ROUND_ONE_REPS + 1)
     if n * 2 * work > MAX_ROUND_DIM:
         raise ValueError(f"dense round dimension {n * 2 * work} exceeds {MAX_ROUND_DIM}")
-    ps = [c.p for c in per_index.classes]
+    ps = per_index.ps
 
     # Preparation state on index (x) flag, then a unitary completing it.
     psi1 = np.zeros(2 * n, dtype=complex)
@@ -284,9 +288,15 @@ def enumerate_majority(r: int, p: float) -> float:
 
 
 def majority_oracle_gap(max_r: int = 15, grid=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)) -> float:
-    """Max |majority_prob - enumeration| over odd r <= max_r and a p grid."""
+    """Max |majority_prob - enumeration| over odd r <= max_r and a p grid.
+
+    max_r must lie in [1, MAX_ENUM_R]; majority_prob evaluates the whole
+    grid in one call per r.
+    """
+    if not 1 <= max_r <= MAX_ENUM_R:
+        raise ValueError(f"max_r must lie in [1, {MAX_ENUM_R}], got {max_r}")
     gap = 0.0
     for r in range(1, max_r + 1, 2):
-        for p in grid:
-            gap = max(gap, abs(majority_prob(r, p) - enumerate_majority(r, p)))
+        enumerated = [enumerate_majority(r, p) for p in grid]
+        gap = max(gap, float(np.max(np.abs(majority_prob(r, np.array(grid)) - enumerated))))
     return gap

@@ -199,6 +199,9 @@ BAD_INPUTS = {
     "check-facts-dims-0": ["check-facts", "--dims", "0"],
     "check-facts-dims-100": ["check-facts", "--dims", "100"],
     "check-facts-scenarios-0": ["check-facts", "--scenarios", "0"],
+    "check-facts-max-r-0": ["check-facts", "--max-r", "0"],
+    "check-facts-max-r-23": ["check-facts", "--max-r", "23"],
+    "curve-n-beyond-float": ["curve", "--n", "1" + "0" * 400, "--t", "1"],
     "config-n-abc": ["search", "--config", "{config}"],
     "config-missing": ["search", "--config", "{config}.missing"],
     "csv-unwritable": ["baselines", "--csv", "{config}/out.csv"],

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import besearch.error_reduction as error_reduction
 from besearch import (
     MAX_ROUNDS,
+    IndexClass,
+    ProblemInstance,
     apply_amplification,
     apply_error_reduction,
     init_state,
@@ -20,6 +24,19 @@ from besearch.oracles import enumerate_majority
 from conftest import strict_instances
 
 odd_r = st.integers(0, 6).map(lambda k: 2 * k + 1)
+
+
+def count_majority_calls(monkeypatch) -> list:
+    """Count calls of the majority kernel from inside error_reduction."""
+    calls = [0]
+    kernel = error_reduction.majority_prob
+
+    def counted(r, p):
+        calls[0] += 1
+        return kernel(r, p)
+
+    monkeypatch.setattr(error_reduction, "majority_prob", counted)
+    return calls
 
 
 class TestMajorityProb:
@@ -63,6 +80,41 @@ class TestMajorityProb:
             assert b >= a - 1e-15
         elif p < 0.5:
             assert b <= a + 1e-15
+
+
+    def test_array_matches_scalar_and_keeps_shape(self):
+        grid = np.array([[0.0, 0.1, 0.37], [0.5, 0.93, 1.0]])
+        for r in (1, 5, 37, 201):
+            m = majority_prob(r, grid)
+            assert m.shape == grid.shape
+            assert m.tolist() == [[majority_prob(r, p) for p in row] for row in grid.tolist()]
+            assert isinstance(majority_prob(r, 0.3), float)
+            assert majority_prob(r, np.array([0.3])).shape == (1,)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_rejects_nan_or_out_of_range_entry(self, bad):
+        with pytest.raises(ValueError):
+            majority_prob(5, np.array([0.1, bad, 0.9]))
+
+    def test_array_matches_enumeration(self):
+        grid = np.array([0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+        for r in range(1, 14, 2):
+            want = [enumerate_majority(r, p) for p in grid.tolist()]
+            assert np.max(np.abs(majority_prob(r, grid) - want)) <= 1e-12
+
+    def test_within_eight_ulp_of_fsum_up_to_cap_repetitions(self):
+        # The schedule's largest r is 647; the reference adds the same
+        # terms in Python floats with a correctly rounded sum.
+        grid = [0.1, 0.3, 0.5, 0.62, 0.9]
+        for r in range(1, 648, 2):
+            coeffs = [math.comb(r, j) for j in range((r + 1) // 2, r + 1)]
+            want = [
+                math.fsum(c * p**j * (1 - p) ** (r - j)
+                          for j, c in enumerate(coeffs, (r + 1) // 2))
+                for p in grid
+            ]
+            got = majority_prob(r, np.array(grid))
+            assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), r
 
 
 class TestRepetitionsFor:
@@ -117,16 +169,31 @@ class TestSchedule:
     def test_round_cap_is_exact(self):
         # At base error 1/10 the majority error of r runs is T(r) / 10^r with
         # T(r) = sum_{j > r/2} C(r, j) 9^(r-j), so this scan is integer-exact.
+        # Like the schedule, round k resumes from r_{k-1}.
+        tails = {}
+
         def over_budget(r, k):
-            tail = sum(math.comb(r, j) * 9 ** (r - j) for j in range(r // 2 + 1, r + 1))
-            return tail * 2 ** (k + 5) > 10**r
+            if r not in tails:
+                tails[r] = sum(math.comb(r, j) * 9 ** (r - j) for j in range(r // 2 + 1, r + 1))
+            return tails[r] * 2 ** (k + 5) > 10**r
 
         r = 1
-        while over_budget(r, MAX_ROUNDS):
-            r += 2
-        assert schedule_for_round(MAX_ROUNDS).r == r
+        for k in range(1, MAX_ROUNDS + 1):
+            while over_budget(r, k):
+                r += 2
+            assert schedule_for_round(k).r == r, k
+        assert r == 647
         with pytest.raises(ValueError):
             schedule_for_round(MAX_ROUNDS + 1)
+
+    def test_full_table_costs_linear_majority_evaluations(self, monkeypatch):
+        # Each round's scan evaluates once per step of r plus once to stop.
+        table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
+        calls = count_majority_calls(monkeypatch)
+        monkeypatch.setattr(error_reduction, "_schedule", {})
+        assert schedule_for_round(MAX_ROUNDS) == table[-1]
+        assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
+        assert calls[0] == (table[-1].r - 1) // 2 + MAX_ROUNDS
 
     @given(st.integers(1, 25))
     @settings(max_examples=25)
@@ -171,6 +238,33 @@ class TestApplyErrorReduction:
             assert after.w0[c] == pytest.approx(
                 state.w0[c] + state.w1[c] * (1 - m[c]), abs=1e-15
             )
+
+    def test_wide_push_back_matches_per_class_reference(self):
+        rng = np.random.default_rng(3)
+        solution = rng.random(600) < 0.1
+        ps = np.where(solution, rng.uniform(0.9, 1.0, 600), rng.uniform(0.0, 0.1, 600))
+        inst = ProblemInstance(tuple(
+            IndexClass(p=p, count=int(c), is_solution=bool(s))
+            for p, c, s in zip(ps.tolist(), rng.integers(1, 1000, 600), solution)
+        ))
+        state = apply_amplification(init_state(inst), inst)
+        after = apply_error_reduction(state, 1, inst)
+        m = np.array([enumerate_majority(5, p) for p in ps.tolist()])
+        assert np.max(np.abs(after.w1 - state.w1 * m)) <= 1e-15
+        assert np.max(np.abs(after.w0 - (state.w0 + state.w1 * (1 - m)))) <= 1e-15
+
+    @pytest.mark.parametrize("classes", [1, 2, 600])
+    def test_one_majority_evaluation_per_round(self, monkeypatch, classes):
+        inst = ProblemInstance(tuple(
+            IndexClass(p=0.95 if c == 0 else 0.05, count=1, is_solution=c == 0)
+            for c in range(classes)
+        ))
+        schedule_for_round(4)
+        calls = count_majority_calls(monkeypatch)
+        state = init_state(inst)
+        for k in range(1, 5):
+            state = apply_error_reduction(apply_amplification(state, inst), k, inst)
+        assert calls[0] == 4
 
     def test_round_mismatch_rejected(self):
         inst = make_instance(4, 1, 0.9, 0.1)

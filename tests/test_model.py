@@ -55,6 +55,18 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             make_instance(4, 1, 0.9, -0.1)
 
+    def test_per_class_arrays(self):
+        inst = make_instance(10, 3, 0.95, 0.05)
+        assert inst.ps.tolist() == [0.95, 0.05]
+        assert inst.counts.tolist() == [3.0, 7.0]
+        assert inst.solution.tolist() == [True, False]
+        for array in (inst.ps, inst.counts, inst.solution):
+            assert not array.flags.writeable
+
+    def test_rejects_size_beyond_float_range(self):
+        with pytest.raises(ValueError):
+            make_instance(10**400, 1, 0.9, 0.1)
+
     def test_class_validation(self):
         with pytest.raises(ValueError):
             IndexClass(p=0.5, count=0, is_solution=False)
@@ -125,6 +137,14 @@ class TestInvariants:
     @settings(max_examples=60)
     def test_normalization_preserved(self, inst, rounds):
         state, _ = build_state(inst, rounds)
+        assert abs(total_mass(state, inst) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_normalization_near_right_angle(self, count):
+        # p one ulp below 1 puts theta next to pi/2, where amplification
+        # maps a deficit in the total mass to about nine times itself.
+        inst = ProblemInstance((IndexClass(p=1 - 2**-53, count=count, is_solution=True),))
+        state, _ = build_state(inst, 8)
         assert abs(total_mass(state, inst) - 1.0) <= 1e-9
 
     def test_normalization_over_forty_rounds(self):

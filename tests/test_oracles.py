@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from besearch import IndexClass, ProblemInstance, full_sweep_cost, make_instance
 from besearch.oracles import (
+    MAX_ENUM_R,
     DenseScenario,
     UnitarityError,
     amplification_residual,
@@ -14,6 +15,7 @@ from besearch.oracles import (
     dense_amplification_check,
     enumerate_majority,
     grover_operator,
+    majority_oracle_gap,
     random_scenario,
     simple_search_cost,
     structured_vs_dense_round,
@@ -168,3 +170,9 @@ class TestEnumerationOracle:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             enumerate_majority(2, 0.5)
+
+    def test_gap_bounds_repetitions(self):
+        assert majority_oracle_gap(1) <= 1e-15
+        for max_r in (0, MAX_ENUM_R + 1):
+            with pytest.raises(ValueError):
+                majority_oracle_gap(max_r)
