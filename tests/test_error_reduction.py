@@ -81,7 +81,6 @@ class TestMajorityProb:
         elif p < 0.5:
             assert b <= a + 1e-15
 
-
     def test_array_matches_scalar_and_keeps_shape(self):
         grid = np.array([[0.0, 0.1, 0.37], [0.5, 0.93, 1.0]])
         for r in (1, 5, 37, 201):
