@@ -26,6 +26,7 @@ from .error_reduction import (
     apply_error_reduction,
 )
 from .driver import (
+    MAX_SHOTS,
     CostLedger,
     SearchResult,
     TraceRow,

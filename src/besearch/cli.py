@@ -41,19 +41,8 @@ from .driver import (
     search_blocks,
     verification_repetitions,
 )
-from .error_reduction import schedule_for_round
-from .model import IndexClass, InvariantError, ProblemInstance, make_instance
-from .oracles import (
-    MAX_DENSE_DIM,
-    MAX_ENUM_R,
-    amplification_residual,
-    block_recursion_cost,
-    enumerate_majority,
-    majority_oracle_gap,
-    random_scenario,
-    simple_search_cost,
-    structured_vs_dense_round,
-)
+from .model import InvariantError, make_instance
+from .oracles import block_recursion_cost, run_fact_checks, simple_search_cost
 
 CSV_SCHEMA = 1
 
@@ -359,61 +348,13 @@ def cmd_andor(args) -> int:
 
 CHECK_DEFAULTS = dict(scenarios=200, dims="2,4,8,16", seed=0, max_r=15)
 
-DENSE_TOL = 1e-10
-ENUM_TOL = 1e-12
-ROUND_TOL = 1e-9
-
 
 def cmd_check_facts(args) -> int:
     cfg = resolve_config("check-facts", args, CHECK_DEFAULTS)
-    dims = _parse_grid(cfg["dims"])
-    if cfg["scenarios"] < 1 or not dims or not all(2 <= d <= MAX_DENSE_DIM for d in dims):
-        raise UsageError(f"check-facts needs --scenarios >= 1 and --dims in [2, {MAX_DENSE_DIM}]")
-    if not 1 <= cfg["max_r"] <= MAX_ENUM_R:
-        raise UsageError(f"check-facts needs --max-r in [1, {MAX_ENUM_R}]")
-    failures = 0
-
-    worst = 0.0
-    for i in range(cfg["scenarios"]):
-        scenario = random_scenario(dims[i % len(dims)], cfg["seed"] + i)
-        worst = max(worst, amplification_residual(scenario))
-    ok = worst <= DENSE_TOL
-    failures += not ok
-    print(f"rotation-oracle: max residual {worst:.3e} (tol {DENSE_TOL:.0e}) "
-          f"over {cfg['scenarios']} scenarios: {'ok' if ok else 'FAIL'}")
-
-    gap = majority_oracle_gap(cfg["max_r"])
-    ok = gap <= ENUM_TOL
-    failures += not ok
-    print(f"majority-oracle: max gap {gap:.3e} (tol {ENUM_TOL:.0e}) "
-          f"odd r <= {cfg['max_r']}: {'ok' if ok else 'FAIL'}")
-
-    want = (5, 7, 7)
-    got = tuple(schedule_for_round(k).r for k in (1, 2, 3))
-    oracle = []
-    for k in (1, 2, 3):
-        r = 1
-        while enumerate_majority(r, 0.1) > 2.0 ** -(k + 5):
-            r += 2
-        oracle.append(r)
-    ok = got == want == tuple(oracle)
-    failures += not ok
-    print(f"round-schedule: r1,r2,r3 = {got} (oracle {tuple(oracle)}, "
-          f"expected {want}): {'ok' if ok else 'FAIL'}")
-
-    worst = 0.0
-    for pvals in ((0.0,), (0.3,), (1.0,), (0.9, 0.1), (1.0, 0.0), (0.75, 0.25), (0.5, 0.5)):
-        classes = tuple(
-            IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in pvals
-        )
-        inst = ProblemInstance(classes, strict=False)
-        worst = max(worst, structured_vs_dense_round(inst))
-    ok = worst <= ROUND_TOL
-    failures += not ok
-    print(f"round-crosscheck: max deviation {worst:.3e} (tol {ROUND_TOL:.0e}): "
-          f"{'ok' if ok else 'FAIL'}")
-
-    return 1 if failures else 0
+    checks = run_fact_checks(cfg["scenarios"], _parse_grid(cfg["dims"]), cfg["seed"], cfg["max_r"])
+    for check in checks:
+        print(check)
+    return 0 if all(check.ok for check in checks) else 1
 
 
 # -------------------------------------------------------------- baselines

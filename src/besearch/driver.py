@@ -17,7 +17,7 @@ control flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from .model import (
 #: Classical repetitions of the whole measurement block, per the driver's
 #: success analysis. Configurable in run_search; tests pin the default.
 DEFAULT_SHOTS = 1000
+
+#: Largest shot count per block: a block draws int64 arrays of this
+#: length, so the cap keeps each at 8 MB.
+MAX_SHOTS = 10**6
 
 #: The execution-wide false-accept budget is 1/VERIFICATION_CONFIDENCE.
 VERIFICATION_CONFIDENCE = 100
@@ -61,8 +65,8 @@ class CostLedger:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    """Per-block record of one search execution."""
+class CurvePoint:
+    """One row of the exact success curve: statistics after m rounds."""
 
     m: int
     alpha: float
@@ -70,6 +74,13 @@ class TraceRow:
     theta: float
     p_solution: float
     cost: int
+
+
+@dataclass(frozen=True)
+class TraceRow(CurvePoint):
+    """Per-block record of one search execution: the block's curve point,
+    its shot count and the number of samples verified."""
+
     shots: int
     verified: int
 
@@ -82,18 +93,6 @@ class SearchResult:
     found_class: Optional[int]
     total_cost: int
     trace: tuple[TraceRow, ...]
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One row of the exact success curve: statistics after m rounds."""
-
-    m: int
-    alpha: float
-    beta: float
-    theta: float
-    p_solution: float
-    cost: int
 
 
 def ceil_log9(n: int) -> int:
@@ -129,13 +128,33 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
     1 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1)), so by a
     union bound over at most shots * ceil_log9(n) verifications the whole
     execution's false-accept probability stays below 1/100. O(log n).
+    Every path that takes a shot count calls this first, so shots outside
+    [1, MAX_SHOTS] are rejected before any sample array is allocated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     budget = 1.0 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1))
     return repetitions_for(budget, 0.1)
+
+
+def _rounds(
+    instance: ProblemInstance, rounds: int
+) -> Iterator[tuple[int, StructuredState, int]]:
+    """Yield (m, m-round state, ledger cost C(m)) for m = 0 .. rounds.
+
+    The only place the round recursion is chained. Each state is built
+    when it is asked for, so a consumer that stops early builds no more.
+    """
+    _check_rounds(rounds)
+    ledger = CostLedger()
+    state = init_state(instance, ledger)
+    yield 0, state, ledger.invocations
+    for m in range(1, rounds + 1):
+        state = apply_amplification(state, instance, ledger)
+        state = apply_error_reduction(state, m, instance, ledger)
+        yield m, state, ledger.invocations
 
 
 def build_state(
@@ -146,13 +165,9 @@ def build_state(
     rounds = 0 returns the base state (cost 1). The ledger equals
     analytic_cost(rounds) exactly, by construction of the same recursion.
     """
-    _check_rounds(rounds)
-    ledger = CostLedger()
-    state = init_state(instance, ledger)
-    for k in range(1, rounds + 1):
-        state = apply_amplification(state, instance, ledger)
-        state = apply_error_reduction(state, k, instance, ledger)
-    return state, ledger
+    for _, state, cost in _rounds(instance, rounds):
+        pass
+    return state, CostLedger(cost)
 
 
 def exact_success_curve(
@@ -163,25 +178,10 @@ def exact_success_curve(
     Computed in one incremental pass; since the round maps are
     deterministic, each row equals an independent m-round build.
     """
-    _check_rounds(m_max)
-    ledger = CostLedger()
-    state = init_state(instance, ledger)
     rows = []
-    for m in range(m_max + 1):
+    for m, state, cost in _rounds(instance, m_max):
         st = state_stats(state, instance)
-        rows.append(
-            CurvePoint(
-                m=m,
-                alpha=st.alpha,
-                beta=st.beta,
-                theta=st.theta,
-                p_solution=st.p_solution,
-                cost=ledger.invocations,
-            )
-        )
-        if m < m_max:
-            state = apply_amplification(state, instance, ledger)
-            state = apply_error_reduction(state, m + 1, instance, ledger)
+        rows.append(CurvePoint(m, st.alpha, st.beta, st.theta, st.p_solution, cost))
     return tuple(rows)
 
 
@@ -254,43 +254,19 @@ def run_search(
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
     rng = np.random.default_rng(seed)
-    n = instance.n
-    blocks = search_blocks(n)
-    _check_rounds(blocks - 1)
-    v = verification_repetitions(n, shots_per_m)
-
-    ledger = CostLedger()
-    state = init_state(instance, ledger)
+    v = verification_repetitions(instance.n, shots_per_m)
     total = 0
     trace: list[TraceRow] = []
-    for m in range(blocks):
+    for m, state, cost in _rounds(instance, search_blocks(instance.n) - 1):
         st = state_stats(state, instance)
-        cost_m = ledger.invocations
-        total += shots_per_m * cost_m
         hit, verified = _sample_block(rng, state, instance, v, shots_per_m)
-        total += verified * v
-        trace.append(
-            TraceRow(
-                m=m,
-                alpha=st.alpha,
-                beta=st.beta,
-                theta=st.theta,
-                p_solution=st.p_solution,
-                cost=cost_m,
-                shots=shots_per_m,
-                verified=verified,
-            )
-        )
+        total += shots_per_m * cost + verified * v
+        trace.append(TraceRow(
+            m, st.alpha, st.beta, st.theta, st.p_solution, cost, shots_per_m, verified
+        ))
         if hit is not None:
-            return SearchResult(
-                outcome="found", found_class=hit, total_cost=total, trace=tuple(trace)
-            )
-        if m + 1 < blocks:
-            state = apply_amplification(state, instance, ledger)
-            state = apply_error_reduction(state, m + 1, instance, ledger)
-    return SearchResult(
-        outcome="no_solutions", found_class=None, total_cost=total, trace=tuple(trace)
-    )
+            return SearchResult("found", hit, total, tuple(trace))
+    return SearchResult("no_solutions", None, total, tuple(trace))
 
 
 def run_block(

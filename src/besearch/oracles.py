@@ -7,7 +7,9 @@ exhaustive 2^r enumeration of majority voting. Neither shares code with
 the engine's closed forms. A one-round cross-validation harness builds
 the whole round -- preparation, reflections, and a 5-run majority vote
 -- as explicit matrices and compares per-index masses with the
-structured engine.
+structured engine. ``run_fact_checks`` runs these oracles as the four
+fact checks that ``check-facts`` prints and the acceptance gate asserts
+on, against tolerances defined here once.
 
 The two baseline cost models from the simple approaches (per-query
 majority boosting under Grover, and block-recursive splitting) are
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import build_state
-from .error_reduction import majority_prob, repetitions_for
-from .model import ProblemInstance, expand_classes
+from .error_reduction import majority_prob, repetitions_for, schedule_for_round
+from .model import IndexClass, ProblemInstance, expand_classes
 
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
 MAX_DENSE_DIM = 64
@@ -37,6 +39,17 @@ MAX_ENUM_R = 21
 
 # Explicit repetition count of the dense round-1 majority vote.
 ROUND_ONE_REPS = 5
+
+# Tolerances of the rotation, majority and one-round fact checks.
+DENSE_TOL = 1e-10
+ENUM_TOL = 1e-12
+ROUND_TOL = 1e-9
+
+# r_1, r_2, r_3 of the round schedule, pinned by hand arithmetic.
+PINNED_SCHEDULE = (5, 7, 7)
+
+# Per-index success probabilities of the one-round cross-check instances.
+ROUND_GRID = ((0.0,), (0.3,), (1.0,), (0.9, 0.1), (1.0, 0.0), (0.75, 0.25), (0.5, 0.5))
 
 
 class UnitarityError(RuntimeError):
@@ -300,3 +313,66 @@ def majority_oracle_gap(max_r: int = 15, grid=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1
         enumerated = [enumerate_majority(r, p) for p in grid]
         gap = max(gap, float(np.max(np.abs(majority_prob(r, np.array(grid)) - enumerated))))
     return gap
+
+
+@dataclass(frozen=True)
+class FactCheck:
+    """Outcome of one fact check; ``str()`` is its one-line report."""
+
+    name: str
+    value: object
+    ok: bool
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.name}: {self.detail}: {'ok' if self.ok else 'FAIL'}"
+
+
+def _oracle_schedule_r(k: int) -> int:
+    """r_k by scanning odd r with the 2^r enumeration oracle."""
+    r = 1
+    while enumerate_majority(r, 0.1) > 2.0 ** -(k + 5):
+        r += 2
+    return r
+
+
+def run_fact_checks(
+    scenarios: int, dims, seed: int, max_r: int, round_grid=ROUND_GRID
+) -> tuple[FactCheck, ...]:
+    """Run the four fact checks and return their records in report order.
+
+    rotation-oracle: the dense 3-theta residual over ``scenarios`` random
+    scenarios, scenario i of dimension dims[i % len(dims)] and seed
+    seed + i. majority-oracle: majority_prob against 2^r enumeration for
+    odd r <= max_r. round-schedule: r_1..r_3 against the enumeration scan
+    and PINNED_SCHEDULE. round-crosscheck: one dense round against the
+    engine on each tuple of per-index probabilities in ``round_grid``
+    (an index is a solution when p >= 1/2). Arguments are checked before
+    any check runs.
+    """
+    dims = tuple(dims)
+    if scenarios < 1 or not dims or not all(2 <= d <= MAX_DENSE_DIM for d in dims):
+        raise ValueError(f"fact checks need scenarios >= 1 and dims in [2, {MAX_DENSE_DIM}]")
+    gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work
+    residual = max(
+        amplification_residual(random_scenario(dims[i % len(dims)], seed + i))
+        for i in range(scenarios)
+    )
+    got = tuple(schedule_for_round(k).r for k in (1, 2, 3))
+    oracle = tuple(_oracle_schedule_r(k) for k in (1, 2, 3))
+    deviation = max(
+        structured_vs_dense_round(ProblemInstance(
+            tuple(IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in ps), strict=False
+        ))
+        for ps in round_grid
+    )
+    return (
+        FactCheck("rotation-oracle", residual, residual <= DENSE_TOL,
+                  f"max residual {residual:.3e} (tol {DENSE_TOL:.0e}) over {scenarios} scenarios"),
+        FactCheck("majority-oracle", gap, gap <= ENUM_TOL,
+                  f"max gap {gap:.3e} (tol {ENUM_TOL:.0e}) odd r <= {max_r}"),
+        FactCheck("round-schedule", got, got == PINNED_SCHEDULE == oracle,
+                  f"r1,r2,r3 = {got} (oracle {oracle}, expected {PINNED_SCHEDULE})"),
+        FactCheck("round-crosscheck", deviation, deviation <= ROUND_TOL,
+                  f"max deviation {deviation:.3e} (tol {ROUND_TOL:.0e})"),
+    )

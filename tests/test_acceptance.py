@@ -6,6 +6,7 @@ All expected values were computed with the independent oracles
 and frozen here; all randomized checks use fixed seed sets and are
 therefore deterministic.
 """
+import functools
 import math
 
 import numpy as np
@@ -27,18 +28,16 @@ from besearch import (
     make_instance,
     run_block,
     run_search,
-    schedule_for_round,
 )
 from besearch.cli import run_cli
-from besearch.oracles import (
-    amplification_residual,
-    enumerate_majority,
-    majority_oracle_gap,
-    random_scenario,
-    structured_vs_dense_round,
-)
+from besearch.oracles import run_fact_checks
 
 SLACK = 1e-9
+
+# Criterion 3's one-round instances: eight single indices, thirty pairs.
+GATE_ROUND_GRID = [(p,) for p in (0.0, 0.05, 0.1, 0.3, 0.5, 0.9, 0.95, 1.0)] + [
+    (a, b) for a in (0.0, 0.1, 0.5, 0.9, 1.0) for b in (0.0, 0.05, 0.25, 0.75, 0.95, 1.0)
+]
 
 # Worst full-sweep cost per sqrt(n) over the grid below, recorded once.
 K_RECORDED = 20000 / 3.0
@@ -60,54 +59,30 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+@functools.cache
+def gate_facts():
+    """The fact-check engine at the gate's sizes, run once per session."""
+    checks = run_fact_checks(200, range(2, 17), 0, max_r=15, round_grid=GATE_ROUND_GRID)
+    return {check.name: check for check in checks}
+
+
 def test_criterion_1_rotation_oracle():
-    dims = list(range(2, 17))
-    worst = 0.0
-    for i in range(200):
-        scenario = random_scenario(dims[i % len(dims)], seed=i)
-        worst = max(worst, amplification_residual(scenario))
-    report(
-        1,
-        worst <= 1e-10,
-        f"200 dense scenarios (dim 2-16): max rotation residual {worst:.3e} <= 1e-10",
-    )
+    check = gate_facts()["rotation-oracle"]
+    report(1, check.ok, f"200 dense scenarios (dim 2-16, seeds 0-199): {check}")
 
 
 def test_criterion_2_majority_oracle_and_schedule():
-    gap = majority_oracle_gap(max_r=15)
-    schedule = tuple(schedule_for_round(k).r for k in (1, 2, 3))
-    oracle = []
-    for k in (1, 2, 3):
-        r = 1
-        while enumerate_majority(r, 0.1) > 2.0 ** -(k + 5):
-            r += 2
-        oracle.append(r)
-    ok = gap <= 1e-12 and schedule == tuple(oracle) == (5, 7, 7)
-    report(
-        2,
-        ok,
-        f"majority vs 2^r enumeration: max gap {gap:.3e} <= 1e-12; "
-        f"schedule r1,r2,r3 = {schedule} (oracle {tuple(oracle)})",
-    )
+    gap, schedule = gate_facts()["majority-oracle"], gate_facts()["round-schedule"]
+    report(2, gap.ok and schedule.ok, f"{gap}; {schedule}")
 
 
 def test_criterion_3_structured_vs_dense():
-    grid1 = [(p,) for p in (0.0, 0.05, 0.1, 0.3, 0.5, 0.9, 0.95, 1.0)]
-    grid2 = [
-        (a, b)
-        for a in (0.0, 0.1, 0.5, 0.9, 1.0)
-        for b in (0.0, 0.05, 0.25, 0.75, 0.95, 1.0)
-    ]
-    worst = 0.0
-    for ps in grid1 + grid2:
-        classes = tuple(IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in ps)
-        inst = ProblemInstance(classes, strict=False)
-        worst = max(worst, structured_vs_dense_round(inst))
+    check = gate_facts()["round-crosscheck"]
     report(
         3,
-        worst <= 1e-9,
-        f"one dense round vs structured engine (n <= 2, {len(grid1) + len(grid2)} "
-        f"instances): max deviation {worst:.3e} <= 1e-9",
+        check.ok,
+        f"one dense round vs structured engine (n <= 2, {len(GATE_ROUND_GRID)} "
+        f"instances): {check}",
     )
 
 

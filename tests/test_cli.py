@@ -4,8 +4,10 @@ import time
 import pytest
 
 import besearch.cli
-from besearch import AndOrTree, GATE_OR, InvariantError, dump_tree
+import besearch.oracles
+from besearch import MAX_SHOTS, AndOrTree, GATE_OR, InvariantError, dump_tree
 from besearch.cli import run_cli
+from besearch.oracles import run_fact_checks
 
 
 def run(capsys, *argv):
@@ -182,6 +184,21 @@ class TestCheckFacts:
         assert "round-crosscheck: max deviation" in out
         assert "FAIL" not in out
 
+    def test_prints_the_engine_records(self, capsys):
+        code, out, _ = run(capsys, "check-facts", "--scenarios", "8", "--dims", "2,5",
+                           "--seed", "3", "--max-r", "9")
+        assert code == 0
+        checks = run_fact_checks(8, [2, 5], 3, 9)
+        assert out.splitlines() == [str(check) for check in checks]
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(besearch.oracles, "structured_vs_dense_round", lambda inst: 1.0)
+        code, out, _ = run(capsys, "check-facts", "--scenarios", "8", "--max-r", "9")
+        assert code == 1
+        *passed, crosscheck = out.splitlines()
+        assert crosscheck.startswith("round-crosscheck:") and crosscheck.endswith("FAIL")
+        assert len(passed) == 3 and all(line.endswith(": ok") for line in passed)
+
 
 class TestBaselines:
     def test_table(self, capsys, tmp_path):
@@ -205,6 +222,13 @@ BAD_INPUTS = {
     "config-n-abc": ["search", "--config", "{config}"],
     "config-missing": ["search", "--config", "{config}.missing"],
     "csv-unwritable": ["baselines", "--csv", "{config}/out.csv"],
+    # Shot counts past MAX_SHOTS are rejected before any sample is drawn;
+    # unchecked, 10**20 overflows numpy and MAX_SHOTS + 1 draws 8 MB arrays.
+    **{
+        f"{cmd}-shots-{label}": [cmd, "--shots", str(shots), *extra]
+        for cmd, extra in (("search", []), ("sweep", []), ("andor", ["--tree", "{tree}"]))
+        for label, shots in (("1e20", 10**20), ("past-cap", MAX_SHOTS + 1))
+    },
 }
 
 
@@ -213,7 +237,9 @@ class TestExitContract:
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
         config = tmp_path / "cfg.txt"
         config.write_text("n = abc\n")
-        code, _, err = run(capsys, *(arg.format(config=config) for arg in argv))
+        tree = tmp_path / "tree.txt"
+        tree.write_text(dump_tree(AndOrTree(2, (3, 3), GATE_OR), [0] * 9))
+        code, _, err = run(capsys, *(arg.format(config=config, tree=tree) for arg in argv))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 

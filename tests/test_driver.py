@@ -7,10 +7,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from besearch import (
+    GATE_OR,
     MAX_ROUNDS,
+    MAX_SHOTS,
+    AndOrTree,
     analytic_cost,
     build_state,
     ceil_log9,
+    evaluate_quantum_cost,
     exact_success_curve,
     full_sweep_cost,
     init_state,
@@ -141,6 +145,22 @@ class TestVerificationRepetitions:
     def test_scales_with_shots(self):
         assert verification_repetitions(81, shots=10**6) >= verification_repetitions(81)
 
+    def test_rejects_shots_past_cap(self):
+        # Every shot-taking path sizes its verification here first, so
+        # none of them allocates a sample array for a rejected count.
+        inst = make_instance(81, 1, 0.9, 0.1)
+        tree = AndOrTree(2, (9, 9), GATE_OR)
+        for shots in (MAX_SHOTS + 1, 10**20):
+            for call in (
+                lambda: verification_repetitions(81, shots),
+                lambda: run_search(inst, 0, shots),
+                lambda: run_block(inst, 2, 0, shots),
+                lambda: full_sweep_cost(81, shots),
+                lambda: evaluate_quantum_cost(tree, shots),
+            ):
+                with pytest.raises(ValueError, match="shots"):
+                    call()
+
 
 class TestSuccessCurve:
     def test_row_zero_is_exact_base(self):
@@ -221,12 +241,19 @@ class TestRunSearch:
         assert [r.cost for r in result.trace] == [analytic_cost(m) for m in range(3)]
 
     def test_trace_matches_curve(self):
-        inst = make_instance(729, 0, 0.9, 0.1)
-        result = run_search(inst, 3)
-        rows = exact_success_curve(inst, 2)
-        for row, rec in zip(rows, result.trace):
-            assert rec.alpha == row.alpha
-            assert rec.theta == row.theta
+        # An exhausted search traces every block; a planted one (seed 1
+        # hits in block m = 1 of four) stops at its hit.
+        def shared(row):
+            return (row.m, row.alpha, row.beta, row.theta, row.p_solution, row.cost)
+
+        for inst, seed, n_rows in (
+            (make_instance(729, 0, 0.9, 0.1), 3, 3),
+            (make_instance(6561, 9, 0.9, 0.1), 1, 2),
+        ):
+            result = run_search(inst, seed)
+            rows = exact_success_curve(inst, search_blocks(inst.n) - 1)
+            assert len(result.trace) == n_rows
+            assert [shared(rec) for rec in result.trace] == [shared(row) for row in rows[:n_rows]]
 
     def test_single_index_space(self):
         assert run_search(make_instance(1, 1, 0.95, 0.1), 3).outcome == "found"
