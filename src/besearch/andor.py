@@ -33,6 +33,7 @@ from .driver import (
     DEFAULT_SHOTS,
     analytic_cost,
     ceil_log9,
+    check_shots,
     run_search,
     verification_repetitions,
 )
@@ -119,8 +120,10 @@ def evaluate_quantum_sim(
     bounded-error box: the classical value, flipped with probability
     1/10. Depth >= 2 decides the root by running the search driver over
     its children, each wrapped as a worst-case promise box (9/10 correct)
-    around its true value; per-invocation error is at most 1/10.
+    around its true value; per-invocation error is at most 1/10. The shot
+    count is checked at every depth, also where no search runs.
     """
+    check_shots(shots)
     bits = _as_bits(tree, bits)
     if tree.depth == 0:
         return bits[0]
@@ -149,7 +152,9 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     ceil(pi/4 sqrt(f)) (one-sided Grover over exact leaves); a deeper
     node costs the driver's full sweep over its fanout -- every block's
     shots plus one verification pass -- times the cost of one child.
+    The shot count is checked at every depth.
     """
+    check_shots(shots)
     if tree.depth == 0:
         return 1
     f = tree.fanouts[0]

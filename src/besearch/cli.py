@@ -182,6 +182,8 @@ def _coerce(value, default):
 
 
 def _parse_grid(text: str) -> list[int]:
+    if not isinstance(text, str):  # a JSON config can give a list or a number
+        raise UsageError(f"bad integer list {text!r}: expected a comma-separated string")
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:

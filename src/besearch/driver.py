@@ -112,6 +112,12 @@ def _check_rounds(rounds: int) -> None:
         raise ValueError(f"rounds must lie in [0, {MAX_ROUNDS}], got {rounds}")
 
 
+def check_shots(shots: int) -> None:
+    """Reject a shot count outside [1, MAX_SHOTS] before anything is sampled."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+
+
 def analytic_cost(m: int) -> int:
     """Query cost of the m-round preparation: C(0)=1, C(k)=3C(k-1)+r_k."""
     _check_rounds(m)
@@ -128,13 +134,13 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
     1 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1)), so by a
     union bound over at most shots * ceil_log9(n) verifications the whole
     execution's false-accept probability stays below 1/100. O(log n).
-    Every path that takes a shot count calls this first, so shots outside
-    [1, MAX_SHOTS] are rejected before any sample array is allocated.
+    Every path that takes a shot count calls this or ``check_shots``
+    first, so shots outside [1, MAX_SHOTS] are rejected before any sample
+    array is allocated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    check_shots(shots)
     budget = 1.0 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1))
     return repetitions_for(budget, 0.1)
 

@@ -222,6 +222,13 @@ BAD_INPUTS = {
     "config-n-abc": ["search", "--config", "{config}"],
     "config-missing": ["search", "--config", "{config}.missing"],
     "csv-unwritable": ["baselines", "--csv", "{config}/out.csv"],
+    # A JSON config can give a grid as a list or a number, not a comma list.
+    "json-dims-list": ["check-facts", "--config", "{dims_json}"],
+    "json-sweep-n-int": ["sweep", "--config", "{n_json}"],
+    "json-baselines-n-int": ["baselines", "--config", "{n_json}"],
+    # A depth-1 tree runs no search, so only an up-front check sees its shots.
+    "andor-depth-1-shots-0": ["andor", "--tree", "{tree1}", "--shots", "0"],
+    "andor-depth-1-shots-1e20": ["andor", "--tree", "{tree1}", "--shots", str(10**20)],
     # Shot counts past MAX_SHOTS are rejected before any sample is drawn;
     # unchecked, 10**20 overflows numpy and MAX_SHOTS + 1 draws 8 MB arrays.
     **{
@@ -239,9 +246,23 @@ class TestExitContract:
         config.write_text("n = abc\n")
         tree = tmp_path / "tree.txt"
         tree.write_text(dump_tree(AndOrTree(2, (3, 3), GATE_OR), [0] * 9))
-        code, _, err = run(capsys, *(arg.format(config=config, tree=tree) for arg in argv))
+        tree1 = tmp_path / "tree1.txt"
+        tree1.write_text(dump_tree(AndOrTree(1, (4,), GATE_OR), [0] * 4))
+        dims_json = tmp_path / "dims.json"
+        dims_json.write_text(json.dumps({"dims": [2, 4]}))
+        n_json = tmp_path / "n.json"
+        n_json.write_text(json.dumps({"n": 81}))
+        paths = dict(config=config, tree=tree, tree1=tree1, dims_json=dims_json, n_json=n_json)
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_json_grid_error_names_the_value(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dims": [2, 4]}))
+        code, _, err = run(capsys, "check-facts", "--config", str(config))
+        assert code == 2
+        assert "[2, 4]" in err
 
     def test_round_cap_rejected_before_any_round(self, capsys):
         start = time.perf_counter()

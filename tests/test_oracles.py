@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import besearch.oracles
 from besearch import IndexClass, ProblemInstance, full_sweep_cost, make_instance
 from besearch.oracles import (
     MAX_ENUM_R,
@@ -96,6 +98,13 @@ class TestStructuredVsDense:
     def test_arbitrary_probability_grid(self, ps):
         assert structured_vs_dense_round(relaxed(ps)) <= 1e-9
 
+    def test_non_unitary_vote_block_is_caught(self, monkeypatch):
+        # E1 is built in real arithmetic; its unitarity check must still fire.
+        shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+        monkeypatch.setattr(besearch.oracles, "_rotation", lambda p: shear)
+        with pytest.raises(UnitarityError, match="E1"):
+            structured_vs_dense_round(relaxed((0.9, 0.1)))
+
     def test_resource_guard(self):
         big = make_instance(129, 0, 0.9, 0.1)
         with pytest.raises(ValueError):
@@ -163,13 +172,37 @@ class TestBlockRecursionCost:
         assert all(a > b for a, b in zip(tail, tail[1:]))
 
 
+def loop_majority(r, p):
+    """Reference: a plain sequential sum over all 2^r outcome strings."""
+    total = 0.0
+    for outcome in range(2**r):
+        ones = bin(outcome).count("1")
+        if ones * 2 > r:
+            total += p**ones * (1.0 - p) ** (r - ones)
+    return total
+
+
 class TestEnumerationOracle:
+    @pytest.mark.parametrize("r", range(1, 14, 2))
+    def test_equals_sequential_loop(self, r):
+        # Exact equality: summing the same terms in another order (numpy's
+        # pairwise np.sum, say) changes the last bits and fails here.
+        rng = random.Random(r)
+        ps = [0.0, 0.1, 0.5, 0.9, 1.0, 1.0 - 2.0**-53] + [rng.random() for _ in range(4)]
+        for p in ps:
+            assert enumerate_majority(r, p) == loop_majority(r, p), p
+
     def test_single_run(self):
         assert enumerate_majority(1, 0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             enumerate_majority(2, 0.5)
+
+    def test_rejects_r_past_cap(self):
+        # The cached popcount table doubles with each step of r.
+        with pytest.raises(ValueError, match="odd and in"):
+            enumerate_majority(MAX_ENUM_R + 2, 0.5)
 
     def test_gap_bounds_repetitions(self):
         assert majority_oracle_gap(1) <= 1e-15
