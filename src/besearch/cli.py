@@ -164,13 +164,15 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
         if cli_value is not None:
             params[key] = cli_value
         elif key in config:
-            params[key] = _coerce(config[key], default)
+            params[key] = _coerce(key, config[key], default)
         else:
             params[key] = default
     return params
 
 
-def _coerce(value, default):
+def _coerce(key: str, value, default):
+    """A config value of the default's type: strings are parsed, any other
+    JSON value must have that type already (an int serves a float key)."""
     if isinstance(value, str):
         if isinstance(default, bool):
             return value.lower() in ("1", "true", "yes", "on")
@@ -178,12 +180,21 @@ def _coerce(value, default):
             return int(value)
         if isinstance(default, float):
             return float(value)
+        return value
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, expected = type(value) is int, "an integer"  # not a bool
+    elif isinstance(default, float):
+        ok, expected = type(value) in (int, float), "a number"
+    else:  # a comma list or a path, both strings on the command line too
+        ok, expected = False, "a string"
+    if not ok:
+        raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
     return value
 
 
 def _parse_grid(text: str) -> list[int]:
-    if not isinstance(text, str):  # a JSON config can give a list or a number
-        raise UsageError(f"bad integer list {text!r}: expected a comma-separated string")
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:

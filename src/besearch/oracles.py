@@ -31,7 +31,11 @@ from .model import IndexClass, ProblemInstance, expand_classes
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
 MAX_DENSE_DIM = 64
 
-# Resource guard for the one-round cross-check (total dimension 2^14).
+# Resource guard for the one-round cross-check: the state of index (x)
+# flag (x) 64-dim vote register has dimension 2n*64, so this admits
+# n <= 128. E1 is applied block by block, so memory is linear in n; the
+# dense A1 and G1 (2n x 2n) bound the time, a few hundredths of a second
+# at the cap.
 MAX_ROUND_DIM = 2**14
 
 # The enumeration oracle sums 2^r outcomes for every odd r up to its bound,
@@ -149,14 +153,20 @@ def random_scenario(dim: int, seed) -> DenseScenario:
 
 def grover_operator(scenario: DenseScenario) -> np.ndarray:
     """G = -A S0 A^-1 S1 as an explicit matrix."""
-    dim = scenario.dim
-    a = scenario.unitary
-    s0 = np.eye(dim, dtype=complex)
-    s0[0, 0] = -1.0
-    s1 = np.eye(dim, dtype=complex)
-    for i in scenario.flag_indices:
-        s1[i, i] = -1.0
-    return -(a @ s0 @ a.conj().T @ s1)
+    s1 = np.ones(scenario.dim)
+    s1[list(scenario.flag_indices)] = -1.0
+    return _grover_matrix(scenario.unitary, s1)
+
+
+def _grover_matrix(a: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """-A S0 A^H S1 with S0 = 1 - 2|0><0| and S1 = diag(s1), s1 of +-1.
+
+    A sign diagonal only flips the signs of columns, so one matrix
+    product gives entries equal to the four-matrix product's.
+    """
+    s0 = np.ones(a.shape[0])
+    s0[0] = -1.0
+    return -(((a * s0) @ a.conj().T) * s1)
 
 
 def amplification_residual(scenario: DenseScenario) -> float:
@@ -180,14 +190,19 @@ def dense_amplification_check(dim: int, flag_indices, seed) -> float:
     return amplification_residual(DenseScenario(unitary=a, flag_indices=flag_indices))
 
 
+@functools.cache
 def _majority_permutation(reps: int) -> np.ndarray:
-    """Permutation on reps vote qubits + 1 output qubit: output ^= majority."""
+    """Permutation on reps vote qubits + 1 output qubit: output ^= majority.
+
+    Read-only, since the cache hands the same array to every caller.
+    """
     dim = 2 ** (reps + 1)
     perm = np.zeros((dim, dim))
     for b in range(2**reps):
         maj = 1 if bin(b).count("1") * 2 > reps else 0
         for c in (0, 1):
             perm[b * 2 + (c ^ maj), b * 2 + c] = 1.0
+    perm.flags.writeable = False
     return perm
 
 
@@ -195,6 +210,13 @@ def _rotation(p: float) -> np.ndarray:
     """Single-qubit rotation taking |0> to sqrt(1-p)|0> + sqrt(p)|1>."""
     s, c = math.sqrt(p), math.sqrt(1.0 - p)
     return np.array([[c, -s], [s, c]])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast product: the same single
+    multiplication per entry, so the same values."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def structured_vs_dense_round(instance: ProblemInstance) -> float:
@@ -205,6 +227,11 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
     majority vote on ROUND_ONE_REPS fresh runs feeding a new flag qubit
     -- then compares per-index flag-1/flag-0 masses against the
     structured engine after one round.
+
+    The error-reduction step E1 is block-diagonal: an identity on
+    flag 0 and a work x work vote block on flag 1 for each index. Each
+    distinct p's block is built and checked for unitarity once, and E1
+    acts on the state through a reshape, so the cost is linear in n.
     """
     per_index = expand_classes(instance)
     n = per_index.n
@@ -215,38 +242,29 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
 
     # Preparation state on index (x) flag, then a unitary completing it.
     psi1 = np.zeros(2 * n, dtype=complex)
-    for i, p in enumerate(ps):
-        psi1[2 * i + 1] = math.sqrt(p / n)
-        psi1[2 * i] = math.sqrt((1.0 - p) / n)
+    psi1[0::2] = np.sqrt((1.0 - ps) / n)
+    psi1[1::2] = np.sqrt(ps / n)
     a1 = unitary_with_first_column(psi1)
     _check_unitary(a1, "A1")
 
-    s0 = np.eye(2 * n, dtype=complex)
-    s0[0, 0] = -1.0
-    s1 = np.diag([(-1.0 + 0j) if k % 2 else (1.0 + 0j) for k in range(2 * n)])
-    g1 = -(a1 @ s0 @ a1.conj().T @ s1)
+    g1 = _grover_matrix(a1, np.tile([1.0, -1.0], n))
     _check_unitary(g1, "G1")
     after_g = g1 @ psi1
 
-    # Error reduction on index (x) oldflag (x) votes (x) newflag.
-    maj = _majority_permutation(ROUND_ONE_REPS)
-    # Every block of E1 is real, so it is built and checked in real arithmetic.
-    e1 = np.zeros((2 * n * work, 2 * n * work))
-    eye_work = np.eye(work)
-    for i, p in enumerate(ps):
-        f = _rotation(p)
-        votes = f
-        for _ in range(ROUND_ONE_REPS - 1):
-            votes = np.kron(votes, f)
-        u = maj @ np.kron(votes, np.eye(2))
-        lo = (2 * i) * work
-        hi = (2 * i + 1) * work
-        e1[lo : lo + work, lo : lo + work] = eye_work
-        e1[hi : hi + work, hi : hi + work] = u
-    _check_unitary(e1, "E1")
-
-    full = np.kron(after_g, np.eye(work)[:, 0])
-    psi2 = (e1 @ full).reshape(n, 2, work // 2, 2)
+    # E1 on index (x) oldflag (x) votes (x) newflag, applied to
+    # after_g (x) |0...0>: flag 0 keeps its amplitude in work slot 0, flag 1
+    # takes column 0 of its index's vote block. The blocks are real.
+    distinct, which = np.unique(ps, return_inverse=True)
+    first_columns = np.empty((len(distinct), work))
+    for j, p in enumerate(distinct):
+        votes = functools.reduce(_kron, [_rotation(p)] * ROUND_ONE_REPS + [np.eye(2)])
+        block = _majority_permutation(ROUND_ONE_REPS) @ votes
+        _check_unitary(block, "E1 vote block")
+        first_columns[j] = block[:, 0]
+    psi2 = np.zeros((n, 2, work), dtype=complex)
+    psi2[:, 0, 0] = after_g[0::2]
+    psi2[:, 1, :] = after_g[1::2, None] * first_columns[which]
+    psi2 = psi2.reshape(n, 2, work // 2, 2)
     dense_mass = np.sum(np.abs(psi2) ** 2, axis=(1, 2))
 
     state, _ = build_state(per_index, rounds=1)

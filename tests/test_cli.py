@@ -239,6 +239,19 @@ BAD_INPUTS = {
 }
 
 
+# JSON config values whose type does not match the key's default.
+BAD_JSON_VALUES = {
+    "check-facts-scenarios-list": ("check-facts", {"scenarios": [1]}),
+    "check-facts-seed-float": ("check-facts", {"seed": 1.5}),
+    "check-facts-max-r-bool": ("check-facts", {"max_r": True}),
+    "search-p-good-bool": ("search", {"p_good": False}),
+    "search-p-bad-null": ("search", {"p_bad": None}),
+    "search-relaxed-int": ("search", {"relaxed": 1}),
+    "curve-csv-null": ("curve", {"csv": None}),
+    "andor-tree-list": ("andor", {"tree": ["tree.txt"]}),
+}
+
+
 class TestExitContract:
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
@@ -263,6 +276,25 @@ class TestExitContract:
         code, _, err = run(capsys, "check-facts", "--config", str(config))
         assert code == 2
         assert "[2, 4]" in err
+
+    @pytest.mark.parametrize("cmd,doc", BAD_JSON_VALUES.values(), ids=BAD_JSON_VALUES.keys())
+    def test_wrongly_typed_json_value_is_usage_error(self, capsys, tmp_path, cmd, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, cmd, "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(next(iter(doc))) in err
+
+    def test_right_typed_json_values_pass_unchanged(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 81, "p_good": 0.9, "seed": 7, "relaxed": False}))
+        code, out, _ = run(capsys, "search", "--config", str(config))
+        assert code == 0
+        flags = run(capsys, "search", "--n", "81", "--p-good", "0.9", "--seed", "7")
+        assert out == flags[1]  # same values, so the same config hash
+        config.write_text(json.dumps({"p_good": 1, "p_bad": 0}))  # ints for float keys
+        assert run(capsys, "search", "--config", str(config))[0] == 0
 
     def test_round_cap_rejected_before_any_round(self, capsys):
         start = time.perf_counter()

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ import besearch.oracles
 from besearch import IndexClass, ProblemInstance, full_sweep_cost, make_instance
 from besearch.oracles import (
     MAX_ENUM_R,
+    MAX_ROUND_DIM,
+    ROUND_GRID,
+    ROUND_ONE_REPS,
+    ROUND_TOL,
     DenseScenario,
     UnitarityError,
     amplification_residual,
@@ -76,6 +81,19 @@ class TestDenseScenario:
         assert mass == pytest.approx(0.972, abs=1e-12)
         assert amplification_residual(sc) <= 1e-12
 
+    def test_grover_operator_equals_four_matrix_product(self):
+        # Exact equality: the sign diagonals S0 and S1 only flip signs.
+        for dim in range(2, 17):
+            for seed in range(4):
+                sc = random_scenario(dim, seed=3000 + 10 * dim + seed)
+                s0 = np.eye(dim, dtype=complex)
+                s0[0, 0] = -1.0
+                s1 = np.eye(dim, dtype=complex)
+                for i in sc.flag_indices:
+                    s1[i, i] = -1.0
+                a = sc.unitary
+                assert np.array_equal(grover_operator(sc), -(a @ s0 @ a.conj().T @ s1))
+
     def test_completion_handles_zero_leading_component(self):
         psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
         u = unitary_with_first_column(psi)
@@ -83,7 +101,39 @@ class TestDenseScenario:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
 
+# float.hex of structured_vs_dense_round on each ROUND_GRID tuple, as
+# recorded from the construction that formed E1 as one dense matrix and
+# multiplied the whole state by it.
+ROUND_GRID_HEX = {
+    (0.0,): "0x0.0p+0",
+    (0.3,): "0x1.0000000000000p-51",
+    (1.0,): "0x0.0p+0",
+    (0.9, 0.1): "0x1.8000000000000p-52",
+    (1.0, 0.0): "0x1.4000000000000p-51",
+    (0.75, 0.25): "0x1.4000000000000p-52",
+    (0.5, 0.5): "0x1.4000000000000p-53",
+}
+
+
 class TestStructuredVsDense:
+    def test_round_grid_bit_identity(self):
+        got = {ps: structured_vs_dense_round(relaxed(ps)).hex() for ps in ROUND_GRID}
+        assert got == ROUND_GRID_HEX
+
+    def test_dimension_cap_in_linear_memory(self):
+        # A dense E1 at the cap is a 16384^2 float64 matrix (2 GiB), and its
+        # unitarity check forms another; the blocks take a few MiB.
+        inst = make_instance(128, 1, 0.9, 0.1)
+        assert 2 * inst.n * 2 ** (ROUND_ONE_REPS + 1) == MAX_ROUND_DIM
+        tracemalloc.start()
+        try:
+            deviation = structured_vs_dense_round(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation <= ROUND_TOL
+        assert peak < 64 * 2**20
+
     def test_promise_pair(self):
         assert structured_vs_dense_round(relaxed((0.9, 0.1))) <= 1e-9
 
@@ -104,6 +154,16 @@ class TestStructuredVsDense:
         monkeypatch.setattr(besearch.oracles, "_rotation", lambda p: shear)
         with pytest.raises(UnitarityError, match="E1"):
             structured_vs_dense_round(relaxed((0.9, 0.1)))
+
+    @pytest.mark.parametrize("bad_p", [0.1, 0.9])
+    def test_every_distinct_vote_block_is_checked(self, monkeypatch, bad_p):
+        rotation = besearch.oracles._rotation
+        shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+        monkeypatch.setattr(
+            besearch.oracles, "_rotation", lambda p: shear if p == bad_p else rotation(p)
+        )
+        with pytest.raises(UnitarityError, match="E1"):
+            structured_vs_dense_round(relaxed((0.9, 0.1, 0.1)))
 
     def test_resource_guard(self):
         big = make_instance(129, 0, 0.9, 0.1)
