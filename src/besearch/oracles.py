@@ -31,11 +31,9 @@ from .model import IndexClass, ProblemInstance, expand_classes
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
 MAX_DENSE_DIM = 64
 
-# Resource guard for the one-round cross-check: the state of index (x)
-# flag (x) 64-dim vote register has dimension 2n*64, so this admits
-# n <= 128. E1 is applied block by block, so memory is linear in n; the
-# dense A1 and G1 (2n x 2n) bound the time, a few hundredths of a second
-# at the cap.
+# Resource guard for the one-round cross-check: its state has dimension
+# 2n*64, so n <= 128. E1 is applied block by block, so memory is linear
+# in n; the dense 2n x 2n A1 and G1 set the time at the cap (~0.02 s).
 MAX_ROUND_DIM = 2**14
 
 # The enumeration oracle sums 2^r outcomes for every odd r up to its bound,
@@ -159,11 +157,8 @@ def grover_operator(scenario: DenseScenario) -> np.ndarray:
 
 
 def _grover_matrix(a: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """-A S0 A^H S1 with S0 = 1 - 2|0><0| and S1 = diag(s1), s1 of +-1.
-
-    A sign diagonal only flips the signs of columns, so one matrix
-    product gives entries equal to the four-matrix product's.
-    """
+    """-A S0 A^H S1 with S0 = 1 - 2|0><0| and S1 = diag(s1), s1 of +-1: the
+    sign diagonals flip column signs, giving the four-matrix product's entries."""
     s0 = np.ones(a.shape[0])
     s0[0] = -1.0
     return -(((a * s0) @ a.conj().T) * s1)
@@ -193,9 +188,7 @@ def dense_amplification_check(dim: int, flag_indices, seed) -> float:
 @functools.cache
 def _majority_permutation(reps: int) -> np.ndarray:
     """Permutation on reps vote qubits + 1 output qubit: output ^= majority.
-
-    Read-only, since the cache hands the same array to every caller.
-    """
+    Read-only, since the cache hands the same array to every caller."""
     dim = 2 ** (reps + 1)
     perm = np.zeros((dim, dim))
     for b in range(2**reps):
