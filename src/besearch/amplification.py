@@ -20,7 +20,6 @@ from .model import (
     InvariantError,
     ProblemInstance,
     StructuredState,
-    total_mass,
 )
 
 
@@ -59,13 +58,15 @@ def apply_amplification(
     The ledger cost triples (the round runs the state preparation twice
     more, once inverted).
     """
-    total = total_mass(state, instance)
+    # Summed once; the total is the same float total_mass returns.
+    flag1 = float(state.w1.sum())
+    total = flag1 + float(state.w0.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
     # A share of the actual total keeps a rounding deficit in the total as
     # it is; taking sin^2 as sum(w1) alone would multiply the deficit by
     # about 9 per round once theta nears pi/2.
-    s = min(1.0, float(state.w1.sum()) / total)
+    s = min(1.0, flag1 / total)
     f = amplification_factors(math.asin(math.sqrt(s)))
     if ledger is not None:
         ledger.scale(3)

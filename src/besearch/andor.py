@@ -20,12 +20,17 @@ Tree description files are line-oriented::
 
 ``fanouts`` lists one fanout per level, root first, and is omitted for
 depth 0. ``leaves`` is a bitstring of length N = product of fanouts.
+
+In code, leaves are a sequence of ints or bools, an integer or bool
+ndarray, or bytes with one byte per leaf, every value 0 or 1. They are
+reshaped to the fanouts and reduced level by level, bottom up, with one
+``any``/``all`` per level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -76,41 +81,67 @@ class AndOrTree:
         """The subtree rooted one level down (gates alternate)."""
         if self.depth == 0:
             raise ValueError("a 0-level tree has no children")
-        flipped = GATE_AND if self.root_gate == GATE_OR else GATE_OR
-        return AndOrTree(self.depth - 1, self.fanouts[1:], flipped)
+        return AndOrTree(self.depth - 1, self.fanouts[1:], _flip(self.root_gate))
 
 
-def evaluate_classical(tree: AndOrTree, bits: Sequence[int]) -> int:
-    """Ground-truth recursive evaluation of the tree on the given leaves."""
+Leaves = Union[Sequence[int], np.ndarray, bytes, bytearray]
+
+
+def _flip(gate: str) -> str:
+    return GATE_AND if gate == GATE_OR else GATE_OR
+
+
+def _gate(gate: str, vals: np.ndarray) -> np.ndarray:
+    """One gate applied along the last axis: OR is ``any``, AND is ``all``."""
+    return vals.any(axis=-1) if gate == GATE_OR else vals.all(axis=-1)
+
+
+def evaluate_classical(tree: AndOrTree, bits: Leaves) -> int:
+    """Ground-truth evaluation of the tree on the given leaves."""
     bits = _as_bits(tree, bits)
-    return _eval(tree, bits)
-
-
-def _as_bits(tree: AndOrTree, bits: Sequence[int]) -> list[int]:
-    vals = [int(b) for b in bits]
-    if len(vals) != tree.n_leaves:
-        raise ValueError(f"expected {tree.n_leaves} leaves, got {len(vals)}")
-    if any(b not in (0, 1) for b in vals):
-        raise ValueError("leaves must be bits")
-    return vals
-
-
-def _eval(tree: AndOrTree, bits: Sequence[int]) -> int:
     if tree.depth == 0:
-        return bits[0]
-    sub = tree.child()
-    chunk = sub.n_leaves
-    vals = (
-        _eval(sub, bits[i * chunk : (i + 1) * chunk]) for i in range(tree.fanouts[0])
-    )
-    if tree.root_gate == GATE_OR:
-        return int(any(vals))
-    return int(all(vals))
+        return int(bits[0])
+    return int(_gate(tree.root_gate, _child_values(tree, bits)))
+
+
+def _as_bits(tree: AndOrTree, bits: Leaves) -> np.ndarray:
+    """The leaves as a flat bool array of length N.
+
+    Integer and bool values pass; floats, strings and values outside
+    {0, 1} raise ValueError rather than being truncated.
+    """
+    if isinstance(bits, (bytes, bytearray)):
+        vals = np.frombuffer(bits, dtype=np.uint8)
+    else:
+        vals = np.asarray(bits)
+    # An empty list comes out as float64; its length is what is wrong.
+    if vals.ndim != 1 or (vals.size and vals.dtype.kind not in "biu"):
+        raise ValueError("leaves must be bits")
+    if vals.size != tree.n_leaves:
+        raise ValueError(f"expected {tree.n_leaves} leaves, got {vals.size}")
+    if vals.dtype.kind != "b" and (vals.min() < 0 or vals.max() > 1):
+        raise ValueError("leaves must be bits")
+    return vals.astype(bool)
+
+
+def _child_values(tree: AndOrTree, bits: np.ndarray) -> np.ndarray:
+    """Values of the root's children (depth >= 1), by one reduction per level.
+
+    The leaves are reshaped to the fanouts and each level below the root
+    is reduced along the last axis, bottom up; the bottom gate equals the
+    root's when depth is odd, and gates alternate from there.
+    """
+    vals = bits.reshape(tree.fanouts)
+    gate = tree.root_gate if tree.depth % 2 else _flip(tree.root_gate)
+    for _ in range(tree.depth - 1):
+        vals = _gate(gate, vals)
+        gate = _flip(gate)
+    return vals
 
 
 def evaluate_quantum_sim(
     tree: AndOrTree,
-    bits: Sequence[int],
+    bits: Leaves,
     seed,
     shots: int = DEFAULT_SHOTS,
 ) -> int:
@@ -126,18 +157,15 @@ def evaluate_quantum_sim(
     check_shots(shots)
     bits = _as_bits(tree, bits)
     if tree.depth == 0:
-        return bits[0]
-    truth = _eval(tree, bits)
+        return int(bits[0])
+    children = _child_values(tree, bits)
     if tree.depth == 1:
+        truth = int(_gate(tree.root_gate, children))
         rng = np.random.default_rng(seed)
         return truth ^ (rng.random() < 0.1)
-    sub = tree.child()
-    chunk = sub.n_leaves
-    witness = 1 if tree.root_gate == GATE_OR else 0
-    child_values = [
-        _eval(sub, bits[i * chunk : (i + 1) * chunk]) for i in range(tree.fanouts[0])
-    ]
-    t = sum(1 for v in child_values if v == witness)
+    # The witnesses: 1-children under OR, 0-children under AND.
+    witnesses = children if tree.root_gate == GATE_OR else ~children
+    t = int(np.count_nonzero(witnesses))
     instance = make_instance(tree.fanouts[0], t, 0.9, 0.1)
     found = run_search(instance, seed, shots).outcome == "found"
     if tree.root_gate == GATE_OR:
@@ -165,13 +193,13 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     return node * evaluate_quantum_cost(tree.child(), shots)
 
 
-def dump_tree(tree: AndOrTree, bits: Sequence[int]) -> str:
+def dump_tree(tree: AndOrTree, bits: Leaves) -> str:
     """Serialize a tree and its leaves in the line-oriented file format."""
     bits = _as_bits(tree, bits)
     lines = [f"depth {tree.depth}", f"root {tree.root_gate}"]
     if tree.depth > 0:
         lines.append("fanouts " + " ".join(str(f) for f in tree.fanouts))
-    lines.append("leaves " + "".join(str(b) for b in bits))
+    lines.append("leaves " + (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii"))
     return "\n".join(lines) + "\n"
 
 

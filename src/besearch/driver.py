@@ -207,9 +207,45 @@ def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
     times and classically verifies every sample, so the total is
     sum_m shots * (C(m) + v(n)).
     """
-    _check_rounds(search_blocks(n) - 1)
+    blocks = search_blocks(n)
+    _check_rounds(blocks - 1)
     v = verification_repetitions(n, shots)
-    return sum(shots * (analytic_cost(m) + v) for m in range(search_blocks(n)))
+    # C(m) accumulated in the same pass: C(0) = 1, C(m) = 3 C(m-1) + r_m.
+    c = 1
+    total = shots * (c + v)
+    for m in range(1, blocks):
+        c = 3 * c + schedule_for_round(m).r
+        total += shots * (c + v)
+    return total
+
+
+def _rng(seed: Seed) -> np.random.Generator:
+    """The generator of one seeded run; rejects a seed that is not a
+    nonnegative integer or a SeedSequence (bool, float, str and None included)."""
+    if isinstance(seed, (bool, float)) or not isinstance(
+        seed, (int, np.integer, np.random.SeedSequence)
+    ):
+        raise ValueError(f"seed must be an integer or SeedSequence, got {seed!r}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _measure(rng: np.random.Generator, weights: np.ndarray, shots: int) -> np.ndarray:
+    """Draw ``shots`` class indices with probabilities proportional to ``weights``.
+
+    These are the steps Generator.choice(len(weights), shots, p=weights /
+    weights.sum()) runs, without its per-call validation: the same
+    uniforms are drawn, so the indices, their dtype and the generator's
+    state afterwards are the same. Weights that are not finite or sum to
+    0 raise ValueError before anything is drawn.
+    """
+    mass = weights.sum()
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"measurement weights must be finite with a positive sum, got {mass}")
+    cdf = np.cumsum(weights / mass)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(shots), side="right")
 
 
 def _sample_block(
@@ -227,8 +263,7 @@ def _sample_block(
     accepted sample.
     """
     weights = np.maximum(measurement_weights(state, instance), 0.0)
-    weights /= weights.sum()
-    sampled = rng.choice(len(weights), size=shots, p=weights)
+    sampled = _measure(rng, weights, shots)
     accepts = rng.binomial(v, instance.ps[sampled]) * 2 > v
     hits = np.flatnonzero(accepts)
     if hits.size:
@@ -252,14 +287,7 @@ def run_search(
     """
     if not (isinstance(shots_per_m, int) and shots_per_m >= 1):
         raise ValueError(f"shots_per_m must be a positive integer, got {shots_per_m!r}")
-    if isinstance(seed, (bool, float)) or not isinstance(
-        seed, (int, np.integer, np.random.SeedSequence)
-    ):
-        raise ValueError(f"seed must be an integer or SeedSequence, got {seed!r}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     v = verification_repetitions(instance.n, shots_per_m)
     total = 0
     trace: list[TraceRow] = []
@@ -286,7 +314,7 @@ def run_block(
     Builds the m-round preparation, samples ``shots`` indices, verifies
     sample-by-sample. Returns (accepted class id or None, total cost).
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
     state, ledger = build_state(instance, m)
     hit, verified = _sample_block(rng, state, instance, v, shots)

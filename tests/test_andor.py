@@ -66,6 +66,44 @@ class TestClassical:
         assert evaluate_classical(tree, [1]) == 1
         assert evaluate_classical(tree, [0]) == 0
 
+    @pytest.mark.parametrize("bits", (
+        [1, 1, 0, 0],
+        (True, True, False, False),
+        np.array([1, 1, 0, 0], dtype=np.int8),
+        np.array([1, 1, 0, 0], dtype=np.uint64),
+        np.array([True, True, False, False]),
+        b"\x01\x01\x00\x00",
+        bytearray(b"\x00\x00\x01\x01"),
+    ))
+    def test_accepted_leaf_types(self, bits):
+        # OR of two ANDs: exactly one AND sees two 1-leaves.
+        tree = AndOrTree(2, (2, 2), GATE_OR)
+        assert evaluate_classical(tree, bits) == 1
+        leaves = "".join(str(int(b)) for b in bits)
+        assert dump_tree(tree, bits).endswith(f"\nleaves {leaves}\n")
+        assert evaluate_quantum_sim(tree, bits, seed=0) in (0, 1)
+
+    @pytest.mark.parametrize("bits", (
+        [1.5, 1, 0, 0],
+        [1.5, 0.2, 0, 0],
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        "1000",
+        ["1", "0", "0", "0"],
+        [2, 0, 0, 0],
+        [1, -1, 0, 0],
+        b"1000",
+        [[1, 0], [0, 0]],
+    ))
+    def test_rejects_non_bit_leaves(self, bits):
+        tree = AndOrTree(2, (2, 2), GATE_OR)
+        for evaluate in (
+            lambda: evaluate_classical(tree, bits),
+            lambda: evaluate_quantum_sim(tree, bits, seed=0),
+            lambda: dump_tree(tree, bits),
+        ):
+            with pytest.raises(ValueError, match="leaves must be bits"):
+                evaluate()
+
     def test_size_mismatch(self):
         tree = AndOrTree(1, (4,), GATE_OR)
         with pytest.raises(ValueError):
@@ -146,6 +184,29 @@ class TestQuantumSim:
             evaluate_quantum_sim(tree, bits, seed) == truth for seed in range(100)
         )
         assert agree >= 90
+
+
+    # Recorded when every node was evaluated recursively, one AndOrTree per
+    # visited node: one digit per shape, in TREE_SHAPES order, per seed.
+    GOLDEN = {
+        0: "010001100010001010101010001010101010",
+        1: "010001100010001000101010001010101000",
+        2: "110101010010001010101010001010001010",
+    }
+    TREE_SHAPES = (
+        list(itertools.product((3, 9, 27), repeat=2))
+        + list(itertools.product((3, 9, 27), repeat=3))
+    )
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_depth_two_and_three(self, seed):
+        out = []
+        for i, fanouts in enumerate(self.TREE_SHAPES):
+            tree = AndOrTree(len(fanouts), fanouts, (GATE_OR, GATE_AND)[i % 2])
+            rng = np.random.default_rng([seed, i])
+            bits = (rng.random(tree.n_leaves) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+            out.append(evaluate_quantum_sim(tree, bits.tobytes(), seed))
+        assert "".join(map(str, out)) == self.GOLDEN[seed]
 
 
 class TestQuantumCost:

@@ -26,7 +26,8 @@ from besearch import (
     state_stats,
     verification_repetitions,
 )
-from besearch.driver import VERIFICATION_CONFIDENCE
+from besearch.driver import VERIFICATION_CONFIDENCE, _measure, _sample_block
+from besearch.model import IndexClass, ProblemInstance, StructuredState
 from besearch.oracles import enumerate_majority
 from conftest import strict_instances
 
@@ -298,3 +299,101 @@ class TestRunBlock:
         hit, cost = run_block(inst, 0, seed=0)
         assert hit is None
         assert cost == 1000 * 1 + 1000 * verification_repetitions(81)
+
+    @pytest.mark.parametrize("bad_seed", (-1, 1.5, None, "7", True))
+    def test_rejects_invalid_seed(self, bad_seed):
+        inst = make_instance(81, 1, 0.9, 0.1)
+        with pytest.raises(ValueError, match="seed"):
+            run_block(inst, 1, bad_seed)
+
+
+def _weights(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    if kind == "one class":
+        return np.array([0.25])
+    if kind == "zero-weight classes":
+        return np.array([0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0])
+    w = rng.random(600)
+    w[rng.random(600) < 0.3] = 0.0
+    return w
+
+
+def _twins(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+class TestSampler:
+    """The block sampler draws exactly what Generator.choice(p=...) draws."""
+
+    @pytest.mark.parametrize("kind", ("one class", "zero-weight classes", "600 classes"))
+    @pytest.mark.parametrize("shots", (1, 7, 1000))
+    def test_indices_equal_generator_choice(self, kind, shots):
+        weights = _weights(kind)
+        for seed in range(3):
+            ours, twin = _twins(seed)
+            got = _measure(ours, weights, shots)
+            want = twin.choice(len(weights), size=shots, p=weights / weights.sum())
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert ours.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ("one class", "zero-weight classes", "600 classes"))
+    def test_block_equals_choice_then_binomial(self, kind):
+        weights = _weights(kind)
+        k = len(weights)
+        inst = ProblemInstance(
+            tuple(IndexClass(0.05 + 0.9 * (c % 5 == 4), 3, c % 5 == 4) for c in range(k))
+        )
+        state = StructuredState(w1=weights / 3, w0=2 * weights / 3)
+        v = 15
+        for seed in range(5):
+            ours, twin = _twins(seed)
+            got = _sample_block(ours, state, inst, v, 200)
+            w = np.maximum(state.w1 + state.w0, 0.0)
+            sampled = twin.choice(k, size=200, p=w / w.sum())
+            hits = np.flatnonzero(twin.binomial(v, inst.ps[sampled]) * 2 > v)
+            want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, 200)
+            assert got == want
+            assert ours.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, 0.0))
+    def test_rejects_unusable_weights(self, bad):
+        inst = make_instance(81, 1, 0.9, 0.1)
+        w1 = np.array([bad, 0.0])
+        w0 = np.array([0.0, bad])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="measurement weights"):
+            _sample_block(rng, StructuredState(w1=w1, w0=w0), inst, 15, 100)
+        assert rng.bit_generator.state == before
+
+
+# Recorded when measured indices were still drawn by Generator.choice;
+# any change in how the generator's stream is consumed moves these.
+# ((n, t, p_good, p_bad, strict), seed, outcome, found class, total cost,
+#  per-block verified counts)
+GOLDEN_SEARCHES = (
+    ((81, 1, 0.9, 0.1, True), 3, "found", 0, 1441, (21,)),
+    ((729, 2, 0.95, 0.05, True), 11, "found", 0, 7930, (330,)),
+    ((6561, 1, 0.9, 0.1, True), 42, "found", 0, 85276, (1000, 1000, 156)),
+    ((59049, 3, 0.92, 0.08, True), 7, "found", 0, 86935, (1000, 1000, 235)),
+    ((531441, 1, 0.9, 0.1, True), 2024, "found", 0, 219590, (1000, 1000, 1000, 790)),
+    ((4782969, 5, 0.97, 0.02, True), 5, "found", 0, 228067, (1000, 1000, 1000, 829)),
+    ((43046721, 1, 0.9, 0.1, True), 99, "found", 0, 4344599,
+     (1000, 1000, 1000, 1000, 1000, 1000, 113)),
+    ((43046721, 9, 0.99, 0.0, True), 1, "found", 0, 550246, (1000, 1000, 1000, 1000, 402)),
+    ((81, 0, 0.9, 0.1, True), 8, "no_solutions", None, 51000, (1000, 1000)),
+    ((59049, 0, 0.9, 0.1, True), 13, "no_solutions", None, 554000, (1000,) * 5),
+    ((43046721, 0, 0.9, 0.1, True), 4, "no_solutions", None, 12858000, (1000,) * 8),
+    ((6561, 2, 0.7, 0.3, False), 6, "found", 1, 1084, (4,)),
+)
+
+
+@pytest.mark.parametrize("args, seed, outcome, found, cost, verified", GOLDEN_SEARCHES)
+def test_run_search_golden(args, seed, outcome, found, cost, verified):
+    n, t, p_good, p_bad, strict = args
+    result = run_search(make_instance(n, t, p_good, p_bad, strict=strict), seed)
+    assert result.outcome == outcome
+    assert result.found_class == found
+    assert result.total_cost == cost
+    assert tuple(row.verified for row in result.trace) == verified
