@@ -27,7 +27,6 @@ from .error_reduction import (
 )
 from .driver import (
     MAX_SHOTS,
-    CostLedger,
     SearchResult,
     TraceRow,
     CurvePoint,

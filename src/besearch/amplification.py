@@ -15,12 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    NORM_TOL,
-    InvariantError,
-    ProblemInstance,
-    StructuredState,
-)
+from .model import NORM_TOL, InvariantError, StructuredState
 
 
 @dataclass(frozen=True)
@@ -45,18 +40,12 @@ def amplification_factors(theta: float) -> AmplificationFactors:
     return AmplificationFactors(g1=3.0 - 4.0 * s2, g0=1.0 - 4.0 * s2, theta=theta)
 
 
-def apply_amplification(
-    state: StructuredState,
-    instance: ProblemInstance,
-    ledger=None,
-) -> StructuredState:
+def apply_amplification(state: StructuredState) -> StructuredState:
     """Apply one amplification round G to a normalized structured state.
 
     Every class's flag-1 mass is scaled by g1^2 and its flag-0 mass by
     g0^2, with sin^2(theta) recomputed as the flag-1 share of the state's
     total mass. Norm is preserved exactly: g1^2 sin^2 + g0^2 cos^2 = 1.
-    The ledger cost triples (the round runs the state preparation twice
-    more, once inverted).
     """
     # Summed once; the total is the same float total_mass returns.
     flag1 = float(state.w1.sum())
@@ -68,6 +57,4 @@ def apply_amplification(
     # about 9 per round once theta nears pi/2.
     s = min(1.0, flag1 / total)
     f = amplification_factors(math.asin(math.sqrt(s)))
-    if ledger is not None:
-        ledger.scale(3)
     return StructuredState(w1=state.w1 * f.g1**2, w0=state.w0 * f.g0**2, round=state.round)

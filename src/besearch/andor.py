@@ -36,9 +36,9 @@ import numpy as np
 
 from .driver import (
     DEFAULT_SHOTS,
-    analytic_cost,
     ceil_log9,
     check_shots,
+    prep_costs,
     run_search,
     verification_repetitions,
 )
@@ -188,7 +188,8 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     f = tree.fanouts[0]
     if tree.depth == 1:
         return math.ceil(math.pi / 4 * math.sqrt(f))
-    node = shots * sum(analytic_cost(m) for m in range(ceil_log9(f)))
+    blocks = ceil_log9(f)
+    node = shots * sum(prep_costs(blocks - 1)) if blocks else 0
     node += shots * verification_repetitions(f, shots)
     return node * evaluate_quantum_cost(tree.child(), shots)
 

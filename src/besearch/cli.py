@@ -170,35 +170,45 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     return params
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _coerce(key: str, value, default):
     """A config value of the default's type: strings are parsed, any other
-    JSON value must have that type already (an int serves a float key)."""
-    if isinstance(value, str):
-        if isinstance(default, bool):
-            return value.lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
-        return value
+    JSON value must have that type already (an int serves a float key).
+    A value that does not parse or has the wrong type is a usage error
+    naming the key; a bool key reads only the words of ``_BOOL_WORDS``,
+    in any case."""
     if isinstance(default, bool):
         ok, expected = isinstance(value, bool), "true or false"
+        parse = lambda text: _BOOL_WORDS[text.lower()]
     elif isinstance(default, int):
-        ok, expected = type(value) is int, "an integer"  # not a bool
+        ok, expected, parse = type(value) is int, "an integer", int  # not a bool
     elif isinstance(default, float):
-        ok, expected = type(value) in (int, float), "a number"
+        ok, expected, parse = type(value) in (int, float), "a number", float
     else:  # a comma list or a path, both strings on the command line too
-        ok, expected = False, "a string"
-    if not ok:
-        raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
-    return value
+        ok, expected, parse = False, "a string", str
+    if isinstance(value, str):
+        try:
+            return parse(value)
+        except (KeyError, ValueError):
+            pass
+    elif ok:
+        return value
+    raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
 
 
 def _parse_grid(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        grid = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad integer list {text!r}") from None
+    if not grid:
+        raise UsageError(f"empty integer list {text!r}")
+    return grid
 
 
 def _instance(cfg, n: Optional[int] = None):
@@ -248,6 +258,8 @@ CURVE_DEFAULTS = dict(
 
 def cmd_curve(args) -> int:
     cfg = resolve_config("curve", args, CURVE_DEFAULTS)
+    if cfg["m_max"] < -1:
+        raise UsageError(f"m_max must be >= 0, or -1 for ceil(log9 n), got {cfg['m_max']}")
     inst = _instance(cfg)
     m_max = cfg["m_max"] if cfg["m_max"] >= 0 else ceil_log9(inst.n)
     rows = [
@@ -275,8 +287,6 @@ SWEEP_DEFAULTS = dict(
 def cmd_sweep(args) -> int:
     cfg = resolve_config("sweep", args, SWEEP_DEFAULTS)
     grid = _parse_grid(cfg["n"])
-    if not grid:
-        raise UsageError("empty n grid")
     substreams = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []
     for n, ss in zip(grid, substreams):

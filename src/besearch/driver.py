@@ -1,4 +1,4 @@
-"""Search driver: round recursion, cost accounting, and the full search loop.
+"""Search driver: round recursion, query costs, and the full search loop.
 
 The round recursion interleaves one amplification with one error
 reduction: starting from the base preparation (all subroutines run once
@@ -47,23 +47,6 @@ VERIFICATION_CONFIDENCE = 100
 Seed = Union[int, np.random.SeedSequence]
 
 
-@dataclass
-class CostLedger:
-    """Running count of subroutine invocations.
-
-    One unit is one invocation of any F_i or its inverse; one superposed
-    call over all indices costs 1.
-    """
-
-    invocations: int = 0
-
-    def add(self, q: int) -> None:
-        self.invocations += q
-
-    def scale(self, factor: int) -> None:
-        self.invocations *= factor
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """One row of the exact success curve: statistics after m rounds."""
@@ -106,24 +89,34 @@ def ceil_log9(n: int) -> int:
     return m
 
 
-def _check_rounds(rounds: int) -> None:
-    """Reject a round count outside [0, MAX_ROUNDS] before any round runs."""
-    if not 0 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"rounds must lie in [0, {MAX_ROUNDS}], got {rounds}")
-
-
 def check_shots(shots: int) -> None:
     """Reject a shot count outside [1, MAX_SHOTS] before anything is sampled."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
 
 
-def analytic_cost(m: int) -> int:
-    """Query cost of the m-round preparation: C(0)=1, C(k)=3C(k-1)+r_k."""
-    _check_rounds(m)
+def prep_costs(rounds: int) -> Iterator[int]:
+    """Yield the query costs C(0) .. C(rounds) of the m-round preparations.
+
+    C(0) = 1: the base preparation runs every subroutine once in
+    superposition. C(k) = 3 C(k-1) + r_k: amplification runs the
+    preparation twice more, once inverted, and error reduction adds r_k
+    runs. One unit is one invocation of any F_i or its inverse; one
+    superposed call over all indices costs 1. The round count is checked
+    before anything is yielded.
+    """
+    if not 0 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must lie in [0, {MAX_ROUNDS}], got {rounds}")
     c = 1
-    for k in range(1, m + 1):
+    yield c
+    for k in range(1, rounds + 1):
         c = 3 * c + schedule_for_round(k).r
+        yield c
+
+
+def analytic_cost(m: int) -> int:
+    """Query cost C(m) of the m-round preparation."""
+    *_, c = prep_costs(m)
     return c
 
 
@@ -148,32 +141,26 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
 def _rounds(
     instance: ProblemInstance, rounds: int
 ) -> Iterator[tuple[int, StructuredState, int]]:
-    """Yield (m, m-round state, ledger cost C(m)) for m = 0 .. rounds.
+    """Yield (m, m-round state, query cost C(m)) for m = 0 .. rounds.
 
     The only place the round recursion is chained. Each state is built
     when it is asked for, so a consumer that stops early builds no more.
     """
-    _check_rounds(rounds)
-    ledger = CostLedger()
-    state = init_state(instance, ledger)
-    yield 0, state, ledger.invocations
-    for m in range(1, rounds + 1):
-        state = apply_amplification(state, instance, ledger)
-        state = apply_error_reduction(state, m, instance, ledger)
-        yield m, state, ledger.invocations
+    costs = prep_costs(rounds)
+    cost = next(costs)  # checks the round count before any state is built
+    state = init_state(instance)
+    yield 0, state, cost
+    for m, cost in enumerate(costs, start=1):
+        state = apply_error_reduction(apply_amplification(state), m, instance)
+        yield m, state, cost
 
 
-def build_state(
-    instance: ProblemInstance, rounds: int
-) -> tuple[StructuredState, CostLedger]:
-    """Build the preparation state with the given number of amplify/reduce rounds.
-
-    rounds = 0 returns the base state (cost 1). The ledger equals
-    analytic_cost(rounds) exactly, by construction of the same recursion.
-    """
+def build_state(instance: ProblemInstance, rounds: int) -> tuple[StructuredState, int]:
+    """Build the preparation state with the given number of amplify/reduce
+    rounds, and its query cost C(rounds); rounds = 0 is the base state (cost 1)."""
     for _, state, cost in _rounds(instance, rounds):
         pass
-    return state, CostLedger(cost)
+    return state, cost
 
 
 def exact_success_curve(
@@ -201,22 +188,15 @@ def search_blocks(n: int) -> int:
 
 
 def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
-    """Worst-case ledger of a search that exhausts every block without a hit.
+    """Worst-case cost of a search that exhausts every block without a hit.
 
     Each of the search_blocks(n) blocks runs the preparation ``shots``
     times and classically verifies every sample, so the total is
     sum_m shots * (C(m) + v(n)).
     """
     blocks = search_blocks(n)
-    _check_rounds(blocks - 1)
     v = verification_repetitions(n, shots)
-    # C(m) accumulated in the same pass: C(0) = 1, C(m) = 3 C(m-1) + r_m.
-    c = 1
-    total = shots * (c + v)
-    for m in range(1, blocks):
-        c = 3 * c + schedule_for_round(m).r
-        total += shots * (c + v)
-    return total
+    return shots * (sum(prep_costs(blocks - 1)) + blocks * v)
 
 
 def _rng(seed: Seed) -> np.random.Generator:
@@ -262,7 +242,7 @@ def _sample_block(
     Binomial(v, p_j) draw compared against v/2; it stops at the first
     accepted sample.
     """
-    weights = np.maximum(measurement_weights(state, instance), 0.0)
+    weights = np.maximum(measurement_weights(state), 0.0)
     sampled = _measure(rng, weights, shots)
     accepts = rng.binomial(v, instance.ps[sampled]) * 2 > v
     hits = np.flatnonzero(accepts)
@@ -316,6 +296,6 @@ def run_block(
     """
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
-    state, ledger = build_state(instance, m)
+    state, cost = build_state(instance, m)
     hit, verified = _sample_block(rng, state, instance, v, shots)
-    return hit, shots * ledger.invocations + verified * v
+    return hit, shots * cost + verified * v

@@ -145,7 +145,6 @@ def apply_error_reduction(
     state: StructuredState,
     k: int,
     instance: ProblemInstance,
-    ledger=None,
 ) -> StructuredState:
     """Apply the round-k error-reduction step E_k to a structured state.
 
@@ -154,16 +153,13 @@ def apply_error_reduction(
     probability p keeps share m (its majority probability) of its flag-1
     mass on flag 1 and pushes 1 - m of it back to flag 0, into a junk
     sector orthogonal to the existing flag-0 part. Flag-0 mass is
-    otherwise unchanged. Charges r_k queries to ``ledger``.
+    otherwise unchanged.
     """
     if state.round != k:
         raise ValueError(f"state is at round {state.round}, not {k}")
-    if abs(total_mass(state, instance) - 1.0) > NORM_TOL:
+    if abs(total_mass(state) - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
-    sched = schedule_for_round(k)
-    m = majority_prob(sched.r, instance.ps)
-    if ledger is not None:
-        ledger.add(sched.r)
+    m = majority_prob(schedule_for_round(k).r, instance.ps)
     return StructuredState(
         w1=state.w1 * m, w0=state.w0 + state.w1 * np.maximum(0.0, 1.0 - m), round=k + 1
     )

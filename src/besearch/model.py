@@ -199,23 +199,19 @@ class StateStats:
     p_solution: float
 
 
-def init_state(instance: ProblemInstance, ledger=None) -> StructuredState:
+def init_state(instance: ProblemInstance) -> StructuredState:
     """Run every subroutine once in uniform superposition over indices.
 
     Class c gets flag-1 mass count*p/n and flag-0 mass count*(1-p)/n.
-    Charges one query to ``ledger`` if given (one superposed call over
-    all indices costs one unit).
     """
     n = float(instance.n)
-    if ledger is not None:
-        ledger.add(1)
     return StructuredState(
         w1=instance.counts * instance.ps / n,
         w0=instance.counts * (1.0 - instance.ps) / n,
     )
 
 
-def total_mass(state: StructuredState, instance: ProblemInstance) -> float:
+def total_mass(state: StructuredState) -> float:
     """Total probability mass of the state (1 for a normalized state)."""
     return float(state.w1.sum() + state.w0.sum())
 
@@ -234,7 +230,7 @@ def state_stats(state: StructuredState, instance: ProblemInstance) -> StateStats
     )
 
 
-def measurement_weights(state: StructuredState, instance: ProblemInstance) -> np.ndarray:
+def measurement_weights(state: StructuredState) -> np.ndarray:
     """Exact index-register measurement distribution, per class.
 
     Entry c is the probability that measuring the index register yields

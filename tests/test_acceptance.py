@@ -28,6 +28,7 @@ from besearch import (
     make_instance,
     run_block,
     run_search,
+    schedule_for_round,
 )
 from besearch.cli import run_cli
 from besearch.oracles import run_fact_checks
@@ -151,10 +152,14 @@ def test_criterion_4_inequality_suite():
 
 
 def test_criterion_5_cost_accounting():
+    expected = [1]  # C(m) by the paper's recursion, independent of prep_costs
+    for k in range(1, 7):
+        expected.append(3 * expected[-1] + schedule_for_round(k).r)
+    assert expected[:5] == [1, 8, 31, 100, 309]
     for inst in (make_instance(81, 1, 0.9, 0.1), make_instance(9**5, 3, 0.95, 0.05)):
         for m in range(7):
-            _, ledger = build_state(inst, m)
-            assert ledger.invocations == analytic_cost(m)
+            assert build_state(inst, m)[1] == expected[m]
+            assert analytic_cost(m) == expected[m]
     growth = max(analytic_cost(m) / 3**m for m in range(21))
     assert growth <= 4.0  # measured 3.876
     ratios = {}
@@ -167,7 +172,7 @@ def test_criterion_5_cost_accounting():
     report(
         5,
         True,
-        f"ledger == analytic recursion (exact ints); C(m)/3^m <= {growth:.3f}; "
+        f"build cost == C(m) recursion (exact ints); C(m)/3^m <= {growth:.3f}; "
         f"full-sweep cost/sqrt(n) <= K = {K_RECORDED:.3f} over n = 9^1..9^8 (pinned)",
     )
 

@@ -62,14 +62,14 @@ class TestApply:
     def test_flag_one_mass_point_three(self):
         # w -> w (3 - 4w)^2: 0.3 -> 0.972
         inst = make_instance(4, 1, 0.9, 0.1)
-        state = apply_amplification(init_state(inst), inst)
+        state = apply_amplification(init_state(inst))
         st_ = state_stats(state, inst)
         assert st_.alpha**2 + st_.beta**2 == pytest.approx(0.972, abs=1e-12)
 
     def test_no_flag_one_mass_is_identity(self):
         inst = make_instance(5, 0, 0.9, 0.0)
         state = init_state(inst)
-        after = apply_amplification(state, inst)
+        after = apply_amplification(state)
         assert np.array_equal(after.w1, state.w1)
         assert np.array_equal(after.w0, state.w0)
 
@@ -78,7 +78,7 @@ class TestApply:
         state = init_state(inst)
         bad = type(state)(w1=state.w1, w0=np.zeros_like(state.w0), round=1)
         with pytest.raises(InvariantError):
-            apply_amplification(bad, inst)
+            apply_amplification(bad)
 
     @given(relaxed_instances(), st.integers(0, 4))
     @settings(max_examples=60)
@@ -88,7 +88,7 @@ class TestApply:
         # the flag-0 mass by (cos 3t / cos t)^2.
         state, _ = build_state(inst, rounds)
         theta = state_stats(state, inst).theta
-        after = apply_amplification(state, inst)
+        after = apply_amplification(state)
         g1 = 3.0 - 4.0 * math.sin(theta) ** 2
         g0 = 1.0 - 4.0 * math.sin(theta) ** 2
         assert after.w1.shape == after.w0.shape == (len(inst.classes),)
@@ -99,8 +99,8 @@ class TestApply:
     @settings(max_examples=60)
     def test_norm_preserved(self, inst, rounds):
         state, _ = build_state(inst, rounds)
-        after = apply_amplification(state, inst)
-        assert abs(total_mass(after, inst) - 1.0) <= 1e-12
+        after = apply_amplification(state)
+        assert abs(total_mass(after) - 1.0) <= 1e-12
 
     @given(strict_instances(require_solution=True))
     @settings(max_examples=60)
@@ -110,7 +110,7 @@ class TestApply:
         # on flag 1 and cos(9t)/cos(t) on flag 0, masses by their squares.
         state = init_state(inst)
         theta = state_stats(state, inst).theta
-        twice = apply_amplification(apply_amplification(state, inst), inst)
+        twice = apply_amplification(apply_amplification(state))
         scale1 = (3 - 4 * math.sin(theta) ** 2) * (3 - 4 * math.sin(3 * theta) ** 2)
         scale0 = (1 - 4 * math.sin(theta) ** 2) * (1 - 4 * math.sin(3 * theta) ** 2)
         expected = state.w1 * scale1**2

@@ -16,6 +16,7 @@ from besearch import (
     load_tree,
     parse_tree,
 )
+from besearch import driver
 
 
 def reduce_oracle(tree: AndOrTree, bits) -> int:
@@ -228,6 +229,24 @@ class TestQuantumCost:
             for n in (9, 27, 81)
         ]
         assert max(ratios) <= 60000 / 9 + 1e-9
+
+    def test_root_blocks_cost_one_pass(self, monkeypatch):
+        # C(0..39) of a fanout-9^40 node take 39 schedule lookups, not one
+        # rebuild of C(0..m) per block (780 lookups).
+        expected, c = 1, 1
+        for k in range(1, 40):
+            c = 3 * c + driver.schedule_for_round(k).r
+            expected += c
+        expected = 1000 * (expected + driver.verification_repetitions(9**40)) * 2
+        calls, lookup = [], driver.schedule_for_round
+
+        def counted(k):
+            calls.append(k)
+            return lookup(k)
+
+        monkeypatch.setattr(driver, "schedule_for_round", counted)
+        assert evaluate_quantum_cost(AndOrTree(2, (9**40, 4), GATE_OR)) == expected
+        assert len(calls) == 39
 
     def test_depth_growth_geometric(self):
         qs = [

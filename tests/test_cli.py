@@ -141,6 +141,19 @@ class TestConfigMerge:
         assert run(capsys, "search", "--config", str(cfg))[0] == 2
 
 
+class TestConfigHash:
+    # The hash goes into every seeded CSV and JSON; these are the
+    # default-config hashes, and a change of them moves every output.
+    def test_default_hashes_pinned(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "search")
+        assert code == 0 and "config=1d998c6f70bf" in out
+        for cmd, digest in (("curve", "8c2d46a8b4fa"), ("sweep", "2e6d84a616c2"),
+                            ("baselines", "a292c05f8e19")):
+            path = tmp_path / f"{cmd}.csv"
+            assert run(capsys, cmd, "--csv", str(path))[0] == 0
+            assert path.read_text().splitlines()[0].split()[4] == f"config_hash={digest}"
+
+
 class TestOutDirEnv:
     def test_relative_paths_land_in_outdir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BESEARCH_OUTDIR", str(tmp_path))
@@ -218,6 +231,12 @@ BAD_INPUTS = {
     "check-facts-scenarios-0": ["check-facts", "--scenarios", "0"],
     "check-facts-max-r-0": ["check-facts", "--max-r", "0"],
     "check-facts-max-r-23": ["check-facts", "--max-r", "23"],
+    # An empty grid is an error in every command, not an empty table.
+    "baselines-n-empty": ["baselines", "--n", ","],
+    "sweep-n-empty": ["sweep", "--n", ","],
+    "check-facts-dims-empty": ["check-facts", "--dims", ","],
+    # -1 is the sentinel for ceil(log9 n); nothing below it means anything.
+    "curve-m-max-below-sentinel": ["curve", "--m-max", "-5"],
     "curve-n-beyond-float": ["curve", "--n", "1" + "0" * 400, "--t", "1"],
     "config-n-abc": ["search", "--config", "{config}"],
     "config-missing": ["search", "--config", "{config}.missing"],
@@ -295,6 +314,25 @@ class TestExitContract:
         assert out == flags[1]  # same values, so the same config hash
         config.write_text(json.dumps({"p_good": 1, "p_bad": 0}))  # ints for float keys
         assert run(capsys, "search", "--config", str(config))[0] == 0
+
+    @pytest.mark.parametrize("line", ["relaxed = ture", "relaxed =", "seed = abc", "p_good = x"])
+    def test_unparsed_config_string_names_its_key(self, capsys, tmp_path, line):
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "search", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(line.split()[0]) in err
+
+    def test_config_strings_resolve_as_before(self, capsys, tmp_path):
+        config = tmp_path / "cfg.txt"
+        for word, relaxed in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                              ("0", False), ("False", False), ("NO", False), ("off", False)):
+            config.write_text(f"relaxed = {word}\nseed = 7\np_good = 0.95\n")
+            code, out, _ = run(capsys, "search", "--config", str(config))
+            assert code == 0
+            flags = ["--seed", "7", "--p-good", "0.95"] + ["--relaxed"] * relaxed
+            assert out == run(capsys, "search", *flags)[1]  # same config hash
 
     def test_round_cap_rejected_before_any_round(self, capsys):
         start = time.perf_counter()

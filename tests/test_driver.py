@@ -78,18 +78,18 @@ class TestAnalyticCost:
 class TestBuildState:
     def test_zero_rounds_is_base_state(self):
         inst = make_instance(4, 1, 0.9, 0.1)
-        state, ledger = build_state(inst, 0)
+        state, cost = build_state(inst, 0)
         base = init_state(inst)
         assert np.array_equal(state.w1, base.w1)
         assert np.array_equal(state.w0, base.w0)
         assert state.round == base.round
-        assert ledger.invocations == 1
+        assert cost == 1
 
     def test_one_round_against_arithmetic_oracle(self):
         # alpha1 * (3 - 4 * 0.3) * sqrt(majority(5, 0.9)), beta scaled by
         # sqrt(majority(5, 0.1)); frozen values from that arithmetic.
         inst = make_instance(4, 1, 0.9, 0.1)
-        state, ledger = build_state(inst, 1)
+        state, cost = build_state(inst, 1)
         st_ = state_stats(state, inst)
         alpha_expected = math.sqrt(0.225) * 1.8 * math.sqrt(enumerate_majority(5, 0.9))
         beta2_expected = 0.075 * 1.8**2 * enumerate_majority(5, 0.1)
@@ -97,7 +97,7 @@ class TestBuildState:
         assert st_.beta**2 == pytest.approx(beta2_expected, abs=1e-12)
         assert st_.alpha == pytest.approx(0.8501527862684448, abs=1e-12)
         assert st_.beta**2 == pytest.approx(0.00208008, abs=1e-12)
-        assert ledger.invocations == 8
+        assert cost == 8
 
     def test_rejects_rounds_past_cap_up_front(self):
         # Each call would otherwise scan r_k for hundreds of rounds first.
@@ -118,8 +118,11 @@ class TestBuildState:
     @given(strict_instances(), st.integers(0, 6))
     @settings(max_examples=40)
     def test_ledger_equals_analytic_cost(self, inst, rounds):
-        _, ledger = build_state(inst, rounds)
-        assert ledger.invocations == analytic_cost(rounds)
+        expected = 1
+        for k in range(1, rounds + 1):
+            expected = 3 * expected + schedule_for_round(k).r
+        _, cost = build_state(inst, rounds)
+        assert cost == expected
 
     def test_interval_guarantee_spot(self):
         # t in [n/9^(m+1), n/9^m] makes the m-round state's alpha >= 0.04
@@ -183,11 +186,11 @@ class TestSuccessCurve:
         inst = make_instance(729, 2, 0.95, 0.05)
         rows = exact_success_curve(inst, 3)
         for m, row in enumerate(rows):
-            state, ledger = build_state(inst, m)
+            state, cost = build_state(inst, m)
             st_ = state_stats(state, inst)
             assert row.alpha == st_.alpha
             assert row.beta == st_.beta
-            assert row.cost == ledger.invocations
+            assert row.cost == cost == [1, 8, 31, 100][m]
 
     def test_golden_curve_6561(self):
         # frozen from the exact simulator (its own oracle; row 1 is

@@ -206,7 +206,7 @@ class TestSchedule:
 class TestApplyErrorReduction:
     def test_solution_branch_split_factor(self):
         inst = make_instance(4, 1, 0.9, 0.1)
-        state = apply_amplification(init_state(inst), inst)
+        state = apply_amplification(init_state(inst))
         after = apply_error_reduction(state, 1, inst)
         # solution class (id 0): flag-1 mass scaled by 0.99144
         assert after.w1[0] == pytest.approx(
@@ -246,7 +246,7 @@ class TestApplyErrorReduction:
             IndexClass(p=p, count=int(c), is_solution=bool(s))
             for p, c, s in zip(ps.tolist(), rng.integers(1, 1000, 600), solution)
         ))
-        state = apply_amplification(init_state(inst), inst)
+        state = apply_amplification(init_state(inst))
         after = apply_error_reduction(state, 1, inst)
         m = np.array([enumerate_majority(5, p) for p in ps.tolist()])
         assert np.max(np.abs(after.w1 - state.w1 * m)) <= 1e-15
@@ -262,7 +262,7 @@ class TestApplyErrorReduction:
         calls = count_majority_calls(monkeypatch)
         state = init_state(inst)
         for k in range(1, 5):
-            state = apply_error_reduction(apply_amplification(state, inst), k, inst)
+            state = apply_error_reduction(apply_amplification(state), k, inst)
         assert calls[0] == 4
 
     def test_round_mismatch_rejected(self):
@@ -286,16 +286,16 @@ class TestApplyErrorReduction:
     def test_norm_preserved(self, inst, k):
         state = init_state(inst)
         for j in range(1, k + 1):
-            state = apply_amplification(state, inst)
+            state = apply_amplification(state)
             state = apply_error_reduction(state, j, inst)
-        assert abs(total_mass(state, inst) - 1.0) <= 1e-12
+        assert abs(total_mass(state) - 1.0) <= 1e-12
 
     def test_beta_decay_and_alpha_growth_one_round(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         s0 = init_state(inst)
         st0 = state_stats(s0, inst)
         g1 = 3 - 4 * math.sin(st0.theta) ** 2
-        s1 = apply_error_reduction(apply_amplification(s0, inst), 1, inst)
+        s1 = apply_error_reduction(apply_amplification(s0), 1, inst)
         st1 = state_stats(s1, inst)
         assert st1.alpha >= st0.alpha * g1 * math.sqrt(1 - 2.0**-6) - 1e-12
         assert st1.beta <= st0.beta * g1 * 2.0 ** (-6 / 2) + 1e-12
