@@ -34,14 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .driver import (
-    DEFAULT_SHOTS,
-    ceil_log9,
-    check_shots,
-    prep_costs,
-    run_search,
-    verification_repetitions,
-)
+from .driver import DEFAULT_SHOTS, check_seed, check_shots, full_sweep_cost, run_search
 from .model import make_instance
 
 GATE_OR = "OR"
@@ -152,9 +145,10 @@ def evaluate_quantum_sim(
     1/10. Depth >= 2 decides the root by running the search driver over
     its children, each wrapped as a worst-case promise box (9/10 correct)
     around its true value; per-invocation error is at most 1/10. The shot
-    count is checked at every depth, also where no search runs.
+    count and the seed are checked at every depth, also where no search runs.
     """
     check_shots(shots)
+    check_seed(seed)
     bits = _as_bits(tree, bits)
     if tree.depth == 0:
         return int(bits[0])
@@ -178,9 +172,9 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
 
     Depth 0 costs one query; a depth-1 node of fanout f costs
     ceil(pi/4 sqrt(f)) (one-sided Grover over exact leaves); a deeper
-    node costs the driver's full sweep over its fanout -- every block's
-    shots plus one verification pass -- times the cost of one child.
-    The shot count is checked at every depth.
+    node costs ``full_sweep_cost(f, shots)`` -- what the driver charges
+    for a search that finds nothing: every block's shots, each verified --
+    times the cost of one child. The shot count is checked at every depth.
     """
     check_shots(shots)
     if tree.depth == 0:
@@ -188,10 +182,7 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     f = tree.fanouts[0]
     if tree.depth == 1:
         return math.ceil(math.pi / 4 * math.sqrt(f))
-    blocks = ceil_log9(f)
-    node = shots * sum(prep_costs(blocks - 1)) if blocks else 0
-    node += shots * verification_repetitions(f, shots)
-    return node * evaluate_quantum_cost(tree.child(), shots)
+    return full_sweep_cost(f, shots) * evaluate_quantum_cost(tree.child(), shots)
 
 
 def dump_tree(tree: AndOrTree, bits: Leaves) -> str:

@@ -5,6 +5,10 @@ per-round statistics), ``sweep`` (cost scaling over an n grid),
 ``andor`` (tree evaluation plus per-level cost table), ``check-facts``
 (dense and binomial oracle suites), ``baselines`` (intro cost models).
 
+Each subcommand's parameters are declared once, in ``COMMANDS``: a key's
+default gives its type, and its flag, its help and the parsing of its
+config-file values all follow from the table.
+
 Every CSV starts with a versioned schema comment line, and every row
 carries the config hash and the seed, so identical config + seed
 reproduces byte-identical files. A config file (JSON document or
@@ -26,7 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .andor import evaluate_classical, evaluate_quantum_cost, evaluate_quantum_s
 from .driver import (
     DEFAULT_SHOTS,
     ceil_log9,
+    check_seed,
     exact_success_curve,
     full_sweep_cost,
     run_search,
@@ -73,8 +78,22 @@ class RunConfig:
         return self.params.get(key, default)
 
 
-def resolve_config(cmd: str, args: argparse.Namespace, defaults: dict) -> RunConfig:
-    params = _merged(args, defaults)
+def resolve_config(cmd: str, args: argparse.Namespace) -> RunConfig:
+    """Resolve each parameter of ``cmd`` in ``COMMANDS``: explicit flag >
+    config file > the table's default."""
+    defaults = COMMANDS[cmd].params
+    config = _load_config(args.config)
+    unknown = set(config) - set(defaults)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    params = {}
+    for key, default in defaults.items():
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+        elif key in config:
+            params[key] = _coerce(key, config[key], default)
+        else:
+            params[key] = default
     return RunConfig(cmd=cmd, params=params, config_hash=_config_hash(cmd, params))
 
 
@@ -152,51 +171,41 @@ def _load_config(path: Optional[str]) -> dict:
     return values
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve parameters: explicit flag > config file > default."""
-    config = _load_config(getattr(args, "config", None))
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    params = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            params[key] = cli_value
-        elif key in config:
-            params[key] = _coerce(key, config[key], default)
-        else:
-            params[key] = default
-    return params
-
-
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
 
 
+#: Per parameter type: the parse of a flag's or a config file's string, the
+#: JSON value types taken as they are, and what an error says is expected.
+#: A parameter's type is its default's type; a None default is a path
+#: string. Comma lists are strings too, split by the command that takes them.
+PARAM_TYPES = {
+    bool: (lambda text: _BOOL_WORDS[text.lower()], (bool,), "true or false"),
+    int: (int, (int,), "an integer"),  # type() is exact, so a bool is no int
+    float: (float, (int, float), "a number"),
+    str: (str, (), "a string"),
+}
+
+
+def _param_type(default) -> tuple:
+    return PARAM_TYPES[str if default is None else type(default)]
+
+
 def _coerce(key: str, value, default):
-    """A config value of the default's type: strings are parsed, any other
-    JSON value must have that type already (an int serves a float key).
-    A value that does not parse or has the wrong type is a usage error
-    naming the key; a bool key reads only the words of ``_BOOL_WORDS``,
-    in any case."""
-    if isinstance(default, bool):
-        ok, expected = isinstance(value, bool), "true or false"
-        parse = lambda text: _BOOL_WORDS[text.lower()]
-    elif isinstance(default, int):
-        ok, expected, parse = type(value) is int, "an integer", int  # not a bool
-    elif isinstance(default, float):
-        ok, expected, parse = type(value) in (int, float), "a number", float
-    else:  # a comma list or a path, both strings on the command line too
-        ok, expected, parse = False, "a string", str
+    """A config value of the default's type: strings are parsed as the flag
+    would parse them, any other JSON value must have that type already (an
+    int serves a float key). A value that does not parse or has the wrong
+    type is a usage error naming the key; a bool key reads only the words
+    of ``_BOOL_WORDS``, in any case."""
+    parse, json_types, expected = _param_type(default)
     if isinstance(value, str):
         try:
             return parse(value)
         except (KeyError, ValueError):
             pass
-    elif ok:
+    elif type(value) in json_types:
         return value
     raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
 
@@ -221,13 +230,7 @@ def _instance(cfg, n: Optional[int] = None):
 
 # ---------------------------------------------------------------- search
 
-SEARCH_DEFAULTS = dict(
-    n=81, t=1, p_good=0.9, p_bad=0.1, seed=0, shots=DEFAULT_SHOTS, relaxed=False
-)
-
-
-def cmd_search(args) -> int:
-    cfg = resolve_config("search", args, SEARCH_DEFAULTS)
+def cmd_search(cfg: RunConfig) -> int:
     inst = _instance(cfg)
     result = run_search(inst, cfg["seed"], cfg["shots"])
     print(
@@ -251,13 +254,7 @@ def cmd_search(args) -> int:
 
 # ----------------------------------------------------------------- curve
 
-CURVE_DEFAULTS = dict(
-    n=81, t=1, p_good=0.9, p_bad=0.1, m_max=-1, relaxed=False, csv=None, json=None
-)
-
-
-def cmd_curve(args) -> int:
-    cfg = resolve_config("curve", args, CURVE_DEFAULTS)
+def cmd_curve(cfg: RunConfig) -> int:
     if cfg["m_max"] < -1:
         raise UsageError(f"m_max must be >= 0, or -1 for ceil(log9 n), got {cfg['m_max']}")
     inst = _instance(cfg)
@@ -278,15 +275,9 @@ def cmd_curve(args) -> int:
 
 # ----------------------------------------------------------------- sweep
 
-SWEEP_DEFAULTS = dict(
-    n="9,81,729,6561", t=1, p_good=0.9, p_bad=0.1, seed=0,
-    shots=DEFAULT_SHOTS, relaxed=False, csv=None, json=None,
-)
-
-
-def cmd_sweep(args) -> int:
-    cfg = resolve_config("sweep", args, SWEEP_DEFAULTS)
+def cmd_sweep(cfg: RunConfig) -> int:
     grid = _parse_grid(cfg["n"])
+    check_seed(cfg["seed"])
     substreams = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []
     for n, ss in zip(grid, substreams):
@@ -321,11 +312,7 @@ def cmd_sweep(args) -> int:
 
 # ----------------------------------------------------------------- andor
 
-ANDOR_DEFAULTS = dict(tree=None, seed=0, shots=DEFAULT_SHOTS, csv=None, json=None)
-
-
-def cmd_andor(args) -> int:
-    cfg = resolve_config("andor", args, ANDOR_DEFAULTS)
+def cmd_andor(cfg: RunConfig) -> int:
     if cfg["tree"] is None:
         raise UsageError("andor requires --tree FILE")
     try:
@@ -369,11 +356,7 @@ def cmd_andor(args) -> int:
 
 # ------------------------------------------------------------ check-facts
 
-CHECK_DEFAULTS = dict(scenarios=200, dims="2,4,8,16", seed=0, max_r=15)
-
-
-def cmd_check_facts(args) -> int:
-    cfg = resolve_config("check-facts", args, CHECK_DEFAULTS)
+def cmd_check_facts(cfg: RunConfig) -> int:
     checks = run_fact_checks(cfg["scenarios"], _parse_grid(cfg["dims"]), cfg["seed"], cfg["max_r"])
     for check in checks:
         print(check)
@@ -382,11 +365,7 @@ def cmd_check_facts(args) -> int:
 
 # -------------------------------------------------------------- baselines
 
-BASELINES_DEFAULTS = dict(n="100,1000,10000,100000,1000000", csv=None, json=None)
-
-
-def cmd_baselines(args) -> int:
-    cfg = resolve_config("baselines", args, BASELINES_DEFAULTS)
+def cmd_baselines(cfg: RunConfig) -> int:
     grid = _parse_grid(cfg["n"])
     rows = []
     for n in grid:
@@ -414,6 +393,53 @@ def cmd_baselines(args) -> int:
     return 0
 
 
+# ------------------------------------------------------------- parameters
+
+#: Each parameter's help, written once for every subcommand that takes it.
+HELP = dict(
+    n="space size; sweep and baselines take a comma list of sizes",
+    t="number of solutions",
+    p_good="probability that a solution's subroutine outputs 1",
+    p_bad="probability that a non-solution's subroutine outputs 1",
+    relaxed="allow instances outside the 9/10-1/10 promise",
+    seed="nonnegative random seed",
+    shots="preparations per block",
+    csv="write rows as CSV",
+    json="write rows as JSON",
+    m_max="last round, or -1 for ceil(log9 n)",
+    tree="tree description file",
+    scenarios="random dense scenarios",
+    dims="comma list of dense dimensions",
+    max_r="largest odd majority size to enumerate",
+)
+
+#: Parameter groups that several subcommands share, with their defaults.
+INSTANCE = dict(n=81, t=1, p_good=0.9, p_bad=0.1, relaxed=False)
+SEEDED = dict(seed=0, shots=DEFAULT_SHOTS)
+EMITS = dict(csv=None, json=None)
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[RunConfig], int]
+    params: dict  # key -> default, in flag order
+
+
+#: The subcommands. Each parameter key is a flag ``--key-name`` and a
+#: config-file key; its default gives its type (see PARAM_TYPES).
+COMMANDS = {
+    "search": Command("run one search execution", cmd_search, {**INSTANCE, **SEEDED}),
+    "curve": Command("exact per-round statistics", cmd_curve, {**INSTANCE, **EMITS, "m_max": -1}),
+    "sweep": Command("cost scaling over an n grid", cmd_sweep,
+                     {**INSTANCE, "n": "9,81,729,6561", **SEEDED, **EMITS}),
+    "andor": Command("evaluate an AND-OR tree file", cmd_andor, {**SEEDED, **EMITS, "tree": None}),
+    "check-facts": Command("run the oracle suites", cmd_check_facts,
+                           dict(scenarios=200, dims="2,4,8,16", seed=0, max_r=15)),
+    "baselines": Command("intro baseline cost tables", cmd_baselines,
+                         {**EMITS, "n": "100,1000,10000,100000,1000000"}),
+}
+
+
 # ------------------------------------------------------------------ main
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,57 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"besearch {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_common(p, *, seeded=False, emits=False, instance=False, grid_n=False):
+    for cmd, spec in COMMANDS.items():
+        p = sub.add_parser(cmd, help=spec.help)
         p.add_argument("--config", help="config file (JSON or key = value lines)")
-        if instance:
-            if grid_n:
-                p.add_argument("--n", help="comma list of space sizes")
+        for key, default in spec.params.items():
+            flag = "--" + key.replace("_", "-")
+            text = f"{HELP[key]} (default: {default})"
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=key, action="store_const", const=True, help=text)
             else:
-                p.add_argument("--n", type=int)
-            p.add_argument("--t", type=int)
-            p.add_argument("--p-good", dest="p_good", type=float)
-            p.add_argument("--p-bad", dest="p_bad", type=float)
-            p.add_argument("--relaxed", action="store_const", const=True,
-                           help="allow instances outside the 9/10-1/10 promise")
-        if seeded:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--shots", type=int)
-        if emits:
-            p.add_argument("--csv", help="write rows as CSV")
-            p.add_argument("--json", help="write rows as JSON")
-
-    p = sub.add_parser("search", help="run one search execution")
-    add_common(p, seeded=True, instance=True)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("curve", help="exact per-round statistics")
-    add_common(p, emits=True, instance=True)
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("sweep", help="cost scaling over an n grid")
-    add_common(p, seeded=True, emits=True, instance=True, grid_n=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("andor", help="evaluate an AND-OR tree file")
-    add_common(p, seeded=True, emits=True)
-    p.add_argument("--tree", help="tree description file")
-    p.set_defaults(func=cmd_andor)
-
-    p = sub.add_parser("check-facts", help="run the oracle suites")
-    add_common(p)
-    p.add_argument("--scenarios", type=int)
-    p.add_argument("--dims", help="comma list of dense dimensions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-r", dest="max_r", type=int)
-    p.set_defaults(func=cmd_check_facts)
-
-    p = sub.add_parser("baselines", help="intro baseline cost tables")
-    add_common(p, emits=True)
-    p.add_argument("--n", help="comma list of n values")
-    p.set_defaults(func=cmd_baselines)
-
+                parse = _param_type(default)[0]
+                p.add_argument(flag, dest=key, type=parse, help=text)
     return parser
 
 
@@ -484,7 +470,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        return COMMANDS[args.cmd].handler(resolve_config(args.cmd, args))
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -199,15 +199,20 @@ def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
     return shots * (sum(prep_costs(blocks - 1)) + blocks * v)
 
 
-def _rng(seed: Seed) -> np.random.Generator:
-    """The generator of one seeded run; rejects a seed that is not a
-    nonnegative integer or a SeedSequence (bool, float, str and None included)."""
+def check_seed(seed: Seed) -> None:
+    """Reject a seed that is not a nonnegative integer or a SeedSequence
+    (bool, float, str and None included) before anything is seeded from it."""
     if isinstance(seed, (bool, float)) or not isinstance(
         seed, (int, np.integer, np.random.SeedSequence)
     ):
         raise ValueError(f"seed must be an integer or SeedSequence, got {seed!r}")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _rng(seed: Seed) -> np.random.Generator:
+    """The generator of one seeded run, from a seed ``check_seed`` passes."""
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 

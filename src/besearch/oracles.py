@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import build_state
+from .driver import build_state, check_seed
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
 from .model import IndexClass, ProblemInstance, expand_classes
 
@@ -384,6 +384,7 @@ def run_fact_checks(
     any check runs.
     """
     dims = tuple(dims)
+    check_seed(seed)
     if scenarios < 1 or not dims or not all(2 <= d <= MAX_DENSE_DIM for d in dims):
         raise ValueError(f"fact checks need scenarios >= 1 and dims in [2, {MAX_DENSE_DIM}]")
     gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work

@@ -229,7 +229,8 @@ def test_criterion_7_andor():
     q_ratios = [
         evaluate_quantum_cost(AndOrTree(2, (n, n), GATE_OR)) / n for n in (9, 27, 81)
     ]
-    assert max(q_ratios) <= 60000 / 9 + 1e-9  # recorded bound
+    # full_sweep_cost(27) * ceil(pi/4 sqrt(27)) / 27, the largest of the three
+    assert max(q_ratios) <= 1000 * (1 + 8 + 2 * 21) * 5 / 27 + 1e-9
 
     qs = [
         evaluate_quantum_cost(AndOrTree(d, fans, GATE_OR))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from besearch import (
     evaluate_classical,
     evaluate_quantum_cost,
     evaluate_quantum_sim,
+    full_sweep_cost,
     load_tree,
     parse_tree,
 )
@@ -219,7 +221,11 @@ class TestQuantumCost:
         assert evaluate_quantum_cost(AndOrTree(1, (9,), GATE_AND)) == 3
 
     def test_two_level_goldens(self):
-        golden = {9: 60000, 27: 150000, 81: 240000}
+        # A root of fanout n costs 1000 * (C(0) + .. + C(blocks-1) + blocks * v(n))
+        # with C(0) = 1, C(1) = 8, v(9) = 19, v(27) = v(81) = 21, times the
+        # child's ceil(pi/4 sqrt(n)) = 3, 5, 8:
+        # 9: 1000 * (1 + 19) * 3; 27 and 81: 1000 * (1 + 8 + 2 * 21) * 5 or 8.
+        golden = {9: 60000, 27: 255000, 81: 408000}
         for n, q in golden.items():
             assert evaluate_quantum_cost(AndOrTree(2, (n, n), GATE_OR)) == q
 
@@ -228,16 +234,25 @@ class TestQuantumCost:
             evaluate_quantum_cost(AndOrTree(2, (n, n), GATE_OR)) / n
             for n in (9, 27, 81)
         ]
-        assert max(ratios) <= 60000 / 9 + 1e-9
+        # The largest is n = 27: full_sweep_cost(27) * ceil(pi/4 sqrt(27)) / 27.
+        assert max(ratios) <= 1000 * (1 + 8 + 2 * 21) * 5 / 27 + 1e-9
+
+    @pytest.mark.parametrize("c", [1, 27])
+    @pytest.mark.parametrize("f", [1, 9, 27, 81, 729])
+    def test_node_cost_is_the_full_sweep(self, f, c):
+        # A node charges what the driver charges for a search that finds nothing.
+        expected = full_sweep_cost(f) * math.ceil(math.pi / 4 * math.sqrt(c))
+        assert evaluate_quantum_cost(AndOrTree(2, (f, c), GATE_OR)) == expected
 
     def test_root_blocks_cost_one_pass(self, monkeypatch):
         # C(0..39) of a fanout-9^40 node take 39 schedule lookups, not one
-        # rebuild of C(0..m) per block (780 lookups).
+        # rebuild of C(0..m) per block (780 lookups); each of the 40 blocks
+        # verifies its shots, so verification adds 40 * v.
         expected, c = 1, 1
         for k in range(1, 40):
             c = 3 * c + driver.schedule_for_round(k).r
             expected += c
-        expected = 1000 * (expected + driver.verification_repetitions(9**40)) * 2
+        expected = 1000 * (expected + 40 * driver.verification_repetitions(9**40)) * 2
         calls, lookup = [], driver.schedule_for_round
 
         def counted(k):

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import besearch.cli
 import besearch.oracles
 from besearch import MAX_SHOTS, AndOrTree, GATE_OR, InvariantError, dump_tree
-from besearch.cli import run_cli
+from besearch.cli import COMMANDS, HELP, build_parser, resolve_config, run_cli
 from besearch.oracles import run_fact_checks
 
 
@@ -223,6 +224,64 @@ class TestBaselines:
         assert len(lines) == 2 + 2
 
 
+# A non-default value for every non-path key of the parameter table; n is
+# an int in search and curve and a comma list in sweep and baselines.
+CHANGED = {
+    "n": 83, ("sweep", "n"): "9,81", ("baselines", "n"): "100,1000",
+    "t": 2, "p_good": 0.95, "p_bad": 0.05, "relaxed": True, "seed": 4, "shots": 500,
+    "m_max": 2, "scenarios": 3, "dims": "2,5", "max_r": 9,
+}
+TABLE_KEYS = [
+    (cmd, key)
+    for cmd, spec in COMMANDS.items()
+    for key, default in spec.params.items()
+    if default is not None
+]
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("cmd,key", TABLE_KEYS, ids=[f"{c}-{k}" for c, k in TABLE_KEYS])
+    def test_flag_and_config_files_agree(self, capsys, tmp_path, cmd, key):
+        value = CHANGED.get((cmd, key), CHANGED[key])
+        assert value != COMMANDS[cmd].params[key]
+        tree = tmp_path / "tree.txt"
+        tree.write_text(dump_tree(AndOrTree(2, (3, 3), GATE_OR), [0, 1, 0] * 3))
+        kv = tmp_path / "cfg.txt"
+        kv.write_text(f"{key} = {'true' if value is True else value}\n")
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({key: value}))
+        routes = (
+            [flag_of(key)] if value is True else [flag_of(key), str(value)],
+            ["--config", str(kv)],
+            ["--config", str(doc)],
+        )
+        seen = []
+        for route in routes:
+            argv = [cmd, *route] + (["--tree", str(tree)] if cmd == "andor" else [])
+            cfg = resolve_config(cmd, build_parser().parse_args(argv))
+            assert cfg[key] == value
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            seen.append((out, cfg.config_hash))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_help_lists_every_key_with_its_default(self, capsys, cmd):
+        code, out, _ = run(capsys, cmd, "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        params = COMMANDS[cmd].params
+        usage = text.split("options:")[0]
+        assert re.findall(r"\[(--[\w-]+)", usage) == ["--config"] + [flag_of(k) for k in params]
+        for key, default in params.items():
+            metavar = "" if isinstance(default, bool) else " " + key.upper()
+            assert f"{flag_of(key)}{metavar} {HELP[key]} (default: {default})" in text
+
+
 BAD_INPUTS = {
     "sweep-shots-0": ["sweep", "--shots", "0"],
     "baselines-n-1": ["baselines", "--n", "1"],
@@ -248,6 +307,11 @@ BAD_INPUTS = {
     # A depth-1 tree runs no search, so only an up-front check sees its shots.
     "andor-depth-1-shots-0": ["andor", "--tree", "{tree1}", "--shots", "0"],
     "andor-depth-1-shots-1e20": ["andor", "--tree", "{tree1}", "--shots", str(10**20)],
+    # A negative seed is named up front, before the 2^21 enumeration runs.
+    "check-facts-seed-negative": ["check-facts", "--seed", "-1", "--max-r", "21",
+                                  "--scenarios", "1"],
+    "sweep-seed-negative": ["sweep", "--seed", "-2"],
+    "andor-depth-1-seed-negative": ["andor", "--tree", "{tree1}", "--seed", "-3"],
     # Shot counts past MAX_SHOTS are rejected before any sample is drawn;
     # unchecked, 10**20 overflows numpy and MAX_SHOTS + 1 draws 8 MB arrays.
     **{
@@ -288,6 +352,8 @@ class TestExitContract:
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "--seed" in argv:
+            assert "seed" in err
 
     def test_json_grid_error_names_the_value(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
