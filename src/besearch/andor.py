@@ -147,7 +147,7 @@ def evaluate_quantum_sim(
     around its true value; per-invocation error is at most 1/10. The shot
     count and the seed are checked at every depth, also where no search runs.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     check_seed(seed)
     bits = _as_bits(tree, bits)
     if tree.depth == 0:
@@ -176,7 +176,7 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     for a search that finds nothing: every block's shots, each verified --
     times the cost of one child. The shot count is checked at every depth.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     if tree.depth == 0:
         return 1
     f = tree.fanouts[0]

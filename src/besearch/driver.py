@@ -89,10 +89,15 @@ def ceil_log9(n: int) -> int:
     return m
 
 
-def check_shots(shots: int) -> None:
-    """Reject a shot count outside [1, MAX_SHOTS] before anything is sampled."""
+def check_shots(shots: int) -> int:
+    """Return the shot count as an ``int``, or reject one that is not an
+    integer (bool, float, str and None included) or lies outside
+    [1, MAX_SHOTS] before anything is sampled. numpy integers pass."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    return int(shots)
 
 
 def prep_costs(rounds: int) -> Iterator[int]:
@@ -133,7 +138,7 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_shots(shots)
+    shots = check_shots(shots)
     budget = 1.0 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1))
     return repetitions_for(budget, 0.1)
 
@@ -194,6 +199,7 @@ def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
     times and classically verifies every sample, so the total is
     sum_m shots * (C(m) + v(n)).
     """
+    shots = check_shots(shots)
     blocks = search_blocks(n)
     v = verification_repetitions(n, shots)
     return shots * (sum(prep_costs(blocks - 1)) + blocks * v)
@@ -246,14 +252,38 @@ def _sample_block(
     Verification of index j majority-votes v fresh runs of F_j, i.e. a
     Binomial(v, p_j) draw compared against v/2; it stops at the first
     accepted sample.
+
+    The votes are drawn piece by piece and only up to the first piece
+    that holds an acceptance. The samples are cut before and after every
+    sample with p > 1/2, the ones that (for odd v) are accepted with
+    probability above 1/2, so a block takes a few draw calls whatever
+    its classes. A piece of one p value is drawn as
+    ``rng.binomial(v, p, size=len)``, which is cheaper than an array of
+    p and gives the same votes in the same order from the same uniforms;
+    a mixed piece is drawn with its array of p. So the indices, the votes
+    up to the first acceptance and the result are those of one
+    ``rng.binomial(v, ps[sampled])`` call; only the generator's state
+    after an acceptance differs, and no caller draws from it again.
     """
     weights = np.maximum(measurement_weights(state), 0.0)
     sampled = _measure(rng, weights, shots)
-    accepts = rng.binomial(v, instance.ps[sampled]) * 2 > v
-    hits = np.flatnonzero(accepts)
-    if hits.size:
-        first = int(hits[0])
-        return int(sampled[first]), first + 1
+    ps = instance.ps[sampled]
+    half = v // 2  # a sample is accepted by more than half of its v votes
+    start = 0
+    for likely in [*np.flatnonzero(ps > 0.5).tolist(), shots]:
+        piece = ps[start:likely]
+        if piece.size:
+            # Comparing the ends first settles most mixed pieces at once.
+            if piece[0] == piece[-1] and (piece == piece[0]).all():
+                accepts = rng.binomial(v, piece[0], size=piece.size) > half
+            else:
+                accepts = rng.binomial(v, piece) > half
+            first = int(accepts.argmax())
+            if accepts[first]:
+                return int(sampled[start + first]), start + first + 1
+        if likely < shots and rng.binomial(v, ps[likely]) > half:
+            return int(sampled[likely]), likely + 1
+        start = likely + 1
     return None, shots
 
 
@@ -270,8 +300,7 @@ def run_search(
     first verified solution. Charges shots_per_m * C(m) per entered
     block plus v(n) per verified sample.
     """
-    if not (isinstance(shots_per_m, int) and shots_per_m >= 1):
-        raise ValueError(f"shots_per_m must be a positive integer, got {shots_per_m!r}")
+    shots_per_m = check_shots(shots_per_m)
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots_per_m)
     total = 0
@@ -299,6 +328,7 @@ def run_block(
     Builds the m-round preparation, samples ``shots`` indices, verifies
     sample-by-sample. Returns (accepted class id or None, total cost).
     """
+    shots = check_shots(shots)
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
     state, cost = build_state(instance, m)

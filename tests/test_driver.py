@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -15,6 +16,7 @@ from besearch import (
     build_state,
     ceil_log9,
     evaluate_quantum_cost,
+    evaluate_quantum_sim,
     exact_success_curve,
     full_sweep_cost,
     init_state,
@@ -26,7 +28,7 @@ from besearch import (
     state_stats,
     verification_repetitions,
 )
-from besearch.driver import VERIFICATION_CONFIDENCE, _measure, _sample_block
+from besearch.driver import VERIFICATION_CONFIDENCE, _measure, _sample_block, check_shots
 from besearch.model import IndexClass, ProblemInstance, StructuredState
 from besearch.oracles import enumerate_majority
 from conftest import strict_instances
@@ -342,6 +344,9 @@ class TestSampler:
 
     @pytest.mark.parametrize("kind", ("one class", "zero-weight classes", "600 classes"))
     def test_block_equals_choice_then_binomial(self, kind):
+        # The votes after the first acceptance are not drawn, so after an
+        # accepting block the generator stands somewhere past that vote;
+        # after a block that accepts nothing it stands where the twin does.
         weights = _weights(kind)
         k = len(weights)
         inst = ProblemInstance(
@@ -354,10 +359,37 @@ class TestSampler:
             got = _sample_block(ours, state, inst, v, 200)
             w = np.maximum(state.w1 + state.w0, 0.0)
             sampled = twin.choice(k, size=200, p=w / w.sum())
+            after_choice = twin.bit_generator.state
             hits = np.flatnonzero(twin.binomial(v, inst.ps[sampled]) * 2 > v)
             want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, 200)
             assert got == want
+            if not hits.size:
+                assert ours.bit_generator.state == twin.bit_generator.state
+                continue
+            states = []
+            for e in range(int(hits[0]) + 1, 201):
+                twin.bit_generator.state = after_choice
+                twin.binomial(v, inst.ps[sampled[:e]])
+                states.append(twin.bit_generator.state)
+            assert ours.bit_generator.state in states
+
+    @pytest.mark.parametrize("v", (1, 3, 21, 101))
+    def test_scalar_draws_over_runs_equal_the_array_draw(self, v):
+        # What the sampler relies on: a one-p piece drawn with a scalar p
+        # gives the votes, dtype and generator state of the array-p draw.
+        for seed in range(20):
+            runs_rng = np.random.default_rng(seed)
+            lengths = runs_rng.integers(1, 12, size=8)
+            values = runs_rng.choice([0.0, 0.5, 1.0, *runs_rng.random(3)], size=8)
+            ours, twin = _twins(seed)
+            got = np.concatenate([
+                ours.binomial(v, p, size=int(n)) for p, n in zip(values, lengths)
+            ])
+            want = twin.binomial(v, np.repeat(values, lengths))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
             assert ours.bit_generator.state == twin.bit_generator.state
+
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, 0.0))
     def test_rejects_unusable_weights(self, bad):
@@ -369,6 +401,119 @@ class TestSampler:
         with pytest.raises(ValueError, match="measurement weights"):
             _sample_block(rng, StructuredState(w1=w1, w0=w0), inst, 15, 100)
         assert rng.bit_generator.state == before
+
+
+class _CountingGenerator:
+    """Pass-through generator that counts the sampler's binomial calls."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.binomial_calls = 0
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+    def binomial(self, *args, **kwargs):
+        self.binomial_calls += 1
+        return self.rng.binomial(*args, **kwargs)
+
+
+def _forty_unlikely_classes() -> tuple[ProblemInstance, StructuredState]:
+    ps = np.random.default_rng(3).random(40) * 0.1
+    inst = ProblemInstance(tuple(IndexClass(float(p), 5, False) for p in ps), strict=False)
+    return inst, StructuredState(w1=np.full(40, 0.0125), w0=np.full(40, 0.0125))
+
+
+class TestPieceDraws:
+    """Votes are drawn in pieces cut at samples with p > 1/2, so a block
+    makes a few binomial calls whatever its classes."""
+
+    @pytest.mark.parametrize("block", ("one class", "40 classes", "relaxed p_good 0.15"))
+    def test_unlikely_block_is_one_draw(self, block):
+        if block == "one class":
+            inst = make_instance(6561, 0, 0.9, 0.1)
+            state, _ = build_state(inst, 2)
+        elif block == "40 classes":
+            inst, state = _forty_unlikely_classes()
+        else:
+            inst = make_instance(6561, 50, 0.15, 0.05, strict=False)
+            state, _ = build_state(inst, 2)
+        v = verification_repetitions(inst.n)
+        for seed in range(10):
+            rng = _CountingGenerator(seed)
+            _sample_block(rng, state, inst, v, 1000)
+            assert rng.binomial_calls == 1
+
+    def test_planted_block_draws_at_most_two_pieces_per_likely_sample(self):
+        inst = make_instance(6561, 9, 0.9, 0.1)
+        state, _ = build_state(inst, 2)
+        v = verification_repetitions(inst.n)
+        weights = np.maximum(state.w1 + state.w0, 0.0)
+        accepted = 0
+        for seed in range(30):
+            rng = _CountingGenerator(seed)
+            hit, verified = _sample_block(rng, state, inst, v, 1000)
+            sampled = _measure(np.random.default_rng(seed), weights, 1000)
+            likely = np.count_nonzero(inst.ps[sampled[:verified]] > 0.5)
+            assert rng.binomial_calls <= 2 * likely + 1
+            accepted += hit is not None
+        assert accepted >= 20
+
+    def test_relaxed_outputs_equal_the_recorded_digest(self):
+        # Recorded when every block drew all of its votes in one array-p
+        # binomial call; relaxed instances of 2-300 classes, some with no
+        # p above 1/2, others with p in {0, 1/2, 1}.
+        rng = np.random.default_rng(20261018)
+        digest = hashlib.sha256()
+        for i in range(24):
+            k = int(rng.integers(2, 301)) if i else 300
+            ps = rng.choice([0.0, 0.5, 1.0, *rng.random(4), *(0.1 * rng.random(4))], size=k)
+            if i % 3 == 0:  # no sample is accepted with probability above 1/2
+                ps = np.minimum(ps, 0.5)
+            counts = rng.integers(1, 30, size=k)
+            inst = ProblemInstance(tuple(
+                IndexClass(float(p), int(c), bool(p > 0.5)) for p, c in zip(ps, counts)
+            ), strict=False)
+            for shots in (1, 7, 1000):
+                result = run_search(inst, i, shots)
+                digest.update(repr((result.outcome, result.found_class, result.total_cost,
+                                    [row.verified for row in result.trace])).encode())
+                for m in range(3):
+                    digest.update(repr(run_block(inst, m, i, shots)).encode())
+        assert digest.hexdigest() == (
+            "91ab0f9c8198e4b43b733a2b7445ed35751d0569a00692f46749bdfdb5f48d8d"
+        )
+
+
+class TestShotCheck:
+    """Every entry point that takes a shot count checks it the same way."""
+
+    ENTRY_POINTS = {
+        "check_shots": lambda shots: check_shots(shots),
+        "verification_repetitions": lambda shots: verification_repetitions(81, shots),
+        "full_sweep_cost": lambda shots: full_sweep_cost(81, shots),
+        "run_search": lambda shots: run_search(make_instance(81, 1, 0.9, 0.1), 0, shots),
+        "run_block": lambda shots: run_block(make_instance(81, 1, 0.9, 0.1), 1, 0, shots),
+        "evaluate_quantum_cost":
+            lambda shots: evaluate_quantum_cost(AndOrTree(2, (9, 9), GATE_OR), shots),
+        "evaluate_quantum_sim": lambda shots: evaluate_quantum_sim(
+            AndOrTree(2, (9, 9), GATE_OR), [0] * 80 + [1], 0, shots),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", (True, 5.0, "5", None))
+    def test_rejects_non_integers(self, entry, bad):
+        with pytest.raises(ValueError, match="shots"):
+            self.ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integer_counts_as_int(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        got, want = call(np.int64(5)), call(5)
+        assert got == want
+        cost = {"run_search": lambda r: r.total_cost, "run_block": lambda r: r[1]}.get(
+            entry, lambda r: r)(got)
+        assert type(cost) is int
 
 
 # Recorded when measured indices were still drawn by Generator.choice;
