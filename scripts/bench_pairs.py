@@ -3,7 +3,7 @@
 
 Run from the repository root:
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
-        --workload search_mc --pairs 10 --seconds 25 --pr 10
+        --workload search_mc --pairs 10 --seconds 25 --pr K
 
 Pair i runs ``python3 perfbench/run.py --workload W --seed i --seconds S
 --trace 0`` once in each checkout: the parent first in even pairs, the

@@ -390,7 +390,6 @@ class TestSampler:
             assert np.array_equal(got, want)
             assert ours.bit_generator.state == twin.bit_generator.state
 
-
     @pytest.mark.parametrize("bad", (np.nan, np.inf, 0.0))
     def test_rejects_unusable_weights(self, bad):
         inst = make_instance(81, 1, 0.9, 0.1)
@@ -418,12 +417,6 @@ class _CountingGenerator:
         return self.rng.binomial(*args, **kwargs)
 
 
-def _forty_unlikely_classes() -> tuple[ProblemInstance, StructuredState]:
-    ps = np.random.default_rng(3).random(40) * 0.1
-    inst = ProblemInstance(tuple(IndexClass(float(p), 5, False) for p in ps), strict=False)
-    return inst, StructuredState(w1=np.full(40, 0.0125), w0=np.full(40, 0.0125))
-
-
 class TestPieceDraws:
     """Votes are drawn in pieces cut at samples with p > 1/2, so a block
     makes a few binomial calls whatever its classes."""
@@ -434,7 +427,9 @@ class TestPieceDraws:
             inst = make_instance(6561, 0, 0.9, 0.1)
             state, _ = build_state(inst, 2)
         elif block == "40 classes":
-            inst, state = _forty_unlikely_classes()
+            ps = np.random.default_rng(3).random(40) * 0.1
+            inst = ProblemInstance(tuple(IndexClass(float(p), 5, False) for p in ps), strict=False)
+            state = StructuredState(w1=np.full(40, 0.0125), w0=np.full(40, 0.0125))
         else:
             inst = make_instance(6561, 50, 0.15, 0.05, strict=False)
             state, _ = build_state(inst, 2)
