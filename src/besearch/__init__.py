@@ -8,7 +8,6 @@ from .model import (
     ProblemInstance,
     InvariantError,
     StructuredState,
-    StateStats,
     make_instance,
     expand_classes,
     init_state,
@@ -16,10 +15,9 @@ from .model import (
     measurement_weights,
     total_mass,
 )
-from .amplification import AmplificationFactors, amplification_factors, apply_amplification
+from .amplification import amplification_factors, apply_amplification
 from .error_reduction import (
     MAX_ROUNDS,
-    RoundSchedule,
     majority_prob,
     repetitions_for,
     schedule_for_round,

@@ -13,22 +13,12 @@ work without knowing it) and recomputes it from the state at each call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import NORM_TOL, InvariantError, StructuredState
 
 
-@dataclass(frozen=True)
-class AmplificationFactors:
-    """Per-flag amplitude scalings of one amplification round at angle theta."""
-
-    g1: float
-    g0: float
-    theta: float
-
-
-def amplification_factors(theta: float) -> AmplificationFactors:
-    """Exact amplitude scalings (3 - 4sin^2, 1 - 4sin^2) at the given angle.
+def amplification_factors(theta: float) -> tuple[float, float]:
+    """Exact amplitude scalings (g1, g0) = (3 - 4sin^2, 1 - 4sin^2) at theta.
 
     At theta = 0 this is the small-angle limit (3, 1); at theta = pi/2 it
     is (-1, -3), where g0 is irrelevant because the flag-0 mass is zero.
@@ -37,7 +27,7 @@ def amplification_factors(theta: float) -> AmplificationFactors:
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
     s2 = math.sin(theta) ** 2
-    return AmplificationFactors(g1=3.0 - 4.0 * s2, g0=1.0 - 4.0 * s2, theta=theta)
+    return 3.0 - 4.0 * s2, 1.0 - 4.0 * s2
 
 
 def apply_amplification(state: StructuredState) -> StructuredState:
@@ -56,5 +46,5 @@ def apply_amplification(state: StructuredState) -> StructuredState:
     # it is; taking sin^2 as sum(w1) alone would multiply the deficit by
     # about 9 per round once theta nears pi/2.
     s = min(1.0, flag1 / total)
-    f = amplification_factors(math.asin(math.sqrt(s)))
-    return StructuredState(w1=state.w1 * f.g1**2, w0=state.w0 * f.g0**2, round=state.round)
+    g1, g0 = amplification_factors(math.asin(math.sqrt(s)))
+    return StructuredState(w1=state.w1 * g1**2, w0=state.w0 * g0**2)

@@ -28,6 +28,7 @@ from .error_reduction import (
 from .model import (
     ProblemInstance,
     StructuredState,
+    check_int,
     init_state,
     measurement_weights,
     state_stats,
@@ -80,8 +81,7 @@ class SearchResult:
 
 def ceil_log9(n: int) -> int:
     """Smallest M >= 0 with 9^M >= n (integer-exact)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_int("n", n, 1)
     m, power = 0, 1
     while power < n:
         power *= 9
@@ -93,11 +93,7 @@ def check_shots(shots: int) -> int:
     """Return the shot count as an ``int``, or reject one that is not an
     integer (bool, float, str and None included) or lies outside
     [1, MAX_SHOTS] before anything is sampled. numpy integers pass."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-    return int(shots)
+    return check_int("shots", shots, 1, MAX_SHOTS)
 
 
 def prep_costs(rounds: int) -> Iterator[int]:
@@ -110,12 +106,11 @@ def prep_costs(rounds: int) -> Iterator[int]:
     superposed call over all indices costs 1. The round count is checked
     before anything is yielded.
     """
-    if not 0 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"rounds must lie in [0, {MAX_ROUNDS}], got {rounds}")
+    rounds = check_int("rounds", rounds, 0, MAX_ROUNDS)
     c = 1
     yield c
     for k in range(1, rounds + 1):
-        c = 3 * c + schedule_for_round(k).r
+        c = 3 * c + schedule_for_round(k)
         yield c
 
 
@@ -136,8 +131,6 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
     first, so shots outside [1, MAX_SHOTS] are rejected before any sample
     array is allocated.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     shots = check_shots(shots)
     budget = 1.0 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1))
     return repetitions_for(budget, 0.1)
@@ -176,11 +169,10 @@ def exact_success_curve(
     Computed in one incremental pass; since the round maps are
     deterministic, each row equals an independent m-round build.
     """
-    rows = []
-    for m, state, cost in _rounds(instance, m_max):
-        st = state_stats(state, instance)
-        rows.append(CurvePoint(m, st.alpha, st.beta, st.theta, st.p_solution, cost))
-    return tuple(rows)
+    return tuple(
+        CurvePoint(m, *state_stats(state, instance), cost)
+        for m, state, cost in _rounds(instance, m_max)
+    )
 
 
 def search_blocks(n: int) -> int:
@@ -306,12 +298,9 @@ def run_search(
     total = 0
     trace: list[TraceRow] = []
     for m, state, cost in _rounds(instance, search_blocks(instance.n) - 1):
-        st = state_stats(state, instance)
         hit, verified = _sample_block(rng, state, instance, v, shots_per_m)
         total += shots_per_m * cost + verified * v
-        trace.append(TraceRow(
-            m, st.alpha, st.beta, st.theta, st.p_solution, cost, shots_per_m, verified
-        ))
+        trace.append(TraceRow(m, *state_stats(state, instance), cost, shots_per_m, verified))
         if hit is not None:
             return SearchResult("found", hit, total, tuple(trace))
     return SearchResult("no_solutions", None, total, tuple(trace))

@@ -12,7 +12,6 @@ rest back to flag 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -29,20 +28,6 @@ _MAX_REPS = 100_001
 # from r = 647 on every term of majority_prob(r, 1/10) underflows to 0.0,
 # so the scan would stop short; every r_k up to this cap is exact.
 MAX_ROUNDS = 478
-
-
-@dataclass(frozen=True)
-class RoundSchedule:
-    """Error budget and repetition count for one round.
-
-    ``eps`` is the round's majority-error budget 2^-(k+5); ``r`` is the
-    minimal odd repetition count whose majority error at base error 1/10
-    stays within the budget.
-    """
-
-    k: int
-    eps: float
-    r: int
 
 
 @cache
@@ -120,24 +105,23 @@ def repetitions_for(eps: float, p_fail: float) -> int:
     return _min_odd_reps(eps, p_fail, 1)
 
 
-# Round index -> schedule, for rounds 1..len(_schedule), built on demand.
+# Round index k -> r_k, for rounds 1..len(_schedule), built on demand.
 # The budget halves every round and the majority error falls as r grows,
 # so r_k never decreases: each round's scan resumes from r_{k-1}, and the
 # whole table to MAX_ROUNDS costs O(r_MAX_ROUNDS + MAX_ROUNDS) majority
 # evaluations. Keyed by round, so two callers filling it at once store
 # the same entries.
-_schedule: dict[int, RoundSchedule] = {}
+_schedule: dict[int, int] = {}
 
 
-def schedule_for_round(k: int) -> RoundSchedule:
-    """Round k's schedule: budget eps_k = 2^-(k+5), minimal odd repetitions."""
+def schedule_for_round(k: int) -> int:
+    """Round k's repetition count r_k: the minimal odd r whose majority
+    error at base error 1/10 is within the round's budget 2^-(k+5)."""
     if not 1 <= k <= MAX_ROUNDS:
         raise ValueError(f"round index must lie in [1, {MAX_ROUNDS}], got {k}")
     while len(_schedule) < k:
         j = len(_schedule) + 1
-        eps = 2.0 ** -(j + 5)
-        r = _min_odd_reps(eps, BASE_ERROR, _schedule[j - 1].r if j > 1 else 1)
-        _schedule[j] = RoundSchedule(k=j, eps=eps, r=r)
+        _schedule[j] = _min_odd_reps(2.0 ** -(j + 5), BASE_ERROR, _schedule.get(j - 1, 1))
     return _schedule[k]
 
 
@@ -153,13 +137,9 @@ def apply_error_reduction(
     probability p keeps share m (its majority probability) of its flag-1
     mass on flag 1 and pushes 1 - m of it back to flag 0, into a junk
     sector orthogonal to the existing flag-0 part. Flag-0 mass is
-    otherwise unchanged.
+    otherwise unchanged. The caller knows k: the state has no round index.
     """
-    if state.round != k:
-        raise ValueError(f"state is at round {state.round}, not {k}")
     if abs(total_mass(state) - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
-    m = majority_prob(schedule_for_round(k).r, instance.ps)
-    return StructuredState(
-        w1=state.w1 * m, w0=state.w0 + state.w1 * np.maximum(0.0, 1.0 - m), round=k + 1
-    )
+    m = majority_prob(schedule_for_round(k), instance.ps)
+    return StructuredState(w1=state.w1 * m, w0=state.w0 + state.w1 * np.maximum(0.0, 1.0 - m))

@@ -8,7 +8,8 @@ class carries the same amplitudes, and the round operators either scale
 a class's flag-1 or flag-0 part or move mass from flag 1 to flag 0, so
 the state is two numbers per class: its flag-1 and flag-0 mass. State
 size is the number of classes, independent of n and of the round count,
-which keeps exact simulation cheap for n up to ~1e12.
+which keeps exact simulation cheap for n up to ~1e12. The state holds
+no round index, and ``state_stats`` returns its statistics as a tuple.
 
 Workspace/junk registers are never materialized: every flag-0 part a
 push-back creates sits in a junk sector orthogonal to everything else,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +37,18 @@ class InvariantError(ValueError):
     """A round operator's precondition on the state does not hold."""
 
 
+def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
+    """Return ``value`` as an ``int``, or raise a ``ValueError`` naming
+    ``name`` if it is not an integer (bool, float, str and None included)
+    or lies outside [lo, hi] (no upper bound when hi is None). numpy
+    integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        raise ValueError(f"{name} must lie in [{lo}, {'inf' if hi is None else hi}], got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True, slots=True)
 class IndexClass:
     """A group of indices whose subroutines behave identically.
@@ -44,7 +58,7 @@ class IndexClass:
     p : float
         Probability that one run of the subroutine outputs 1.
     count : int
-        Number of indices in the class (>= 1).
+        Number of indices in the class (>= 1), stored as an ``int``.
     is_solution : bool
         Whether these indices really are solutions.
     """
@@ -54,8 +68,7 @@ class IndexClass:
     is_solution: bool
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.count, int) and self.count >= 1):
-            raise ValueError(f"class count must be a positive integer, got {self.count!r}")
+        object.__setattr__(self, "count", check_int("count", self.count, 1))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"class probability must lie in [0, 1], got {self.p!r}")
 
@@ -124,13 +137,11 @@ def make_instance(
 ) -> ProblemInstance:
     """Build the canonical two-class instance: t solutions, n - t non-solutions.
 
-    Raises ``ValueError`` for t > n, probabilities outside [0, 1], or
-    strict-mode promise violations.
+    Raises ``ValueError`` for a non-integer n or t, t > n, probabilities
+    outside [0, 1], or strict-mode promise violations.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(t, int) and 0 <= t <= n):
-        raise ValueError(f"t must satisfy 0 <= t <= n, got t={t!r}, n={n}")
+    n = check_int("n", n, 1)
+    t = check_int("t", t, 0, n)
     for name, p in (("p_good", p_good), ("p_bad", p_bad)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
@@ -163,7 +174,7 @@ def expand_classes(instance: ProblemInstance) -> ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class StructuredState:
-    """Per-class masses of the round-k preparation state A_k|0>.
+    """Per-class masses of a preparation state A_k|0>.
 
     ``w1[c]`` and ``w0[c]`` are the probabilities that measuring the
     index and flag registers yields an index of class c with flag 1 and
@@ -172,31 +183,12 @@ class StructuredState:
 
     w1: np.ndarray
     w0: np.ndarray
-    round: int = 1
 
     def __post_init__(self) -> None:
         for name in ("w1", "w0"):
             masses = np.array(getattr(self, name), dtype=float)
             masses.flags.writeable = False
             object.__setattr__(self, name, masses)
-        if self.round < 1:
-            raise ValueError("round index starts at 1")
-
-
-@dataclass(frozen=True)
-class StateStats:
-    """Summary statistics of a structured state.
-
-    ``alpha``/``beta`` are the square roots of the flag-1 solution and
-    flag-1 non-solution masses; ``theta = arcsin(sqrt(alpha^2 + beta^2))``
-    is the amplification angle; ``p_solution`` is the probability that a
-    measurement of the index register yields a solution index (all flags).
-    """
-
-    alpha: float
-    beta: float
-    theta: float
-    p_solution: float
 
 
 def init_state(instance: ProblemInstance) -> StructuredState:
@@ -216,18 +208,18 @@ def total_mass(state: StructuredState) -> float:
     return float(state.w1.sum() + state.w0.sum())
 
 
-def state_stats(state: StructuredState, instance: ProblemInstance) -> StateStats:
-    """Compute (alpha, beta, theta, p_solution) for a structured state."""
+def state_stats(state: StructuredState, instance: ProblemInstance) -> tuple[float, ...]:
+    """(alpha, beta, theta, p_solution) of a structured state, in
+    ``CurvePoint`` field order: the square roots of the flag-1 solution
+    and non-solution masses, the amplification angle
+    arcsin(sqrt(alpha^2 + beta^2)), and the probability that measuring
+    the index register yields a solution index (any flag)."""
     sol = instance.solution
     alpha2 = float(state.w1[sol].sum())
     beta2 = float(state.w1[~sol].sum())
     s = min(1.0, math.sqrt(min(1.0, alpha2 + beta2)))
-    return StateStats(
-        alpha=math.sqrt(alpha2),
-        beta=math.sqrt(beta2),
-        theta=math.asin(s),
-        p_solution=float((state.w1 + state.w0)[sol].sum()),
-    )
+    p_solution = float((state.w1 + state.w0)[sol].sum())
+    return math.sqrt(alpha2), math.sqrt(beta2), math.asin(s), p_solution
 
 
 def measurement_weights(state: StructuredState) -> np.ndarray:

@@ -4,12 +4,14 @@ The structured engine is validated against two fully independent
 routes: a dense complex linear-algebra check of the amplification
 rotation (explicit reflection matrices on a random unitary), and an
 exhaustive 2^r enumeration of majority voting. Neither shares code with
-the engine's closed forms. A one-round cross-validation harness builds
-the whole round -- preparation, reflections, and a 5-run majority vote
--- as explicit matrices and compares per-index masses with the
-structured engine. ``run_fact_checks`` runs these oracles as the four
-fact checks that ``check-facts`` prints and the acceptance gate asserts
-on, against tolerances defined here once.
+the engine's closed forms; a dense scenario is the pair (unitary,
+flag_indices), checked once before any matrix work. A one-round
+cross-validation harness builds the whole round -- preparation,
+reflections, and a 5-run majority vote -- as explicit matrices and
+compares per-index masses with the structured engine.
+``run_fact_checks`` runs these oracles as the four fact checks that
+``check-facts`` prints and the acceptance gate asserts on, against
+tolerances defined here once.
 
 The two baseline cost models from the simple approaches (per-query
 majority boosting under Grover, and block-recursive splitting) are
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .driver import build_state, check_seed
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
-from .model import IndexClass, ProblemInstance, expand_classes
+from .model import IndexClass, ProblemInstance, check_int, expand_classes
 
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
 MAX_DENSE_DIM = 64
@@ -95,65 +97,43 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
     return u
 
 
-@dataclass
-class DenseScenario:
-    """A dense amplification test case: a unitary plus a flag-1 index set.
-
-    ``theta``, ``phi1`` and ``phi0`` are derived from column 0 of the
-    unitary: theta from the flag-1 mass, phi1/phi0 the normalized flag-1
-    and flag-0 components placed in their subspaces (zero vectors when
-    the corresponding mass vanishes).
-    """
-
-    unitary: np.ndarray
-    flag_indices: frozenset[int]
-    theta: float = field(init=False)
-    phi1: np.ndarray = field(init=False)
-    phi0: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        dim = self.unitary.shape[0]
-        if dim > MAX_DENSE_DIM:
-            raise ValueError(f"dense dimension capped at {MAX_DENSE_DIM}, got {dim}")
-        self.flag_indices = frozenset(self.flag_indices)
-        if not self.flag_indices or len(self.flag_indices) >= dim:
-            raise ValueError("flag partition must be nonempty and proper")
-        if any(i < 0 or i >= dim for i in self.flag_indices):
-            raise ValueError("flag index out of range")
-        _check_unitary(self.unitary, "A")
-        psi = self.unitary[:, 0]
-        mask = np.zeros(dim, dtype=bool)
-        mask[list(self.flag_indices)] = True
-        w = float(np.sum(np.abs(psi[mask]) ** 2))
-        self.theta = math.asin(min(1.0, math.sqrt(min(1.0, w))))
-        self.phi1 = _normalized_part(psi, mask)
-        self.phi0 = _normalized_part(psi, ~mask)
-
-    @property
-    def dim(self) -> int:
-        return self.unitary.shape[0]
+def _flag_mask(unitary: np.ndarray, flag_indices) -> np.ndarray:
+    """The flag-1 mask of a dense scenario (unitary A, flag-1 index set),
+    after its checks: dimension at most MAX_DENSE_DIM, a nonempty proper
+    set of in-range flag indices, and UnitarityError for a non-unitary A."""
+    dim = unitary.shape[0]
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"dense dimension capped at {MAX_DENSE_DIM}, got {dim}")
+    flags = frozenset(flag_indices)
+    if not flags or len(flags) >= dim:
+        raise ValueError("flag partition must be nonempty and proper")
+    if any(i < 0 or i >= dim for i in flags):
+        raise ValueError("flag index out of range")
+    _check_unitary(unitary, "A")
+    mask = np.zeros(dim, dtype=bool)
+    mask[list(flags)] = True
+    return mask
 
 
 def _normalized_part(psi: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """psi's component on the mask, normalized (zero when it has no mass)."""
     part = np.where(mask, psi, 0.0)
     norm = np.linalg.norm(part)
     return part / norm if norm > 0.0 else part
 
 
-def random_scenario(dim: int, seed) -> DenseScenario:
-    """Random scenario: Haar-like unitary and a random proper flag set."""
+def random_scenario(dim: int, seed) -> tuple[np.ndarray, frozenset[int]]:
+    """Random scenario (unitary, flag_indices): a Haar-like unitary and a
+    random proper flag set."""
     rng = np.random.default_rng(seed)
     a = random_unitary(dim, rng)
     size = int(rng.integers(1, dim))
-    flags = frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
-    return DenseScenario(unitary=a, flag_indices=flags)
+    return a, frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
 
 
-def grover_operator(scenario: DenseScenario) -> np.ndarray:
-    """G = -A S0 A^-1 S1 as an explicit matrix."""
-    s1 = np.ones(scenario.dim)
-    s1[list(scenario.flag_indices)] = -1.0
-    return _grover_matrix(scenario.unitary, s1)
+def grover_operator(unitary: np.ndarray, flag_indices) -> np.ndarray:
+    """G = -A S0 A^-1 S1 as an explicit matrix, S1 flipping the flag indices."""
+    return _grover_matrix(unitary, np.where(_flag_mask(unitary, flag_indices), -1.0, 1.0))
 
 
 def _grover_matrix(a: np.ndarray, s1: np.ndarray) -> np.ndarray:
@@ -164,14 +144,19 @@ def _grover_matrix(a: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return -(((a * s0) @ a.conj().T) * s1)
 
 
-def amplification_residual(scenario: DenseScenario) -> float:
-    """Distance of G A|0> from the 3-theta rotation target, up to global phase."""
-    g = grover_operator(scenario)
+def amplification_residual(unitary: np.ndarray, flag_indices) -> float:
+    """Distance of G A|0> from the 3-theta rotation target, up to global phase:
+    theta from the flag-1 mass of A|0>, phi1/phi0 its normalized flag parts."""
+    mask = _flag_mask(unitary, flag_indices)
+    g = _grover_matrix(unitary, np.where(mask, -1.0, 1.0))
     _check_unitary(g, "G")
-    out = g @ scenario.unitary[:, 0]
-    target = math.sin(3 * scenario.theta) * scenario.phi1 + math.cos(
-        3 * scenario.theta
-    ) * scenario.phi0
+    psi = unitary[:, 0]
+    out = g @ psi
+    w = float(np.sum(np.abs(psi[mask]) ** 2))
+    theta = math.asin(min(1.0, math.sqrt(min(1.0, w))))
+    target = math.sin(3 * theta) * _normalized_part(psi, mask) + math.cos(
+        3 * theta
+    ) * _normalized_part(psi, ~mask)
     overlap = np.vdot(target, out)
     if abs(overlap) > 0.0:
         out = out * (abs(overlap) / overlap)
@@ -181,8 +166,7 @@ def amplification_residual(scenario: DenseScenario) -> float:
 def dense_amplification_check(dim: int, flag_indices, seed) -> float:
     """Residual of the rotation identity on a seeded random scenario."""
     rng = np.random.default_rng(seed)
-    a = random_unitary(dim, rng)
-    return amplification_residual(DenseScenario(unitary=a, flag_indices=flag_indices))
+    return amplification_residual(random_unitary(dim, rng), flag_indices)
 
 
 @functools.cache
@@ -226,11 +210,11 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
     distinct p's block is built and checked for unitarity once, and E1
     acts on the state through a reshape, so the cost is linear in n.
     """
-    per_index = expand_classes(instance)
-    n = per_index.n
+    n = instance.n
     work = 2 ** (ROUND_ONE_REPS + 1)
-    if n * 2 * work > MAX_ROUND_DIM:
+    if n * 2 * work > MAX_ROUND_DIM:  # checked before the n singleton classes are built
         raise ValueError(f"dense round dimension {n * 2 * work} exceeds {MAX_ROUND_DIM}")
+    per_index = expand_classes(instance)
     ps = per_index.ps
 
     # Preparation state on index (x) flag, then a unitary completing it.
@@ -269,8 +253,7 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
 def simple_search_cost(n: int) -> int:
     """Query cost of the boost-first baseline: per-index majority to error
     1/(100 n), then Grover on top with ceil(pi/4 sqrt(n)) iterations."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = check_int("n", n, 2)
     iters = math.ceil(math.pi / 4 * math.sqrt(n))
     return iters * repetitions_for(1.0 / (100 * n), 0.1)
 
@@ -282,8 +265,7 @@ def block_recursion_cost(n: int, base_cutoff: int = 64) -> int:
     T(n) = T(b) * ceil(sqrt(n / b)) + ceil(log2 n) with b = ceil(log2 n)^2.
     Constants are normalized to 1; this is a cost model, not a simulator.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_int("n", n, 1)
     if n <= base_cutoff:
         return n
     b = _ceil_log2(n) ** 2
@@ -389,10 +371,10 @@ def run_fact_checks(
         raise ValueError(f"fact checks need scenarios >= 1 and dims in [2, {MAX_DENSE_DIM}]")
     gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work
     residual = max(
-        amplification_residual(random_scenario(dims[i % len(dims)], seed + i))
+        amplification_residual(*random_scenario(dims[i % len(dims)], seed + i))
         for i in range(scenarios)
     )
-    got = tuple(schedule_for_round(k).r for k in (1, 2, 3))
+    got = tuple(schedule_for_round(k) for k in (1, 2, 3))
     oracle = tuple(_oracle_schedule_r(k) for k in (1, 2, 3))
     deviation = max(
         structured_vs_dense_round(ProblemInstance(

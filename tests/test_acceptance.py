@@ -154,7 +154,7 @@ def test_criterion_4_inequality_suite():
 def test_criterion_5_cost_accounting():
     expected = [1]  # C(m) by the paper's recursion, independent of prep_costs
     for k in range(1, 7):
-        expected.append(3 * expected[-1] + schedule_for_round(k).r)
+        expected.append(3 * expected[-1] + schedule_for_round(k))
     assert expected[:5] == [1, 8, 31, 100, 309]
     for inst in (make_instance(81, 1, 0.9, 0.1), make_instance(9**5, 3, 0.95, 0.05)):
         for m in range(7):

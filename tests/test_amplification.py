@@ -21,23 +21,22 @@ from conftest import relaxed_instances, strict_instances
 class TestFactors:
     def test_thirty_degrees(self):
         # sin(pi/2)/sin(pi/6) = 2, cos(pi/2)/cos(pi/6) = 0
-        f = amplification_factors(math.pi / 6)
-        assert f.g1 == pytest.approx(2.0, abs=1e-12)
-        assert f.g0 == pytest.approx(0.0, abs=1e-12)
+        g1, g0 = amplification_factors(math.pi / 6)
+        assert g1 == pytest.approx(2.0, abs=1e-12)
+        assert g0 == pytest.approx(0.0, abs=1e-12)
 
     def test_forty_five_degrees_flips_flag_zero_sign(self):
-        f = amplification_factors(math.pi / 4)
-        assert f.g1 == pytest.approx(1.0, abs=1e-12)
-        assert f.g0 == pytest.approx(-1.0, abs=1e-12)
+        g1, g0 = amplification_factors(math.pi / 4)
+        assert g1 == pytest.approx(1.0, abs=1e-12)
+        assert g0 == pytest.approx(-1.0, abs=1e-12)
 
     def test_small_angle_limit_triples(self):
-        f = amplification_factors(0.0)
-        assert (f.g1, f.g0) == (3.0, 1.0)
+        assert amplification_factors(0.0) == (3.0, 1.0)
 
     def test_right_angle_endpoint(self):
-        f = amplification_factors(math.pi / 2)
-        assert f.g1 == pytest.approx(-1.0, abs=1e-12)
-        assert f.g0 == pytest.approx(-3.0, abs=1e-12)
+        g1, g0 = amplification_factors(math.pi / 2)
+        assert g1 == pytest.approx(-1.0, abs=1e-12)
+        assert g0 == pytest.approx(-3.0, abs=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -47,15 +46,15 @@ class TestFactors:
 
     @given(st.floats(0.0, math.pi / 2, allow_nan=False))
     def test_norm_preservation_identity(self, theta):
-        f = amplification_factors(theta)
+        g1, g0 = amplification_factors(theta)
         s2 = math.sin(theta) ** 2
-        assert f.g1**2 * s2 + f.g0**2 * (1 - s2) == pytest.approx(1.0, abs=1e-12)
+        assert g1**2 * s2 + g0**2 * (1 - s2) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(1e-6, math.pi / 2 - 1e-6, allow_nan=False))
     def test_closed_forms_equal_sine_ratios(self, theta):
-        f = amplification_factors(theta)
-        assert f.g1 == pytest.approx(math.sin(3 * theta) / math.sin(theta), abs=1e-9)
-        assert f.g0 == pytest.approx(math.cos(3 * theta) / math.cos(theta), abs=1e-9)
+        g1, g0 = amplification_factors(theta)
+        assert g1 == pytest.approx(math.sin(3 * theta) / math.sin(theta), abs=1e-9)
+        assert g0 == pytest.approx(math.cos(3 * theta) / math.cos(theta), abs=1e-9)
 
 
 class TestApply:
@@ -63,8 +62,8 @@ class TestApply:
         # w -> w (3 - 4w)^2: 0.3 -> 0.972
         inst = make_instance(4, 1, 0.9, 0.1)
         state = apply_amplification(init_state(inst))
-        st_ = state_stats(state, inst)
-        assert st_.alpha**2 + st_.beta**2 == pytest.approx(0.972, abs=1e-12)
+        alpha, beta, _, _ = state_stats(state, inst)
+        assert alpha**2 + beta**2 == pytest.approx(0.972, abs=1e-12)
 
     def test_no_flag_one_mass_is_identity(self):
         inst = make_instance(5, 0, 0.9, 0.0)
@@ -76,7 +75,7 @@ class TestApply:
     def test_rejects_denormalized_state(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state = init_state(inst)
-        bad = type(state)(w1=state.w1, w0=np.zeros_like(state.w0), round=1)
+        bad = type(state)(w1=state.w1, w0=np.zeros_like(state.w0))
         with pytest.raises(InvariantError):
             apply_amplification(bad)
 
@@ -87,7 +86,7 @@ class TestApply:
         # so class by class the flag-1 mass scales by (sin 3t / sin t)^2 and
         # the flag-0 mass by (cos 3t / cos t)^2.
         state, _ = build_state(inst, rounds)
-        theta = state_stats(state, inst).theta
+        _, _, theta, _ = state_stats(state, inst)
         after = apply_amplification(state)
         g1 = 3.0 - 4.0 * math.sin(theta) ** 2
         g0 = 1.0 - 4.0 * math.sin(theta) ** 2
@@ -109,7 +108,7 @@ class TestApply:
         # them take theta to 9 theta: amplitudes scale by sin(9t)/sin(t)
         # on flag 1 and cos(9t)/cos(t) on flag 0, masses by their squares.
         state = init_state(inst)
-        theta = state_stats(state, inst).theta
+        _, _, theta, _ = state_stats(state, inst)
         twice = apply_amplification(apply_amplification(state))
         scale1 = (3 - 4 * math.sin(theta) ** 2) * (3 - 4 * math.sin(3 * theta) ** 2)
         scale0 = (1 - 4 * math.sin(theta) ** 2) * (1 - 4 * math.sin(3 * theta) ** 2)

@@ -250,7 +250,7 @@ class TestQuantumCost:
         # verifies its shots, so verification adds 40 * v.
         expected, c = 1, 1
         for k in range(1, 40):
-            c = 3 * c + driver.schedule_for_round(k).r
+            c = 3 * c + driver.schedule_for_round(k)
             expected += c
         expected = 1000 * (expected + 40 * driver.verification_repetitions(9**40)) * 2
         calls, lookup = [], driver.schedule_for_round

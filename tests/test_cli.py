@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -415,3 +416,53 @@ class TestExitContract:
         code, _, err = run(capsys, "search")
         assert code == 1
         assert "not normalized" in err
+
+
+#: The README's example tree file.
+README_TREE = "depth 2\nroot OR\nfanouts 3 3\nleaves 010000110\n"
+
+#: sha256 of seeded CLI outputs: the CSV a command writes, or the stdout of
+#: ``search`` without lines naming an output path. Recorded before the
+#: state lost its round index and the stats, factor, schedule and scenario
+#: records became plain values; these bytes must not move. Paths are
+#: relative to the working directory, since the tree path enters the
+#: config hash.
+GOLDEN_OUTPUTS = {
+    "curve": (
+        ["curve", "--n", "6561", "--t", "1", "--csv", "out.csv"],
+        "27d7bfc51a4daf335b4adf11331a6ff67efbb708156732bce1497d7239b34151",
+    ),
+    "curve-relaxed": (
+        ["curve", "--n", "81", "--t", "3", "--p-good", "0.7", "--p-bad", "0.4", "--relaxed",
+         "--m-max", "-1", "--csv", "out.csv"],
+        "cdae9a69319d25b8a274a91422e0ec49885dcadafee187ae20faf13bcec4fb5a",
+    ),
+    "sweep": (
+        ["sweep", "--seed", "3", "--csv", "out.csv"],
+        "1946ebced98ec2ae5fbc37e29d020746071b829a5ebd098c3da856f25f0e665a",
+    ),
+    "andor": (
+        ["andor", "--tree", "tree.txt", "--seed", "5", "--csv", "out.csv"],
+        "41a9f22ca12406ab67dec3a3e6a0b2ddeba80ebfbaf6e0aea2e47a3818c84d7d",
+    ),
+    "search": (
+        ["search", "--n", "6561", "--seed", "7"],
+        "fc3d1bed35c980c46b500f6c9a0ed0e23ada66d7195a20ef432484b3b50efd53",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_OUTPUTS)
+def test_seeded_outputs_are_byte_identical(capsys, tmp_path, monkeypatch, name):
+    argv, digest = GOLDEN_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(besearch.cli.OUTDIR_ENV, raising=False)
+    (tmp_path / "tree.txt").write_text(README_TREE)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if "--csv" in argv:
+        data = (tmp_path / "out.csv").read_bytes()
+    else:
+        data = "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("wrote ")).encode()
+    assert hashlib.sha256(data).hexdigest() == digest

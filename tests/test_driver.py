@@ -13,6 +13,8 @@ from besearch import (
     MAX_SHOTS,
     AndOrTree,
     analytic_cost,
+    apply_amplification,
+    apply_error_reduction,
     build_state,
     ceil_log9,
     evaluate_quantum_cost,
@@ -28,9 +30,11 @@ from besearch import (
     state_stats,
     verification_repetitions,
 )
-from besearch.driver import VERIFICATION_CONFIDENCE, _measure, _sample_block, check_shots
-from besearch.model import IndexClass, ProblemInstance, StructuredState
-from besearch.oracles import enumerate_majority
+from besearch.driver import (
+    VERIFICATION_CONFIDENCE, _measure, _sample_block, check_shots, prep_costs
+)
+from besearch.model import IndexClass, ProblemInstance, StructuredState, check_int
+from besearch.oracles import block_recursion_cost, enumerate_majority, simple_search_cost
 from conftest import strict_instances
 
 
@@ -65,7 +69,7 @@ class TestAnalyticCost:
     def test_recursion_consistency(self):
         c = 1
         for k in range(1, 12):
-            c = 3 * c + schedule_for_round(k).r
+            c = 3 * c + schedule_for_round(k)
             assert analytic_cost(k) == c
 
     def test_big_o_of_three_to_m(self):
@@ -84,21 +88,24 @@ class TestBuildState:
         base = init_state(inst)
         assert np.array_equal(state.w1, base.w1)
         assert np.array_equal(state.w0, base.w0)
-        assert state.round == base.round
         assert cost == 1
+        # It is the state round 1 starts from.
+        one, _ = build_state(inst, 1)
+        after = apply_error_reduction(apply_amplification(state), 1, inst)
+        assert np.array_equal(after.w1, one.w1) and np.array_equal(after.w0, one.w0)
 
     def test_one_round_against_arithmetic_oracle(self):
         # alpha1 * (3 - 4 * 0.3) * sqrt(majority(5, 0.9)), beta scaled by
         # sqrt(majority(5, 0.1)); frozen values from that arithmetic.
         inst = make_instance(4, 1, 0.9, 0.1)
         state, cost = build_state(inst, 1)
-        st_ = state_stats(state, inst)
+        alpha, beta, _, _ = state_stats(state, inst)
         alpha_expected = math.sqrt(0.225) * 1.8 * math.sqrt(enumerate_majority(5, 0.9))
         beta2_expected = 0.075 * 1.8**2 * enumerate_majority(5, 0.1)
-        assert st_.alpha == pytest.approx(alpha_expected, abs=1e-12)
-        assert st_.beta**2 == pytest.approx(beta2_expected, abs=1e-12)
-        assert st_.alpha == pytest.approx(0.8501527862684448, abs=1e-12)
-        assert st_.beta**2 == pytest.approx(0.00208008, abs=1e-12)
+        assert alpha == pytest.approx(alpha_expected, abs=1e-12)
+        assert beta**2 == pytest.approx(beta2_expected, abs=1e-12)
+        assert alpha == pytest.approx(0.8501527862684448, abs=1e-12)
+        assert beta**2 == pytest.approx(0.00208008, abs=1e-12)
         assert cost == 8
 
     def test_rejects_rounds_past_cap_up_front(self):
@@ -122,7 +129,7 @@ class TestBuildState:
     def test_ledger_equals_analytic_cost(self, inst, rounds):
         expected = 1
         for k in range(1, rounds + 1):
-            expected = 3 * expected + schedule_for_round(k).r
+            expected = 3 * expected + schedule_for_round(k)
         _, cost = build_state(inst, rounds)
         assert cost == expected
 
@@ -131,7 +138,7 @@ class TestBuildState:
         inst = make_instance(729, 1, 0.9, 0.1)
         for m in (2, 3):
             state, _ = build_state(inst, m)
-            assert state_stats(state, inst).alpha >= 0.04
+            assert state_stats(state, inst)[0] >= 0.04
 
 
 class TestVerificationRepetitions:
@@ -189,9 +196,7 @@ class TestSuccessCurve:
         rows = exact_success_curve(inst, 3)
         for m, row in enumerate(rows):
             state, cost = build_state(inst, m)
-            st_ = state_stats(state, inst)
-            assert row.alpha == st_.alpha
-            assert row.beta == st_.beta
+            assert (row.alpha, row.beta, row.theta, row.p_solution) == state_stats(state, inst)
             assert row.cost == cost == [1, 8, 31, 100][m]
 
     def test_golden_curve_6561(self):
@@ -478,6 +483,70 @@ class TestPieceDraws:
         assert digest.hexdigest() == (
             "91ab0f9c8198e4b43b733a2b7445ed35751d0569a00692f46749bdfdb5f48d8d"
         )
+
+
+def _plain(result):
+    """A result in a form that == compares: states become their masses."""
+    if isinstance(result, tuple) and isinstance(result[0], StructuredState):
+        state, cost = result
+        return state.w1.tolist(), state.w0.tolist(), cost
+    return result
+
+
+class TestIntegerContract:
+    """Every size, count and round argument is checked by ``check_int``:
+    bool, float, str and None raise a ValueError that names the argument,
+    and a numpy integer gives the same result as the Python int."""
+
+    INST = make_instance(81, 1, 0.9, 0.1)
+    # entry point -> (name in the error, call with the value under test)
+    ENTRY_POINTS = {
+        "check_int": ("x", lambda v: check_int("x", v, 1)),
+        "ceil_log9": ("n", lambda v: ceil_log9(v)),
+        "search_blocks": ("n", lambda v: search_blocks(v)),
+        "verification_repetitions": ("n", lambda v: verification_repetitions(v)),
+        "full_sweep_cost": ("n", lambda v: full_sweep_cost(v)),
+        "prep_costs": ("rounds", lambda v: list(prep_costs(v))),
+        "analytic_cost": ("rounds", lambda v: analytic_cost(v)),
+        "build_state": ("rounds", lambda v: build_state(TestIntegerContract.INST, v)),
+        "exact_success_curve":
+            ("rounds", lambda v: exact_success_curve(TestIntegerContract.INST, v)),
+        "make_instance-n": ("n", lambda v: make_instance(v, 1, 0.9, 0.1)),
+        "make_instance-t": ("t", lambda v: make_instance(81, v, 0.9, 0.1)),
+        "IndexClass": ("count", lambda v: IndexClass(0.5, v, False)),
+        "simple_search_cost": ("n", lambda v: simple_search_cost(v)),
+        "block_recursion_cost": ("n", lambda v: block_recursion_cost(v)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", (True, 81.0, "81", None))
+    def test_rejects_non_integers(self, entry, bad):
+        name, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integer_counts_as_int(self, entry):
+        _, call = self.ENTRY_POINTS[entry]
+        assert _plain(call(np.int64(81))) == _plain(call(81))
+
+    def test_numpy_integers_are_stored_as_int(self):
+        inst = make_instance(np.int64(81), np.int64(1), 0.9, 0.1)
+        assert type(inst.n) is int and type(inst.t) is int
+        assert all(type(c.count) is int for c in inst.classes)
+        assert type(IndexClass(0.5, np.int64(3), False).count) is int
+        assert type(check_int("x", np.int64(3), 1)) is int
+
+    def test_range_is_checked(self):
+        for call, arg in ((lambda: check_int("x", 0, 1), "x"),
+                          (lambda: check_int("x", 5, 1, 4), "x"),
+                          (lambda: ceil_log9(0), "n"),
+                          (lambda: make_instance(81, 82, 0.9, 0.1), "t"),
+                          (lambda: IndexClass(0.5, 0, False), "count"),
+                          (lambda: analytic_cost(-1), "rounds")):
+            with pytest.raises(ValueError, match=f"^{arg} must lie in"):
+                call()
+        assert check_int("x", 4, 1, 4) == 4 and check_int("x", 10**30, 1) == 10**30
 
 
 class TestShotCheck:

@@ -149,12 +149,10 @@ class TestRepetitionsFor:
 
 class TestSchedule:
     def test_first_rounds(self):
-        s1 = schedule_for_round(1)
-        assert (s1.eps, s1.r) == (1 / 64, 5)
-        s2 = schedule_for_round(2)
-        assert (s2.eps, s2.r) == (1 / 128, 7)
-        s3 = schedule_for_round(3)
-        assert (s3.eps, s3.r) == (1 / 256, 7)
+        # r_k is the minimal odd r whose majority error meets 2^-(k+5).
+        for k, eps, r in ((1, 1 / 64, 5), (2, 1 / 128, 7), (3, 1 / 256, 7)):
+            assert schedule_for_round(k) == r
+            assert enumerate_majority(r, 0.1) <= eps < enumerate_majority(r - 2, 0.1)
 
     def test_round_three_via_oracle(self):
         # P(Bin(7, 0.1) >= 4) ~ 0.00273 <= 1/256, and r=5 fails
@@ -180,7 +178,7 @@ class TestSchedule:
         for k in range(1, MAX_ROUNDS + 1):
             while over_budget(r, k):
                 r += 2
-            assert schedule_for_round(k).r == r, k
+            assert schedule_for_round(k) == r, k
         assert r == 647
         with pytest.raises(ValueError):
             schedule_for_round(MAX_ROUNDS + 1)
@@ -192,15 +190,16 @@ class TestSchedule:
         monkeypatch.setattr(error_reduction, "_schedule", {})
         assert schedule_for_round(MAX_ROUNDS) == table[-1]
         assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
-        assert calls[0] == (table[-1].r - 1) // 2 + MAX_ROUNDS
+        assert calls[0] == (table[-1] - 1) // 2 + MAX_ROUNDS
 
     @given(st.integers(1, 25))
     @settings(max_examples=25)
     def test_budget_formula_and_logarithmic_growth(self, k):
-        s = schedule_for_round(k)
-        assert s.eps == 2.0 ** -(k + 5)
+        r = schedule_for_round(k)
+        # The budget is 2^-(k+5): r_k equals a fresh scan at that budget.
+        assert r == repetitions_for(2.0 ** -(k + 5), 0.1)
         # r = O(log(1/eps)) = O(k): generous linear envelope
-        assert s.r <= 2 * (k + 5) + 1
+        assert r <= 2 * (k + 5) + 1
 
 
 class TestApplyErrorReduction:
@@ -216,7 +215,11 @@ class TestApplyErrorReduction:
         assert after.w1[1] == pytest.approx(
             state.w1[1] * enumerate_majority(5, 0.1), abs=1e-15
         )
-        assert after.round == 2
+        # The caller's round index picks the vote size: round 2 takes r_2 = 7.
+        second = apply_error_reduction(state, 2, inst)
+        assert second.w1[0] == pytest.approx(
+            state.w1[0] * enumerate_majority(7, 0.9), abs=1e-15
+        )
 
     def test_perfect_subroutine_spawns_no_branch(self):
         # p = 1 keeps all flag-1 mass: nothing is pushed back to flag 0.
@@ -265,21 +268,22 @@ class TestApplyErrorReduction:
             state = apply_error_reduction(apply_amplification(state), k, inst)
         assert calls[0] == 4
 
-    def test_round_mismatch_rejected(self):
+    def test_round_index_out_of_range_rejected(self):
         inst = make_instance(4, 1, 0.9, 0.1)
-        with pytest.raises(ValueError):
-            apply_error_reduction(init_state(inst), 2, inst)
+        for k in (0, MAX_ROUNDS + 1):
+            with pytest.raises(ValueError, match="round index"):
+                apply_error_reduction(init_state(inst), k, inst)
 
     @given(strict_instances(), st.integers(1, 5))
     @settings(max_examples=50)
     def test_strict_split_factors_meet_budget(self, inst, k):
-        sched = schedule_for_round(k)
+        r, eps = schedule_for_round(k), 2.0 ** -(k + 5)
         for c in inst.classes:
-            a2 = majority_prob(sched.r, c.p)
+            a2 = majority_prob(r, c.p)
             if c.is_solution:
-                assert a2 >= 1 - sched.eps - 1e-15
+                assert a2 >= 1 - eps - 1e-15
             else:
-                assert a2 <= sched.eps + 1e-15
+                assert a2 <= eps + 1e-15
 
     @given(strict_instances(), st.integers(1, 4))
     @settings(max_examples=40)
@@ -293,9 +297,9 @@ class TestApplyErrorReduction:
     def test_beta_decay_and_alpha_growth_one_round(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         s0 = init_state(inst)
-        st0 = state_stats(s0, inst)
-        g1 = 3 - 4 * math.sin(st0.theta) ** 2
+        alpha0, beta0, theta0, _ = state_stats(s0, inst)
+        g1 = 3 - 4 * math.sin(theta0) ** 2
         s1 = apply_error_reduction(apply_amplification(s0), 1, inst)
-        st1 = state_stats(s1, inst)
-        assert st1.alpha >= st0.alpha * g1 * math.sqrt(1 - 2.0**-6) - 1e-12
-        assert st1.beta <= st0.beta * g1 * 2.0 ** (-6 / 2) + 1e-12
+        alpha1, beta1, _, _ = state_stats(s1, inst)
+        assert alpha1 >= alpha0 * g1 * math.sqrt(1 - 2.0**-6) - 1e-12
+        assert beta1 <= beta0 * g1 * 2.0 ** (-6 / 2) + 1e-12

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -7,6 +9,8 @@ import hypothesis.strategies as st
 from besearch import (
     IndexClass,
     ProblemInstance,
+    apply_amplification,
+    apply_error_reduction,
     build_state,
     expand_classes,
     init_state,
@@ -78,9 +82,9 @@ class TestInitState:
     def test_base_amplitudes(self):
         # alpha1^2 = sum_{solutions} p/n = 0.225, beta1^2 = 0.075
         inst = make_instance(4, 1, 0.9, 0.1)
-        st_ = state_stats(init_state(inst), inst)
-        assert st_.alpha == pytest.approx(math.sqrt(0.225), abs=1e-15)
-        assert st_.beta == pytest.approx(math.sqrt(0.075), abs=1e-15)
+        alpha, beta, _, _ = state_stats(init_state(inst), inst)
+        assert alpha == pytest.approx(math.sqrt(0.225), abs=1e-15)
+        assert beta == pytest.approx(math.sqrt(0.075), abs=1e-15)
 
     def test_deterministic_subroutines_single_branch(self):
         # One class with p = 1: all mass on flag 1, none on flag 0.
@@ -88,48 +92,46 @@ class TestInitState:
         state = init_state(inst)
         assert len(state.w1) == 1
         assert list(state.w0) == [0.0]
-        assert state_stats(state, inst).alpha == pytest.approx(1.0, abs=1e-15)
+        assert state_stats(state, inst)[0] == pytest.approx(1.0, abs=1e-15)
 
     @given(strict_instances(require_solution=True))
     def test_strict_base_alpha_lower_bound(self, inst):
-        st_ = state_stats(init_state(inst), inst)
-        assert st_.alpha**2 >= 0.9 * inst.t / inst.n - 1e-12
+        alpha, _, _, _ = state_stats(init_state(inst), inst)
+        assert alpha**2 >= 0.9 * inst.t / inst.n - 1e-12
 
     @given(strict_instances())
     def test_p_solution_is_t_over_n(self, inst):
-        st_ = state_stats(init_state(inst), inst)
-        assert abs(st_.p_solution - inst.t / inst.n) <= 1e-12
+        *_, p_solution = state_stats(init_state(inst), inst)
+        assert abs(p_solution - inst.t / inst.n) <= 1e-12
 
     def test_huge_n_is_cheap(self):
         inst = make_instance(10**12, 3, 0.9, 0.1)
-        st_ = state_stats(init_state(inst), inst)
-        assert st_.p_solution == pytest.approx(3e-12, rel=1e-9)
+        *_, p_solution = state_stats(init_state(inst), inst)
+        assert p_solution == pytest.approx(3e-12, rel=1e-9)
 
 
 class TestStateStats:
     def test_theta_of_base_state(self):
         inst = make_instance(4, 1, 0.9, 0.1)
-        st_ = state_stats(init_state(inst), inst)
-        assert st_.theta == pytest.approx(math.asin(math.sqrt(0.3)), abs=1e-15)
+        _, _, theta, _ = state_stats(init_state(inst), inst)
+        assert theta == pytest.approx(math.asin(math.sqrt(0.3)), abs=1e-15)
 
     def test_no_flag_one_mass_gives_zero_theta(self):
         inst = make_instance(6, 0, 0.9, 0.0, strict=True)
-        st_ = state_stats(init_state(inst), inst)
-        assert st_.theta == 0.0 and st_.alpha == 0.0 and st_.beta == 0.0
+        alpha, beta, theta, _ = state_stats(init_state(inst), inst)
+        assert theta == 0.0 and alpha == 0.0 and beta == 0.0
 
     def test_p_solution_uniform(self):
         inst = make_instance(4, 1, 0.9, 0.1)
-        assert state_stats(init_state(inst), inst).p_solution == pytest.approx(0.25, abs=1e-12)
+        assert state_stats(init_state(inst), inst)[3] == pytest.approx(0.25, abs=1e-12)
 
     @given(relaxed_instances(), st.integers(0, 4))
     @settings(max_examples=50)
     def test_sin_theta_matches_flag_one_mass(self, inst, rounds):
         state, _ = build_state(inst, rounds)
-        st_ = state_stats(state, inst)
-        assert math.sin(st_.theta) ** 2 == pytest.approx(
-            st_.alpha**2 + st_.beta**2, abs=1e-12
-        )
-        assert st_.p_solution >= st_.alpha**2 - 1e-12
+        alpha, beta, theta, p_solution = state_stats(state, inst)
+        assert math.sin(theta) ** 2 == pytest.approx(alpha**2 + beta**2, abs=1e-12)
+        assert p_solution >= alpha**2 - 1e-12
 
 
 class TestInvariants:
@@ -158,28 +160,34 @@ class TestInvariants:
         state_c, _ = build_state(inst, rounds)
         expanded = expand_classes(inst)
         state_e, _ = build_state(expanded, rounds)
-        a = state_stats(state_c, inst)
-        b = state_stats(state_e, expanded)
-        assert a.alpha == pytest.approx(b.alpha, abs=1e-12)
-        assert a.beta == pytest.approx(b.beta, abs=1e-12)
+        a_alpha, a_beta, a_theta, a_p = state_stats(state_c, inst)
+        b_alpha, b_beta, b_theta, b_p = state_stats(state_e, expanded)
+        assert a_alpha == pytest.approx(b_alpha, abs=1e-12)
+        assert a_beta == pytest.approx(b_beta, abs=1e-12)
         # theta is compared through its sine: arcsine is ill-conditioned
         # at the top endpoint, which a p=1 class hits exactly.
-        assert math.sin(a.theta) == pytest.approx(math.sin(b.theta), abs=1e-12)
-        assert a.p_solution == pytest.approx(b.p_solution, abs=1e-12)
+        assert math.sin(a_theta) == pytest.approx(math.sin(b_theta), abs=1e-12)
+        assert a_p == pytest.approx(b_p, abs=1e-12)
 
     @given(strict_instances(), st.integers(0, 6))
     @settings(max_examples=40)
     def test_state_has_one_entry_per_class(self, inst, rounds):
         state, _ = build_state(inst, rounds)
+        assert [f.name for f in dataclasses.fields(state)] == ["w1", "w0"]
         assert state.w1.shape == state.w0.shape == (len(inst.classes),)
-        assert state.round == rounds + 1
         assert (state.w1 >= 0).all() and (state.w0 >= 0).all()
+        # The state keeps no round index: build_state ran exactly `rounds`
+        # rounds, k = 1 .. rounds, as chaining them by hand does.
+        chained = init_state(inst)
+        for k in range(1, rounds + 1):
+            chained = apply_error_reduction(apply_amplification(chained), k, inst)
+        assert np.array_equal(state.w1, chained.w1) and np.array_equal(state.w0, chained.w0)
 
     def test_states_are_immutable(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state = init_state(inst)
         with pytest.raises(AttributeError):
-            state.round = 5
+            state.w1 = np.zeros(2)
         with pytest.raises(ValueError):
             state.w1[0] = 0.5
         with pytest.raises(AttributeError):

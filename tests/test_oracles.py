@@ -15,7 +15,6 @@ from besearch.oracles import (
     ROUND_GRID,
     ROUND_ONE_REPS,
     ROUND_TOL,
-    DenseScenario,
     UnitarityError,
     amplification_residual,
     block_recursion_cost,
@@ -35,29 +34,54 @@ def relaxed(ps):
     return ProblemInstance(classes, strict=False)
 
 
+# A dense scenario is the pair (unitary, flag_indices) that the dense
+# oracles take; both check it before any matrix work.
+DENSE_ORACLES = (grover_operator, amplification_residual)
+
+
 class TestDenseScenario:
     def test_identity_unitary_zero_theta(self):
-        # A|0> = e0 with e0 unflagged: S1 acts trivially and the double
-        # sign cancels, so G A|0> = A|0> and the residual vanishes.
-        sc = DenseScenario(unitary=np.eye(4, dtype=complex), flag_indices={1, 2})
-        assert sc.theta == 0.0
-        assert amplification_residual(sc) <= 1e-14
+        # A|0> = e0 with e0 unflagged: theta = 0, S1 acts trivially and the
+        # double sign cancels, so G A|0> = A|0> and the residual vanishes.
+        a = np.eye(4, dtype=complex)
+        assert np.array_equal(grover_operator(a, {1, 2}) @ a[:, 0], a[:, 0])
+        assert amplification_residual(a, {1, 2}) <= 1e-14
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(UnitarityError):
-            DenseScenario(unitary=np.ones((3, 3), dtype=complex), flag_indices={1})
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(UnitarityError):
+                oracle(np.ones((3, 3), dtype=complex), {1})
 
     def test_rejects_improper_partition(self):
-        with pytest.raises(ValueError):
-            DenseScenario(unitary=np.eye(3, dtype=complex), flag_indices=set())
-        with pytest.raises(ValueError):
-            DenseScenario(unitary=np.eye(3, dtype=complex), flag_indices={0, 1, 2})
-        with pytest.raises(ValueError):
-            DenseScenario(unitary=np.eye(3, dtype=complex), flag_indices={5})
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(ValueError):
+                oracle(np.eye(3, dtype=complex), set())
+            with pytest.raises(ValueError):
+                oracle(np.eye(3, dtype=complex), {0, 1, 2})
+            with pytest.raises(ValueError):
+                oracle(np.eye(3, dtype=complex), {5})
 
     def test_rejects_oversized_dimension(self):
-        with pytest.raises(ValueError):
-            DenseScenario(unitary=np.eye(128, dtype=complex), flag_indices={1})
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(ValueError):
+                oracle(np.eye(128, dtype=complex), {1})
+
+    def test_checks_run_before_any_matrix_work(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("matrix work before the scenario checks")
+
+        monkeypatch.setattr(besearch.oracles, "_grover_matrix", no_matrix)
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(UnitarityError):
+                oracle(np.ones((3, 3), dtype=complex), {1})
+            with pytest.raises(ValueError):
+                oracle(np.eye(3, dtype=complex), {5})
+
+    def test_random_scenario_is_a_proper_flag_set(self):
+        for dim in (2, 4, 8, 16):
+            a, flags = random_scenario(dim, seed=dim)
+            assert a.shape == (dim, dim)
+            assert 0 < len(flags) < dim and all(0 <= i < dim for i in flags)
 
     def test_seeded_check_is_deterministic(self):
         a = dense_amplification_check(8, {1, 3, 5}, seed=11)
@@ -67,32 +91,31 @@ class TestDenseScenario:
     def test_random_scenarios_tiny_residual(self):
         worst = 0.0
         for i in range(50):
-            sc = random_scenario([2, 4, 8, 16][i % 4], seed=1000 + i)
-            worst = max(worst, amplification_residual(sc))
+            a, flags = random_scenario([2, 4, 8, 16][i % 4], seed=1000 + i)
+            worst = max(worst, amplification_residual(a, flags))
         assert worst <= 1e-10
 
     def test_prescribed_flag_mass_point_three(self):
         # flag-1 mass w = 0.3 must amplify to w (3 - 4w)^2 = 0.972, tying
         # the dense oracle to the structured engine's closed form.
         psi = np.sqrt(np.array([0.35, 0.15, 0.35, 0.15], dtype=complex))
-        sc = DenseScenario(unitary=unitary_with_first_column(psi), flag_indices={1, 3})
-        out = grover_operator(sc) @ psi
+        a = unitary_with_first_column(psi)
+        out = grover_operator(a, {1, 3}) @ psi
         mass = float(np.sum(np.abs(out[[1, 3]]) ** 2))
         assert mass == pytest.approx(0.972, abs=1e-12)
-        assert amplification_residual(sc) <= 1e-12
+        assert amplification_residual(a, {1, 3}) <= 1e-12
 
     def test_grover_operator_equals_four_matrix_product(self):
         # Exact equality: the sign diagonals S0 and S1 only flip signs.
         for dim in range(2, 17):
             for seed in range(4):
-                sc = random_scenario(dim, seed=3000 + 10 * dim + seed)
+                a, flags = random_scenario(dim, seed=3000 + 10 * dim + seed)
                 s0 = np.eye(dim, dtype=complex)
                 s0[0, 0] = -1.0
                 s1 = np.eye(dim, dtype=complex)
-                for i in sc.flag_indices:
+                for i in flags:
                     s1[i, i] = -1.0
-                a = sc.unitary
-                assert np.array_equal(grover_operator(sc), -(a @ s0 @ a.conj().T @ s1))
+                assert np.array_equal(grover_operator(a, flags), -(a @ s0 @ a.conj().T @ s1))
 
     def test_completion_handles_zero_leading_component(self):
         psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
@@ -169,6 +192,27 @@ class TestStructuredVsDense:
         big = make_instance(129, 0, 0.9, 0.1)
         with pytest.raises(ValueError):
             structured_vs_dense_round(big)
+
+    def test_cap_checked_before_the_instance_is_expanded(self, monkeypatch):
+        # Expanding builds one class per index, linear in n: a rejected n
+        # must not pay for it. An expansion past the cap fails at once
+        # instead of running, so a regression cannot build 10^9 classes.
+        calls = []
+        expand = besearch.oracles.expand_classes
+
+        def counted(instance):
+            calls.append(instance.n)
+            if instance.n > 128:
+                raise AssertionError(f"expanded n = {instance.n} before the cap check")
+            return expand(instance)
+
+        monkeypatch.setattr(besearch.oracles, "expand_classes", counted)
+        for n in (129, 4 * 10**5, 10**9):
+            with pytest.raises(ValueError, match="exceeds"):
+                structured_vs_dense_round(make_instance(n, 1, 0.9, 0.1))
+        assert calls == []
+        structured_vs_dense_round(make_instance(128, 1, 0.9, 0.1))
+        assert calls == [128]
 
 
 class TestSimpleSearchCost:
