@@ -35,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .driver import DEFAULT_SHOTS, check_seed, check_shots, full_sweep_cost, run_search
-from .model import make_instance
+from .model import check_int, make_instance
 
 GATE_OR = "OR"
 GATE_AND = "AND"
@@ -46,7 +46,8 @@ class AndOrTree:
     """Shape of a d-level AND-OR tree: per-level fanouts and the root gate.
 
     Gates alternate by level; the gate at each lower level is implied by
-    ``root_gate``. ``depth == 0`` is a single input variable.
+    ``root_gate``. ``depth == 0`` is a single input variable. The depth
+    (>= 0) and each fanout (>= 1) are checked integers, stored as ``int``.
     """
 
     depth: int
@@ -54,15 +55,12 @@ class AndOrTree:
     root_gate: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fanouts", tuple(self.fanouts))
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        object.__setattr__(self, "depth", check_int("depth", self.depth, 0))
+        object.__setattr__(self, "fanouts", tuple(check_int("fanout", f, 1) for f in self.fanouts))
         if len(self.fanouts) != self.depth:
             raise ValueError(
                 f"need one fanout per level: depth {self.depth}, got {len(self.fanouts)}"
             )
-        if any(f < 1 for f in self.fanouts):
-            raise ValueError("fanouts must be positive")
         if self.root_gate not in (GATE_OR, GATE_AND):
             raise ValueError(f"root gate must be OR or AND, got {self.root_gate!r}")
 

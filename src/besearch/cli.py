@@ -46,7 +46,7 @@ from .driver import (
     search_blocks,
     verification_repetitions,
 )
-from .model import InvariantError, make_instance
+from .model import InvariantError, check_int, make_instance
 from .oracles import block_recursion_cost, run_fact_checks, simple_search_cost
 
 CSV_SCHEMA = 1
@@ -118,7 +118,13 @@ def _config_hash(cmd: str, params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write_rows(cfg: RunConfig, fieldnames: list[str], rows: list[dict]) -> None:
+def _emit(
+    cfg: RunConfig, fieldnames: list[str], rows: list[dict], shown: list[str], prefix: str = ""
+) -> None:
+    """Print each row's ``shown`` columns as ``key=value`` after ``prefix``,
+    then write all ``fieldnames`` columns to the CSV and JSON files asked for."""
+    for row in rows:
+        print(prefix + " ".join(f"{key}={row[key]}" for key in shown))
     seed = cfg.get("seed", "")
     tagged = [dict(row, config_hash=cfg.config_hash, seed=seed) for row in rows]
     names = fieldnames + ["config_hash", "seed"]
@@ -255,21 +261,16 @@ def cmd_search(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------- curve
 
 def cmd_curve(cfg: RunConfig) -> int:
-    if cfg["m_max"] < -1:
-        raise UsageError(f"m_max must be >= 0, or -1 for ceil(log9 n), got {cfg['m_max']}")
+    m_max = check_int("m_max", cfg["m_max"], -1)
     inst = _instance(cfg)
-    m_max = cfg["m_max"] if cfg["m_max"] >= 0 else ceil_log9(inst.n)
+    m_max = m_max if m_max >= 0 else ceil_log9(inst.n)
     rows = [
         dict(m=pt.m, alpha=repr(pt.alpha), beta=repr(pt.beta), theta=repr(pt.theta),
              p_solution=repr(pt.p_solution), cost=pt.cost, strict=inst.strict)
         for pt in exact_success_curve(inst, m_max)
     ]
-    for row in rows:
-        print(
-            f"m={row['m']} alpha={row['alpha']} beta={row['beta']} "
-            f"theta={row['theta']} p_solution={row['p_solution']} cost={row['cost']}"
-        )
-    _write_rows(cfg, ["m", "alpha", "beta", "theta", "p_solution", "cost", "strict"], rows)
+    fields = ["m", "alpha", "beta", "theta", "p_solution", "cost", "strict"]
+    _emit(cfg, fields, rows, fields[:-1])
     return 0
 
 
@@ -296,17 +297,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 strict=inst.strict,
             )
         )
-    for row in rows:
-        print(
-            f"n={row['n']} outcome={row['outcome']} search_cost={row['search_cost']} "
-            f"full_sweep_cost={row['full_sweep_cost']} cost_over_sqrt_n={row['cost_over_sqrt_n']}"
-        )
-    _write_rows(
-        cfg,
-        ["n", "t", "blocks", "verify_reps", "outcome", "found_class",
-         "search_cost", "full_sweep_cost", "cost_over_sqrt_n", "strict"],
-        rows,
-    )
+    _emit(cfg, ["n", "t", "blocks", "verify_reps", "outcome", "found_class", "search_cost",
+                "full_sweep_cost", "cost_over_sqrt_n", "strict"],
+          rows, ["n", "outcome", "search_cost", "full_sweep_cost", "cost_over_sqrt_n"])
     return 0
 
 
@@ -343,14 +336,8 @@ def cmd_andor(cfg: RunConfig) -> int:
                 q_over_sqrt_leaves=repr(q / math.sqrt(node.n_leaves)),
             )
         )
-    for row in rows:
-        print(
-            f"cost: level={row['level']} fanout={row['fanout']} leaves={row['leaves']} "
-            f"leaf_queries={row['leaf_queries']} q_over_sqrt_leaves={row['q_over_sqrt_leaves']}"
-        )
-    _write_rows(
-        cfg, ["level", "fanout", "leaves", "gate", "leaf_queries", "q_over_sqrt_leaves"], rows
-    )
+    _emit(cfg, ["level", "fanout", "leaves", "gate", "leaf_queries", "q_over_sqrt_leaves"],
+          rows, ["level", "fanout", "leaves", "leaf_queries", "q_over_sqrt_leaves"], "cost: ")
     return 0
 
 
@@ -380,16 +367,8 @@ def cmd_baselines(cfg: RunConfig) -> int:
                 block_over_sqrt_n=repr(block / math.sqrt(n)),
             )
         )
-    for row in rows:
-        print(
-            f"n={row['n']} simple_cost={row['simple_cost']} block_cost={row['block_cost']} "
-            f"block_over_sqrt_n={row['block_over_sqrt_n']}"
-        )
-    _write_rows(
-        cfg,
-        ["n", "simple_cost", "simple_over_sqrtn_log2n", "block_cost", "block_over_sqrt_n"],
-        rows,
-    )
+    _emit(cfg, ["n", "simple_cost", "simple_over_sqrtn_log2n", "block_cost", "block_over_sqrt_n"],
+          rows, ["n", "simple_cost", "block_cost", "block_over_sqrt_n"])
     return 0
 
 

@@ -200,12 +200,8 @@ def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
 def check_seed(seed: Seed) -> None:
     """Reject a seed that is not a nonnegative integer or a SeedSequence
     (bool, float, str and None included) before anything is seeded from it."""
-    if isinstance(seed, (bool, float)) or not isinstance(
-        seed, (int, np.integer, np.random.SeedSequence)
-    ):
-        raise ValueError(f"seed must be an integer or SeedSequence, got {seed!r}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not isinstance(seed, np.random.SeedSequence):
+        check_int("seed", seed, 0)
 
 
 def _rng(seed: Seed) -> np.random.Generator:

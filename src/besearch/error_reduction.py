@@ -16,7 +16,9 @@ from functools import cache
 
 import numpy as np
 
-from .model import NORM_TOL, InvariantError, ProblemInstance, StructuredState, total_mass
+from .model import (
+    NORM_TOL, InvariantError, ProblemInstance, StructuredState, check_int, check_prob, total_mass
+)
 
 # Base error of the promise: each subroutine is wrong with probability <= 1/10.
 BASE_ERROR = 0.1
@@ -65,14 +67,15 @@ def majority_prob(r: int, p):
     correctly rounded: for odd r up to 647 it was measured within 3 ulp
     (3.3e-16 absolute) of the correctly rounded sum of the terms.
     """
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"repetition count must be odd and positive, got {r}")
+    r = check_int("r", r, 1)
+    if r % 2 == 0:
+        raise ValueError(f"r must be odd, got {r}")
     p = np.asarray(p, dtype=float)
     col = p.reshape(-1, 1)
     q = 1.0 - col
     ok = col * q >= 0.0  # p(1-p) >= 0 exactly when 0 <= p <= 1; NaN fails
     if not ok.all():
-        raise ValueError(f"probability must lie in [0, 1], got {float(col[~ok][0])!r}")
+        check_prob("p", float(col[~ok][0]))  # raises, naming the first bad entry
     coeffs, ones, zeros = _majority_terms(r)
     m = (coeffs * col**ones * q**zeros).sum(axis=1).reshape(p.shape)
     return m if m.ndim else float(m)
@@ -117,8 +120,7 @@ _schedule: dict[int, int] = {}
 def schedule_for_round(k: int) -> int:
     """Round k's repetition count r_k: the minimal odd r whose majority
     error at base error 1/10 is within the round's budget 2^-(k+5)."""
-    if not 1 <= k <= MAX_ROUNDS:
-        raise ValueError(f"round index must lie in [1, {MAX_ROUNDS}], got {k}")
+    k = check_int("round index", k, 1, MAX_ROUNDS)
     while len(_schedule) < k:
         j = len(_schedule) + 1
         _schedule[j] = _min_odd_reps(2.0 ** -(j + 5), BASE_ERROR, _schedule.get(j - 1, 1))

@@ -49,6 +49,17 @@ def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
     return int(value)
 
 
+def check_prob(name: str, value) -> float:
+    """Return ``value`` as a ``float``, or raise a ``ValueError`` naming
+    ``name`` if it is not a real number (bool, str and None included) or
+    lies outside [0, 1] (NaN included). numpy floats and integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class IndexClass:
     """A group of indices whose subroutines behave identically.
@@ -56,7 +67,7 @@ class IndexClass:
     Parameters
     ----------
     p : float
-        Probability that one run of the subroutine outputs 1.
+        Probability that one run of the subroutine outputs 1, as a ``float``.
     count : int
         Number of indices in the class (>= 1), stored as an ``int``.
     is_solution : bool
@@ -68,9 +79,8 @@ class IndexClass:
     is_solution: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", check_prob("p", self.p))
         object.__setattr__(self, "count", check_int("count", self.count, 1))
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"class probability must lie in [0, 1], got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -137,14 +147,12 @@ def make_instance(
 ) -> ProblemInstance:
     """Build the canonical two-class instance: t solutions, n - t non-solutions.
 
-    Raises ``ValueError`` for a non-integer n or t, t > n, probabilities
-    outside [0, 1], or strict-mode promise violations.
+    Raises ``ValueError`` for a non-integer n or t, t > n, a probability
+    that is not a number in [0, 1], or strict-mode promise violations.
     """
     n = check_int("n", n, 1)
     t = check_int("t", t, 0, n)
-    for name, p in (("p_good", p_good), ("p_bad", p_bad)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+    p_good, p_bad = check_prob("p_good", p_good), check_prob("p_bad", p_bad)
     if strict:
         if p_good < PROMISE_GOOD:
             raise ValueError(f"strict mode requires p_good >= {PROMISE_GOOD}, got {p_good}")

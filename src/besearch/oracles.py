@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import build_state, check_seed
+from .driver import build_state
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
-from .model import IndexClass, ProblemInstance, check_int, expand_classes
+from .model import IndexClass, ProblemInstance, check_int, check_prob, expand_classes
 
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
 MAX_DENSE_DIM = 64
@@ -124,7 +124,8 @@ def _normalized_part(psi: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def random_scenario(dim: int, seed) -> tuple[np.ndarray, frozenset[int]]:
     """Random scenario (unitary, flag_indices): a Haar-like unitary and a
-    random proper flag set."""
+    random proper flag set. ``dim`` is checked before the unitary is built."""
+    dim = check_int("dim", dim, 2, MAX_DENSE_DIM)
     rng = np.random.default_rng(seed)
     a = random_unitary(dim, rng)
     size = int(rng.integers(1, dim))
@@ -164,7 +165,9 @@ def amplification_residual(unitary: np.ndarray, flag_indices) -> float:
 
 
 def dense_amplification_check(dim: int, flag_indices, seed) -> float:
-    """Residual of the rotation identity on a seeded random scenario."""
+    """Residual of the rotation identity on a seeded random scenario; ``dim``
+    is checked before the unitary is built."""
+    dim = check_int("dim", dim, 2, MAX_DENSE_DIM)
     rng = np.random.default_rng(seed)
     return amplification_residual(random_unitary(dim, rng), flag_indices)
 
@@ -258,18 +261,18 @@ def simple_search_cost(n: int) -> int:
     return iters * repetitions_for(1.0 / (100 * n), 0.1)
 
 
-def block_recursion_cost(n: int, base_cutoff: int = 64) -> int:
+def block_recursion_cost(n: int) -> int:
     """Query cost of the block-recursive baseline.
 
-    T(n) = n for n <= base_cutoff; otherwise
+    T(n) = n for n <= 64; otherwise
     T(n) = T(b) * ceil(sqrt(n / b)) + ceil(log2 n) with b = ceil(log2 n)^2.
     Constants are normalized to 1; this is a cost model, not a simulator.
     """
     n = check_int("n", n, 1)
-    if n <= base_cutoff:
+    if n <= 64:
         return n
     b = _ceil_log2(n) ** 2
-    return block_recursion_cost(b, base_cutoff) * _ceil_sqrt_ratio(n, b) + _ceil_log2(n)
+    return block_recursion_cost(b) * _ceil_sqrt_ratio(n, b) + _ceil_log2(n)
 
 
 def _ceil_log2(n: int) -> int:
@@ -309,8 +312,9 @@ def enumerate_majority(r: int, p: float) -> float:
     float as a plain loop over the strings. r is capped at MAX_ENUM_R,
     since the cached popcounts take 2^(r-1) bytes.
     """
-    if not (1 <= r <= MAX_ENUM_R and r % 2 == 1):
-        raise ValueError(f"repetition count must be odd and in [1, {MAX_ENUM_R}], got {r}")
+    r, p = check_int("r", r, 1, MAX_ENUM_R), check_prob("p", p)
+    if r % 2 == 0:
+        raise ValueError(f"r must be odd, got {r}")
     weight = np.array([p**j * (1.0 - p) ** (r - j) for j in range(r + 1)])
     return float(np.add.accumulate(weight[_majority_ones(r)])[-1])
 
@@ -321,8 +325,7 @@ def majority_oracle_gap(max_r: int = 15, grid=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1
     max_r must lie in [1, MAX_ENUM_R]; majority_prob evaluates the whole
     grid in one call per r.
     """
-    if not 1 <= max_r <= MAX_ENUM_R:
-        raise ValueError(f"max_r must lie in [1, {MAX_ENUM_R}], got {max_r}")
+    max_r = check_int("max_r", max_r, 1, MAX_ENUM_R)
     gap = 0.0
     for r in range(1, max_r + 1, 2):
         enumerated = [enumerate_majority(r, p) for p in grid]
@@ -365,10 +368,10 @@ def run_fact_checks(
     (an index is a solution when p >= 1/2). Arguments are checked before
     any check runs.
     """
-    dims = tuple(dims)
-    check_seed(seed)
-    if scenarios < 1 or not dims or not all(2 <= d <= MAX_DENSE_DIM for d in dims):
-        raise ValueError(f"fact checks need scenarios >= 1 and dims in [2, {MAX_DENSE_DIM}]")
+    scenarios, seed = check_int("scenarios", scenarios, 1), check_int("seed", seed, 0)
+    dims = tuple(check_int("dim", d, 2, MAX_DENSE_DIM) for d in dims)
+    if not dims:
+        raise ValueError("fact checks need at least one dimension")
     gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work
     residual = max(
         amplification_residual(*random_scenario(dims[i % len(dims)], seed + i))

@@ -422,7 +422,8 @@ class TestExitContract:
 README_TREE = "depth 2\nroot OR\nfanouts 3 3\nleaves 010000110\n"
 
 #: sha256 of seeded CLI outputs: the CSV a command writes, or the stdout of
-#: ``search`` without lines naming an output path. Recorded before the
+#: a command run without ``--csv`` (``search`` and the ``-stdout`` entries),
+#: without lines naming an output path. Recorded before the
 #: state lost its round index and the stats, factor, schedule and scenario
 #: records became plain values; these bytes must not move. Paths are
 #: relative to the working directory, since the tree path enters the
@@ -448,6 +449,23 @@ GOLDEN_OUTPUTS = {
     "search": (
         ["search", "--n", "6561", "--seed", "7"],
         "fc3d1bed35c980c46b500f6c9a0ed0e23ada66d7195a20ef432484b3b50efd53",
+    ),
+    # The printed rows, recorded before one emitter printed every table.
+    "curve-stdout": (
+        ["curve", "--n", "6561", "--t", "1"],
+        "dbf4ea2538f27de4ab4875e5704e304f8812187f0b25894c757aa32eddd47bb0",
+    ),
+    "sweep-stdout": (
+        ["sweep", "--seed", "3"],
+        "6518db77f92cd1e87cad12a3627652fd486483d4d4b7a1af4f0249da9df5f522",
+    ),
+    "andor-stdout": (
+        ["andor", "--tree", "tree.txt", "--seed", "5"],
+        "18c2bfc066860e37649eb38ceaef2e40854c65fff5667dc85856fba1084e7017",
+    ),
+    "baselines-stdout": (
+        ["baselines"],
+        "e04c12727cd1be765e135c1ed286eca14bfca5d8b8159cbaa3c7ed45b705ea87",
     ),
 }
 

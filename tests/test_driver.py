@@ -31,10 +31,23 @@ from besearch import (
     verification_repetitions,
 )
 from besearch.driver import (
-    VERIFICATION_CONFIDENCE, _measure, _sample_block, check_shots, prep_costs
+    VERIFICATION_CONFIDENCE, _measure, _sample_block, check_seed, check_shots, prep_costs
 )
-from besearch.model import IndexClass, ProblemInstance, StructuredState, check_int
-from besearch.oracles import block_recursion_cost, enumerate_majority, simple_search_cost
+from besearch.error_reduction import majority_prob
+from besearch.model import (
+    IndexClass, ProblemInstance, StructuredState, check_int, check_prob
+)
+from besearch.oracles import (
+    MAX_DENSE_DIM,
+    MAX_ENUM_R,
+    block_recursion_cost,
+    dense_amplification_check,
+    enumerate_majority,
+    majority_oracle_gap,
+    random_scenario,
+    run_fact_checks,
+    simple_search_cost,
+)
 from conftest import strict_instances
 
 
@@ -486,17 +499,27 @@ class TestPieceDraws:
 
 
 def _plain(result):
-    """A result in a form that == compares: states become their masses."""
+    """A result in a form that == compares: states become their masses and
+    a dense scenario's unitary its nested list of entries."""
+    if isinstance(result, StructuredState):
+        return result.w1.tolist(), result.w0.tolist()
     if isinstance(result, tuple) and isinstance(result[0], StructuredState):
-        state, cost = result
-        return state.w1.tolist(), state.w0.tolist(), cost
+        return _plain(result[0]), result[1]
+    if isinstance(result, tuple) and isinstance(result[0], np.ndarray):
+        return result[0].tolist(), result[1]
     return result
 
 
+def _fact_checks(scenarios=1, dims=(4,), seed=0, max_r=3):
+    """run_fact_checks on its smallest inputs: one cheap crosscheck instance."""
+    return run_fact_checks(scenarios, dims, seed, max_r, round_grid=((0.9, 0.1),))
+
+
 class TestIntegerContract:
-    """Every size, count and round argument is checked by ``check_int``:
-    bool, float, str and None raise a ValueError that names the argument,
-    and a numpy integer gives the same result as the Python int."""
+    """Every size, count, round, majority, scenario, dimension, tree shape
+    and seed argument is checked by ``check_int``: bool, float, str and
+    None raise a ValueError that names the argument, and a numpy integer
+    gives the same result as the Python int."""
 
     INST = make_instance(81, 1, 0.9, 0.1)
     # entry point -> (name in the error, call with the value under test)
@@ -516,7 +539,26 @@ class TestIntegerContract:
         "IndexClass": ("count", lambda v: IndexClass(0.5, v, False)),
         "simple_search_cost": ("n", lambda v: simple_search_cost(v)),
         "block_recursion_cost": ("n", lambda v: block_recursion_cost(v)),
+        "schedule_for_round": ("round index", lambda v: schedule_for_round(v)),
+        "apply_error_reduction": ("round index", lambda v: apply_error_reduction(
+            init_state(TestIntegerContract.INST), v, TestIntegerContract.INST)),
+        "majority_prob": ("r", lambda v: majority_prob(v, 0.3)),
+        "enumerate_majority": ("r", lambda v: enumerate_majority(v, 0.3)),
+        "majority_oracle_gap": ("max_r", lambda v: majority_oracle_gap(v)),
+        "run_fact_checks-scenarios": ("scenarios", lambda v: _fact_checks(scenarios=v)),
+        "run_fact_checks-dims": ("dim", lambda v: _fact_checks(dims=(4, v))),
+        "run_fact_checks-seed": ("seed", lambda v: _fact_checks(seed=v)),
+        "run_fact_checks-max_r": ("max_r", lambda v: _fact_checks(max_r=v)),
+        "random_scenario": ("dim", lambda v: random_scenario(v, 0)),
+        "dense_amplification_check": ("dim", lambda v: dense_amplification_check(v, {1}, 0)),
+        "AndOrTree-depth": ("depth", lambda v: AndOrTree(v, (2,) * 3, GATE_OR)),
+        "AndOrTree-fanout": ("fanout", lambda v: AndOrTree(2, (3, v), GATE_OR)),
+        "check_seed": ("seed", lambda v: check_seed(v)),
     }
+    # An in-range value for the entry points whose range or call excludes 81.
+    IN_RANGE = {"enumerate_majority": 9, "majority_oracle_gap": 9, "run_fact_checks-dims": 8,
+                "run_fact_checks-max_r": 5, "random_scenario": 8, "dense_amplification_check": 8,
+                "AndOrTree-depth": 3}
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("bad", (True, 81.0, "81", None))
@@ -528,7 +570,8 @@ class TestIntegerContract:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_numpy_integer_counts_as_int(self, entry):
         _, call = self.ENTRY_POINTS[entry]
-        assert _plain(call(np.int64(81))) == _plain(call(81))
+        good = self.IN_RANGE.get(entry, 81)
+        assert _plain(call(np.int64(good))) == _plain(call(good))
 
     def test_numpy_integers_are_stored_as_int(self):
         inst = make_instance(np.int64(81), np.int64(1), 0.9, 0.1)
@@ -536,6 +579,8 @@ class TestIntegerContract:
         assert all(type(c.count) is int for c in inst.classes)
         assert type(IndexClass(0.5, np.int64(3), False).count) is int
         assert type(check_int("x", np.int64(3), 1)) is int
+        tree = AndOrTree(np.int64(2), (np.int64(3), np.int64(4)), GATE_OR)
+        assert type(tree.depth) is int and all(type(f) is int for f in tree.fanouts)
 
     def test_range_is_checked(self):
         for call, arg in ((lambda: check_int("x", 0, 1), "x"),
@@ -543,10 +588,71 @@ class TestIntegerContract:
                           (lambda: ceil_log9(0), "n"),
                           (lambda: make_instance(81, 82, 0.9, 0.1), "t"),
                           (lambda: IndexClass(0.5, 0, False), "count"),
-                          (lambda: analytic_cost(-1), "rounds")):
+                          (lambda: analytic_cost(-1), "rounds"),
+                          (lambda: schedule_for_round(0), "round index"),
+                          (lambda: schedule_for_round(MAX_ROUNDS + 1), "round index"),
+                          (lambda: majority_prob(-1, 0.5), "r"),
+                          (lambda: enumerate_majority(MAX_ENUM_R + 2, 0.5), "r"),
+                          (lambda: majority_oracle_gap(0), "max_r"),
+                          (lambda: _fact_checks(scenarios=0), "scenarios"),
+                          (lambda: _fact_checks(dims=(4, 1)), "dim"),
+                          (lambda: _fact_checks(dims=(MAX_DENSE_DIM + 1,)), "dim"),
+                          (lambda: _fact_checks(seed=-1), "seed"),
+                          (lambda: _fact_checks(max_r=MAX_ENUM_R + 1), "max_r"),
+                          (lambda: random_scenario(1, 0), "dim"),
+                          (lambda: dense_amplification_check(MAX_DENSE_DIM + 1, {1}, 0), "dim"),
+                          (lambda: AndOrTree(-1, (), GATE_OR), "depth"),
+                          (lambda: AndOrTree(2, (3, 0), GATE_OR), "fanout"),
+                          (lambda: check_seed(-1), "seed")):
             with pytest.raises(ValueError, match=f"^{arg} must lie in"):
                 call()
         assert check_int("x", 4, 1, 4) == 4 and check_int("x", 10**30, 1) == 10**30
+
+    def test_odd_and_nonempty_checks_stay(self):
+        for call in (lambda: majority_prob(4, 0.5), lambda: enumerate_majority(4, 0.5)):
+            with pytest.raises(ValueError, match="^r must be odd"):
+                call()
+        with pytest.raises(ValueError, match="at least one dimension"):
+            _fact_checks(dims=())
+
+
+class TestProbabilityContract:
+    """Every scalar probability argument is checked by ``check_prob``: bool,
+    str, None, NaN and values outside [0, 1] raise a ValueError that names
+    the argument, and a numpy float gives the same result as the float."""
+
+    # entry point -> (name in the error, call with the value under test)
+    ENTRY_POINTS = {
+        "check_prob": ("x", lambda v: check_prob("x", v)),
+        "IndexClass": ("p", lambda v: IndexClass(v, 3, False)),
+        "make_instance-p_good": ("p_good", lambda v: make_instance(81, 1, v, 0.1, strict=False)),
+        "make_instance-p_bad": ("p_bad", lambda v: make_instance(81, 1, 0.9, v, strict=False)),
+        "enumerate_majority": ("p", lambda v: enumerate_majority(5, v)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", (True, "0.9", None, math.nan, 1.5, -0.25))
+    def test_rejects_non_probabilities(self, entry, bad):
+        name, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("good", (0.0, 0.3, 1.0))
+    def test_numpy_float_counts_as_float(self, entry, good):
+        _, call = self.ENTRY_POINTS[entry]
+        assert call(np.float64(good)) == call(good)
+
+    def test_probabilities_are_stored_as_float(self):
+        assert type(check_prob("x", np.float64(0.25))) is float
+        assert type(check_prob("x", 1)) is float
+        inst = make_instance(81, 1, np.float64(0.95), np.float32(0.0625))
+        assert all(type(c.p) is float for c in inst.classes)
+        assert inst.classes[1].p == 0.0625
+
+    def test_array_entry_is_named(self):
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got nan"):
+            majority_prob(5, np.array([0.1, math.nan, 0.9]))
 
 
 class TestShotCheck:

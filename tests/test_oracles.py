@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import besearch.oracles
 from besearch import IndexClass, ProblemInstance, full_sweep_cost, make_instance
 from besearch.oracles import (
+    MAX_DENSE_DIM,
     MAX_ENUM_R,
     MAX_ROUND_DIM,
     ROUND_GRID,
@@ -76,6 +77,23 @@ class TestDenseScenario:
                 oracle(np.ones((3, 3), dtype=complex), {1})
             with pytest.raises(ValueError):
                 oracle(np.eye(3, dtype=complex), {5})
+
+    def test_dimension_checked_before_the_unitary_is_built(self, monkeypatch):
+        calls = []
+
+        def counting_unitary(dim, rng):
+            calls.append(dim)
+            return np.eye(dim, dtype=complex)
+
+        monkeypatch.setattr(besearch.oracles, "random_unitary", counting_unitary)
+        for dim in (1, MAX_DENSE_DIM + 1):
+            with pytest.raises(ValueError, match=r"^dim must lie in"):
+                random_scenario(dim, 0)
+            with pytest.raises(ValueError, match=r"^dim must lie in"):
+                dense_amplification_check(dim, {0}, 0)
+        assert calls == []
+        random_scenario(4, 0)
+        assert calls == [4]
 
     def test_random_scenario_is_a_proper_flag_set(self):
         for dim in (2, 4, 8, 16):
@@ -305,7 +323,7 @@ class TestEnumerationOracle:
 
     def test_rejects_r_past_cap(self):
         # The cached popcount table doubles with each step of r.
-        with pytest.raises(ValueError, match="odd and in"):
+        with pytest.raises(ValueError, match=rf"^r must lie in \[1, {MAX_ENUM_R}\], got"):
             enumerate_majority(MAX_ENUM_R + 2, 0.5)
 
     def test_gap_bounds_repetitions(self):
