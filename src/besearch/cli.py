@@ -269,8 +269,8 @@ def cmd_curve(cfg: RunConfig) -> int:
              p_solution=repr(pt.p_solution), cost=pt.cost, strict=inst.strict)
         for pt in exact_success_curve(inst, m_max)
     ]
-    fields = ["m", "alpha", "beta", "theta", "p_solution", "cost", "strict"]
-    _emit(cfg, fields, rows, fields[:-1])
+    _emit(cfg, ["m", "alpha", "beta", "theta", "p_solution", "cost", "strict"],
+          rows, ["m", "alpha", "beta", "theta", "p_solution", "cost"])
     return 0
 
 
