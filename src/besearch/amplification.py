@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .model import NORM_TOL, InvariantError, StructuredState
+from .model import NORM_TOL, InvariantError, StructuredState, check_prob
 
 
 def amplification_factors(theta: float) -> tuple[float, float]:
@@ -22,11 +22,10 @@ def amplification_factors(theta: float) -> tuple[float, float]:
 
     At theta = 0 this is the small-angle limit (3, 1); at theta = pi/2 it
     is (-1, -3), where g0 is irrelevant because the flag-0 mass is zero.
-    Either factor may be negative -- amplitudes are signed reals.
+    Either factor may be negative -- amplitudes are signed reals. theta
+    must be a real number in [0, pi/2] (``check_prob`` with that interval).
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
-    s2 = math.sin(theta) ** 2
+    s2 = math.sin(check_prob("theta", theta, math.pi / 2, "pi/2")) ** 2
     return 3.0 - 4.0 * s2, 1.0 - 4.0 * s2
 
 

@@ -35,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .driver import DEFAULT_SHOTS, check_seed, check_shots, full_sweep_cost, run_search
-from .model import check_int, make_instance
+from .model import PROMISE_BAD, PROMISE_GOOD, check_int, make_instance
 
 GATE_OR = "OR"
 GATE_AND = "AND"
@@ -47,7 +47,8 @@ class AndOrTree:
 
     Gates alternate by level; the gate at each lower level is implied by
     ``root_gate``. ``depth == 0`` is a single input variable. The depth
-    (>= 0) and each fanout (>= 1) are checked integers, stored as ``int``.
+    (>= 0) and each fanout (>= 1) are checked integers, stored as ``int``;
+    ``fanouts`` must be a flat sequence.
     """
 
     depth: int
@@ -56,6 +57,8 @@ class AndOrTree:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "depth", check_int("depth", self.depth, 0))
+        if np.ndim(self.fanouts) != 1:
+            raise ValueError(f"fanouts must be a sequence, got {self.fanouts!r}")
         object.__setattr__(self, "fanouts", tuple(check_int("fanout", f, 1) for f in self.fanouts))
         if len(self.fanouts) != self.depth:
             raise ValueError(
@@ -154,11 +157,11 @@ def evaluate_quantum_sim(
     if tree.depth == 1:
         truth = int(_gate(tree.root_gate, children))
         rng = np.random.default_rng(seed)
-        return truth ^ (rng.random() < 0.1)
+        return truth ^ (rng.random() < PROMISE_BAD)
     # The witnesses: 1-children under OR, 0-children under AND.
     witnesses = children if tree.root_gate == GATE_OR else ~children
     t = int(np.count_nonzero(witnesses))
-    instance = make_instance(tree.fanouts[0], t, 0.9, 0.1)
+    instance = make_instance(tree.fanouts[0], t, PROMISE_GOOD, PROMISE_BAD)
     found = run_search(instance, seed, shots).outcome == "found"
     if tree.root_gate == GATE_OR:
         return int(found)

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ from .driver import (
     search_blocks,
     verification_repetitions,
 )
-from .model import InvariantError, check_int, make_instance
+from .model import PROMISE_BAD, PROMISE_GOOD, InvariantError, check_int, make_instance
 from .oracles import block_recursion_cost, run_fact_checks, simple_search_cost
 
 CSV_SCHEMA = 1
@@ -58,29 +57,15 @@ class UsageError(Exception):
     """Bad flag/config combination; reported with exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one subcommand invocation.
-
-    Precedence: explicit flag > config file > built-in default (the
-    defaults carry the algorithm's constants: 1000 shots, 9/10 promise).
-    The hash identifies the experiment; output paths are excluded from it.
-    """
-
-    cmd: str
-    params: dict
-    config_hash: str
-
-    def __getitem__(self, key):
-        return self.params[key]
-
-    def get(self, key, default=None):
-        return self.params.get(key, default)
-
-
-def resolve_config(cmd: str, args: argparse.Namespace) -> RunConfig:
+def resolve_config(cmd: str, args: argparse.Namespace) -> dict:
     """Resolve each parameter of ``cmd`` in ``COMMANDS``: explicit flag >
-    config file > the table's default."""
+    config file > the table's default (the defaults carry the algorithm's
+    constants: 1000 shots, 9/10 promise).
+
+    Returns a plain dict of the parameters plus ``cmd`` and
+    ``config_hash``, which identifies the experiment; output paths are
+    excluded from the hash.
+    """
     defaults = COMMANDS[cmd].params
     config = _load_config(args.config)
     unknown = set(config) - set(defaults)
@@ -94,12 +79,10 @@ def resolve_config(cmd: str, args: argparse.Namespace) -> RunConfig:
             params[key] = _coerce(key, config[key], default)
         else:
             params[key] = default
-    return RunConfig(cmd=cmd, params=params, config_hash=_config_hash(cmd, params))
+    return dict(params, cmd=cmd, config_hash=_config_hash(cmd, params))
 
 
-def _resolve_out(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
+def _resolve_out(path: str) -> str:
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         return os.path.join(outdir, path)
@@ -112,44 +95,35 @@ def _config_hash(cmd: str, params: dict) -> str:
     Output paths are excluded so renaming a file does not change the
     identity of the experiment.
     """
-    payload = {k: v for k, v in sorted(params.items()) if k not in ("csv", "json", "config")}
+    payload = {k: v for k, v in sorted(params.items()) if k not in ("csv", "json")}
     payload["cmd"] = cmd
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _emit(
-    cfg: RunConfig, fieldnames: list[str], rows: list[dict], shown: list[str], prefix: str = ""
+    cfg: dict, fieldnames: list[str], rows: list[tuple], shown: list[str], prefix: str = ""
 ) -> None:
     """Print each row's ``shown`` columns as ``key=value`` after ``prefix``,
-    then write all ``fieldnames`` columns to the CSV and JSON files asked for."""
-    for row in rows:
-        print(prefix + " ".join(f"{key}={row[key]}" for key in shown))
+    then write all ``fieldnames`` columns to the CSV and JSON files asked for.
+    Each row is a tuple with one value per name in ``fieldnames``."""
     seed = cfg.get("seed", "")
-    tagged = [dict(row, config_hash=cfg.config_hash, seed=seed) for row in rows]
+    head = dict(schema=CSV_SCHEMA, cmd=cfg["cmd"], config_hash=cfg["config_hash"], seed=seed)
     names = fieldnames + ["config_hash", "seed"]
+    tagged = [row + (cfg["config_hash"], seed) for row in rows]
+    records = [dict(zip(names, row)) for row in tagged]
+    for record in records:
+        print(prefix + " ".join(f"{key}={record[key]}" for key in shown))
     if cfg.get("csv"):
         path = _resolve_out(cfg["csv"])
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(
-                f"# besearch-csv schema={CSV_SCHEMA} cmd={cfg.cmd} "
-                f"config_hash={cfg.config_hash} seed={seed}\n"
-            )
-            writer = csv.DictWriter(fh, fieldnames=names, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(tagged)
+            fh.write("# besearch-csv " + " ".join(f"{k}={v}" for k, v in head.items()) + "\n")
+            csv.writer(fh, lineterminator="\n").writerows([names, *tagged])
         print(f"wrote {path}")
     if cfg.get("json"):
         path = _resolve_out(cfg["json"])
-        doc = {
-            "schema": CSV_SCHEMA,
-            "cmd": cfg.cmd,
-            "config_hash": cfg.config_hash,
-            "seed": seed,
-            "rows": tagged,
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            json.dump(dict(head, rows=records), fh, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}")
 
@@ -159,12 +133,8 @@ def _load_config(path: Optional[str]) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise UsageError("config JSON must be an object")
-        return doc
+    if text.lstrip().startswith("{"):
+        return json.loads(text)  # text starting with "{" parses only as an object
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -236,12 +206,12 @@ def _instance(cfg, n: Optional[int] = None):
 
 # ---------------------------------------------------------------- search
 
-def cmd_search(cfg: RunConfig) -> int:
+def cmd_search(cfg: dict) -> int:
     inst = _instance(cfg)
     result = run_search(inst, cfg["seed"], cfg["shots"])
     print(
         f"besearch search: n={inst.n} t={inst.t} strict={inst.strict} "
-        f"seed={cfg['seed']} shots={cfg['shots']} config={cfg.config_hash}"
+        f"seed={cfg['seed']} shots={cfg['shots']} config={cfg['config_hash']}"
     )
     if result.outcome == "found":
         cls = inst.classes[result.found_class]
@@ -260,13 +230,13 @@ def cmd_search(cfg: RunConfig) -> int:
 
 # ----------------------------------------------------------------- curve
 
-def cmd_curve(cfg: RunConfig) -> int:
+def cmd_curve(cfg: dict) -> int:
     m_max = check_int("m_max", cfg["m_max"], -1)
     inst = _instance(cfg)
     m_max = m_max if m_max >= 0 else ceil_log9(inst.n)
     rows = [
-        dict(m=pt.m, alpha=repr(pt.alpha), beta=repr(pt.beta), theta=repr(pt.theta),
-             p_solution=repr(pt.p_solution), cost=pt.cost, strict=inst.strict)
+        (pt.m, repr(pt.alpha), repr(pt.beta), repr(pt.theta), repr(pt.p_solution), pt.cost,
+         inst.strict)
         for pt in exact_success_curve(inst, m_max)
     ]
     _emit(cfg, ["m", "alpha", "beta", "theta", "p_solution", "cost", "strict"],
@@ -276,27 +246,19 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 # ----------------------------------------------------------------- sweep
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: dict) -> int:
     grid = _parse_grid(cfg["n"])
     check_seed(cfg["seed"])
-    substreams = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []
-    for n, ss in zip(grid, substreams):
+    for n, ss in zip(grid, np.random.SeedSequence(cfg["seed"]).spawn(len(grid))):
         inst = _instance(cfg, n=n)
         result = run_search(inst, ss, cfg["shots"])
         sweep_cost = full_sweep_cost(n, cfg["shots"])
-        rows.append(
-            dict(
-                n=n, t=inst.t, blocks=search_blocks(n),
-                verify_reps=verification_repetitions(n, cfg["shots"]),
-                outcome=result.outcome,
-                found_class="" if result.found_class is None else result.found_class,
-                search_cost=result.total_cost,
-                full_sweep_cost=sweep_cost,
-                cost_over_sqrt_n=repr(sweep_cost / math.sqrt(n)),
-                strict=inst.strict,
-            )
-        )
+        rows.append((
+            n, inst.t, search_blocks(n), verification_repetitions(n, cfg["shots"]),
+            result.outcome, "" if result.found_class is None else result.found_class,
+            result.total_cost, sweep_cost, repr(sweep_cost / math.sqrt(n)), inst.strict,
+        ))
     _emit(cfg, ["n", "t", "blocks", "verify_reps", "outcome", "found_class", "search_cost",
                 "full_sweep_cost", "cost_over_sqrt_n", "strict"],
           rows, ["n", "outcome", "search_cost", "full_sweep_cost", "cost_over_sqrt_n"])
@@ -305,7 +267,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 # ----------------------------------------------------------------- andor
 
-def cmd_andor(cfg: RunConfig) -> int:
+def cmd_andor(cfg: dict) -> int:
     if cfg["tree"] is None:
         raise UsageError("andor requires --tree FILE")
     try:
@@ -317,25 +279,17 @@ def cmd_andor(cfg: RunConfig) -> int:
     print(
         f"besearch andor: depth={tree.depth} root={tree.root_gate} "
         f"fanouts={','.join(map(str, tree.fanouts))} leaves={tree.n_leaves} "
-        f"seed={cfg['seed']} config={cfg.config_hash}"
+        f"seed={cfg['seed']} config={cfg['config_hash']}"
     )
     print(f"classical: {classical}")
     print(f"quantum_sim: {simulated}")
-    rows = []
-    levels = []
-    sub = tree
-    while sub.depth > 0:
-        levels.append(sub)
-        sub = sub.child()
-    for node in reversed(levels):
+    rows = []  # one per level, level 1 first
+    node = tree
+    while node.depth > 0:
         q = evaluate_quantum_cost(node, cfg["shots"])
-        rows.append(
-            dict(
-                level=node.depth, fanout=node.fanouts[0], leaves=node.n_leaves,
-                gate=node.root_gate, leaf_queries=q,
-                q_over_sqrt_leaves=repr(q / math.sqrt(node.n_leaves)),
-            )
-        )
+        rows.insert(0, (node.depth, node.fanouts[0], node.n_leaves, node.root_gate, q,
+                        repr(q / math.sqrt(node.n_leaves))))
+        node = node.child()
     _emit(cfg, ["level", "fanout", "leaves", "gate", "leaf_queries", "q_over_sqrt_leaves"],
           rows, ["level", "fanout", "leaves", "leaf_queries", "q_over_sqrt_leaves"], "cost: ")
     return 0
@@ -343,7 +297,7 @@ def cmd_andor(cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------ check-facts
 
-def cmd_check_facts(cfg: RunConfig) -> int:
+def cmd_check_facts(cfg: dict) -> int:
     checks = run_fact_checks(cfg["scenarios"], _parse_grid(cfg["dims"]), cfg["seed"], cfg["max_r"])
     for check in checks:
         print(check)
@@ -352,21 +306,13 @@ def cmd_check_facts(cfg: RunConfig) -> int:
 
 # -------------------------------------------------------------- baselines
 
-def cmd_baselines(cfg: RunConfig) -> int:
-    grid = _parse_grid(cfg["n"])
+def cmd_baselines(cfg: dict) -> int:
     rows = []
-    for n in grid:
+    for n in _parse_grid(cfg["n"]):
         simple = simple_search_cost(n)
         block = block_recursion_cost(n)
-        rows.append(
-            dict(
-                n=n,
-                simple_cost=simple,
-                simple_over_sqrtn_log2n=repr(simple / (math.sqrt(n) * math.log2(n))),
-                block_cost=block,
-                block_over_sqrt_n=repr(block / math.sqrt(n)),
-            )
-        )
+        rows.append((n, simple, repr(simple / (math.sqrt(n) * math.log2(n))),
+                     block, repr(block / math.sqrt(n))))
     _emit(cfg, ["n", "simple_cost", "simple_over_sqrtn_log2n", "block_cost", "block_over_sqrt_n"],
           rows, ["n", "simple_cost", "block_cost", "block_over_sqrt_n"])
     return 0
@@ -393,14 +339,14 @@ HELP = dict(
 )
 
 #: Parameter groups that several subcommands share, with their defaults.
-INSTANCE = dict(n=81, t=1, p_good=0.9, p_bad=0.1, relaxed=False)
+INSTANCE = dict(n=81, t=1, p_good=PROMISE_GOOD, p_bad=PROMISE_BAD, relaxed=False)
 SEEDED = dict(seed=0, shots=DEFAULT_SHOTS)
 EMITS = dict(csv=None, json=None)
 
 
 class Command(NamedTuple):
     help: str
-    handler: Callable[[RunConfig], int]
+    handler: Callable[[dict], int]
     params: dict  # key -> default, in flag order
 
 

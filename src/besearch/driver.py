@@ -26,6 +26,7 @@ from .error_reduction import (
     MAX_ROUNDS, apply_error_reduction, repetitions_for, schedule_for_round
 )
 from .model import (
+    PROMISE_BAD,
     ProblemInstance,
     StructuredState,
     check_int,
@@ -133,7 +134,7 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
     """
     shots = check_shots(shots)
     budget = 1.0 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1))
-    return repetitions_for(budget, 0.1)
+    return repetitions_for(budget, PROMISE_BAD)
 
 
 def _rounds(

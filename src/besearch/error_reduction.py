@@ -17,14 +17,14 @@ from functools import cache
 import numpy as np
 
 from .model import (
-    NORM_TOL, InvariantError, ProblemInstance, StructuredState, check_int, check_prob, total_mass
+    NORM_TOL, PROMISE_BAD, InvariantError, ProblemInstance, StructuredState, check_int, check_prob,
+    total_mass,
 )
 
-# Base error of the promise: each subroutine is wrong with probability <= 1/10.
-BASE_ERROR = 0.1
-
-# Hard cap on the repetition scan; reached only for absurdly small budgets.
-_MAX_REPS = 100_001
+# Cap on the repetition scan: the largest r whose majority coefficients
+# C(r, j) fit in a float (see _majority_terms). Only budgets far below
+# the schedule's or a base error near 1/2 reach it.
+_MAX_REPS = 1029
 
 # Largest round index the schedule serves. Round 479 needs r = 649, but
 # from r = 647 on every term of majority_prob(r, 1/10) underflows to 0.0,
@@ -61,15 +61,19 @@ def majority_prob(r: int, p):
     Each run outputs 1 with probability p; returns
     P[Binomial(r, p) >= (r+1)/2]. r must be odd so ties cannot occur.
     ``p`` is a float or an array of floats; the result is a float or an
-    array of the same shape, one value per entry. One numpy pass builds
-    the terms C(r, j) p^j (1-p)^(r-j), j ascending, for every entry and
-    adds each entry's terms by pairwise summation. The result is not
-    correctly rounded: for odd r up to 647 it was measured within 3 ulp
-    (3.3e-16 absolute) of the correctly rounded sum of the terms.
+    array of the same shape, one value per entry. A scalar p goes through
+    ``check_prob``; an array is checked entry by entry in one pass. One
+    numpy pass builds the terms C(r, j) p^j (1-p)^(r-j), j ascending, for
+    every entry and adds each entry's terms by pairwise summation. The
+    result is not correctly rounded: for odd r up to 647 it was measured
+    within 3 ulp (3.3e-16 absolute) of the correctly rounded sum of the
+    terms.
     """
     r = check_int("r", r, 1)
     if r % 2 == 0:
         raise ValueError(f"r must be odd, got {r}")
+    if not isinstance(p, np.ndarray) and np.ndim(p) == 0:
+        p = check_prob("p", p)  # a scalar is checked whole: bool, str and None too
     p = np.asarray(p, dtype=float)
     col = p.reshape(-1, 1)
     q = 1.0 - col
@@ -100,11 +104,14 @@ def repetitions_for(eps: float, p_fail: float) -> int:
     probability is summed directly, which is the numerically meaningful
     form when eps is tiny. Scales as O(log(1/eps)) for p_fail < 1/2.
     Memoized: the scan costs O(r^2) and callers ask for the same budgets.
+    eps must lie in (0, 1) and p_fail in [0, 1/2); a budget that no odd
+    r <= _MAX_REPS meets raises a ValueError naming eps.
     """
+    eps, p_fail = check_prob("eps", eps), check_prob("p_fail", p_fail)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    if not 0.0 <= p_fail < 0.5:
-        raise ValueError(f"base error must lie in [0, 0.5), got {p_fail!r}")
+    if not p_fail < 0.5:
+        raise ValueError(f"p_fail must lie in [0, 0.5), got {p_fail!r}")
     return _min_odd_reps(eps, p_fail, 1)
 
 
@@ -123,7 +130,7 @@ def schedule_for_round(k: int) -> int:
     k = check_int("round index", k, 1, MAX_ROUNDS)
     while len(_schedule) < k:
         j = len(_schedule) + 1
-        _schedule[j] = _min_odd_reps(2.0 ** -(j + 5), BASE_ERROR, _schedule.get(j - 1, 1))
+        _schedule[j] = _min_odd_reps(2.0 ** -(j + 5), PROMISE_BAD, _schedule.get(j - 1, 1))
     return _schedule[k]
 
 

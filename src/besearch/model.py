@@ -49,14 +49,15 @@ def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
     return int(value)
 
 
-def check_prob(name: str, value) -> float:
+def check_prob(name: str, value, hi: float = 1.0, hi_text: str = "1") -> float:
     """Return ``value`` as a ``float``, or raise a ``ValueError`` naming
     ``name`` if it is not a real number (bool, str and None included) or
-    lies outside [0, 1] (NaN included). numpy floats and integers pass."""
+    lies outside [0, hi] (NaN included); the error writes hi as
+    ``hi_text``. numpy floats and integers pass."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    if not 0.0 <= value <= hi:
+        raise ValueError(f"{name} must lie in [0, {hi_text}], got {value!r}")
     return float(value)
 
 

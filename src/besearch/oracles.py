@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import build_state
+from .driver import VERIFICATION_CONFIDENCE, build_state
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
-from .model import IndexClass, ProblemInstance, check_int, check_prob, expand_classes
+from .model import (
+    PROMISE_BAD, IndexClass, ProblemInstance, check_int, check_prob, expand_classes
+)
 
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
 MAX_DENSE_DIM = 64
@@ -53,6 +55,9 @@ ROUND_TOL = 1e-9
 
 # r_1, r_2, r_3 of the round schedule, pinned by hand arithmetic.
 PINNED_SCHEDULE = (5, 7, 7)
+
+# Success probabilities at which the majority oracle is compared with the engine.
+MAJORITY_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 # Per-index success probabilities of the one-round cross-check instances.
 ROUND_GRID = ((0.0,), (0.3,), (1.0,), (0.9, 0.1), (1.0, 0.0), (0.75, 0.25), (0.5, 0.5))
@@ -258,7 +263,7 @@ def simple_search_cost(n: int) -> int:
     1/(100 n), then Grover on top with ceil(pi/4 sqrt(n)) iterations."""
     n = check_int("n", n, 2)
     iters = math.ceil(math.pi / 4 * math.sqrt(n))
-    return iters * repetitions_for(1.0 / (100 * n), 0.1)
+    return iters * repetitions_for(1.0 / (VERIFICATION_CONFIDENCE * n), PROMISE_BAD)
 
 
 def block_recursion_cost(n: int) -> int:
@@ -319,8 +324,8 @@ def enumerate_majority(r: int, p: float) -> float:
     return float(np.add.accumulate(weight[_majority_ones(r)])[-1])
 
 
-def majority_oracle_gap(max_r: int = 15, grid=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)) -> float:
-    """Max |majority_prob - enumeration| over odd r <= max_r and a p grid.
+def majority_oracle_gap(max_r: int = 15) -> float:
+    """Max |majority_prob - enumeration| over odd r <= max_r and MAJORITY_GRID.
 
     max_r must lie in [1, MAX_ENUM_R]; majority_prob evaluates the whole
     grid in one call per r.
@@ -328,8 +333,9 @@ def majority_oracle_gap(max_r: int = 15, grid=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1
     max_r = check_int("max_r", max_r, 1, MAX_ENUM_R)
     gap = 0.0
     for r in range(1, max_r + 1, 2):
-        enumerated = [enumerate_majority(r, p) for p in grid]
-        gap = max(gap, float(np.max(np.abs(majority_prob(r, np.array(grid)) - enumerated))))
+        enumerated = [enumerate_majority(r, p) for p in MAJORITY_GRID]
+        engine = majority_prob(r, np.array(MAJORITY_GRID))
+        gap = max(gap, float(np.max(np.abs(engine - enumerated))))
     return gap
 
 

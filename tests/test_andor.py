@@ -304,6 +304,7 @@ class TestTreeFiles:
             "depth 1\nroot XOR\nfanouts 2\nleaves 10\n",  # bad gate
             "depth 1\nroot OR\nfanouts 2\nleaves 1\n",  # wrong length
             "depth 1\nroot OR\nfanouts 2\nleaves ab\n",  # not a bitstring
+            "depth 2\nroot OR\nfanouts 3 x\nleaves 111\n",  # bad fanout
             "depth x\nroot OR\nleaves 1\n",             # bad integer
             "depth 0\nroot OR\nleaves 1\ndepth 0\n",    # duplicate field
         ],
@@ -319,3 +320,5 @@ class TestTreeFiles:
             AndOrTree(1, (0,), GATE_OR)
         with pytest.raises(ValueError):
             AndOrTree(-1, (), GATE_OR)
+        with pytest.raises(ValueError, match="no children"):
+            AndOrTree(0, (), GATE_OR).child()

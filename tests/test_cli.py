@@ -267,7 +267,7 @@ class TestParameterTable:
             assert cfg[key] == value
             code, out, _ = run(capsys, *argv)
             assert code == 0
-            seen.append((out, cfg.config_hash))
+            seen.append((out, cfg["config_hash"]))
         assert seen[0] == seen[1] == seen[2]
 
     @pytest.mark.parametrize("cmd", COMMANDS)
@@ -421,8 +421,8 @@ class TestExitContract:
 #: The README's example tree file.
 README_TREE = "depth 2\nroot OR\nfanouts 3 3\nleaves 010000110\n"
 
-#: sha256 of seeded CLI outputs: the CSV a command writes, or the stdout of
-#: a command run without ``--csv`` (``search`` and the ``-stdout`` entries),
+#: sha256 of seeded CLI outputs: the CSV or JSON file a command writes, or
+#: the stdout of a command run without either (``search`` and the ``-stdout`` entries),
 #: without lines naming an output path. Recorded before the
 #: state lost its round index and the stats, factor, schedule and scenario
 #: records became plain values; these bytes must not move. Paths are
@@ -467,6 +467,32 @@ GOLDEN_OUTPUTS = {
         ["baselines"],
         "e04c12727cd1be765e135c1ed286eca14bfca5d8b8159cbaa3c7ed45b705ea87",
     ),
+    # The JSON documents, recorded before each table named its columns once.
+    "curve-json": (
+        ["curve", "--n", "6561", "--t", "1", "--json", "out.json"],
+        "cb2251f82cfe362eb6828eafc0f667a6af46ddb3bb0cbbaf7040efa721901b8c",
+    ),
+    "sweep-json": (
+        ["sweep", "--seed", "3", "--json", "out.json"],
+        "ff666598b524b9e062c18b3e0b44210431e403a8aab70dea0c7138269fcddf14",
+    ),
+    "andor-json": (
+        ["andor", "--tree", "tree.txt", "--seed", "5", "--json", "out.json"],
+        "a940ef671260b57b04eece18e2b7cf7726f4ddb0a20e2a92165a3f83f334d1fe",
+    ),
+    "baselines-json": (
+        ["baselines", "--json", "out.json"],
+        "c13695aa9b5c654028c5f81ef218cb014f97db40cdfb69cdabc060daeba81520",
+    ),
+    # A depth-0 tree has no levels: a CSV header with no rows, "rows": [].
+    "andor-depth-0": (
+        ["andor", "--tree", "tree0.txt", "--seed", "5", "--csv", "out.csv"],
+        "56d885859370a6d6eca8982fde5f95cd3bf4468f0d2a1d37ca36cd26a901988d",
+    ),
+    "andor-depth-0-json": (
+        ["andor", "--tree", "tree0.txt", "--seed", "5", "--json", "out.json"],
+        "84953c43954276f72ffe4bc3f10b2aad01c6fe4b0f996b1a7516628746c50a89",
+    ),
 }
 
 
@@ -476,10 +502,13 @@ def test_seeded_outputs_are_byte_identical(capsys, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(besearch.cli.OUTDIR_ENV, raising=False)
     (tmp_path / "tree.txt").write_text(README_TREE)
+    (tmp_path / "tree0.txt").write_text("depth 0\nroot OR\nleaves 1\n")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     if "--csv" in argv:
         data = (tmp_path / "out.csv").read_bytes()
+    elif "--json" in argv:
+        data = (tmp_path / "out.json").read_bytes()
     else:
         data = "".join(line for line in out.splitlines(keepends=True)
                        if not line.startswith("wrote ")).encode()

@@ -33,7 +33,8 @@ from besearch import (
 from besearch.driver import (
     VERIFICATION_CONFIDENCE, _measure, _sample_block, check_seed, check_shots, prep_costs
 )
-from besearch.error_reduction import majority_prob
+from besearch.amplification import amplification_factors
+from besearch.error_reduction import majority_prob, repetitions_for
 from besearch.model import (
     IndexClass, ProblemInstance, StructuredState, check_int, check_prob
 )
@@ -628,6 +629,7 @@ class TestProbabilityContract:
         "make_instance-p_good": ("p_good", lambda v: make_instance(81, 1, v, 0.1, strict=False)),
         "make_instance-p_bad": ("p_bad", lambda v: make_instance(81, 1, 0.9, v, strict=False)),
         "enumerate_majority": ("p", lambda v: enumerate_majority(5, v)),
+        "majority_prob": ("p", lambda v: majority_prob(5, v)),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -653,6 +655,33 @@ class TestProbabilityContract:
     def test_array_entry_is_named(self):
         with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got nan"):
             majority_prob(5, np.array([0.1, math.nan, 0.9]))
+
+    # Interval arguments outside [0, 1] go through check_int or check_prob
+    # too: (name in the error, call with a bad value).
+    OTHER_INTERVALS = {
+        "repetitions_for-p_fail-str": ("p_fail", lambda: repetitions_for(0.01, "0.1")),
+        "repetitions_for-p_fail-none": ("p_fail", lambda: repetitions_for(0.01, None)),
+        "repetitions_for-p_fail-half": ("p_fail", lambda: repetitions_for(0.01, 0.5)),
+        "repetitions_for-eps-str": ("eps", lambda: repetitions_for("0.01", 0.1)),
+        "repetitions_for-eps-bool": ("eps", lambda: repetitions_for(True, 0.1)),
+        "repetitions_for-eps-zero": ("eps", lambda: repetitions_for(0.0, 0.1)),
+        "amplification_factors-str": ("theta", lambda: amplification_factors("0.5")),
+        "amplification_factors-bool": ("theta", lambda: amplification_factors(True)),
+        "amplification_factors-nan": ("theta", lambda: amplification_factors(math.nan)),
+        "amplification_factors-past-right-angle": ("theta", lambda: amplification_factors(1.6)),
+        "AndOrTree-fanouts-int": ("fanouts", lambda: AndOrTree(1, 3, GATE_OR)),
+    }
+
+    @pytest.mark.parametrize("entry", OTHER_INTERVALS)
+    def test_other_intervals_name_their_argument(self, entry):
+        name, call = self.OTHER_INTERVALS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call()
+
+    def test_other_intervals_take_numpy_floats(self):
+        assert repetitions_for(np.float64(0.01), np.float64(0.1)) == repetitions_for(0.01, 0.1)
+        assert amplification_factors(np.float64(0.5)) == amplification_factors(0.5)
+        assert check_prob("x", math.pi / 2, math.pi / 2, "pi/2") == math.pi / 2
 
 
 class TestShotCheck:

@@ -9,7 +9,9 @@ import besearch.error_reduction as error_reduction
 from besearch import (
     MAX_ROUNDS,
     IndexClass,
+    InvariantError,
     ProblemInstance,
+    StructuredState,
     apply_amplification,
     apply_error_reduction,
     init_state,
@@ -136,6 +138,17 @@ class TestRepetitionsFor:
             repetitions_for(1.0, 0.1)
         with pytest.raises(ValueError):
             repetitions_for(0.1, 0.6)
+
+    @pytest.mark.parametrize("eps,p_fail", [(0.01, 0.4999), (1e-30, 0.45)])
+    def test_scan_past_the_cap_is_named(self, eps, p_fail):
+        # The cap is the largest r whose coefficients fit in a float, so the
+        # scan stops with its own error before C(r, j) overflows.
+        cap = error_reduction._MAX_REPS
+        error_reduction._majority_terms(cap)
+        with pytest.raises(OverflowError):
+            error_reduction._majority_terms(cap + 2)
+        with pytest.raises(ValueError, match=f"^no odd r <= {cap} meets eps="):
+            repetitions_for(eps, p_fail)
 
     @given(st.floats(1e-9, 0.999), st.floats(0.0, 0.1))
     @settings(max_examples=60)
@@ -267,6 +280,11 @@ class TestApplyErrorReduction:
         for k in range(1, 5):
             state = apply_error_reduction(apply_amplification(state), k, inst)
         assert calls[0] == 4
+
+    def test_unnormalized_state_rejected(self):
+        inst = make_instance(4, 1, 0.9, 0.1)
+        with pytest.raises(InvariantError, match="not normalized"):
+            apply_error_reduction(StructuredState(w1=[0.5, 0.1], w0=[0.1, 0.1]), 1, inst)
 
     def test_round_index_out_of_range_rejected(self):
         inst = make_instance(4, 1, 0.9, 0.1)

@@ -76,6 +76,10 @@ class TestMakeInstance:
             IndexClass(p=0.5, count=0, is_solution=False)
         with pytest.raises(ValueError):
             ProblemInstance((IndexClass(p=0.5, count=1, is_solution=True),))
+        with pytest.raises(ValueError, match="non-solution class has p=0.2"):
+            ProblemInstance((IndexClass(p=0.2, count=1, is_solution=False),))
+        with pytest.raises(ValueError, match="at least one index"):
+            ProblemInstance(())
 
 
 class TestInitState:
