@@ -26,7 +26,6 @@ from .error_reduction import (
     MAX_ROUNDS, apply_error_reduction, repetitions_for, schedule_for_round
 )
 from .model import (
-    PROMISE_BAD,
     ProblemInstance,
     StructuredState,
     check_int,
@@ -134,7 +133,7 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
     """
     shots = check_shots(shots)
     budget = 1.0 / (VERIFICATION_CONFIDENCE * shots * (ceil_log9(n) + 1))
-    return repetitions_for(budget, PROMISE_BAD)
+    return repetitions_for(budget)
 
 
 def _rounds(

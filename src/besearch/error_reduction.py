@@ -3,11 +3,11 @@
 Repeating a bounded-error subroutine r times (r odd, so there are no
 ties) and taking the majority drives the error down exponentially in r.
 This module computes exact binomial majority probabilities, the minimal
-odd repetition count meeting a target error, the per-round schedule of
-the search algorithm (round k gets error budget 2^-(k+5)), and the exact
-effect of one error-reduction step on a structured state: each class
-keeps the majority-probability share of its flag-1 mass and pushes the
-rest back to flag 0.
+odd r meeting a target error at the promise's base error 1/10, the
+per-round schedule of the search algorithm (round k gets error budget
+2^-(k+5)), and the exact effect of one error-reduction step on a
+structured state: each class keeps the majority-probability share of its
+flag-1 mass and pushes the rest back to flag 0.
 """
 from __future__ import annotations
 
@@ -21,14 +21,12 @@ from .model import (
     total_mass,
 )
 
-# Cap on the repetition scan: the largest r whose majority coefficients
-# C(r, j) fit in a float (see _majority_terms). Only budgets far below
-# the schedule's or a base error near 1/2 reach it.
+# Largest r majority_prob takes: the largest r whose majority
+# coefficients C(r, j) fit in a float (see _majority_terms).
 _MAX_REPS = 1029
 
-# Largest round index the schedule serves. Round 479 needs r = 649, but
-# from r = 647 on every term of majority_prob(r, 1/10) underflows to 0.0,
-# so the scan would stop short; every r_k up to this cap is exact.
+# Largest round index the schedule serves: round 479 would need r = 649,
+# past the 0.0 at r = 647 in _errors, so every r_k up to here is exact.
 MAX_ROUNDS = 478
 
 
@@ -69,7 +67,7 @@ def majority_prob(r: int, p):
     within 3 ulp (3.3e-16 absolute) of the correctly rounded sum of the
     terms.
     """
-    r = check_int("r", r, 1)
+    r = check_int("r", r, 1, _MAX_REPS)
     if r % 2 == 0:
         raise ValueError(f"r must be odd, got {r}")
     if not isinstance(p, np.ndarray) and np.ndim(p) == 0:
@@ -85,53 +83,42 @@ def majority_prob(r: int, p):
     return m if m.ndim else float(m)
 
 
-def _min_odd_reps(eps: float, p_fail: float, r: int) -> int:
-    """Smallest odd r' >= r whose majority error at base error p_fail is <= eps."""
-    while majority_prob(r, p_fail) > eps:
-        r += 2
-        if r > _MAX_REPS:
-            raise ValueError(f"no odd r <= {_MAX_REPS} meets eps={eps}")
-    return r
+# The one table every repetition count reads: odd r -> majority error of
+# r runs at base error PROMISE_BAD, each entry computed once, on demand.
+# It falls strictly until it underflows to 0.0 at r = 647, so every eps in
+# (0, 1) is met. Keyed by r: two callers filling it store the same entries.
+_errors: dict[int, float] = {1: PROMISE_BAD}
 
 
 @cache
-def repetitions_for(eps: float, p_fail: float) -> int:
-    """Minimal odd r whose majority error at base error p_fail is <= eps.
+def _reps_within(eps: float) -> int:
+    """First odd r whose entry in the majority-error table is <= eps."""
+    r = 1
+    while _errors[r] > eps:
+        r += 2
+        if r not in _errors:
+            _errors[r] = majority_prob(r, PROMISE_BAD)
+    return r
 
-    Equivalently: minimal odd r with majority_prob(r, 1 - p_fail) >= 1 - eps
-    (the failure event of one form is the success event of the other, so
-    the two probabilities sum to exactly 1 for odd r). The failure
-    probability is summed directly, which is the numerically meaningful
-    form when eps is tiny. Scales as O(log(1/eps)) for p_fail < 1/2.
-    Memoized: the scan costs O(r^2) and callers ask for the same budgets.
-    eps must lie in (0, 1) and p_fail in [0, 1/2); a budget that no odd
-    r <= _MAX_REPS meets raises a ValueError naming eps.
+
+def repetitions_for(eps: float) -> int:
+    """Minimal odd r whose majority error at base error PROMISE_BAD is <= eps.
+
+    That error is 1 - majority_prob(r, 1 - PROMISE_BAD) for odd r, but is
+    summed directly, the numerically meaningful form when eps is tiny.
+    O(log(1/eps)). eps must lie in (0, 1), checked before the memoized scan.
     """
-    eps, p_fail = check_prob("eps", eps), check_prob("p_fail", p_fail)
+    eps = check_prob("eps", eps)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    if not p_fail < 0.5:
-        raise ValueError(f"p_fail must lie in [0, 0.5), got {p_fail!r}")
-    return _min_odd_reps(eps, p_fail, 1)
-
-
-# Round index k -> r_k, for rounds 1..len(_schedule), built on demand.
-# The budget halves every round and the majority error falls as r grows,
-# so r_k never decreases: each round's scan resumes from r_{k-1}, and the
-# whole table to MAX_ROUNDS costs O(r_MAX_ROUNDS + MAX_ROUNDS) majority
-# evaluations. Keyed by round, so two callers filling it at once store
-# the same entries.
-_schedule: dict[int, int] = {}
+    return _reps_within(eps)
 
 
 def schedule_for_round(k: int) -> int:
     """Round k's repetition count r_k: the minimal odd r whose majority
     error at base error 1/10 is within the round's budget 2^-(k+5)."""
     k = check_int("round index", k, 1, MAX_ROUNDS)
-    while len(_schedule) < k:
-        j = len(_schedule) + 1
-        _schedule[j] = _min_odd_reps(2.0 ** -(j + 5), PROMISE_BAD, _schedule.get(j - 1, 1))
-    return _schedule[k]
+    return _reps_within(2.0 ** -(k + 5))
 
 
 def apply_error_reduction(

@@ -29,7 +29,7 @@ import numpy as np
 from .driver import VERIFICATION_CONFIDENCE, build_state
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
 from .model import (
-    PROMISE_BAD, IndexClass, ProblemInstance, check_int, check_prob, expand_classes
+    IndexClass, ProblemInstance, check_int, check_prob, expand_classes
 )
 
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
@@ -44,6 +44,9 @@ MAX_ROUND_DIM = 2**14
 # so its time doubles per step of r; at this cap it runs about 0.4 s and its
 # cached popcount arrays hold 1.4 MB.
 MAX_ENUM_R = 21
+
+# Largest n of the boost-first baseline: its error 1/(100 n) needs 100 n to fit a float.
+MAX_BASELINE_N = int(np.finfo(float).max) // VERIFICATION_CONFIDENCE
 
 # Explicit repetition count of the dense round-1 majority vote.
 ROUND_ONE_REPS = 5
@@ -261,9 +264,9 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
 def simple_search_cost(n: int) -> int:
     """Query cost of the boost-first baseline: per-index majority to error
     1/(100 n), then Grover on top with ceil(pi/4 sqrt(n)) iterations."""
-    n = check_int("n", n, 2)
+    n = check_int("n", n, 2, MAX_BASELINE_N)
     iters = math.ceil(math.pi / 4 * math.sqrt(n))
-    return iters * repetitions_for(1.0 / (VERIFICATION_CONFIDENCE * n), PROMISE_BAD)
+    return iters * repetitions_for(1.0 / (VERIFICATION_CONFIDENCE * n))
 
 
 def block_recursion_cost(n: int) -> int:

@@ -286,6 +286,8 @@ class TestParameterTable:
 BAD_INPUTS = {
     "sweep-shots-0": ["sweep", "--shots", "0"],
     "baselines-n-1": ["baselines", "--n", "1"],
+    # Past float max / 100 the baseline's error 1/(100 n) overflows a float.
+    "baselines-n-1e307": ["baselines", "--n", str(10**307)],
     "check-facts-dims-0": ["check-facts", "--dims", "0"],
     "check-facts-dims-100": ["check-facts", "--dims", "100"],
     "check-facts-scenarios-0": ["check-facts", "--scenarios", "0"],

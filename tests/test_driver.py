@@ -34,11 +34,12 @@ from besearch.driver import (
     VERIFICATION_CONFIDENCE, _measure, _sample_block, check_seed, check_shots, prep_costs
 )
 from besearch.amplification import amplification_factors
-from besearch.error_reduction import majority_prob, repetitions_for
+from besearch.error_reduction import _MAX_REPS, majority_prob, repetitions_for
 from besearch.model import (
     IndexClass, ProblemInstance, StructuredState, check_int, check_prob
 )
 from besearch.oracles import (
+    MAX_BASELINE_N,
     MAX_DENSE_DIM,
     MAX_ENUM_R,
     block_recursion_cost,
@@ -171,6 +172,16 @@ class TestVerificationRepetitions:
 
     def test_scales_with_shots(self):
         assert verification_repetitions(81, shots=10**6) >= verification_repetitions(81)
+
+    def test_sizes_equal_the_recorded_digest(self):
+        # Recorded when each size came from its own memoized scan from r = 1.
+        sizes = [verification_repetitions(n, shots)
+                 for n in [1] + [9**e for e in range(1, 41)]
+                 for shots in (1, 7, 100, 1000, 10**6)]
+        assert (min(sizes), max(sizes)) == (5, 39)
+        assert hashlib.sha256(repr(sizes).encode()).hexdigest() == (
+            "91867501a09fc6dcecedb51e1afadba597eb9eacc5fef59e9d7c8e9e56d460c4"
+        )
 
     def test_rejects_shots_past_cap(self):
         # Every shot-taking path sizes its verification here first, so
@@ -593,6 +604,8 @@ class TestIntegerContract:
                           (lambda: schedule_for_round(0), "round index"),
                           (lambda: schedule_for_round(MAX_ROUNDS + 1), "round index"),
                           (lambda: majority_prob(-1, 0.5), "r"),
+                          (lambda: majority_prob(_MAX_REPS + 2, 0.5), "r"),
+                          (lambda: simple_search_cost(MAX_BASELINE_N + 1), "n"),
                           (lambda: enumerate_majority(MAX_ENUM_R + 2, 0.5), "r"),
                           (lambda: majority_oracle_gap(0), "max_r"),
                           (lambda: _fact_checks(scenarios=0), "scenarios"),
@@ -659,12 +672,12 @@ class TestProbabilityContract:
     # Interval arguments outside [0, 1] go through check_int or check_prob
     # too: (name in the error, call with a bad value).
     OTHER_INTERVALS = {
-        "repetitions_for-p_fail-str": ("p_fail", lambda: repetitions_for(0.01, "0.1")),
-        "repetitions_for-p_fail-none": ("p_fail", lambda: repetitions_for(0.01, None)),
-        "repetitions_for-p_fail-half": ("p_fail", lambda: repetitions_for(0.01, 0.5)),
-        "repetitions_for-eps-str": ("eps", lambda: repetitions_for("0.01", 0.1)),
-        "repetitions_for-eps-bool": ("eps", lambda: repetitions_for(True, 0.1)),
-        "repetitions_for-eps-zero": ("eps", lambda: repetitions_for(0.0, 0.1)),
+        "repetitions_for-eps-str": ("eps", lambda: repetitions_for("0.01")),
+        "repetitions_for-eps-bool": ("eps", lambda: repetitions_for(True)),
+        "repetitions_for-eps-zero": ("eps", lambda: repetitions_for(0.0)),
+        # Checked before the memo, so an unhashable value is named too.
+        "repetitions_for-eps-list": ("eps", lambda: repetitions_for([0.1])),
+        "repetitions_for-eps-dict": ("eps", lambda: repetitions_for({})),
         "amplification_factors-str": ("theta", lambda: amplification_factors("0.5")),
         "amplification_factors-bool": ("theta", lambda: amplification_factors(True)),
         "amplification_factors-nan": ("theta", lambda: amplification_factors(math.nan)),
@@ -679,7 +692,7 @@ class TestProbabilityContract:
             call()
 
     def test_other_intervals_take_numpy_floats(self):
-        assert repetitions_for(np.float64(0.01), np.float64(0.1)) == repetitions_for(0.01, 0.1)
+        assert repetitions_for(np.float64(0.01)) == repetitions_for(0.01)
         assert amplification_factors(np.float64(0.5)) == amplification_factors(0.5)
         assert check_prob("x", math.pi / 2, math.pi / 2, "pi/2") == math.pi / 2
 

@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from besearch import (
     state_stats,
     total_mass,
 )
+from besearch.driver import verification_repetitions
 from besearch.oracles import enumerate_majority
 from conftest import strict_instances
 
@@ -103,6 +105,17 @@ class TestMajorityProb:
             want = [enumerate_majority(r, p) for p in grid.tolist()]
             assert np.max(np.abs(majority_prob(r, grid) - want)) <= 1e-12
 
+    def test_r_is_capped_where_coefficients_overflow(self):
+        # The cap is the largest r whose coefficients fit in a float, so r
+        # past it is named before C(r, j) overflows.
+        cap = error_reduction._MAX_REPS
+        error_reduction._majority_terms(cap)
+        with pytest.raises(OverflowError):
+            error_reduction._majority_terms(cap + 2)
+        assert majority_prob(cap, 0.5) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(ValueError, match=f"^r must lie in \\[1, {cap}\\], got {cap + 2}$"):
+            majority_prob(cap + 2, 0.5)
+
     def test_within_eight_ulp_of_fsum_up_to_cap_repetitions(self):
         # The schedule's largest r is 647; the reference adds the same
         # terms in Python floats with a correctly rounded sum.
@@ -123,41 +136,28 @@ class TestRepetitionsFor:
         # r=3 fails: majority error 0.028 > 1/64; r=5 reaches ~0.00856
         assert enumerate_majority(3, 0.1) == pytest.approx(0.028, abs=1e-15)
         assert enumerate_majority(5, 0.1) == pytest.approx(0.00856, abs=1e-15)
-        assert repetitions_for(1 / 64, 0.1) == 5
+        assert repetitions_for(1 / 64) == 5
 
     def test_one_128th(self):
-        assert repetitions_for(1 / 128, 0.1) == 7
+        assert repetitions_for(1 / 128) == 7
 
     def test_loose_budget_needs_single_run(self):
-        assert repetitions_for(0.5, 0.1) == 1
+        assert repetitions_for(0.5) == 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            repetitions_for(0.0, 0.1)
+            repetitions_for(0.0)
         with pytest.raises(ValueError):
-            repetitions_for(1.0, 0.1)
-        with pytest.raises(ValueError):
-            repetitions_for(0.1, 0.6)
+            repetitions_for(1.0)
 
-    @pytest.mark.parametrize("eps,p_fail", [(0.01, 0.4999), (1e-30, 0.45)])
-    def test_scan_past_the_cap_is_named(self, eps, p_fail):
-        # The cap is the largest r whose coefficients fit in a float, so the
-        # scan stops with its own error before C(r, j) overflows.
-        cap = error_reduction._MAX_REPS
-        error_reduction._majority_terms(cap)
-        with pytest.raises(OverflowError):
-            error_reduction._majority_terms(cap + 2)
-        with pytest.raises(ValueError, match=f"^no odd r <= {cap} meets eps="):
-            repetitions_for(eps, p_fail)
-
-    @given(st.floats(1e-9, 0.999), st.floats(0.0, 0.1))
+    @given(st.floats(1e-9, 0.999))
     @settings(max_examples=60)
-    def test_result_is_minimal_odd(self, eps, p_fail):
-        r = repetitions_for(eps, p_fail)
+    def test_result_is_minimal_odd(self, eps):
+        r = repetitions_for(eps)
         assert r % 2 == 1
-        assert majority_prob(r, p_fail) <= eps
+        assert majority_prob(r, 0.1) <= eps
         if r > 1:
-            assert majority_prob(r - 2, p_fail) > eps
+            assert majority_prob(r - 2, 0.1) > eps
 
 
 class TestSchedule:
@@ -179,7 +179,7 @@ class TestSchedule:
     def test_round_cap_is_exact(self):
         # At base error 1/10 the majority error of r runs is T(r) / 10^r with
         # T(r) = sum_{j > r/2} C(r, j) 9^(r-j), so this scan is integer-exact.
-        # Like the schedule, round k resumes from r_{k-1}.
+        # Round k resumes from r_{k-1}.
         tails = {}
 
         def over_budget(r, k):
@@ -196,21 +196,37 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_for_round(MAX_ROUNDS + 1)
 
-    def test_full_table_costs_linear_majority_evaluations(self, monkeypatch):
-        # Each round's scan evaluates once per step of r plus once to stop.
+    def test_one_majority_evaluation_per_odd_r(self, monkeypatch):
+        # From an empty process: r = 1 is the base error itself, and every
+        # odd r from 3 to r_MAX_ROUNDS = 647 is evaluated once, by whichever
+        # count first needs it. Verification sizes then read the same table.
         table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
         calls = count_majority_calls(monkeypatch)
-        monkeypatch.setattr(error_reduction, "_schedule", {})
-        assert schedule_for_round(MAX_ROUNDS) == table[-1]
+        monkeypatch.setattr(error_reduction, "_errors", {1: 0.1})
+        monkeypatch.setattr(error_reduction, "_reps_within",
+                            cache(error_reduction._reps_within.__wrapped__))
+        assert schedule_for_round(MAX_ROUNDS) == table[-1] == 647
         assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
-        assert calls[0] == (table[-1] - 1) // 2 + MAX_ROUNDS
+        assert calls[0] == 323
+        for n in [1] + [9**e for e in range(1, 41)]:
+            for shots in (1, 7, 100, 1000, 10**6):
+                verification_repetitions(n, shots)
+        assert calls[0] == 323
+
+    def test_table_falls_strictly_until_zero_at_647(self):
+        schedule_for_round(MAX_ROUNDS)
+        rs = range(1, 648, 2)
+        errors = [error_reduction._errors[r] for r in rs]
+        assert errors == [majority_prob(r, 0.1) for r in rs]
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        assert errors[-2] > 0.0 and errors[-1] == 0.0
 
     @given(st.integers(1, 25))
     @settings(max_examples=25)
     def test_budget_formula_and_logarithmic_growth(self, k):
         r = schedule_for_round(k)
-        # The budget is 2^-(k+5): r_k equals a fresh scan at that budget.
-        assert r == repetitions_for(2.0 ** -(k + 5), 0.1)
+        # The budget is 2^-(k+5): r_k equals the count for that budget.
+        assert r == repetitions_for(2.0 ** -(k + 5))
         # r = O(log(1/eps)) = O(k): generous linear envelope
         assert r <= 2 * (k + 5) + 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -245,6 +246,14 @@ class TestSimpleSearchCost:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             simple_search_cost(1)
+
+    def test_costs_equal_the_recorded_digest(self):
+        # Recorded when each cost came from its own memoized scan from r = 1.
+        costs = [simple_search_cost(10**e) for e in range(2, 301)]
+        assert costs[:3] == [104, 475, 1817]
+        assert hashlib.sha256(repr(costs).encode()).hexdigest() == (
+            "996daeb0d94c092b19469d6d2da2013b1ec18d101f970f1fb9a6784354bcae14"
+        )
 
     def test_sqrt_n_log_n_envelope(self):
         ratios = [
