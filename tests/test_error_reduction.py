@@ -150,6 +150,18 @@ class TestRepetitionsFor:
         with pytest.raises(ValueError):
             repetitions_for(1.0)
 
+    @pytest.mark.parametrize("eps,p", [(0.01, 0.4999), (1e-30, 0.45)])
+    def test_scan_past_the_cap_is_named(self, eps, p):
+        # These budgets once sent a scan at base error p past the cap. The
+        # scan now runs at 1/10 and stops below the cap; a vote past the cap
+        # is named by majority_prob before C(r, j) overflows.
+        cap = error_reduction._MAX_REPS
+        r = repetitions_for(eps)
+        assert r < 647 < cap
+        assert majority_prob(r, 0.1) <= eps
+        with pytest.raises(ValueError, match=f"^r must lie in \\[1, {cap}\\], got {cap + 2}$"):
+            majority_prob(cap + 2, p)
+
     @given(st.floats(1e-9, 0.999))
     @settings(max_examples=60)
     def test_result_is_minimal_odd(self, eps):
