@@ -5,10 +5,11 @@ routes: a dense complex linear-algebra check of the amplification
 rotation (explicit reflection matrices on a random unitary), and an
 exhaustive 2^r enumeration of majority voting. Neither shares code with
 the engine's closed forms; a dense scenario is the pair (unitary,
-flag_indices), checked once before any matrix work. A one-round
-cross-validation harness builds the whole round -- preparation,
-reflections, and a 5-run majority vote -- as explicit matrices and
-compares per-index masses with the structured engine.
+flag_indices), or a stack of such pairs of one dimension, checked once
+before any matrix work. A one-round cross-validation harness builds the
+whole round -- preparation, reflections, and a 5-run majority vote -- as
+explicit matrices and compares per-index masses with the structured
+engine.
 ``run_fact_checks`` runs these oracles as the four fact checks that
 ``check-facts`` prints and the acceptance gate asserts on, against
 tolerances defined here once.
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import VERIFICATION_CONFIDENCE, build_state
+from .driver import VERIFICATION_CONFIDENCE, build_state, check_seed
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
 from .model import (
     IndexClass, ProblemInstance, check_int, check_prob, expand_classes
@@ -72,18 +74,26 @@ class UnitarityError(RuntimeError):
 
 
 def _check_unitary(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
-    dim = mat.shape[0]
-    defect = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+    """UnitarityError unless ``mat``, one matrix or a (k, d, d) stack of
+    them, is unitary within tol; the error gives the largest defect."""
+    defect = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(mat.shape[-1])))
     if not defect <= tol:  # also catches NaN from a broken construction
         raise UnitarityError(f"{name} deviates from unitarity by {defect:.3e}")
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like random unitary: QR of a complex Gaussian, phases fixed."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def random_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-like random unitary: QR of a complex Gaussian, phases fixed.
+
+    ``rng`` may also be a sequence of k generators: each draws its own
+    Gaussian, and the (k, dim, dim) stack takes one QR and one phase fix.
+    """
+    one = isinstance(rng, np.random.Generator)
+    # Each generator's real then imaginary parts, in one draw of 2 dim^2 normals.
+    parts = np.array([g.standard_normal((2, dim, dim)) for g in ([rng] if one else rng)])
+    q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    return u[0] if one else u
 
 
 def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
@@ -105,79 +115,133 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
     return u
 
 
-def _flag_mask(unitary: np.ndarray, flag_indices) -> np.ndarray:
-    """The flag-1 mask of a dense scenario (unitary A, flag-1 index set),
-    after its checks: dimension at most MAX_DENSE_DIM, a nonempty proper
-    set of in-range flag indices, and UnitarityError for a non-unitary A."""
-    dim = unitary.shape[0]
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension capped at {MAX_DENSE_DIM}, got {dim}")
-    flags = frozenset(flag_indices)
-    if not flags or len(flags) >= dim:
-        raise ValueError("flag partition must be nonempty and proper")
-    if any(i < 0 or i >= dim for i in flags):
-        raise ValueError("flag index out of range")
-    _check_unitary(unitary, "A")
-    mask = np.zeros(dim, dtype=bool)
-    mask[list(flags)] = True
-    return mask
+def _flag_masks(dim: int, flag_sets) -> np.ndarray:
+    """The (k, dim) flag-1 masks of k nonempty proper sets of flag indices,
+    each index an integer in [0, dim - 1]."""
+    masks = np.zeros((len(flag_sets), dim), dtype=bool)
+    for mask, flag_indices in zip(masks, flag_sets):
+        if not isinstance(flag_indices, Iterable):
+            raise ValueError(f"flag indices must be a collection of integers, got {flag_indices!r}")
+        flags = {check_int("flag index", i, 0, dim - 1) for i in flag_indices}
+        if not 0 < len(flags) < dim:
+            raise ValueError("flag partition must be nonempty and proper")
+        mask[list(flags)] = True
+    return masks
 
 
-def _normalized_part(psi: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """psi's component on the mask, normalized (zero when it has no mass)."""
-    part = np.where(mask, psi, 0.0)
-    norm = np.linalg.norm(part)
-    return part / norm if norm > 0.0 else part
+def _scenario_stack(unitary, flag_indices) -> tuple[np.ndarray, np.ndarray]:
+    """A dense scenario (unitary A, flag-1 index set), or a (k, d, d) stack
+    of unitaries with a sequence of k flag sets, as a (k, d, d) stack and
+    its (k, d) flag-1 masks, after the checks: a square matrix or a
+    nonempty stack of them, d in [2, MAX_DENSE_DIM], one valid flag set per
+    matrix, and UnitarityError for a non-unitary A."""
+    a = np.asarray(unitary)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise ValueError(f"unitary must be a square matrix or a nonempty (k, d, d) stack, "
+                         f"got shape {a.shape}")
+    dim = check_int("dim", a.shape[-1], 2, MAX_DENSE_DIM)
+    flag_sets = (flag_indices,) if a.ndim == 2 else tuple(flag_indices)
+    a = a.reshape(-1, dim, dim)
+    if len(flag_sets) != len(a):
+        raise ValueError(f"a stack of {len(a)} unitaries needs {len(a)} flag sets, "
+                         f"got {len(flag_sets)}")
+    masks = _flag_masks(dim, flag_sets)
+    _check_unitary(a, "A")
+    return a, masks
 
 
-def random_scenario(dim: int, seed) -> tuple[np.ndarray, frozenset[int]]:
+def _normalized_parts(psi: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Each row of psi restricted to its mask, normalized (zero when it has no mass)."""
+    parts = np.where(masks, psi, 0.0)
+    norms = _row_norms(parts)
+    return parts / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a (k, d) complex array: the same two
+    BLAS dot products, since matmul's 1 x 1 products call the same dot."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def random_scenario(dim: int, seed) -> tuple[np.ndarray, frozenset[int] | tuple[frozenset, ...]]:
     """Random scenario (unitary, flag_indices): a Haar-like unitary and a
-    random proper flag set. ``dim`` is checked before the unitary is built."""
+    random proper flag set, both drawn from default_rng(seed).
+
+    ``seed`` may also be a sequence of k seeds: the unitaries then come as
+    one (k, dim, dim) stack from ``random_unitary`` and the flag sets as a
+    k-tuple, scenario j being the one seed[j] alone gives. ``dim`` and
+    every seed are checked before anything is drawn.
+    """
     dim = check_int("dim", dim, 2, MAX_DENSE_DIM)
-    rng = np.random.default_rng(seed)
-    a = random_unitary(dim, rng)
-    size = int(rng.integers(1, dim))
-    return a, frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
+    one = np.ndim(seed) == 0
+    seeds = [seed] if one else list(seed)
+    if not seeds:
+        raise ValueError("random_scenario needs at least one seed")
+    for s in seeds:
+        check_seed(s)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    a = random_unitary(dim, rngs)
+    flags = tuple(
+        frozenset(int(i) for i in rng.choice(dim, size=int(rng.integers(1, dim)), replace=False))
+        for rng in rngs
+    )
+    return (a[0], flags[0]) if one else (a, flags)
 
 
 def grover_operator(unitary: np.ndarray, flag_indices) -> np.ndarray:
-    """G = -A S0 A^-1 S1 as an explicit matrix, S1 flipping the flag indices."""
-    return _grover_matrix(unitary, np.where(_flag_mask(unitary, flag_indices), -1.0, 1.0))
+    """G = -A S0 A^-1 S1 as an explicit matrix, S1 flipping the flag indices;
+    for a (k, d, d) stack and k flag sets, the stack of the k G."""
+    a, masks = _scenario_stack(unitary, flag_indices)
+    return _grover_matrix(a, np.where(masks, -1.0, 1.0)[:, None, :]).reshape(np.shape(unitary))
 
 
 def _grover_matrix(a: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """-A S0 A^H S1 with S0 = 1 - 2|0><0| and S1 = diag(s1), s1 of +-1: the
-    sign diagonals flip column signs, giving the four-matrix product's entries."""
-    s0 = np.ones(a.shape[0])
+    """-A S0 A^H S1 with S0 = 1 - 2|0><0| and S1 = diag(s1), s1 of +-1, for
+    one A or a stack: the sign diagonals flip column signs, giving the
+    four-matrix product's entries."""
+    s0 = np.ones(a.shape[-1])
     s0[0] = -1.0
-    return -(((a * s0) @ a.conj().T) * s1)
+    return -(((a * s0) @ a.conj().swapaxes(-1, -2)) * s1)
 
 
-def amplification_residual(unitary: np.ndarray, flag_indices) -> float:
+def amplification_residual(unitary: np.ndarray, flag_indices) -> float | np.ndarray:
     """Distance of G A|0> from the 3-theta rotation target, up to global phase:
-    theta from the flag-1 mass of A|0>, phi1/phi0 its normalized flag parts."""
-    mask = _flag_mask(unitary, flag_indices)
-    g = _grover_matrix(unitary, np.where(mask, -1.0, 1.0))
+    theta from the flag-1 mass of A|0>, phi1/phi0 its normalized flag parts.
+
+    A (k, d, d) stack with a sequence of k flag sets gives an array of the k
+    residuals, each the float its scenario alone gives: the matrix work runs
+    once on the stack, and only theta is computed scenario by scenario.
+    """
+    a, masks = _scenario_stack(unitary, flag_indices)
+    g = _grover_matrix(a, np.where(masks, -1.0, 1.0)[:, None, :])
     _check_unitary(g, "G")
-    psi = unitary[:, 0]
-    out = g @ psi
-    w = float(np.sum(np.abs(psi[mask]) ** 2))
-    theta = math.asin(min(1.0, math.sqrt(min(1.0, w))))
-    target = math.sin(3 * theta) * _normalized_part(psi, mask) + math.cos(
-        3 * theta
-    ) * _normalized_part(psi, ~mask)
-    overlap = np.vdot(target, out)
-    if abs(overlap) > 0.0:
-        out = out * (abs(overlap) / overlap)
-    return float(np.linalg.norm(out - target))
+    psi = a[:, :, 0]
+    out = (g @ a[:, :, :1])[:, :, 0]
+    # Each scenario's flag-1 mass sums its own contiguous run of the masses,
+    # so its additions are those of a sum over that scenario alone.
+    masses = np.abs(psi[masks]) ** 2
+    ends = np.cumsum(np.count_nonzero(masks, axis=1)).tolist()
+    thetas = [math.asin(min(1.0, math.sqrt(min(1.0, float(np.add.reduce(masses[start:end]))))))
+              for start, end in zip([0, *ends], ends)]
+    sin3 = np.array([[math.sin(3 * t)] for t in thetas])
+    cos3 = np.array([[math.cos(3 * t)] for t in thetas])
+    target = sin3 * _normalized_parts(psi, masks) + cos3 * _normalized_parts(psi, ~masks)
+    overlap = (target.conj()[:, None, :] @ out[:, :, None])[:, 0, 0]
+    size = np.abs(overlap)
+    turn = size > 0.0
+    out[turn] *= (size[turn] / overlap[turn])[:, None]
+    residuals = _row_norms(out - target)
+    return float(residuals[0]) if np.ndim(unitary) == 2 else residuals
 
 
 def dense_amplification_check(dim: int, flag_indices, seed) -> float:
-    """Residual of the rotation identity on a seeded random scenario; ``dim``
-    is checked before the unitary is built."""
+    """Residual of the rotation identity on a seeded random unitary; ``dim``,
+    ``seed`` and the flag set are checked before the unitary is built."""
     dim = check_int("dim", dim, 2, MAX_DENSE_DIM)
-    rng = np.random.default_rng(seed)
-    return amplification_residual(random_unitary(dim, rng), flag_indices)
+    check_seed(seed)
+    _flag_masks(dim, [flag_indices])
+    return amplification_residual(random_unitary(dim, np.random.default_rng(seed)), flag_indices)
 
 
 @functools.cache
@@ -370,9 +434,10 @@ def run_fact_checks(
 
     rotation-oracle: the dense 3-theta residual over ``scenarios`` random
     scenarios, scenario i of dimension dims[i % len(dims)] and seed
-    seed + i. majority-oracle: majority_prob against 2^r enumeration for
-    odd r <= max_r. round-schedule: r_1..r_3 against the enumeration scan
-    and PINNED_SCHEDULE. round-crosscheck: one dense round against the
+    seed + i, evaluated in one stack per dimension. majority-oracle:
+    majority_prob against 2^r enumeration for odd r <= max_r.
+    round-schedule: r_1..r_3 against the enumeration scan and
+    PINNED_SCHEDULE. round-crosscheck: one dense round against the
     engine on each tuple of per-index probabilities in ``round_grid``
     (an index is a solution when p >= 1/2). Arguments are checked before
     any check runs.
@@ -382,10 +447,16 @@ def run_fact_checks(
     if not dims:
         raise ValueError("fact checks need at least one dimension")
     gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work
-    residual = max(
-        amplification_residual(*random_scenario(dims[i % len(dims)], seed + i))
-        for i in range(scenarios)
-    )
+    # One stack per dimension; each residual lands at its scenario's place,
+    # so the maximum is taken in scenario order.
+    stacks: dict[int, list[int]] = {}
+    for i in range(scenarios):
+        stacks.setdefault(dims[i % len(dims)], []).append(i)
+    residuals = np.empty(scenarios)
+    for dim, members in stacks.items():
+        residuals[members] = amplification_residual(
+            *random_scenario(dim, [seed + i for i in members]))
+    residual = max(residuals.tolist())
     got = tuple(schedule_for_round(k) for k in (1, 2, 3))
     oracle = tuple(_oracle_schedule_r(k) for k in (1, 2, 3))
     deviation = max(

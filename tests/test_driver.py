@@ -42,6 +42,7 @@ from besearch.oracles import (
     MAX_BASELINE_N,
     MAX_DENSE_DIM,
     MAX_ENUM_R,
+    amplification_residual,
     block_recursion_cost,
     dense_amplification_check,
     enumerate_majority,
@@ -528,8 +529,8 @@ def _fact_checks(scenarios=1, dims=(4,), seed=0, max_r=3):
 
 
 class TestIntegerContract:
-    """Every size, count, round, majority, scenario, dimension, tree shape
-    and seed argument is checked by ``check_int``: bool, float, str and
+    """Every size, count, round, majority, scenario, dimension, flag index,
+    tree shape and seed argument is checked by ``check_int``: bool, float, str and
     None raise a ValueError that names the argument, and a numpy integer
     gives the same result as the Python int."""
 
@@ -563,6 +564,13 @@ class TestIntegerContract:
         "run_fact_checks-max_r": ("max_r", lambda v: _fact_checks(max_r=v)),
         "random_scenario": ("dim", lambda v: random_scenario(v, 0)),
         "dense_amplification_check": ("dim", lambda v: dense_amplification_check(v, {1}, 0)),
+        "random_scenario-seed": ("seed", lambda v: random_scenario(4, v)),
+        "dense_amplification_check-seed":
+            ("seed", lambda v: dense_amplification_check(4, {1}, v)),
+        "dense_amplification_check-flag":
+            ("flag index", lambda v: dense_amplification_check(8, {v}, 0)),
+        "amplification_residual-flag":
+            ("flag index", lambda v: amplification_residual(np.eye(8, dtype=complex), {v})),
         "AndOrTree-depth": ("depth", lambda v: AndOrTree(v, (2,) * 3, GATE_OR)),
         "AndOrTree-fanout": ("fanout", lambda v: AndOrTree(2, (3, v), GATE_OR)),
         "check_seed": ("seed", lambda v: check_seed(v)),
@@ -570,6 +578,7 @@ class TestIntegerContract:
     # An in-range value for the entry points whose range or call excludes 81.
     IN_RANGE = {"enumerate_majority": 9, "majority_oracle_gap": 9, "run_fact_checks-dims": 8,
                 "run_fact_checks-max_r": 5, "random_scenario": 8, "dense_amplification_check": 8,
+                "dense_amplification_check-flag": 3, "amplification_residual-flag": 3,
                 "AndOrTree-depth": 3}
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -615,6 +624,9 @@ class TestIntegerContract:
                           (lambda: _fact_checks(max_r=MAX_ENUM_R + 1), "max_r"),
                           (lambda: random_scenario(1, 0), "dim"),
                           (lambda: dense_amplification_check(MAX_DENSE_DIM + 1, {1}, 0), "dim"),
+                          (lambda: random_scenario(4, -1), "seed"),
+                          (lambda: dense_amplification_check(4, {1}, -1), "seed"),
+                          (lambda: dense_amplification_check(4, {4}, 0), "flag index"),
                           (lambda: AndOrTree(-1, (), GATE_OR), "depth"),
                           (lambda: AndOrTree(2, (3, 0), GATE_OR), "fanout"),
                           (lambda: check_seed(-1), "seed")):

@@ -25,6 +25,7 @@ from besearch.oracles import (
     grover_operator,
     majority_oracle_gap,
     random_scenario,
+    run_fact_checks,
     simple_search_cost,
     structured_vs_dense_round,
     unitary_with_first_column,
@@ -82,9 +83,9 @@ class TestDenseScenario:
     def test_dimension_checked_before_the_unitary_is_built(self, monkeypatch):
         calls = []
 
-        def counting_unitary(dim, rng):
+        def counting_unitary(dim, rngs):
             calls.append(dim)
-            return np.eye(dim, dtype=complex)
+            return np.array([np.eye(dim, dtype=complex)] * len(rngs))
 
         monkeypatch.setattr(besearch.oracles, "random_unitary", counting_unitary)
         for dim in (1, MAX_DENSE_DIM + 1):
@@ -95,6 +96,57 @@ class TestDenseScenario:
         assert calls == []
         random_scenario(4, 0)
         assert calls == [4]
+
+    def test_seed_and_flags_checked_before_the_unitary_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(besearch.oracles, "random_unitary",
+                            lambda dim, rng: calls.append(dim))
+        for bad in (None, 1.5, True, "7", -1):
+            with pytest.raises(ValueError, match=r"^seed must"):
+                random_scenario(4, bad)
+            with pytest.raises(ValueError, match=r"^seed must"):
+                random_scenario(4, [0, bad])
+            with pytest.raises(ValueError, match=r"^seed must"):
+                dense_amplification_check(4, {1}, bad)
+        with pytest.raises(ValueError, match="at least one seed"):
+            random_scenario(4, [])
+        with pytest.raises(ValueError, match=r"^flag index must lie in \[0, 3\], got 9"):
+            dense_amplification_check(4, {9}, 0)
+        with pytest.raises(ValueError, match="nonempty and proper"):
+            dense_amplification_check(4, {0, 1, 2, 3}, 0)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", (1.5, True, "1", None, np.float64(1.0)))
+    def test_flag_index_must_be_an_integer(self, bad):
+        a, _ = random_scenario(4, 0)
+        for call in (*(lambda flags, o=o: o(a, flags) for o in DENSE_ORACLES),
+                     lambda flags: dense_amplification_check(4, flags, 0)):
+            with pytest.raises(ValueError, match=r"^flag index must be an integer"):
+                call({2, bad})
+
+    def test_flag_index_range_is_named_and_numpy_integers_pass(self):
+        a, _ = random_scenario(4, 0)
+        for oracle in DENSE_ORACLES:
+            for bad in (-1, 4):
+                with pytest.raises(ValueError, match=r"^flag index must lie in \[0, 3\]"):
+                    oracle(a, {1, bad})
+            assert np.array_equal(oracle(a, {np.int64(1), np.int8(3)}), oracle(a, {1, 3}))
+
+    @pytest.mark.parametrize("shape", ((4, 3), (4,), (), (2, 4, 4, 4), (0, 4, 4), (3, 4, 5)))
+    def test_rejects_shapes_that_are_not_square_matrices(self, shape):
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(ValueError, match=r"^unitary must be a square matrix"):
+                oracle(np.ones(shape, dtype=complex), {1})
+
+    def test_stack_needs_one_flag_set_per_matrix(self):
+        a, flags = random_scenario(4, [0, 1, 2])
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(ValueError, match="needs 3 flag sets, got 2"):
+                oracle(a, flags[:2])
+            with pytest.raises(ValueError, match="^flag indices must be a collection"):
+                oracle(a, {0, 1, 2})
+            with pytest.raises(ValueError, match="^flag indices must be a collection"):
+                oracle(a[0], 1)
 
     def test_random_scenario_is_a_proper_flag_set(self):
         for dim in (2, 4, 8, 16):
@@ -141,6 +193,101 @@ class TestDenseScenario:
         u = unitary_with_first_column(psi)
         assert np.allclose(u[:, 0], psi)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+
+
+def one_at_a_time(scenarios, dims, seed):
+    """Scenario i's residual computed alone, as in run_fact_checks' order."""
+    return [amplification_residual(*random_scenario(dims[i % len(dims)], seed + i))
+            for i in range(scenarios)]
+
+
+def reference_scenario(dim, seed):
+    """One scenario drawn matrix by matrix: two Gaussian draws, QR, phase
+    fix, then the flag set."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diagonal(r)
+    size = int(rng.integers(1, dim))
+    flags = frozenset(int(i) for i in rng.choice(dim, size=size, replace=False))
+    return q * (d / np.abs(d)), flags
+
+
+def reference_residual(a, flags):
+    """The 3-theta residual of one scenario, one numpy call per step."""
+    mask = np.zeros(len(a), dtype=bool)
+    mask[list(flags)] = True
+    s0 = np.ones(len(a))
+    s0[0] = -1.0
+    psi = a[:, 0]
+    out = -(((a * s0) @ a.conj().T) * np.where(mask, -1.0, 1.0)) @ psi
+    theta = math.asin(min(1.0, math.sqrt(min(1.0, float(np.sum(np.abs(psi[mask]) ** 2))))))
+
+    def normalized_part(m):
+        part = np.where(m, psi, 0.0)
+        norm = np.linalg.norm(part)
+        return part / norm if norm > 0.0 else part
+
+    target = (math.sin(3 * theta) * normalized_part(mask)
+              + math.cos(3 * theta) * normalized_part(~mask))
+    overlap = np.vdot(target, out)
+    if abs(overlap) > 0.0:
+        out = out * (abs(overlap) / overlap)
+    return float(np.linalg.norm(out - target))
+
+
+class TestStackedScenarios:
+    """A stack of scenarios gives, bit for bit, what each scenario gives
+    alone, and that is what the matrix-by-matrix reference gives."""
+
+    # (scenarios, dims): dims 2..16; duplicated dims; a count that is not a
+    # multiple of the number of dims; one scenario; fewer scenarios than dims.
+    CASES = ((30, tuple(range(2, 17))), (7, (4, 4, 9)), (10, (2, 4, 8)), (1, (4,)),
+             (2, (16, 2, 5)))
+
+    @staticmethod
+    def stacks(scenarios, dims):
+        """Scenario indices by dimension, as run_fact_checks groups them."""
+        stacks = {}
+        for i in range(scenarios):
+            stacks.setdefault(dims[i % len(dims)], []).append(i)
+        return stacks
+
+    @pytest.mark.parametrize("scenarios, dims", CASES)
+    def test_stacked_residuals_equal_one_at_a_time(self, scenarios, dims):
+        seed = 500
+        alone = one_at_a_time(scenarios, dims, seed)
+        assert alone == [reference_residual(*reference_scenario(dims[i % len(dims)], seed + i))
+                         for i in range(scenarios)]
+        for dim, members in self.stacks(scenarios, dims).items():
+            stacked = amplification_residual(*random_scenario(dim, [seed + i for i in members]))
+            assert stacked.tolist() == [alone[i] for i in members]
+        rotation = run_fact_checks(scenarios, dims, seed, 1, round_grid=((0.0,),))[0]
+        assert rotation.value == max(alone)
+        assert rotation.detail.endswith(f"over {scenarios} scenarios")
+
+    @pytest.mark.parametrize("dim", (2, 5, 16))
+    def test_stacked_draws_and_grover_equal_one_at_a_time(self, dim):
+        seeds = [3, 1, 4, 1, 5]
+        a, flags = random_scenario(dim, seeds)
+        assert a.shape == (len(seeds), dim, dim) and len(flags) == len(seeds)
+        g = grover_operator(a, flags)
+        for j, seed in enumerate(seeds):
+            a_j, flags_j = random_scenario(dim, seed)
+            assert np.array_equal(a[j], a_j) and flags[j] == flags_j
+            ref_a, ref_flags = reference_scenario(dim, seed)
+            assert np.array_equal(a_j, ref_a) and flags_j == ref_flags
+            assert np.array_equal(g[j], grover_operator(a_j, flags_j))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        assert np.array_equal(
+            besearch.oracles.random_unitary(dim, rngs),
+            [besearch.oracles.random_unitary(dim, np.random.default_rng(s)) for s in seeds])
+
+    def test_one_non_unitary_matrix_in_the_stack_raises(self):
+        a, flags = random_scenario(6, range(5))
+        a[2] = np.ones((6, 6))
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(UnitarityError, match="^A deviates"):
+                oracle(a, flags)
 
 
 # float.hex of structured_vs_dense_round on each ROUND_GRID tuple, as
