@@ -25,12 +25,14 @@ from .error_reduction import (
 )
 from .driver import (
     MAX_SHOTS,
+    ExactOutcome,
     SearchResult,
     TraceRow,
     CurvePoint,
     analytic_cost,
     build_state,
     ceil_log9,
+    exact_outcome,
     exact_success_curve,
     full_sweep_cost,
     run_block,

@@ -45,6 +45,7 @@ from .driver import (
     search_blocks,
     verification_repetitions,
 )
+from .error_reduction import MAX_ROUNDS
 from .model import PROMISE_BAD, PROMISE_GOOD, InvariantError, check_int, make_instance
 from .oracles import block_recursion_cost, run_fact_checks, simple_search_cost
 
@@ -231,7 +232,7 @@ def cmd_search(cfg: dict) -> int:
 # ----------------------------------------------------------------- curve
 
 def cmd_curve(cfg: dict) -> int:
-    m_max = check_int("m_max", cfg["m_max"], -1)
+    m_max = check_int("m_max", cfg["m_max"], -1, MAX_ROUNDS)
     inst = _instance(cfg)
     m_max = m_max if m_max >= 0 else ceil_log9(inst.n)
     rows = [
@@ -331,7 +332,7 @@ HELP = dict(
     shots="preparations per block",
     csv="write rows as CSV",
     json="write rows as JSON",
-    m_max="last round, or -1 for ceil(log9 n)",
+    m_max="last round, at most 478, or -1 for ceil(log9 n)",
     tree="tree description file",
     scenarios="random dense scenarios",
     dims="comma list of dense dimensions",

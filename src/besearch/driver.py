@@ -16,6 +16,7 @@ control flow.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .amplification import apply_amplification
 from .error_reduction import (
-    MAX_ROUNDS, apply_error_reduction, repetitions_for, schedule_for_round
+    MAX_ROUNDS, apply_error_reduction, majority_prob, repetitions_for, schedule_for_round
 )
 from .model import (
     ProblemInstance,
@@ -77,6 +78,26 @@ class SearchResult:
     found_class: Optional[int]
     total_cost: int
     trace: tuple[TraceRow, ...]
+
+
+@dataclass(frozen=True)
+class ExactOutcome:
+    """Exact outcome distribution of ``run_search`` with a shot count.
+
+    ``p_found``, ``p_false_accept`` and ``p_nothing`` are the chances that
+    the search accepts a solution, accepts a non-solution, or ends with
+    no_solutions; ``expected_cost`` is its expected total cost. Entry m
+    of ``block_found`` and ``block_false_accept`` is the chance that block
+    m, run alone as ``run_block`` runs it, accepts a solution or a
+    non-solution.
+    """
+
+    p_found: float
+    p_false_accept: float
+    p_nothing: float
+    expected_cost: float
+    block_found: tuple[float, ...]
+    block_false_accept: tuple[float, ...]
 
 
 def ceil_log9(n: int) -> int:
@@ -210,6 +231,12 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _shot_weights(state: StructuredState) -> np.ndarray:
+    """Unnormalized chance of each class in one measurement of ``state``:
+    what the sampler draws from and the exact route reads."""
+    return np.maximum(measurement_weights(state), 0.0)
+
+
 def _measure(rng: np.random.Generator, weights: np.ndarray, shots: int) -> np.ndarray:
     """Draw ``shots`` class indices with probabilities proportional to ``weights``.
 
@@ -253,8 +280,7 @@ def _sample_block(
     ``rng.binomial(v, ps[sampled])`` call; only the generator's state
     after an acceptance differs, and no caller draws from it again.
     """
-    weights = np.maximum(measurement_weights(state), 0.0)
-    sampled = _measure(rng, weights, shots)
+    sampled = _measure(rng, _shot_weights(state), shots)
     ps = instance.ps[sampled]
     half = v // 2  # a sample is accepted by more than half of its v votes
     start = 0
@@ -319,3 +345,42 @@ def run_block(
     state, cost = build_state(instance, m)
     hit, verified = _sample_block(rng, state, instance, v, shots)
     return hit, shots * cost + verified * v
+
+
+def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> ExactOutcome:
+    """The exact outcome distribution of ``run_search``, block by block.
+
+    In block m one shot measures class c with chance w_c (the shot
+    weights, normalized) and the v votes accept it with chance acc_c =
+    majority_prob(v, p_c), so a shot is accepted with chance
+    q = sum_c w_c acc_c. The block accepts nothing with chance
+    (1 - q)^shots and verifies E = (1 - (1 - q)^shots) / q samples on
+    average (all of them when q = 0). Each verified sample is an accepted
+    solution with chance q_good, the solution classes' part of q, so the
+    block accepts a solution with chance E q_good. acc depends on neither
+    m nor the state, so it is computed once. O(blocks x classes); nothing
+    is sampled.
+    """
+    shots = check_shots(shots)
+    v = verification_repetitions(instance.n, shots)
+    acc = majority_prob(v, instance.ps)
+    reach = 1.0  # chance that the search enters the block
+    p_found = p_false = cost = 0.0
+    found: list[float] = []
+    false_accept: list[float] = []
+    for _, state, c in _rounds(instance, search_blocks(instance.n) - 1):
+        w = _shot_weights(state)
+        accepted = w * acc / w.sum()
+        q_good = float(accepted[instance.solution].sum())
+        q_bad = float(accepted[~instance.solution].sum())
+        q = q_good + q_bad
+        log_miss = shots * math.log1p(-q) if q < 1.0 else -math.inf
+        hit = -math.expm1(log_miss)  # 1 - (1 - q)^shots, accurate for tiny q
+        verified = hit / q if q > 0.0 else shots  # expected samples verified
+        found.append(verified * q_good)
+        false_accept.append(verified * q_bad)
+        cost += reach * (shots * c + verified * v)
+        p_found += reach * found[-1]
+        p_false += reach * false_accept[-1]
+        reach *= math.exp(log_miss)
+    return ExactOutcome(p_found, p_false, reach, cost, tuple(found), tuple(false_accept))

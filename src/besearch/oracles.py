@@ -86,7 +86,9 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
     ``rng`` may also be a sequence of k generators: each draws its own
     Gaussian, and the (k, dim, dim) stack takes one QR and one phase fix.
+    ``dim`` is checked before anything is drawn.
     """
+    dim = check_int("dim", dim, 2, MAX_DENSE_DIM)
     one = isinstance(rng, np.random.Generator)
     # Each generator's real then imaginary parts, in one draw of 2 dim^2 normals.
     parts = np.array([g.standard_normal((2, dim, dim)) for g in ([rng] if one else rng)])

@@ -8,6 +8,7 @@ therefore deterministic.
 """
 import functools
 import math
+import statistics
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from besearch import (
     evaluate_classical,
     evaluate_quantum_cost,
     evaluate_quantum_sim,
+    exact_outcome,
     exact_success_curve,
     full_sweep_cost,
     make_instance,
@@ -177,10 +179,25 @@ def test_criterion_5_cost_accounting():
     )
 
 
+def binomial_interval(trials: int, p: float, tail: float = 1e-6) -> tuple[int, int]:
+    """The central interval [lo, hi] of Binomial(trials, p) whose two
+    tails, P(X < lo) and P(X > hi), are each <= tail (exact, math.comb)."""
+    pmf = [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+    lo, hi = 0, trials
+    while sum(pmf[: lo + 1]) <= tail:
+        lo += 1
+    while sum(pmf[hi:]) <= tail:
+        hi -= 1
+    return lo, hi
+
+
 def test_criterion_6_monte_carlo_search():
     seeds = range(500)
     planted = make_instance(6561, 1, 0.9, 0.1)
-    found = sum(run_search(planted, s).outcome == "found" for s in seeds)
+    runs = [run_search(planted, s) for s in seeds]
+    found = sum(run.outcome == "found" for run in runs)
+    solutions = sum(run.outcome == "found" and planted.classes[run.found_class].is_solution
+                    for run in runs)
 
     # t = 1 qualifies block m = 3 (t in [n/9^4, n/9^3]); run it isolated
     block_hits = 0
@@ -192,13 +209,31 @@ def test_criterion_6_monte_carlo_search():
     empty = make_instance(81, 0, 0.9, 0.1)
     none = sum(run_search(empty, s).outcome == "no_solutions" for s in seeds)
 
-    ok = found >= 375 and block_hits >= 375 and none >= 495
+    # The exact route: each count lies in its binomial interval, and the
+    # mean cost within 5 standard errors of the exact expectation.
+    exact, exact_empty = exact_outcome(planted), exact_outcome(empty)
+    counts = (  # (what, seeded count, exact probability)
+        ("found", found, 1.0 - exact.p_nothing),
+        ("solution found", solutions, exact.p_found),
+        ("block m=3", block_hits, exact.block_found[3]),
+        ("t=0 no_solutions", none, exact_empty.p_nothing),
+    )
+    intervals = [binomial_interval(500, p) for _, _, p in counts]
+    inside = all(lo <= count <= hi for (_, count, _), (lo, hi) in zip(counts, intervals))
+    costs = [run.total_cost for run in runs]
+    z = (statistics.fmean(costs) - exact.expected_cost) / (statistics.stdev(costs) / math.sqrt(500))
+
+    ok = found >= 375 and block_hits >= 375 and none >= 495 and inside and abs(z) <= 5
+    exact_text = "; ".join(f"{what} p={p:.6g} in [{lo}, {hi}]"
+                           for (what, _, p), (lo, hi) in zip(counts, intervals))
     report(
         6,
         ok,
         f"500 seeds: found {found}/500 (>= 375); qualifying block m=3 alone "
         f"{block_hits}/500 (>= 375, worst-case analytic bound ~0.798); "
-        f"t=0 no_solutions {none}/500 (>= 495)",
+        f"t=0 no_solutions {none}/500 (>= 495); exact: P(found) {exact.p_found:.6f}, "
+        f"P(false accept) {exact.p_false_accept:.4g}, {exact_text}; mean cost "
+        f"{statistics.fmean(costs):.1f} vs E[cost] {exact.expected_cost:.1f} (z = {z:.2f}, |z| <= 5)",
     )
 
 

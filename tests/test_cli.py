@@ -407,7 +407,7 @@ class TestExitContract:
         start = time.perf_counter()
         code, _, err = run(capsys, "curve", "--m-max", "100000")
         assert code == 2
-        assert "rounds" in err
+        assert "m_max" in err
         assert time.perf_counter() - start < 1.0
 
     def test_invariant_violation_exits_one(self, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import besearch.driver
 from besearch import (
     GATE_OR,
     MAX_ROUNDS,
@@ -18,7 +19,7 @@ from besearch import (
     build_state,
     ceil_log9,
     evaluate_quantum_cost,
-    evaluate_quantum_sim,
+    exact_outcome,
     exact_success_curve,
     full_sweep_cost,
     init_state,
@@ -30,28 +31,11 @@ from besearch import (
     state_stats,
     verification_repetitions,
 )
-from besearch.driver import (
-    VERIFICATION_CONFIDENCE, _measure, _sample_block, check_seed, check_shots, prep_costs
-)
-from besearch.amplification import amplification_factors
-from besearch.error_reduction import _MAX_REPS, majority_prob, repetitions_for
-from besearch.model import (
-    IndexClass, ProblemInstance, StructuredState, check_int, check_prob
-)
-from besearch.oracles import (
-    MAX_BASELINE_N,
-    MAX_DENSE_DIM,
-    MAX_ENUM_R,
-    amplification_residual,
-    block_recursion_cost,
-    dense_amplification_check,
-    enumerate_majority,
-    majority_oracle_gap,
-    random_scenario,
-    run_fact_checks,
-    simple_search_cost,
-)
+from besearch.driver import VERIFICATION_CONFIDENCE, _measure, _sample_block
+from besearch.model import IndexClass, ProblemInstance, StructuredState
+from besearch.oracles import enumerate_majority
 from conftest import strict_instances
+from test_contracts import IntegerCases, ProbabilityCases, ShotCases
 
 
 def oracle_reps(eps: float) -> int:
@@ -91,10 +75,6 @@ class TestAnalyticCost:
     def test_big_o_of_three_to_m(self):
         ratios = [analytic_cost(m) / 3**m for m in range(21)]
         assert max(ratios) <= 4.0  # measured max ~3.876
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            analytic_cost(-1)
 
 
 class TestBuildState:
@@ -296,15 +276,6 @@ class TestRunSearch:
         assert run_search(make_instance(1, 1, 0.95, 0.1), 3).outcome == "found"
         assert run_search(make_instance(1, 0, 0.9, 0.05), 3).outcome == "no_solutions"
 
-    def test_rejects_invalid_seed_and_shots(self):
-        inst = make_instance(81, 1, 0.9, 0.1)
-        for bad_seed in (-1, 1.5, None, "7"):
-            with pytest.raises(ValueError):
-                run_search(inst, bad_seed)
-        for bad_shots in (0, -5, 2.0):
-            with pytest.raises(ValueError):
-                run_search(inst, 0, shots_per_m=bad_shots)
-
     def test_accepts_seed_sequence(self):
         inst = make_instance(81, 1, 0.9, 0.1)
         ss = np.random.SeedSequence(5)
@@ -336,11 +307,43 @@ class TestRunBlock:
         assert hit is None
         assert cost == 1000 * 1 + 1000 * verification_repetitions(81)
 
-    @pytest.mark.parametrize("bad_seed", (-1, 1.5, None, "7", True))
-    def test_rejects_invalid_seed(self, bad_seed):
-        inst = make_instance(81, 1, 0.9, 0.1)
-        with pytest.raises(ValueError, match="seed"):
-            run_block(inst, 1, bad_seed)
+
+class TestExactOutcome:
+    def test_planted_values(self):
+        result = exact_outcome(make_instance(6561, 1, 0.9, 0.1), 1000)
+        assert result.p_found == pytest.approx(0.997937, abs=1e-6)
+        assert result.p_false_accept == pytest.approx(2.063e-3, abs=1e-6)
+        assert result.expected_cost == pytest.approx(50355.7, abs=0.1)
+        # Block m = 3 holds t = 1 in [n/9^4, n/9^3]: alone it almost always hits.
+        assert result.block_found[3] == pytest.approx(0.99998, abs=1e-5)
+        assert len(result.block_found) == len(result.block_false_accept) == 4
+
+    @given(strict_instances(), st.sampled_from((1, 7, 1000)))
+    @settings(max_examples=40)
+    def test_outcomes_sum_to_one(self, inst, shots):
+        result = exact_outcome(inst, shots)
+        assert abs(result.p_found + result.p_false_accept + result.p_nothing - 1.0) <= 1e-12
+        assert all(0.0 <= p <= 1.0 for p in result.block_found + result.block_false_accept)
+
+    def test_empty_search_costs_a_full_sweep(self):
+        # With no solution and p_bad = 0 no sample is accepted, so every
+        # block verifies all its shots: exactly what full_sweep_cost charges.
+        golden = {9: 20000, 81: 51000, 729: 103000, 6561: 224000, 9**8: 12858000}
+        for n, cost in golden.items():
+            result = exact_outcome(make_instance(n, 0, 0.9, 0.0))
+            assert result.expected_cost == full_sweep_cost(n) == cost
+            assert result.p_nothing == 1.0
+
+    def test_acceptance_chances_are_computed_once(self, monkeypatch):
+        calls = []
+        real = besearch.driver.majority_prob
+        monkeypatch.setattr(besearch.driver, "majority_prob",
+                            lambda *args: calls.append(args) or real(*args))
+        inst = make_instance(6561, 1, 0.9, 0.1)
+        run_search(inst, 42)
+        assert calls == []  # the sampled run never needs them
+        exact_outcome(inst)
+        assert len(calls) == 1
 
 
 def _weights(kind: str) -> np.ndarray:
@@ -511,233 +514,18 @@ class TestPieceDraws:
         )
 
 
-def _plain(result):
-    """A result in a form that == compares: states become their masses and
-    a dense scenario's unitary its nested list of entries."""
-    if isinstance(result, StructuredState):
-        return result.w1.tolist(), result.w0.tolist()
-    if isinstance(result, tuple) and isinstance(result[0], StructuredState):
-        return _plain(result[0]), result[1]
-    if isinstance(result, tuple) and isinstance(result[0], np.ndarray):
-        return result[0].tolist(), result[1]
-    return result
+# The contract cases generated from the registry in tests/test_contracts.py
+# run under the class names they have always been reported under.
+class TestIntegerContract(IntegerCases):
+    pass
 
 
-def _fact_checks(scenarios=1, dims=(4,), seed=0, max_r=3):
-    """run_fact_checks on its smallest inputs: one cheap crosscheck instance."""
-    return run_fact_checks(scenarios, dims, seed, max_r, round_grid=((0.9, 0.1),))
+class TestProbabilityContract(ProbabilityCases):
+    pass
 
 
-class TestIntegerContract:
-    """Every size, count, round, majority, scenario, dimension, flag index,
-    tree shape and seed argument is checked by ``check_int``: bool, float, str and
-    None raise a ValueError that names the argument, and a numpy integer
-    gives the same result as the Python int."""
-
-    INST = make_instance(81, 1, 0.9, 0.1)
-    # entry point -> (name in the error, call with the value under test)
-    ENTRY_POINTS = {
-        "check_int": ("x", lambda v: check_int("x", v, 1)),
-        "ceil_log9": ("n", lambda v: ceil_log9(v)),
-        "search_blocks": ("n", lambda v: search_blocks(v)),
-        "verification_repetitions": ("n", lambda v: verification_repetitions(v)),
-        "full_sweep_cost": ("n", lambda v: full_sweep_cost(v)),
-        "prep_costs": ("rounds", lambda v: list(prep_costs(v))),
-        "analytic_cost": ("rounds", lambda v: analytic_cost(v)),
-        "build_state": ("rounds", lambda v: build_state(TestIntegerContract.INST, v)),
-        "exact_success_curve":
-            ("rounds", lambda v: exact_success_curve(TestIntegerContract.INST, v)),
-        "make_instance-n": ("n", lambda v: make_instance(v, 1, 0.9, 0.1)),
-        "make_instance-t": ("t", lambda v: make_instance(81, v, 0.9, 0.1)),
-        "IndexClass": ("count", lambda v: IndexClass(0.5, v, False)),
-        "simple_search_cost": ("n", lambda v: simple_search_cost(v)),
-        "block_recursion_cost": ("n", lambda v: block_recursion_cost(v)),
-        "schedule_for_round": ("round index", lambda v: schedule_for_round(v)),
-        "apply_error_reduction": ("round index", lambda v: apply_error_reduction(
-            init_state(TestIntegerContract.INST), v, TestIntegerContract.INST)),
-        "majority_prob": ("r", lambda v: majority_prob(v, 0.3)),
-        "enumerate_majority": ("r", lambda v: enumerate_majority(v, 0.3)),
-        "majority_oracle_gap": ("max_r", lambda v: majority_oracle_gap(v)),
-        "run_fact_checks-scenarios": ("scenarios", lambda v: _fact_checks(scenarios=v)),
-        "run_fact_checks-dims": ("dim", lambda v: _fact_checks(dims=(4, v))),
-        "run_fact_checks-seed": ("seed", lambda v: _fact_checks(seed=v)),
-        "run_fact_checks-max_r": ("max_r", lambda v: _fact_checks(max_r=v)),
-        "random_scenario": ("dim", lambda v: random_scenario(v, 0)),
-        "dense_amplification_check": ("dim", lambda v: dense_amplification_check(v, {1}, 0)),
-        "random_scenario-seed": ("seed", lambda v: random_scenario(4, v)),
-        "dense_amplification_check-seed":
-            ("seed", lambda v: dense_amplification_check(4, {1}, v)),
-        "dense_amplification_check-flag":
-            ("flag index", lambda v: dense_amplification_check(8, {v}, 0)),
-        "amplification_residual-flag":
-            ("flag index", lambda v: amplification_residual(np.eye(8, dtype=complex), {v})),
-        "AndOrTree-depth": ("depth", lambda v: AndOrTree(v, (2,) * 3, GATE_OR)),
-        "AndOrTree-fanout": ("fanout", lambda v: AndOrTree(2, (3, v), GATE_OR)),
-        "check_seed": ("seed", lambda v: check_seed(v)),
-    }
-    # An in-range value for the entry points whose range or call excludes 81.
-    IN_RANGE = {"enumerate_majority": 9, "majority_oracle_gap": 9, "run_fact_checks-dims": 8,
-                "run_fact_checks-max_r": 5, "random_scenario": 8, "dense_amplification_check": 8,
-                "dense_amplification_check-flag": 3, "amplification_residual-flag": 3,
-                "AndOrTree-depth": 3}
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("bad", (True, 81.0, "81", None))
-    def test_rejects_non_integers(self, entry, bad):
-        name, call = self.ENTRY_POINTS[entry]
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            call(bad)
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_numpy_integer_counts_as_int(self, entry):
-        _, call = self.ENTRY_POINTS[entry]
-        good = self.IN_RANGE.get(entry, 81)
-        assert _plain(call(np.int64(good))) == _plain(call(good))
-
-    def test_numpy_integers_are_stored_as_int(self):
-        inst = make_instance(np.int64(81), np.int64(1), 0.9, 0.1)
-        assert type(inst.n) is int and type(inst.t) is int
-        assert all(type(c.count) is int for c in inst.classes)
-        assert type(IndexClass(0.5, np.int64(3), False).count) is int
-        assert type(check_int("x", np.int64(3), 1)) is int
-        tree = AndOrTree(np.int64(2), (np.int64(3), np.int64(4)), GATE_OR)
-        assert type(tree.depth) is int and all(type(f) is int for f in tree.fanouts)
-
-    def test_range_is_checked(self):
-        for call, arg in ((lambda: check_int("x", 0, 1), "x"),
-                          (lambda: check_int("x", 5, 1, 4), "x"),
-                          (lambda: ceil_log9(0), "n"),
-                          (lambda: make_instance(81, 82, 0.9, 0.1), "t"),
-                          (lambda: IndexClass(0.5, 0, False), "count"),
-                          (lambda: analytic_cost(-1), "rounds"),
-                          (lambda: schedule_for_round(0), "round index"),
-                          (lambda: schedule_for_round(MAX_ROUNDS + 1), "round index"),
-                          (lambda: majority_prob(-1, 0.5), "r"),
-                          (lambda: majority_prob(_MAX_REPS + 2, 0.5), "r"),
-                          (lambda: simple_search_cost(MAX_BASELINE_N + 1), "n"),
-                          (lambda: enumerate_majority(MAX_ENUM_R + 2, 0.5), "r"),
-                          (lambda: majority_oracle_gap(0), "max_r"),
-                          (lambda: _fact_checks(scenarios=0), "scenarios"),
-                          (lambda: _fact_checks(dims=(4, 1)), "dim"),
-                          (lambda: _fact_checks(dims=(MAX_DENSE_DIM + 1,)), "dim"),
-                          (lambda: _fact_checks(seed=-1), "seed"),
-                          (lambda: _fact_checks(max_r=MAX_ENUM_R + 1), "max_r"),
-                          (lambda: random_scenario(1, 0), "dim"),
-                          (lambda: dense_amplification_check(MAX_DENSE_DIM + 1, {1}, 0), "dim"),
-                          (lambda: random_scenario(4, -1), "seed"),
-                          (lambda: dense_amplification_check(4, {1}, -1), "seed"),
-                          (lambda: dense_amplification_check(4, {4}, 0), "flag index"),
-                          (lambda: AndOrTree(-1, (), GATE_OR), "depth"),
-                          (lambda: AndOrTree(2, (3, 0), GATE_OR), "fanout"),
-                          (lambda: check_seed(-1), "seed")):
-            with pytest.raises(ValueError, match=f"^{arg} must lie in"):
-                call()
-        assert check_int("x", 4, 1, 4) == 4 and check_int("x", 10**30, 1) == 10**30
-
-    def test_odd_and_nonempty_checks_stay(self):
-        for call in (lambda: majority_prob(4, 0.5), lambda: enumerate_majority(4, 0.5)):
-            with pytest.raises(ValueError, match="^r must be odd"):
-                call()
-        with pytest.raises(ValueError, match="at least one dimension"):
-            _fact_checks(dims=())
-
-
-class TestProbabilityContract:
-    """Every scalar probability argument is checked by ``check_prob``: bool,
-    str, None, NaN and values outside [0, 1] raise a ValueError that names
-    the argument, and a numpy float gives the same result as the float."""
-
-    # entry point -> (name in the error, call with the value under test)
-    ENTRY_POINTS = {
-        "check_prob": ("x", lambda v: check_prob("x", v)),
-        "IndexClass": ("p", lambda v: IndexClass(v, 3, False)),
-        "make_instance-p_good": ("p_good", lambda v: make_instance(81, 1, v, 0.1, strict=False)),
-        "make_instance-p_bad": ("p_bad", lambda v: make_instance(81, 1, 0.9, v, strict=False)),
-        "enumerate_majority": ("p", lambda v: enumerate_majority(5, v)),
-        "majority_prob": ("p", lambda v: majority_prob(5, v)),
-    }
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("bad", (True, "0.9", None, math.nan, 1.5, -0.25))
-    def test_rejects_non_probabilities(self, entry, bad):
-        name, call = self.ENTRY_POINTS[entry]
-        with pytest.raises(ValueError, match=f"^{name} must "):
-            call(bad)
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("good", (0.0, 0.3, 1.0))
-    def test_numpy_float_counts_as_float(self, entry, good):
-        _, call = self.ENTRY_POINTS[entry]
-        assert call(np.float64(good)) == call(good)
-
-    def test_probabilities_are_stored_as_float(self):
-        assert type(check_prob("x", np.float64(0.25))) is float
-        assert type(check_prob("x", 1)) is float
-        inst = make_instance(81, 1, np.float64(0.95), np.float32(0.0625))
-        assert all(type(c.p) is float for c in inst.classes)
-        assert inst.classes[1].p == 0.0625
-
-    def test_array_entry_is_named(self):
-        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got nan"):
-            majority_prob(5, np.array([0.1, math.nan, 0.9]))
-
-    # Interval arguments outside [0, 1] go through check_int or check_prob
-    # too: (name in the error, call with a bad value).
-    OTHER_INTERVALS = {
-        "repetitions_for-eps-str": ("eps", lambda: repetitions_for("0.01")),
-        "repetitions_for-eps-bool": ("eps", lambda: repetitions_for(True)),
-        "repetitions_for-eps-zero": ("eps", lambda: repetitions_for(0.0)),
-        # Checked before the memo, so an unhashable value is named too.
-        "repetitions_for-eps-list": ("eps", lambda: repetitions_for([0.1])),
-        "repetitions_for-eps-dict": ("eps", lambda: repetitions_for({})),
-        "amplification_factors-str": ("theta", lambda: amplification_factors("0.5")),
-        "amplification_factors-bool": ("theta", lambda: amplification_factors(True)),
-        "amplification_factors-nan": ("theta", lambda: amplification_factors(math.nan)),
-        "amplification_factors-past-right-angle": ("theta", lambda: amplification_factors(1.6)),
-        "AndOrTree-fanouts-int": ("fanouts", lambda: AndOrTree(1, 3, GATE_OR)),
-    }
-
-    @pytest.mark.parametrize("entry", OTHER_INTERVALS)
-    def test_other_intervals_name_their_argument(self, entry):
-        name, call = self.OTHER_INTERVALS[entry]
-        with pytest.raises(ValueError, match=f"^{name} must "):
-            call()
-
-    def test_other_intervals_take_numpy_floats(self):
-        assert repetitions_for(np.float64(0.01)) == repetitions_for(0.01)
-        assert amplification_factors(np.float64(0.5)) == amplification_factors(0.5)
-        assert check_prob("x", math.pi / 2, math.pi / 2, "pi/2") == math.pi / 2
-
-
-class TestShotCheck:
-    """Every entry point that takes a shot count checks it the same way."""
-
-    ENTRY_POINTS = {
-        "check_shots": lambda shots: check_shots(shots),
-        "verification_repetitions": lambda shots: verification_repetitions(81, shots),
-        "full_sweep_cost": lambda shots: full_sweep_cost(81, shots),
-        "run_search": lambda shots: run_search(make_instance(81, 1, 0.9, 0.1), 0, shots),
-        "run_block": lambda shots: run_block(make_instance(81, 1, 0.9, 0.1), 1, 0, shots),
-        "evaluate_quantum_cost":
-            lambda shots: evaluate_quantum_cost(AndOrTree(2, (9, 9), GATE_OR), shots),
-        "evaluate_quantum_sim": lambda shots: evaluate_quantum_sim(
-            AndOrTree(2, (9, 9), GATE_OR), [0] * 80 + [1], 0, shots),
-    }
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("bad", (True, 5.0, "5", None))
-    def test_rejects_non_integers(self, entry, bad):
-        with pytest.raises(ValueError, match="shots"):
-            self.ENTRY_POINTS[entry](bad)
-
-    @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_numpy_integer_counts_as_int(self, entry):
-        call = self.ENTRY_POINTS[entry]
-        got, want = call(np.int64(5)), call(5)
-        assert got == want
-        cost = {"run_search": lambda r: r.total_cost, "run_block": lambda r: r[1]}.get(
-            entry, lambda r: r)(got)
-        assert type(cost) is int
+class TestShotCheck(ShotCases):
+    pass
 
 
 # Recorded when measured indices were still drawn by Generator.choice;
