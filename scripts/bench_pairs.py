@@ -70,8 +70,12 @@ def summarize(pairs: list) -> dict:
 
 
 def _commit(result: dict) -> str | None:
-    commit = result["env"].get("git_commit")
-    return commit[:7] if commit else None
+    """The code a run measured: its git commit, or, in a checkout that is
+    no git work tree, the sha256 of its sources as perfbench printed it."""
+    env = result["env"]
+    if env.get("git_commit"):
+        return env["git_commit"][:7]
+    return f"src_sha256:{env['src_sha256'][:12]}" if env.get("src_sha256") else None
 
 
 def main(argv=None) -> int:

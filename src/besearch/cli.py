@@ -12,9 +12,9 @@ config-file values all follow from the table.
 Every CSV starts with a versioned schema comment line, and every row
 carries the config hash and the seed, so identical config + seed
 reproduces byte-identical files. A config file (JSON document or
-``key = value`` lines) is merged underneath explicit flags. The
-environment variable ``BESEARCH_OUTDIR`` supplies a default directory
-for relative output paths.
+``key = value`` lines, each key at most once) is merged underneath
+explicit flags. The environment variable ``BESEARCH_OUTDIR`` supplies
+a default directory for relative output paths.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage error. A
 ``ValueError`` from the library is a usage error, except for its
@@ -45,8 +45,7 @@ from .driver import (
     search_blocks,
     verification_repetitions,
 )
-from .error_reduction import MAX_ROUNDS
-from .model import PROMISE_BAD, PROMISE_GOOD, InvariantError, check_int, make_instance
+from .model import PROMISE_BAD, PROMISE_GOOD, InvariantError, make_instance
 from .oracles import block_recursion_cost, run_fact_checks, simple_search_cost
 
 CSV_SCHEMA = 1
@@ -135,8 +134,9 @@ def _load_config(path: Optional[str]) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return json.loads(text)  # text starting with "{" parses only as an object
-    values: dict = {}
+        # text starting with "{" parses only as an object
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -144,7 +144,17 @@ def _load_config(path: Optional[str]) -> dict:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        pairs.append((key.strip(), value.strip()))
+    return _unique_keys(pairs)
+
+
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A config's (key, value) pairs as a dict; a key given twice is a usage error."""
+    values: dict = {}
+    for key, value in pairs:
+        if key in values:
+            raise UsageError(f"config: duplicate key {key!r}")
+        values[key] = value
     return values
 
 
@@ -220,21 +230,18 @@ def cmd_search(cfg: dict) -> int:
     else:
         print("outcome: no_solutions")
     print(f"cost: {result.total_cost}")
-    for row in result.trace:
-        print(
-            f"trace: m={row.m} alpha={row.alpha:.6f} beta={row.beta:.6f} "
-            f"theta={row.theta:.6f} p_solution={row.p_solution:.6g} "
-            f"cost={row.cost} shots={row.shots} verified={row.verified}"
-        )
+    fields = ["m", "alpha", "beta", "theta", "p_solution", "cost", "shots", "verified"]
+    rows = [(row.m, f"{row.alpha:.6f}", f"{row.beta:.6f}", f"{row.theta:.6f}",
+             f"{row.p_solution:.6g}", row.cost, row.shots, row.verified) for row in result.trace]
+    _emit(cfg, fields, rows, fields, "trace: ")
     return 0
 
 
 # ----------------------------------------------------------------- curve
 
 def cmd_curve(cfg: dict) -> int:
-    m_max = check_int("m_max", cfg["m_max"], -1, MAX_ROUNDS)
     inst = _instance(cfg)
-    m_max = m_max if m_max >= 0 else ceil_log9(inst.n)
+    m_max = ceil_log9(inst.n) if cfg["m_max"] == -1 else cfg["m_max"]
     rows = [
         (pt.m, repr(pt.alpha), repr(pt.beta), repr(pt.theta), repr(pt.p_solution), pt.cost,
          inst.strict)

@@ -137,7 +137,7 @@ def prep_costs(rounds: int) -> Iterator[int]:
 
 def analytic_cost(m: int) -> int:
     """Query cost C(m) of the m-round preparation."""
-    *_, c = prep_costs(m)
+    *_, c = prep_costs(check_int("m", m, 0, MAX_ROUNDS))
     return c
 
 
@@ -192,7 +192,7 @@ def exact_success_curve(
     """
     return tuple(
         CurvePoint(m, *state_stats(state, instance), cost)
-        for m, state, cost in _rounds(instance, m_max)
+        for m, state, cost in _rounds(instance, check_int("m_max", m_max, 0, MAX_ROUNDS))
     )
 
 
@@ -339,6 +339,7 @@ def run_block(
     Builds the m-round preparation, samples ``shots`` indices, verifies
     sample-by-sample. Returns (accepted class id or None, total cost).
     """
+    m = check_int("m", m, 0, MAX_ROUNDS)
     shots = check_shots(shots)
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)

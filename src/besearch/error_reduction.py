@@ -12,7 +12,7 @@ flag-1 mass and pushes the rest back to flag 0.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -28,6 +28,11 @@ _MAX_REPS = 1029
 # Largest round index the schedule serves: round 479 would need r = 649,
 # past the 0.0 at r = 647 in _errors, so every r_k up to here is exact.
 MAX_ROUNDS = 478
+
+# Budgets _reps_within remembers: every round's, with room for the
+# verification budgets of as many shot counts again. Past that the least
+# recently used is dropped, so a sweep over shot counts stays bounded.
+_REPS_MEMO_SIZE = 2 * MAX_ROUNDS
 
 
 @cache
@@ -90,7 +95,7 @@ def majority_prob(r: int, p):
 _errors: dict[int, float] = {1: PROMISE_BAD}
 
 
-@cache
+@lru_cache(maxsize=_REPS_MEMO_SIZE)
 def _reps_within(eps: float) -> int:
     """First odd r whose entry in the majority-error table is <= eps."""
     r = 1

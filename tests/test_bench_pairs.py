@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -56,25 +57,30 @@ class TestSummarize:
 
 
 FAKE_RUN = """\
-import json, sys
+import hashlib, json, sys
 from pathlib import Path
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 here = Path(__file__).resolve().parent.parent
 with open(here.parent / "order.log", "a") as log:
     log.write(f"{seed} {here.name}\\n")
 ops = {ops} + seed
-print("env " + json.dumps(dict(git_commit=None, nproc=2, cpu_model="test cpu", python="3",
-                               numpy="2")))
+src = hashlib.sha256(here.name.encode()).hexdigest()
+print("env " + json.dumps(dict(git_commit=None, src_sha256=src, nproc=2, cpu_model="test cpu",
+                               python="3", numpy="2")))
 print(json.dumps(dict(correct=True, attempted=10, failed=0,
                       metrics=dict(ops_per_s=dict(value=ops, unit="1/s")))))
 """
 
 
-def test_runs_alternate_and_merge_into_one_file(tmp_path):
+def _fake_checkouts(tmp_path):
     for side, ops in (("parent", 100), ("change", 150)):
         bench = tmp_path / side / "perfbench"
         bench.mkdir(parents=True)
         (bench / "run.py").write_text(FAKE_RUN.replace("{ops}", str(ops)))
+
+
+def test_runs_alternate_and_merge_into_one_file(tmp_path):
+    _fake_checkouts(tmp_path)
     out = tmp_path / "BENCH_99.json"
     (out).write_text(json.dumps(dict(workloads=dict(huge_n=dict(pairs=3)))))
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
@@ -89,6 +95,23 @@ def test_runs_alternate_and_merge_into_one_file(tmp_path):
     search = doc["workloads"]["search_mc"]
     assert search["ops_per_s_pairs"] == [[0, 100, 150], [1, 101, 151], [2, 102, 152]]
     assert search["ops_per_s_pairs_won_by_change"] == 3
+
+
+def test_commits_fall_back_to_the_source_hash(tmp_path):
+    # The fake runs report no git commit, as in a checkout made with git archive.
+    _fake_checkouts(tmp_path)
+    out = tmp_path / "BENCH_99.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "search_mc", "--pairs", "2", "--seconds", "1", "--pr", "99",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads(out.read_text())
+    for side in ("parent", "change"):
+        src = hashlib.sha256(side.encode()).hexdigest()
+        assert doc[f"{side}_commit"] == f"src_sha256:{src[:12]}"
+    env = dict(git_commit="0123456789abcdef", src_sha256="f" * 64)
+    assert bench_pairs._commit(dict(env=env)) == "0123456"
+    assert bench_pairs._commit(dict(env={})) is None
 
 
 def test_failed_run_stops_with_its_stderr(tmp_path):

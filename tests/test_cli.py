@@ -142,6 +142,15 @@ class TestConfigMerge:
         cfg.write_text("just some words\n")
         assert run(capsys, "search", "--config", str(cfg))[0] == 2
 
+    @pytest.mark.parametrize("text", ["n = 81\nseed = 3\nn = 729\n",
+                                      '{"n": 81, "seed": 3, "n": 729}'], ids=["lines", "json"])
+    def test_key_given_twice_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: config: duplicate key 'n'\n"
+
 
 class TestConfigHash:
     # The hash goes into every seeded CSV and JSON; these are the
@@ -408,6 +417,10 @@ class TestExitContract:
         code, _, err = run(capsys, "curve", "--m-max", "100000")
         assert code == 2
         assert "m_max" in err
+        for m_max in ("479", "-2"):  # the library's check names the flag's parameter
+            code, _, err = run(capsys, "curve", "--m-max", m_max)
+            assert code == 2
+            assert err == f"error: m_max must lie in [0, 478], got {m_max}\n"
         assert time.perf_counter() - start < 1.0
 
     def test_invariant_violation_exits_one(self, capsys, monkeypatch):

@@ -76,12 +76,12 @@ ROWS = (
     Row("verification_repetitions", "n", "n", COUNT, 1, None, 81, verification_repetitions),
     Row("full_sweep_cost", "n", "n", COUNT, 1, None, 81, full_sweep_cost),
     Row("prep_costs", "rounds", "rounds", COUNT, 0, MAX_ROUNDS, 81, lambda v: list(prep_costs(v))),
-    Row("analytic_cost", "m", "rounds", COUNT, 0, MAX_ROUNDS, 81, analytic_cost),
+    Row("analytic_cost", "m", "m", COUNT, 0, MAX_ROUNDS, 81, analytic_cost),
     Row("build_state", "rounds", "rounds", COUNT, 0, MAX_ROUNDS, 81,
         lambda v: build_state(INST, v)),
-    Row("exact_success_curve", "m_max", "rounds", COUNT, 0, MAX_ROUNDS, 81,
+    Row("exact_success_curve", "m_max", "m_max", COUNT, 0, MAX_ROUNDS, 81,
         lambda v: exact_success_curve(INST, v)),
-    Row("run_block-m", "m", "rounds", COUNT, 0, MAX_ROUNDS, 3, lambda v: run_block(INST, v, 0)),
+    Row("run_block-m", "m", "m", COUNT, 0, MAX_ROUNDS, 3, lambda v: run_block(INST, v, 0)),
     Row("make_instance-n", "n", "n", COUNT, 1, None, 81, lambda v: make_instance(v, 1, 0.9, 0.1)),
     Row("make_instance-t", "t", "t", COUNT, 0, 81, 81, lambda v: make_instance(81, v, 0.9, 0.1)),
     Row("IndexClass", "count", "count", COUNT, 1, None, 81, lambda v: IndexClass(0.5, v, False)),
@@ -304,6 +304,26 @@ class ShotCases:
         got, want = row.call(np.int64(row.good)), row.call(row.good)
         assert got == want
         assert type(_cost(got)) is (float if isinstance(got, ExactOutcome) else int)
+
+
+# The rows whose error names something other than their parameter, and why.
+NAMED_OTHERWISE = {
+    ("check_int", "value"): "the caller gives the name",
+    ("check_prob", "value"): "the caller gives the name",
+    ("run_fact_checks-dims", "dims"): "each dimension is checked, and named, on its own",
+    ("AndOrTree-fanout", "fanouts"): "each fanout is checked, and named, on its own",
+    ("dense_amplification_check-flag", "flag_indices"): "each flag index is checked on its own",
+    ("amplification_residual-flag", "flag_indices"): "each flag index is checked on its own",
+    ("grover_operator-flag", "flag_indices"): "each flag index is checked on its own",
+    ("schedule_for_round", "k"): "k is a round index",
+    ("apply_error_reduction", "k"): "k is a round index",
+    ("run_search", "shots_per_m"): "a block's shot count goes through check_shots",
+}
+
+
+def test_each_error_names_its_parameter():
+    renamed = {(row.entry, row.param) for row in ROWS if row.name != row.param}
+    assert renamed == set(NAMED_OTHERWISE)
 
 
 # Parameters whose name says they take a checked count, probability,

@@ -225,6 +225,18 @@ class TestSchedule:
                 verification_repetitions(n, shots)
         assert calls[0] == 323
 
+    def test_budget_memo_stays_bounded(self):
+        # A sweep over shot counts asks for thousands of distinct budgets;
+        # the memo keeps at most its bound, which has room for every r_k.
+        assert error_reduction._REPS_MEMO_SIZE >= MAX_ROUNDS
+        table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
+        sizes = [verification_repetitions(6561, shots) for shots in range(1, 5001)]
+        info = error_reduction._reps_within.cache_info()
+        assert info.maxsize == error_reduction._REPS_MEMO_SIZE
+        assert info.currsize <= info.maxsize
+        assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
+        assert sizes[0] == verification_repetitions(6561, 1) and sizes == sorted(sizes)
+
     def test_table_falls_strictly_until_zero_at_647(self):
         schedule_for_round(MAX_ROUNDS)
         rs = range(1, 648, 2)
