@@ -204,6 +204,8 @@ def parse_tree(text: str) -> tuple[AndOrTree, list[int]]:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
+        if key not in ("depth", "root", "fanouts", "leaves"):
+            raise ValueError(f"line {lineno}: unknown field {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate field {key!r}")
         fields[key] = value.strip()
@@ -221,6 +223,8 @@ def parse_tree(text: str) -> tuple[AndOrTree, list[int]]:
             fanouts = tuple(int(f) for f in fields["fanouts"].split())
         except ValueError:
             raise ValueError(f"bad fanouts {fields['fanouts']!r}") from None
+    elif "fanouts" in fields:
+        raise ValueError(f"field 'fanouts' given at depth {depth}")
     else:
         fanouts = ()
     if any(ch not in "01" for ch in fields["leaves"]):

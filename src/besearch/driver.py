@@ -200,8 +200,12 @@ def search_blocks(n: int) -> int:
     """Number of m-blocks the search loop executes for a space of size n.
 
     ceil(log9 n), with a floor of one block so that n = 1 still runs the
-    base preparation instead of skipping the loop entirely.
+    base preparation instead of skipping the loop entirely. Each block's
+    round count is at most MAX_ROUNDS, so n must be at most 9^(MAX_ROUNDS + 1).
     """
+    n = check_int("n", n, 1)
+    if n > 9 ** (MAX_ROUNDS + 1):
+        raise ValueError(f"n must lie in [1, 9^{MAX_ROUNDS + 1}], got a {n.bit_length()}-bit n")
     return max(1, ceil_log9(n))
 
 
@@ -229,12 +233,6 @@ def _rng(seed: Seed) -> np.random.Generator:
     """The generator of one seeded run, from a seed ``check_seed`` passes."""
     check_seed(seed)
     return np.random.default_rng(seed)
-
-
-def _shot_weights(state: StructuredState) -> np.ndarray:
-    """Unnormalized chance of each class in one measurement of ``state``:
-    what the sampler draws from and the exact route reads."""
-    return np.maximum(measurement_weights(state), 0.0)
 
 
 def _measure(rng: np.random.Generator, weights: np.ndarray, shots: int) -> np.ndarray:
@@ -280,7 +278,7 @@ def _sample_block(
     ``rng.binomial(v, ps[sampled])`` call; only the generator's state
     after an acceptance differs, and no caller draws from it again.
     """
-    sampled = _measure(rng, _shot_weights(state), shots)
+    sampled = _measure(rng, measurement_weights(state), shots)
     ps = instance.ps[sampled]
     half = v // 2  # a sample is accepted by more than half of its v votes
     start = 0
@@ -304,25 +302,25 @@ def _sample_block(
 def run_search(
     instance: ProblemInstance,
     seed: Seed,
-    shots_per_m: int = DEFAULT_SHOTS,
+    shots: int = DEFAULT_SHOTS,
 ) -> SearchResult:
     """Run the full search loop and return its outcome, cost, and trace.
 
     For m = 0 .. search_blocks(n) - 1: build the m-round preparation
-    exactly, sample ``shots_per_m`` measured indices from its exact
+    exactly, sample ``shots`` measured indices from its exact
     distribution, and verify each sampled index classically; stop at the
-    first verified solution. Charges shots_per_m * C(m) per entered
-    block plus v(n) per verified sample.
+    first verified solution. Charges shots * C(m) per entered block plus
+    v(n) per verified sample.
     """
-    shots_per_m = check_shots(shots_per_m)
+    shots = check_shots(shots)
     rng = _rng(seed)
-    v = verification_repetitions(instance.n, shots_per_m)
+    v = verification_repetitions(instance.n, shots)
     total = 0
     trace: list[TraceRow] = []
     for m, state, cost in _rounds(instance, search_blocks(instance.n) - 1):
-        hit, verified = _sample_block(rng, state, instance, v, shots_per_m)
-        total += shots_per_m * cost + verified * v
-        trace.append(TraceRow(m, *state_stats(state, instance), cost, shots_per_m, verified))
+        hit, verified = _sample_block(rng, state, instance, v, shots)
+        total += shots * cost + verified * v
+        trace.append(TraceRow(m, *state_stats(state, instance), cost, shots, verified))
         if hit is not None:
             return SearchResult("found", hit, total, tuple(trace))
     return SearchResult("no_solutions", None, total, tuple(trace))
@@ -351,7 +349,7 @@ def run_block(
 def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> ExactOutcome:
     """The exact outcome distribution of ``run_search``, block by block.
 
-    In block m one shot measures class c with chance w_c (the shot
+    In block m one shot measures class c with chance w_c (the measurement
     weights, normalized) and the v votes accept it with chance acc_c =
     majority_prob(v, p_c), so a shot is accepted with chance
     q = sum_c w_c acc_c. The block accepts nothing with chance
@@ -370,7 +368,7 @@ def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> Exac
     found: list[float] = []
     false_accept: list[float] = []
     for _, state, c in _rounds(instance, search_blocks(instance.n) - 1):
-        w = _shot_weights(state)
+        w = measurement_weights(state)
         accepted = w * acc / w.sum()
         q_good = float(accepted[instance.solution].sum())
         q_bad = float(accepted[~instance.solution].sum())

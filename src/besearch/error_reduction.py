@@ -12,7 +12,8 @@ flag-1 mass and pushes the rest back to flag 0.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from bisect import bisect_left
+from functools import cache
 
 import numpy as np
 
@@ -26,13 +27,8 @@ from .model import (
 _MAX_REPS = 1029
 
 # Largest round index the schedule serves: round 479 would need r = 649,
-# past the 0.0 at r = 647 in _errors, so every r_k up to here is exact.
+# past the 0.0 at r = 647 in _neg_errors, so every r_k up to here is exact.
 MAX_ROUNDS = 478
-
-# Budgets _reps_within remembers: every round's, with room for the
-# verification budgets of as many shot counts again. Past that the least
-# recently used is dropped, so a sweep over shot counts stays bounded.
-_REPS_MEMO_SIZE = 2 * MAX_ROUNDS
 
 
 @cache
@@ -88,22 +84,19 @@ def majority_prob(r: int, p):
     return m if m.ndim else float(m)
 
 
-# The one table every repetition count reads: odd r -> majority error of
-# r runs at base error PROMISE_BAD, each entry computed once, on demand.
-# It falls strictly until it underflows to 0.0 at r = 647, so every eps in
-# (0, 1) is met. Keyed by r: two callers filling it store the same entries.
-_errors: dict[int, float] = {1: PROMISE_BAD}
+# The one table every repetition count reads: entry i is the majority
+# error of 2i + 1 runs at base error PROMISE_BAD, negated so it ascends,
+# each computed once, on demand. The error falls strictly until it
+# underflows to 0.0 at r = 647, so every eps in (0, 1) is met and the
+# table never holds more than 324 entries.
+_neg_errors: list[float] = [-PROMISE_BAD]
 
 
-@lru_cache(maxsize=_REPS_MEMO_SIZE)
 def _reps_within(eps: float) -> int:
     """First odd r whose entry in the majority-error table is <= eps."""
-    r = 1
-    while _errors[r] > eps:
-        r += 2
-        if r not in _errors:
-            _errors[r] = majority_prob(r, PROMISE_BAD)
-    return r
+    while -_neg_errors[-1] > eps:
+        _neg_errors.append(-majority_prob(2 * len(_neg_errors) + 1, PROMISE_BAD))
+    return 2 * bisect_left(_neg_errors, -eps) + 1
 
 
 def repetitions_for(eps: float) -> int:
@@ -111,7 +104,7 @@ def repetitions_for(eps: float) -> int:
 
     That error is 1 - majority_prob(r, 1 - PROMISE_BAD) for odd r, but is
     summed directly, the numerically meaningful form when eps is tiny.
-    O(log(1/eps)). eps must lie in (0, 1), checked before the memoized scan.
+    O(log(1/eps)). eps must lie in (0, 1), checked before the table is read.
     """
     eps = check_prob("eps", eps)
     if not 0.0 < eps < 1.0:

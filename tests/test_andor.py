@@ -307,6 +307,8 @@ class TestTreeFiles:
             "depth 2\nroot OR\nfanouts 3 x\nleaves 111\n",  # bad fanout
             "depth x\nroot OR\nleaves 1\n",             # bad integer
             "depth 0\nroot OR\nleaves 1\ndepth 0\n",    # duplicate field
+            "depth 1\nroot OR\nfanouts 2\nleaves 10\nleafs 1\n",  # unknown field
+            "depth 0\nroot OR\nfanouts 3 3\nleaves 1\n",  # fanouts at depth 0
         ],
     )
     def test_rejects_malformed(self, text):

@@ -72,9 +72,9 @@ def _fact_checks(scenarios=1, dims=(4,), seed=0, max_r=3):
 ROWS = (
     Row("check_int", "value", "x", COUNT, 1, None, 81, lambda v: check_int("x", v, 1)),
     Row("ceil_log9", "n", "n", COUNT, 1, None, 81, ceil_log9),
-    Row("search_blocks", "n", "n", COUNT, 1, None, 81, search_blocks),
+    Row("search_blocks", "n", "n", COUNT, 1, 9 ** (MAX_ROUNDS + 1), 81, search_blocks),
     Row("verification_repetitions", "n", "n", COUNT, 1, None, 81, verification_repetitions),
-    Row("full_sweep_cost", "n", "n", COUNT, 1, None, 81, full_sweep_cost),
+    Row("full_sweep_cost", "n", "n", COUNT, 1, 9 ** (MAX_ROUNDS + 1), 81, full_sweep_cost),
     Row("prep_costs", "rounds", "rounds", COUNT, 0, MAX_ROUNDS, 81, lambda v: list(prep_costs(v))),
     Row("analytic_cost", "m", "m", COUNT, 0, MAX_ROUNDS, 81, analytic_cost),
     Row("build_state", "rounds", "rounds", COUNT, 0, MAX_ROUNDS, 81,
@@ -133,7 +133,7 @@ ROWS = (
     Row("verification_repetitions", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
         lambda v: verification_repetitions(81, v)),
     Row("full_sweep_cost", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5, lambda v: full_sweep_cost(81, v)),
-    Row("run_search", "shots_per_m", "shots", SHOTS, 1, MAX_SHOTS, 5,
+    Row("run_search", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
         lambda v: run_search(INST, 0, v), (-5, 2.0)),
     Row("run_block", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5, lambda v: run_block(INST, 1, 0, v)),
     Row("exact_outcome", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5, lambda v: exact_outcome(INST, v)),
@@ -317,7 +317,6 @@ NAMED_OTHERWISE = {
     ("grover_operator-flag", "flag_indices"): "each flag index is checked on its own",
     ("schedule_for_round", "k"): "k is a round index",
     ("apply_error_reduction", "k"): "k is a round index",
-    ("run_search", "shots_per_m"): "a block's shot count goes through check_shots",
 }
 
 
@@ -329,7 +328,7 @@ def test_each_error_names_its_parameter():
 # Parameters whose name says they take a checked count, probability,
 # shot count or seed; records that only hold results are exempt.
 CHECKED = {"n", "t", "m", "m_max", "rounds", "k", "r", "max_r", "count", "depth", "fanouts",
-           "scenarios", "dim", "dims", "shots", "shots_per_m", "seed", "p", "p_good", "p_bad",
+           "scenarios", "dim", "dims", "shots", "seed", "p", "p_good", "p_bad",
            "eps", "theta", "flag_indices", "value"}
 RECORDS = {"CurvePoint", "TraceRow", "SearchResult", "FactCheck"}
 

@@ -1,5 +1,4 @@
 import math
-from functools import cache
 
 import numpy as np
 import pytest
@@ -209,14 +208,12 @@ class TestSchedule:
             schedule_for_round(MAX_ROUNDS + 1)
 
     def test_one_majority_evaluation_per_odd_r(self, monkeypatch):
-        # From an empty process: r = 1 is the base error itself, and every
+        # From an empty table: r = 1 is the base error itself, and every
         # odd r from 3 to r_MAX_ROUNDS = 647 is evaluated once, by whichever
         # count first needs it. Verification sizes then read the same table.
         table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
         calls = count_majority_calls(monkeypatch)
-        monkeypatch.setattr(error_reduction, "_errors", {1: 0.1})
-        monkeypatch.setattr(error_reduction, "_reps_within",
-                            cache(error_reduction._reps_within.__wrapped__))
+        monkeypatch.setattr(error_reduction, "_neg_errors", [-0.1])
         assert schedule_for_round(MAX_ROUNDS) == table[-1] == 647
         assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
         assert calls[0] == 323
@@ -227,20 +224,19 @@ class TestSchedule:
 
     def test_budget_memo_stays_bounded(self):
         # A sweep over shot counts asks for thousands of distinct budgets;
-        # the memo keeps at most its bound, which has room for every r_k.
-        assert error_reduction._REPS_MEMO_SIZE >= MAX_ROUNDS
+        # no memo keeps them: every count is read from the one table, which
+        # holds one entry per odd r up to 647 whatever was asked.
         table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
         sizes = [verification_repetitions(6561, shots) for shots in range(1, 5001)]
-        info = error_reduction._reps_within.cache_info()
-        assert info.maxsize == error_reduction._REPS_MEMO_SIZE
-        assert info.currsize <= info.maxsize
+        assert len(error_reduction._neg_errors) <= 324
+        assert not hasattr(error_reduction._reps_within, "cache_info")
         assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
         assert sizes[0] == verification_repetitions(6561, 1) and sizes == sorted(sizes)
 
     def test_table_falls_strictly_until_zero_at_647(self):
         schedule_for_round(MAX_ROUNDS)
         rs = range(1, 648, 2)
-        errors = [error_reduction._errors[r] for r in rs]
+        errors = [-e for e in error_reduction._neg_errors]
         assert errors == [majority_prob(r, 0.1) for r in rs]
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert errors[-2] > 0.0 and errors[-1] == 0.0
