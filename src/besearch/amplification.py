@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .model import NORM_TOL, InvariantError, StructuredState, check_prob
 
 
@@ -29,16 +31,12 @@ def amplification_factors(theta: float) -> tuple[float, float]:
     return 3.0 - 4.0 * s2, 1.0 - 4.0 * s2
 
 
-def apply_amplification(state: StructuredState) -> StructuredState:
-    """Apply one amplification round G to a normalized structured state.
-
-    Every class's flag-1 mass is scaled by g1^2 and its flag-0 mass by
-    g0^2, with sin^2(theta) recomputed as the flag-1 share of the state's
-    total mass. Norm is preserved exactly: g1^2 sin^2 + g0^2 cos^2 = 1.
-    """
+def _amplify(w1: np.ndarray, w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One amplification round on the class arrays of a normalized state:
+    (w1 g1^2, w0 g0^2), with sin^2(theta) the flag-1 share of the total mass."""
     # Summed once; the total is the same float total_mass returns.
-    flag1 = float(state.w1.sum())
-    total = flag1 + float(state.w0.sum())
+    flag1 = float(w1.sum())
+    total = flag1 + float(w0.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
     # A share of the actual total keeps a rounding deficit in the total as
@@ -46,4 +44,14 @@ def apply_amplification(state: StructuredState) -> StructuredState:
     # about 9 per round once theta nears pi/2.
     s = min(1.0, flag1 / total)
     g1, g0 = amplification_factors(math.asin(math.sqrt(s)))
-    return StructuredState(w1=state.w1 * g1**2, w0=state.w0 * g0**2)
+    return w1 * g1**2, w0 * g0**2
+
+
+def apply_amplification(state: StructuredState) -> StructuredState:
+    """Apply one amplification round G to a normalized structured state.
+
+    Every class's flag-1 mass is scaled by g1^2 and its flag-0 mass by
+    g0^2, with sin^2(theta) recomputed as the flag-1 share of the state's
+    total mass. Norm is preserved exactly: g1^2 sin^2 + g0^2 cos^2 = 1.
+    """
+    return StructuredState(*_amplify(state.w1, state.w0))

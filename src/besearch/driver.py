@@ -22,9 +22,9 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .amplification import apply_amplification
+from .amplification import _amplify
 from .error_reduction import (
-    MAX_ROUNDS, apply_error_reduction, majority_prob, repetitions_for, schedule_for_round
+    MAX_ROUNDS, _majority, _push_back, majority_prob, repetitions_for, schedule_for_round
 )
 from .model import (
     ProblemInstance,
@@ -45,6 +45,14 @@ MAX_SHOTS = 10**6
 
 #: The execution-wide false-accept budget is 1/VERIFICATION_CONFIDENCE.
 VERIFICATION_CONFIDENCE = 100
+
+#: Largest space size the search loop takes: its last block has MAX_ROUNDS rounds.
+MAX_N = 9 ** (MAX_ROUNDS + 1)
+
+# 31699251 / 10^7 exceeds log2(9) = 3.16992500144..., so (bits - 1) times
+# its inverse, rounded down, is a lower bound on ceil_log9(n) for an n of
+# that many bits, at most 3 + bits / 10^8 below it.
+_LOG2_9_UP = (31_699_251, 10**7)
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -101,9 +109,16 @@ class ExactOutcome:
 
 
 def ceil_log9(n: int) -> int:
-    """Smallest M >= 0 with 9^M >= n (integer-exact)."""
+    """Smallest M >= 0 with 9^M >= n (integer-exact).
+
+    9^M >= n >= 2^(bits - 1) gives M >= (bits - 1) / log2(9), so the
+    search starts there and steps up by exact integer products, a few
+    steps whatever the size of n.
+    """
     n = check_int("n", n, 1)
-    m, power = 0, 1
+    num, den = _LOG2_9_UP
+    m = (n.bit_length() - 1) * den // num
+    power = 9**m
     while power < n:
         power *= 9
         m += 1
@@ -117,6 +132,21 @@ def check_shots(shots: int) -> int:
     return check_int("shots", shots, 1, MAX_SHOTS)
 
 
+def _schedule(rounds: int) -> Iterator[tuple[int, int]]:
+    """Yield (r_k, C(k)) for k = 0 .. rounds, r_0 = 0; see ``prep_costs``.
+
+    The only place C(k) is formed. The round count is checked before
+    anything is yielded.
+    """
+    rounds = check_int("rounds", rounds, 0, MAX_ROUNDS)
+    c = 1
+    yield 0, c
+    for k in range(1, rounds + 1):
+        r = schedule_for_round(k)
+        c = 3 * c + r
+        yield r, c
+
+
 def prep_costs(rounds: int) -> Iterator[int]:
     """Yield the query costs C(0) .. C(rounds) of the m-round preparations.
 
@@ -127,11 +157,7 @@ def prep_costs(rounds: int) -> Iterator[int]:
     superposed call over all indices costs 1. The round count is checked
     before anything is yielded.
     """
-    rounds = check_int("rounds", rounds, 0, MAX_ROUNDS)
-    c = 1
-    yield c
-    for k in range(1, rounds + 1):
-        c = 3 * c + schedule_for_round(k)
+    for _, c in _schedule(rounds):
         yield c
 
 
@@ -164,14 +190,21 @@ def _rounds(
 
     The only place the round recursion is chained. Each state is built
     when it is asked for, so a consumer that stops early builds no more.
+    Round m is ``apply_error_reduction(apply_amplification(state), m,
+    instance)`` run on the class arrays through the same kernels, with
+    r_m looked up once and the majority vector computed from the
+    instance's ps, which were checked when it was built.
     """
-    costs = prep_costs(rounds)
-    cost = next(costs)  # checks the round count before any state is built
+    schedule = _schedule(rounds)
+    _, cost = next(schedule)  # checks the round count before any state is built
     state = init_state(instance)
     yield 0, state, cost
-    for m, cost in enumerate(costs, start=1):
-        state = apply_error_reduction(apply_amplification(state), m, instance)
-        yield m, state, cost
+    col = instance.ps.reshape(-1, 1)
+    q = 1.0 - col
+    w1, w0 = state.w1, state.w0
+    for m, (r, cost) in enumerate(schedule, start=1):
+        w1, w0 = _push_back(*_amplify(w1, w0), _majority(r, col, q))
+        yield m, StructuredState(w1, w0), cost
 
 
 def build_state(instance: ProblemInstance, rounds: int) -> tuple[StructuredState, int]:
@@ -204,7 +237,7 @@ def search_blocks(n: int) -> int:
     round count is at most MAX_ROUNDS, so n must be at most 9^(MAX_ROUNDS + 1).
     """
     n = check_int("n", n, 1)
-    if n > 9 ** (MAX_ROUNDS + 1):
+    if n > MAX_N:
         raise ValueError(f"n must lie in [1, 9^{MAX_ROUNDS + 1}], got a {n.bit_length()}-bit n")
     return max(1, ceil_log9(n))
 
@@ -244,8 +277,8 @@ def _measure(rng: np.random.Generator, weights: np.ndarray, shots: int) -> np.nd
     state afterwards are the same. Weights that are not finite or sum to
     0 raise ValueError before anything is drawn.
     """
-    mass = weights.sum()
-    if not (np.isfinite(mass) and mass > 0.0):
+    mass = float(weights.sum())
+    if not 0.0 < mass < math.inf:
         raise ValueError(f"measurement weights must be finite with a positive sum, got {mass}")
     cdf = np.cumsum(weights / mass)
     cdf /= cdf[-1]

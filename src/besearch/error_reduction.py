@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import (
     NORM_TOL, PROMISE_BAD, InvariantError, ProblemInstance, StructuredState, check_int, check_prob,
-    total_mass,
+    check_state,
 )
 
 # Largest r majority_prob takes: the largest r whose majority
@@ -79,9 +79,15 @@ def majority_prob(r: int, p):
     ok = col * q >= 0.0  # p(1-p) >= 0 exactly when 0 <= p <= 1; NaN fails
     if not ok.all():
         check_prob("p", float(col[~ok][0]))  # raises, naming the first bad entry
-    coeffs, ones, zeros = _majority_terms(r)
-    m = (coeffs * col**ones * q**zeros).sum(axis=1).reshape(p.shape)
+    m = _majority(r, col, q).reshape(p.shape)
     return m if m.ndim else float(m)
+
+
+def _majority(r: int, col: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The core of ``majority_prob``, unchecked: one majority probability
+    per row of the column ``col`` of probabilities, given q = 1 - col."""
+    coeffs, ones, zeros = _majority_terms(r)
+    return (coeffs * col**ones * q**zeros).sum(axis=1)
 
 
 # The one table every repetition count reads: entry i is the majority
@@ -119,6 +125,14 @@ def schedule_for_round(k: int) -> int:
     return _reps_within(2.0 ** -(k + 5))
 
 
+def _push_back(w1: np.ndarray, w0: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One push-back on the class arrays of a normalized state: each class
+    keeps share m of its flag-1 mass and moves the rest to flag 0."""
+    if abs(float(w1.sum() + w0.sum()) - 1.0) > NORM_TOL:
+        raise InvariantError("state is not normalized")
+    return w1 * m, w0 + w1 * np.maximum(0.0, 1.0 - m)
+
+
 def apply_error_reduction(
     state: StructuredState,
     k: int,
@@ -133,7 +147,6 @@ def apply_error_reduction(
     sector orthogonal to the existing flag-0 part. Flag-0 mass is
     otherwise unchanged. The caller knows k: the state has no round index.
     """
-    if abs(total_mass(state) - 1.0) > NORM_TOL:
-        raise InvariantError("state is not normalized")
+    check_state(state, instance)
     m = majority_prob(schedule_for_round(k), instance.ps)
-    return StructuredState(w1=state.w1 * m, w0=state.w0 + state.w1 * np.maximum(0.0, 1.0 - m))
+    return StructuredState(*_push_back(state.w1, state.w0, m))

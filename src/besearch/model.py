@@ -187,7 +187,8 @@ class StructuredState:
 
     ``w1[c]`` and ``w0[c]`` are the probabilities that measuring the
     index and flag registers yields an index of class c with flag 1 and
-    flag 0. Both are read-only float arrays with one entry per class.
+    flag 0. Both are read-only float arrays with one entry per class:
+    1-D, of one length, and not empty.
     """
 
     w1: np.ndarray
@@ -196,8 +197,24 @@ class StructuredState:
     def __post_init__(self) -> None:
         for name in ("w1", "w0"):
             masses = np.array(getattr(self, name), dtype=float)
+            if masses.ndim != 1 or not masses.size:
+                raise ValueError(
+                    f"state {name} must be a nonempty 1-D array, got shape {masses.shape}"
+                )
             masses.flags.writeable = False
             object.__setattr__(self, name, masses)
+        if self.w1.size != self.w0.size:
+            raise ValueError(
+                f"state w1 and w0 must have one length, got {self.w1.size} and {self.w0.size}"
+            )
+
+
+def check_state(state: StructuredState, instance: ProblemInstance) -> None:
+    """Reject a state whose class count is not the instance's."""
+    if state.w1.size != instance.ps.size:
+        raise ValueError(
+            f"state has {state.w1.size} classes but the instance has {instance.ps.size}"
+        )
 
 
 def init_state(instance: ProblemInstance) -> StructuredState:
@@ -223,6 +240,7 @@ def state_stats(state: StructuredState, instance: ProblemInstance) -> tuple[floa
     and non-solution masses, the amplification angle
     arcsin(sqrt(alpha^2 + beta^2)), and the probability that measuring
     the index register yields a solution index (any flag)."""
+    check_state(state, instance)
     sol = instance.solution
     alpha2 = float(state.w1[sol].sum())
     beta2 = float(state.w1[~sol].sum())

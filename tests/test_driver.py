@@ -31,7 +31,7 @@ from besearch import (
     state_stats,
     verification_repetitions,
 )
-from besearch.driver import VERIFICATION_CONFIDENCE, _measure, _sample_block
+from besearch.driver import VERIFICATION_CONFIDENCE, CurvePoint, _measure, _sample_block
 from besearch.model import IndexClass, ProblemInstance, StructuredState
 from besearch.oracles import enumerate_majority
 from conftest import strict_instances
@@ -54,6 +54,26 @@ class TestCeilLog9:
         assert ceil_log9(2) == 1
         assert ceil_log9(10) == 2
         assert ceil_log9(82) == 3
+
+    def test_equals_the_multiplying_loop(self):
+        def loop(n):
+            m, power = 0, 1
+            while power < n:
+                power *= 9
+                m += 1
+            return m
+
+        grid = [*range(1, 10**4 + 1)]
+        grid += [n for k in range(601) for n in (9**k - 1, 9**k, 9**k + 1) if n >= 1]
+        assert [ceil_log9(n) for n in grid] == [loop(n) for n in grid]
+
+    def test_huge_n_is_fast(self):
+        # Multiplying up from 9^0 took seconds at n = 10^100000.
+        start = time.perf_counter()
+        assert verification_repetitions(10**300000) == 43
+        m = ceil_log9(10**300000)
+        assert time.perf_counter() - start < 1.0
+        assert 9 ** (m - 1) < 10**300000 <= 9**m
 
     def test_blocks_floor_at_one(self):
         assert search_blocks(1) == 1
@@ -128,6 +148,29 @@ class TestBuildState:
             expected = 3 * expected + schedule_for_round(k)
         _, cost = build_state(inst, rounds)
         assert cost == expected
+
+    @given(strict_instances(max_classes=600, max_count=1000), st.integers(0, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_every_round_equals_the_public_operators(self, inst, rounds):
+        self.check_chain(inst, rounds)
+
+    def test_forty_rounds_at_nine_to_the_fortieth(self):
+        for t in (0, 1, 5):
+            self.check_chain(make_instance(9**40, t, 0.95, 0.05), 40)
+
+    @staticmethod
+    def check_chain(inst, rounds):
+        # The chain runs the rounds on the class arrays; each of its states
+        # is bit for bit one public round on the state before it.
+        rows = exact_success_curve(inst, rounds)
+        prev = init_state(inst)
+        for k in range(rounds + 1):
+            state, cost = build_state(inst, k)
+            if k:
+                want = apply_error_reduction(apply_amplification(prev), k, inst)
+                assert np.array_equal(state.w1, want.w1) and np.array_equal(state.w0, want.w0)
+            assert rows[k] == CurvePoint(k, *state_stats(state, inst), cost)
+            prev = state
 
     def test_interval_guarantee_spot(self):
         # t in [n/9^(m+1), n/9^m] makes the m-round state's alpha >= 0.04
@@ -557,3 +600,60 @@ def test_run_search_golden(args, seed, outcome, found, cost, verified):
     assert result.found_class == found
     assert result.total_cost == cost
     assert tuple(row.verified for row in result.trace) == verified
+
+
+def _hex(values) -> str:
+    """float.hex of each value, ints and None as repr, joined."""
+    return ",".join(v.hex() if isinstance(v, float) else repr(v) for v in values)
+
+
+def _random_instance(rng: np.random.Generator, k: int) -> ProblemInstance:
+    solution = rng.random(k) < rng.uniform(0.0, 0.3)
+    ps = np.where(solution, rng.uniform(0.9, 1.0, k), rng.uniform(0.0, 0.1, k))
+    counts = rng.integers(1, 1000, k)
+    return ProblemInstance(tuple(
+        IndexClass(float(p), int(c), bool(s)) for p, c, s in zip(ps, counts, solution)
+    ))
+
+
+class TestEngineDigest:
+    """Every bit the engine returns, pinned by one digest; the CLI goldens
+    pin only two-class instances."""
+
+    def test_outputs_equal_the_recorded_digest(self):
+        # Recorded when each round called apply_amplification and
+        # apply_error_reduction in turn.
+        rng = np.random.default_rng(20261019)
+        digest = hashlib.sha256()
+
+        def add(*values):
+            digest.update(_hex(values).encode() + b";")
+
+        many = [_random_instance(rng, int(rng.integers(1, 601))) for _ in range(60)]
+        huge = [make_instance(9**40, int(rng.integers(0, 10)), float(rng.uniform(0.9, 1.0)),
+                              float(rng.uniform(0.0, 0.1))) for _ in range(40)]
+        for inst, m_max in [*((inst, 8) for inst in many), *((inst, 40) for inst in huge)]:
+            for row in exact_success_curve(inst, m_max):
+                add(row.m, row.alpha, row.beta, row.theta, row.p_solution, row.cost)
+            for m in (0, 3, m_max):
+                state, cost = build_state(inst, m)
+                add(cost, *state.w1.tolist(), *state.w0.tolist())
+            for shots in (1, 1000):
+                out = exact_outcome(inst, shots)
+                add(out.p_found, out.p_false_accept, out.p_nothing, out.expected_cost,
+                    *out.block_found, *out.block_false_accept)
+        for i in range(300):
+            if i % 3:
+                n = 9 ** int(rng.integers(1, 13))
+                inst = make_instance(n, int(rng.integers(0, 4)), float(rng.uniform(0.9, 1.0)),
+                                     float(rng.uniform(0.0, 0.1)))
+            else:
+                inst = _random_instance(rng, int(rng.integers(1, 41)))
+            result = run_search(inst, i, (1, 7, 1000)[i % 3])
+            add(result.outcome, result.found_class, result.total_cost)
+            for row in result.trace:
+                add(row.m, row.alpha, row.beta, row.theta, row.p_solution, row.cost,
+                    row.shots, row.verified)
+        assert digest.hexdigest() == (
+            "55050608e8b2164678ba20f6697b60b0c5db56221ea29fc8061d15bfb21875dc"
+        )

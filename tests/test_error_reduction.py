@@ -322,6 +322,13 @@ class TestApplyErrorReduction:
         with pytest.raises(InvariantError, match="not normalized"):
             apply_error_reduction(StructuredState(w1=[0.5, 0.1], w0=[0.1, 0.1]), 1, inst)
 
+    def test_state_of_another_class_count_rejected(self):
+        # A one-class state used to broadcast against the two-class
+        # instance into a state of total mass 2.
+        inst = make_instance(4, 1, 0.9, 0.1)
+        with pytest.raises(ValueError, match="state has 1 classes but the instance has 2"):
+            apply_error_reduction(StructuredState(w1=[0.5], w0=[0.5]), 1, inst)
+
     def test_round_index_out_of_range_rejected(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         for k in (0, MAX_ROUNDS + 1):

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from besearch import (
     IndexClass,
     ProblemInstance,
+    StructuredState,
     apply_amplification,
     apply_error_reduction,
     build_state,
@@ -136,6 +137,27 @@ class TestStateStats:
         alpha, beta, theta, p_solution = state_stats(state, inst)
         assert math.sin(theta) ** 2 == pytest.approx(alpha**2 + beta**2, abs=1e-12)
         assert p_solution >= alpha**2 - 1e-12
+
+
+class TestStateShape:
+    """A state is one nonempty vector of flag-1 masses and one of flag-0
+    masses, with one entry per class of the instance it is used with."""
+
+    @pytest.mark.parametrize("w1, w0", [
+        ([[0.5]], [[0.5]]),  # 2-D
+        (0.5, 0.5),  # 0-D
+        ([], []),  # no class
+        ([0.5], [0.25, 0.25]),  # lengths differ
+    ])
+    def test_rejects_masses_that_are_not_one_class_vector(self, w1, w0):
+        with pytest.raises(ValueError, match="^state w"):
+            StructuredState(w1=w1, w0=w0)
+
+    def test_stats_reject_a_state_of_another_class_count(self):
+        inst = make_instance(4, 1, 0.9, 0.1)
+        state = StructuredState(w1=[0.2, 0.2, 0.1], w0=[0.2, 0.2, 0.1])
+        with pytest.raises(ValueError, match="state has 3 classes but the instance has 2"):
+            state_stats(state, inst)
 
 
 class TestInvariants:
