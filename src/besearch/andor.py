@@ -23,8 +23,7 @@ depth 0. ``leaves`` is a bitstring of length N = product of fanouts.
 
 In code, leaves are a sequence of ints or bools, an integer or bool
 ndarray, or bytes with one byte per leaf, every value 0 or 1. They are
-reshaped to the fanouts and reduced level by level, bottom up, with one
-``any``/``all`` per level.
+reduced level by level, bottom up, with one ``any``/``all`` per level.
 """
 from __future__ import annotations
 
@@ -121,14 +120,14 @@ def _as_bits(tree: AndOrTree, bits: Leaves) -> np.ndarray:
 def _child_values(tree: AndOrTree, bits: np.ndarray) -> np.ndarray:
     """Values of the root's children (depth >= 1), by one reduction per level.
 
-    The leaves are reshaped to the fanouts and each level below the root
-    is reduced along the last axis, bottom up; the bottom gate equals the
-    root's when depth is odd, and gates alternate from there.
+    Each level below the root is reduced bottom up, on the values viewed
+    as rows of that level's fanout, so any depth works; the bottom gate
+    equals the root's when depth is odd, and gates alternate from there.
     """
-    vals = bits.reshape(tree.fanouts)
+    vals = bits
     gate = tree.root_gate if tree.depth % 2 else _flip(tree.root_gate)
-    for _ in range(tree.depth - 1):
-        vals = _gate(gate, vals)
+    for f in reversed(tree.fanouts[1:]):
+        vals = _gate(gate, vals.reshape(-1, f))
         gate = _flip(gate)
     return vals
 
@@ -175,15 +174,16 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     ceil(pi/4 sqrt(f)) (one-sided Grover over exact leaves); a deeper
     node costs ``full_sweep_cost(f, shots)`` -- what the driver charges
     for a search that finds nothing: every block's shots, each verified --
-    times the cost of one child. The shot count is checked at every depth.
+    times the cost of one child. So the tree costs the bottom level's
+    Grover count times every upper level's sweep cost, one product at
+    any depth; the shot count is checked once, at every depth.
     """
     shots = check_shots(shots)
     if tree.depth == 0:
         return 1
-    f = tree.fanouts[0]
-    if tree.depth == 1:
-        return math.ceil(math.pi / 4 * math.sqrt(f))
-    return full_sweep_cost(f, shots) * evaluate_quantum_cost(tree.child(), shots)
+    *upper, bottom = tree.fanouts
+    grover = math.ceil(math.pi / 4 * math.sqrt(bottom))
+    return math.prod((full_sweep_cost(f, shots) for f in upper), start=grover)
 
 
 def dump_tree(tree: AndOrTree, bits: Leaves) -> str:

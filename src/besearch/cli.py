@@ -275,6 +275,15 @@ def cmd_sweep(cfg: dict) -> int:
 
 # ----------------------------------------------------------------- andor
 
+def _over_root(q: int, leaves: int) -> str:
+    """repr(q / sqrt(leaves)), or 'inf' once the quotient leaves the float range."""
+    try:
+        return repr(q / math.sqrt(leaves))
+    except OverflowError:  # q lies past the float range; its logarithm does not
+        log = math.log(q) - math.log(leaves) / 2
+        return repr(math.exp(log) if log <= math.log(sys.float_info.max) else math.inf)
+
+
 def cmd_andor(cfg: dict) -> int:
     if cfg["tree"] is None:
         raise UsageError("andor requires --tree FILE")
@@ -296,7 +305,7 @@ def cmd_andor(cfg: dict) -> int:
     while node.depth > 0:
         q = evaluate_quantum_cost(node, cfg["shots"])
         rows.insert(0, (node.depth, node.fanouts[0], node.n_leaves, node.root_gate, q,
-                        repr(q / math.sqrt(node.n_leaves))))
+                        _over_root(q, node.n_leaves)))
         node = node.child()
     _emit(cfg, ["level", "fanout", "leaves", "gate", "leaf_queries", "q_over_sqrt_leaves"],
           rows, ["level", "fanout", "leaves", "leaf_queries", "q_over_sqrt_leaves"], "cost: ")

@@ -133,10 +133,15 @@ def check_shots(shots: int) -> int:
 
 
 def _schedule(rounds: int) -> Iterator[tuple[int, int]]:
-    """Yield (r_k, C(k)) for k = 0 .. rounds, r_0 = 0; see ``prep_costs``.
+    """Yield (r_k, C(k)) for k = 0 .. rounds, r_0 = 0: each round's majority
+    size and the query cost of the k-round preparation.
 
-    The only place C(k) is formed. The round count is checked before
-    anything is yielded.
+    The only place C(k) is formed. C(0) = 1: the base preparation runs
+    every subroutine once in superposition. C(k) = 3 C(k-1) + r_k:
+    amplification runs the preparation twice more, once inverted, and
+    error reduction adds r_k runs. One unit is one invocation of any F_i
+    or its inverse; one superposed call over all indices costs 1. The
+    round count is checked before anything is yielded.
     """
     rounds = check_int("rounds", rounds, 0, MAX_ROUNDS)
     c = 1
@@ -147,23 +152,9 @@ def _schedule(rounds: int) -> Iterator[tuple[int, int]]:
         yield r, c
 
 
-def prep_costs(rounds: int) -> Iterator[int]:
-    """Yield the query costs C(0) .. C(rounds) of the m-round preparations.
-
-    C(0) = 1: the base preparation runs every subroutine once in
-    superposition. C(k) = 3 C(k-1) + r_k: amplification runs the
-    preparation twice more, once inverted, and error reduction adds r_k
-    runs. One unit is one invocation of any F_i or its inverse; one
-    superposed call over all indices costs 1. The round count is checked
-    before anything is yielded.
-    """
-    for _, c in _schedule(rounds):
-        yield c
-
-
 def analytic_cost(m: int) -> int:
     """Query cost C(m) of the m-round preparation."""
-    *_, c = prep_costs(check_int("m", m, 0, MAX_ROUNDS))
+    *_, (_, c) = _schedule(check_int("m", m, 0, MAX_ROUNDS))
     return c
 
 
@@ -252,7 +243,7 @@ def full_sweep_cost(n: int, shots: int = DEFAULT_SHOTS) -> int:
     shots = check_shots(shots)
     blocks = search_blocks(n)
     v = verification_repetitions(n, shots)
-    return shots * (sum(prep_costs(blocks - 1)) + blocks * v)
+    return shots * (sum(c for _, c in _schedule(blocks - 1)) + blocks * v)
 
 
 def check_seed(seed: Seed) -> None:

@@ -59,20 +59,25 @@ def majority_prob(r: int, p):
 
     Each run outputs 1 with probability p; returns
     P[Binomial(r, p) >= (r+1)/2]. r must be odd so ties cannot occur.
-    ``p`` is a float or an array of floats; the result is a float or an
-    array of the same shape, one value per entry. A scalar p goes through
-    ``check_prob``; an array is checked entry by entry in one pass. One
-    numpy pass builds the terms C(r, j) p^j (1-p)^(r-j), j ascending, for
-    every entry and adds each entry's terms by pairwise summation. The
-    result is not correctly rounded: for odd r up to 647 it was measured
-    within 3 ulp (3.3e-16 absolute) of the correctly rounded sum of the
-    terms.
+    ``p`` is a float, a list or tuple of floats, or an integer or float
+    ndarray; the result is a float or an array of the same shape, one
+    value per entry. A scalar p and each entry of a list or tuple go
+    through ``check_prob``; an ndarray is checked entry by entry in one
+    pass. One numpy pass builds the terms C(r, j) p^j (1-p)^(r-j), j
+    ascending, for every entry and adds each entry's terms by pairwise
+    summation. The result is not correctly rounded: for odd r up to 647 it
+    was measured within 3 ulp (3.3e-16 absolute) of the correctly rounded
+    sum of the terms.
     """
     r = check_int("r", r, 1, _MAX_REPS)
     if r % 2 == 0:
         raise ValueError(f"r must be odd, got {r}")
-    if not isinstance(p, np.ndarray) and np.ndim(p) == 0:
+    if isinstance(p, (list, tuple)):
+        p = [check_prob("p", x) for x in p]  # each entry is checked like a scalar
+    elif not isinstance(p, np.ndarray):
         p = check_prob("p", p)  # a scalar is checked whole: bool, str and None too
+    elif p.dtype.kind not in "iuf":
+        raise ValueError(f"p must be a number, got an array of dtype {p.dtype}")
     p = np.asarray(p, dtype=float)
     col = p.reshape(-1, 1)
     q = 1.0 - col

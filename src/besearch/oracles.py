@@ -86,12 +86,16 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
     ``rng`` may also be a sequence of k generators: each draws its own
     Gaussian, and the (k, dim, dim) stack takes one QR and one phase fix.
-    ``dim`` is checked before anything is drawn.
+    ``dim`` and ``rng`` are checked before anything is drawn.
     """
     dim = check_int("dim", dim, 2, MAX_DENSE_DIM)
     one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else rng if isinstance(rng, (list, tuple)) else ()
+    if not rngs or not all(isinstance(g, np.random.Generator) for g in rngs):
+        raise ValueError(f"rng must be a numpy Generator or a nonempty sequence of them, "
+                         f"got {rng!r}")
     # Each generator's real then imaginary parts, in one draw of 2 dim^2 normals.
-    parts = np.array([g.standard_normal((2, dim, dim)) for g in ([rng] if one else rng)])
+    parts = np.array([g.standard_normal((2, dim, dim)) for g in rngs])
     q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (d / np.abs(d))[:, None, :]
@@ -134,10 +138,12 @@ def _flag_masks(dim: int, flag_sets) -> np.ndarray:
 def _scenario_stack(unitary, flag_indices) -> tuple[np.ndarray, np.ndarray]:
     """A dense scenario (unitary A, flag-1 index set), or a (k, d, d) stack
     of unitaries with a sequence of k flag sets, as a (k, d, d) stack and
-    its (k, d) flag-1 masks, after the checks: a square matrix or a
+    its (k, d) flag-1 masks, after the checks: a numeric square matrix or a
     nonempty stack of them, d in [2, MAX_DENSE_DIM], one valid flag set per
     matrix, and UnitarityError for a non-unitary A."""
     a = np.asarray(unitary)
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"unitary must be numeric, got dtype {a.dtype}")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"unitary must be a square matrix or a nonempty (k, d, d) stack, "
                          f"got shape {a.shape}")

@@ -154,7 +154,7 @@ def test_criterion_4_inequality_suite():
 
 
 def test_criterion_5_cost_accounting():
-    expected = [1]  # C(m) by the paper's recursion, independent of prep_costs
+    expected = [1]  # C(m) by the paper's recursion, independent of the driver
     for k in range(1, 7):
         expected.append(3 * expected[-1] + schedule_for_round(k))
     assert expected[:5] == [1, 8, 31, 100, 309]

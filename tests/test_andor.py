@@ -272,6 +272,27 @@ class TestQuantumCost:
         assert all(r >= 2 for r in ratios)
 
 
+class TestDeepTrees:
+    # numpy arrays hold at most 64 dimensions (32 before numpy 2), and
+    # Python's recursion stops near 1000 frames; neither bounds the depth.
+
+    @pytest.mark.parametrize("gate", [GATE_OR, GATE_AND])
+    def test_seventy_levels_evaluate(self, gate):
+        tree = AndOrTree(70, (1,) * 30 + (2,) * 5 + (1,) * 35, gate)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            bits = rng.integers(0, 2, tree.n_leaves)
+            assert evaluate_classical(tree, bits) == reduce_oracle(tree, bits)
+        assert evaluate_quantum_sim(tree, bits, 0) in (0, 1)
+
+    def test_cost_is_one_product_at_any_depth(self):
+        q = evaluate_quantum_cost(AndOrTree(1200, (1,) * 1200, GATE_OR))
+        assert type(q) is int and q == full_sweep_cost(1) ** 1199
+        tree = AndOrTree(1200, (1,) * 1196 + (9, 1, 27, 16), GATE_AND)
+        want = full_sweep_cost(1, 7) ** 1197 * full_sweep_cost(9, 7) * full_sweep_cost(27, 7) * 4
+        assert evaluate_quantum_cost(tree, 7) == want  # ceil(pi/4 sqrt(16)) = 4
+
+
 class TestTreeFiles:
     def test_round_trip(self):
         tree = AndOrTree(2, (3, 3), GATE_OR)

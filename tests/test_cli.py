@@ -186,6 +186,24 @@ class TestAndor:
         assert "quantum_sim:" in out
         assert "cost: level=2" in out
 
+    @pytest.mark.parametrize("depth, shots, ratio", [
+        (70, "1000", "5.902958103587057e+296"),  # past numpy's 64 array dimensions
+        (60, "1000000", "inf"),  # leaf_queries past the float range
+    ])
+    def test_deep_tree(self, capsys, tmp_path, depth, shots, ratio):
+        tree_file = tmp_path / "deep.txt"
+        tree_file.write_text(dump_tree(AndOrTree(depth, (1,) * depth, GATE_OR), [1]))
+        code, out, _ = run(capsys, "andor", "--tree", str(tree_file), "--shots", shots)
+        assert code == 0 and "classical: 1" in out
+        assert out.splitlines()[-1].startswith(f"cost: level={depth} fanout=1 leaves=1 ")
+        assert out.splitlines()[-1].endswith(f" q_over_sqrt_leaves={ratio}")
+
+    def test_ratio_past_the_float_range(self):
+        over_root = besearch.cli._over_root
+        assert over_root(27, 9) == repr(27 / 3.0)
+        assert float(over_root(10**309, 10**4)) == pytest.approx(1e307)
+        assert over_root(10**400, 10**4) == "inf"
+
     def test_missing_tree_flag(self, capsys):
         assert run(capsys, "andor")[0] == 2
 

@@ -27,7 +27,7 @@ from besearch import (
     schedule_for_round, search_blocks, verification_repetitions,
 )
 from besearch.amplification import amplification_factors
-from besearch.driver import check_seed, check_shots, prep_costs
+from besearch.driver import check_seed, check_shots
 from besearch.error_reduction import _MAX_REPS, majority_prob, repetitions_for
 from besearch.model import IndexClass, StructuredState, check_int, check_prob
 from besearch.oracles import (
@@ -75,7 +75,6 @@ ROWS = (
     Row("search_blocks", "n", "n", COUNT, 1, 9 ** (MAX_ROUNDS + 1), 81, search_blocks),
     Row("verification_repetitions", "n", "n", COUNT, 1, None, 81, verification_repetitions),
     Row("full_sweep_cost", "n", "n", COUNT, 1, 9 ** (MAX_ROUNDS + 1), 81, full_sweep_cost),
-    Row("prep_costs", "rounds", "rounds", COUNT, 0, MAX_ROUNDS, 81, lambda v: list(prep_costs(v))),
     Row("analytic_cost", "m", "m", COUNT, 0, MAX_ROUNDS, 81, analytic_cost),
     Row("build_state", "rounds", "rounds", COUNT, 0, MAX_ROUNDS, 81,
         lambda v: build_state(INST, v)),

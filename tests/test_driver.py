@@ -336,6 +336,21 @@ class TestFullSweepCost:
         for n, cost in golden.items():
             assert full_sweep_cost(n) == cost
 
+    def test_costs_equal_the_recorded_digest(self):
+        # Every C(m) and sweep costs on both sides of powers of 9 up to the
+        # largest n, recorded when both costs read a separate C(k) view.
+        digest = hashlib.sha256()
+        for m in range(MAX_ROUNDS + 1):
+            digest.update(repr(analytic_cost(m)).encode() + b";")
+        for e in range(0, 477, 7):
+            for n in (9**e - 1, 9**e, 9**e + 1):
+                for shots in (1, 7, 1000, 10**6):
+                    if n >= 1:
+                        digest.update(repr(full_sweep_cost(n, shots)).encode() + b";")
+        assert digest.hexdigest() == (
+            "75223b3c8e47c6bc585b1f5b39ba3e38b6f982efc6f71d6c8665d623ea1b1567"
+        )
+
 
 class TestRunBlock:
     def test_isolated_block_accepts_solution(self):

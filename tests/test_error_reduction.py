@@ -98,6 +98,19 @@ class TestMajorityProb:
         with pytest.raises(ValueError):
             majority_prob(5, np.array([0.1, bad, 0.9]))
 
+    @pytest.mark.parametrize("bad", [
+        [True], ["0.9"], (0.1, True), [None], np.array(True), np.array([True]), np.array(["0.9"]),
+    ], ids=["list-bool", "list-str", "tuple-bool", "list-None", "array-bool-0d", "array-bool",
+            "array-str"])
+    def test_rejects_non_number_entries(self, bad):
+        with pytest.raises(ValueError, match="^p must be a number"):
+            majority_prob(5, bad)
+
+    def test_list_and_tuple_equal_the_array(self):
+        for p in ([0.1, 0.9], (0.0, 0.5, 1.0), [0, 1], ()):
+            assert majority_prob(5, p).tolist() == majority_prob(5, np.array(p, float)).tolist()
+        assert majority_prob(5, np.array([0, 1])).tolist() == [0.0, 1.0]
+
     def test_array_matches_enumeration(self):
         grid = np.array([0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
         for r in range(1, 14, 2):

@@ -64,6 +64,22 @@ class TestDenseScenario:
             with pytest.raises(ValueError):
                 oracle(np.eye(3, dtype=complex), {5})
 
+    def test_rejects_non_numeric_unitary(self):
+        for oracle in DENSE_ORACLES:
+            with pytest.raises(ValueError, match="^unitary must be numeric"):
+                oracle([["a", "b"], ["c", "d"]], {1})
+
+    @pytest.mark.parametrize("rng", [[], None, 5, "rng"], ids=["empty", "None", "int", "str"])
+    def test_random_unitary_names_a_bad_rng(self, rng):
+        with pytest.raises(ValueError, match="^rng must"):
+            besearch.oracles.random_unitary(4, rng)
+
+    def test_random_unitary_checks_every_rng_before_drawing(self):
+        first = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^rng must"):
+            besearch.oracles.random_unitary(4, [first, 5])
+        assert first.random() == np.random.default_rng(0).random()
+
     def test_rejects_oversized_dimension(self):
         for oracle in DENSE_ORACLES:
             with pytest.raises(ValueError):
