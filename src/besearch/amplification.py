@@ -54,4 +54,4 @@ def apply_amplification(state: StructuredState) -> StructuredState:
     g0^2, with sin^2(theta) recomputed as the flag-1 share of the state's
     total mass. Norm is preserved exactly: g1^2 sin^2 + g0^2 cos^2 = 1.
     """
-    return StructuredState(*_amplify(state.w1, state.w0))
+    return StructuredState._adopt(*_amplify(state.w1, state.w0))

@@ -178,12 +178,19 @@ def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
     Grover count times every upper level's sweep cost, one product at
     any depth; the shot count is checked once, at every depth.
     """
-    shots = check_shots(shots)
+    return math.prod(_level_costs(tree, check_shots(shots)))
+
+
+def _level_costs(tree: AndOrTree, shots: int) -> list[int]:
+    """Each level's factor of the leaf-query count, root first: one
+    ``full_sweep_cost(f, shots)`` per upper level, then the bottom level's
+    ceil(pi/4 sqrt(f)); none at depth 0. The product of the last k factors
+    is the cost of a level-k node, so one list prices every level."""
     if tree.depth == 0:
-        return 1
+        return []
     *upper, bottom = tree.fanouts
     grover = math.ceil(math.pi / 4 * math.sqrt(bottom))
-    return math.prod((full_sweep_cost(f, shots) for f in upper), start=grover)
+    return [full_sweep_cost(f, shots) for f in upper] + [grover]
 
 
 def dump_tree(tree: AndOrTree, bits: Leaves) -> str:

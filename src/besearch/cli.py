@@ -24,17 +24,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import hashlib
 import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
-from .andor import evaluate_classical, evaluate_quantum_cost, evaluate_quantum_sim, load_tree
+from .andor import _flip, _level_costs, evaluate_classical, evaluate_quantum_sim, load_tree
 from .driver import (
     DEFAULT_SHOTS,
     ceil_log9,
@@ -123,7 +124,8 @@ def _emit(
     if cfg.get("json"):
         path = _resolve_out(cfg["json"])
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dict(head, rows=records), fh, sort_keys=True)
+            # default=str writes a Decimal (see _exact) as a string of its digits.
+            json.dump(dict(head, rows=records), fh, sort_keys=True, default=str)
             fh.write("\n")
         print(f"wrote {path}")
 
@@ -284,6 +286,18 @@ def _over_root(q: int, leaves: int) -> str:
         return repr(math.exp(log) if log <= math.log(sys.float_info.max) else math.inf)
 
 
+def _exact(q: int) -> Union[int, decimal.Decimal]:
+    """q, or q as an exact Decimal once it has more digits than Python
+    converts an int to a string (4300 unless the interpreter sets another
+    limit). A Decimal prints every digit, so no row is cut short and no
+    interpreter setting is changed."""
+    try:
+        str(q)
+    except ValueError:
+        return decimal.Decimal(q)
+    return q
+
+
 def cmd_andor(cfg: dict) -> int:
     if cfg["tree"] is None:
         raise UsageError("andor requires --tree FILE")
@@ -300,13 +314,16 @@ def cmd_andor(cfg: dict) -> int:
     )
     print(f"classical: {classical}")
     print(f"quantum_sim: {simulated}")
+    # Level k's cost and leaf count are the products of the last k
+    # per-level factors and fanouts; gates alternate from the root down.
     rows = []  # one per level, level 1 first
-    node = tree
-    while node.depth > 0:
-        q = evaluate_quantum_cost(node, cfg["shots"])
-        rows.insert(0, (node.depth, node.fanouts[0], node.n_leaves, node.root_gate, q,
-                        _over_root(q, node.n_leaves)))
-        node = node.child()
+    q = leaves = 1
+    costs = _level_costs(tree, cfg["shots"])
+    for level, (fanout, cost) in enumerate(zip(reversed(tree.fanouts), reversed(costs)), start=1):
+        q *= cost
+        leaves *= fanout
+        gate = tree.root_gate if (tree.depth - level) % 2 == 0 else _flip(tree.root_gate)
+        rows.append((level, fanout, leaves, gate, _exact(q), _over_root(q, leaves)))
     _emit(cfg, ["level", "fanout", "leaves", "gate", "leaf_queries", "q_over_sqrt_leaves"],
           rows, ["level", "fanout", "leaves", "leaf_queries", "q_over_sqrt_leaves"], "cost: ")
     return 0

@@ -183,8 +183,10 @@ def _rounds(
     when it is asked for, so a consumer that stops early builds no more.
     Round m is ``apply_error_reduction(apply_amplification(state), m,
     instance)`` run on the class arrays through the same kernels, with
-    r_m looked up once and the majority vector computed from the
-    instance's ps, which were checked when it was built.
+    r_m looked up once. The majority vector and its push-back share
+    depend only on r_m, which repeats every round or two, so they are
+    computed from the instance's checked ps only when r_m differs from
+    r_(m-1). Each state adopts the kernels' fresh arrays without a copy.
     """
     schedule = _schedule(rounds)
     _, cost = next(schedule)  # checks the round count before any state is built
@@ -193,9 +195,14 @@ def _rounds(
     col = instance.ps.reshape(-1, 1)
     q = 1.0 - col
     w1, w0 = state.w1, state.w0
+    last = 0  # r_0: no majority vector yet
     for m, (r, cost) in enumerate(schedule, start=1):
-        w1, w0 = _push_back(*_amplify(w1, w0), _majority(r, col, q))
-        yield m, StructuredState(w1, w0), cost
+        if r != last:
+            keep = _majority(r, col, q)
+            drop = np.maximum(0.0, 1.0 - keep)
+            last = r
+        w1, w0 = _push_back(*_amplify(w1, w0), keep, drop)
+        yield m, StructuredState._adopt(w1, w0), cost
 
 
 def build_state(instance: ProblemInstance, rounds: int) -> tuple[StructuredState, int]:
@@ -294,7 +301,8 @@ def _sample_block(
     that holds an acceptance. The samples are cut before and after every
     sample with p > 1/2, the ones that (for odd v) are accepted with
     probability above 1/2, so a block takes a few draw calls whatever
-    its classes. A piece of one p value is drawn as
+    its classes. Each cut is found from the previous one, only as far as
+    the draws go. A piece of one p value is drawn as
     ``rng.binomial(v, p, size=len)``, which is cheaper than an array of
     p and gives the same votes in the same order from the same uniforms;
     a mixed piece is drawn with its array of p. So the indices, the votes
@@ -305,8 +313,12 @@ def _sample_block(
     sampled = _measure(rng, measurement_weights(state), shots)
     ps = instance.ps[sampled]
     half = v // 2  # a sample is accepted by more than half of its v votes
+    high = ps > 0.5
     start = 0
-    for likely in [*np.flatnonzero(ps > 0.5).tolist(), shots]:
+    while start < shots:
+        likely = start + int(high[start:].argmax())  # the next likely sample, if any
+        if not high[likely]:
+            likely = shots
         piece = ps[start:likely]
         if piece.size:
             # Comparing the ends first settles most mixed pieces at once.
@@ -395,7 +407,7 @@ def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> Exac
         w = measurement_weights(state)
         accepted = w * acc / w.sum()
         q_good = float(accepted[instance.solution].sum())
-        q_bad = float(accepted[~instance.solution].sum())
+        q_bad = float(accepted[instance.nonsolution].sum())
         q = q_good + q_bad
         log_miss = shots * math.log1p(-q) if q < 1.0 else -math.inf
         hit = -math.expm1(log_miss)  # 1 - (1 - q)^shots, accurate for tiny q

@@ -130,12 +130,17 @@ def schedule_for_round(k: int) -> int:
     return _reps_within(2.0 ** -(k + 5))
 
 
-def _push_back(w1: np.ndarray, w0: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _push_back(
+    w1: np.ndarray, w0: np.ndarray, keep: np.ndarray, drop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """One push-back on the class arrays of a normalized state: each class
-    keeps share m of its flag-1 mass and moves the rest to flag 0."""
+    keeps share ``keep`` (its majority probability) of its flag-1 mass and
+    moves share ``drop`` = max(0, 1 - keep) to flag 0. Both shares depend
+    only on r_k, so the round chain computes them once per distinct r_k.
+    Returns fresh arrays."""
     if abs(float(w1.sum() + w0.sum()) - 1.0) > NORM_TOL:
         raise InvariantError("state is not normalized")
-    return w1 * m, w0 + w1 * np.maximum(0.0, 1.0 - m)
+    return w1 * keep, w0 + w1 * drop
 
 
 def apply_error_reduction(
@@ -153,5 +158,7 @@ def apply_error_reduction(
     otherwise unchanged. The caller knows k: the state has no round index.
     """
     check_state(state, instance)
-    m = majority_prob(schedule_for_round(k), instance.ps)
-    return StructuredState(*_push_back(state.w1, state.w0, m))
+    keep = majority_prob(schedule_for_round(k), instance.ps)
+    return StructuredState._adopt(
+        *_push_back(state.w1, state.w0, keep, np.maximum(0.0, 1.0 - keep))
+    )

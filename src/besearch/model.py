@@ -94,8 +94,8 @@ class ProblemInstance:
 
     Construction also fixes the per-class arrays the round operators use,
     all read-only with one entry per class: ``ps`` (success probability),
-    ``counts`` (class size as a float) and ``solution`` (truth mask), and
-    the total number of indices ``n``.
+    ``counts`` (class size as a float), ``solution`` (truth mask) and
+    ``nonsolution`` (its negation), and the total number of indices ``n``.
     """
 
     classes: tuple[IndexClass, ...]
@@ -104,6 +104,7 @@ class ProblemInstance:
     ps: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     solution: np.ndarray = field(init=False, repr=False, compare=False)
+    nonsolution: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -112,10 +113,12 @@ class ProblemInstance:
             float(self.n)
         except OverflowError:
             raise ValueError("instance size n is too large for float masses") from None
+        truth = [c.is_solution for c in self.classes]
         for name, values, dtype in (
             ("ps", [c.p for c in self.classes], float),
             ("counts", [float(c.count) for c in self.classes], float),
-            ("solution", [c.is_solution for c in self.classes], bool),
+            ("solution", truth, bool),
+            ("nonsolution", [not x for x in truth], bool),
         ):
             array = np.array(values, dtype=dtype)
             array.flags.writeable = False
@@ -208,6 +211,17 @@ class StructuredState:
                 f"state w1 and w0 must have one length, got {self.w1.size} and {self.w0.size}"
             )
 
+    @classmethod
+    def _adopt(cls, w1: np.ndarray, w0: np.ndarray) -> "StructuredState":
+        """A state that takes ownership of two fresh float arrays from a round
+        kernel, already 1-D, nonempty and of one length: they are made
+        read-only in place, with no copy and no checks."""
+        state = object.__new__(cls)
+        for name, masses in (("w1", w1), ("w0", w0)):
+            masses.flags.writeable = False
+            object.__setattr__(state, name, masses)
+        return state
+
 
 def check_state(state: StructuredState, instance: ProblemInstance) -> None:
     """Reject a state whose class count is not the instance's."""
@@ -223,9 +237,8 @@ def init_state(instance: ProblemInstance) -> StructuredState:
     Class c gets flag-1 mass count*p/n and flag-0 mass count*(1-p)/n.
     """
     n = float(instance.n)
-    return StructuredState(
-        w1=instance.counts * instance.ps / n,
-        w0=instance.counts * (1.0 - instance.ps) / n,
+    return StructuredState._adopt(
+        instance.counts * instance.ps / n, instance.counts * (1.0 - instance.ps) / n
     )
 
 
@@ -243,7 +256,7 @@ def state_stats(state: StructuredState, instance: ProblemInstance) -> tuple[floa
     check_state(state, instance)
     sol = instance.solution
     alpha2 = float(state.w1[sol].sum())
-    beta2 = float(state.w1[~sol].sum())
+    beta2 = float(state.w1[instance.nonsolution].sum())
     s = min(1.0, math.sqrt(min(1.0, alpha2 + beta2)))
     p_solution = float((state.w1 + state.w0)[sol].sum())
     return math.sqrt(alpha2), math.sqrt(beta2), math.asin(s), p_solution

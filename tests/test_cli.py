@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import re
@@ -7,7 +8,9 @@ import pytest
 
 import besearch.cli
 import besearch.oracles
-from besearch import MAX_SHOTS, AndOrTree, GATE_OR, InvariantError, dump_tree
+from besearch import (
+    MAX_SHOTS, AndOrTree, GATE_OR, InvariantError, dump_tree, evaluate_quantum_cost,
+)
 from besearch.cli import COMMANDS, HELP, build_parser, resolve_config, run_cli
 from besearch.oracles import run_fact_checks
 
@@ -197,6 +200,45 @@ class TestAndor:
         assert code == 0 and "classical: 1" in out
         assert out.splitlines()[-1].startswith(f"cost: level={depth} fanout=1 leaves=1 ")
         assert out.splitlines()[-1].endswith(f" q_over_sqrt_leaves={ratio}")
+
+    def test_cost_rows_equal_each_subtree_cost(self, capsys, tmp_path):
+        tree = AndOrTree(4, (3, 1, 2, 4), GATE_OR)
+        tree_file = tmp_path / "mixed.txt"
+        tree_file.write_text(dump_tree(tree, [1] * tree.n_leaves))
+        code, out, _ = run(capsys, "andor", "--tree", str(tree_file), "--shots", "7")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("cost: ")]
+        node, want = tree, []
+        while node.depth:
+            want.insert(0, f"cost: level={node.depth} fanout={node.fanouts[0]} "
+                           f"leaves={node.n_leaves} "
+                           f"leaf_queries={evaluate_quantum_cost(node, 7)} ")
+            node = node.child()
+        assert len(rows) == len(want)
+        assert all(row.startswith(prefix) for row, prefix in zip(rows, want))
+
+    def test_costs_past_the_int_string_limit_print_exactly(self, capsys, tmp_path):
+        # Python converts ints of at most 4300 digits to strings; these
+        # costs reach 5157 digits and are printed, written and read back whole.
+        depth = 1200
+        tree = AndOrTree(depth, (1,) * depth, GATE_OR)
+        tree_file = tmp_path / "deep.txt"
+        tree_file.write_text(dump_tree(tree, [1]))
+        csv_path, json_path = tmp_path / "deep.csv", tmp_path / "deep.json"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "andor", "--tree", str(tree_file),
+                           "--csv", str(csv_path), "--json", str(json_path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("cost: ")]
+        assert len(rows) == depth
+        digits = re.search(r"leaf_queries=(\d+) ", rows[-1])[1]
+        assert len(digits) > 4300
+        assert decimal.Decimal(digits) == evaluate_quantum_cost(tree)
+        assert csv_path.read_text().splitlines()[-1].split(",")[4] == digits
+        records = json.loads(json_path.read_text())["rows"]
+        assert len(records) == depth and records[-1]["leaf_queries"] == digits
+        assert type(records[0]["leaf_queries"]) is int
 
     def test_ratio_past_the_float_range(self):
         over_root = besearch.cli._over_root

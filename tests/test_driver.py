@@ -172,6 +172,34 @@ class TestBuildState:
             assert rows[k] == CurvePoint(k, *state_stats(state, inst), cost)
             prev = state
 
+    def test_majority_once_per_distinct_repetition_count(self, monkeypatch):
+        # r_1 .. r_5 = 5, 7, 7, 9, 9: three distinct counts, three vectors.
+        calls = []
+        real = besearch.driver._majority
+        monkeypatch.setattr(besearch.driver, "_majority",
+                            lambda r, col, q: calls.append(r) or real(r, col, q))
+        inst = make_instance(6561, 3, 0.9, 0.1)
+        build_state(inst, 5)
+        assert calls == [5, 7, 9]
+        for m in (0, 1, 2, 12, 40):
+            calls.clear()
+            exact_success_curve(inst, m)
+            assert calls == sorted({schedule_for_round(k) for k in range(1, m + 1)})
+
+    def test_chained_states_are_read_only_and_unshared(self):
+        # check_chain shows each chained state equals the public operators'.
+        inst = make_instance(9**12, 40, 0.93, 0.02)
+        prev = None
+        for _, state, _ in besearch.driver._rounds(inst, 12):
+            for masses in (state.w1, state.w0):
+                assert not masses.flags.writeable
+                with pytest.raises(ValueError):
+                    masses[0] = 0.0
+            if prev is not None:
+                for new in (state.w1, state.w0):
+                    assert not any(np.shares_memory(new, old) for old in (prev.w1, prev.w0))
+            prev = state
+
     def test_interval_guarantee_spot(self):
         # t in [n/9^(m+1), n/9^m] makes the m-round state's alpha >= 0.04
         inst = make_instance(729, 1, 0.9, 0.1)
@@ -404,6 +432,28 @@ class TestExactOutcome:
         assert len(calls) == 1
 
 
+class TestFalseAcceptBound:
+    """P(false accept) <= 1/100 with no solution, exactly, from exact_outcome.
+
+    With one class the chance depends on n only through ceil_log9(n), so
+    the powers of 9 stand for every n. The exponents cover the small n,
+    the neighbourhood of the largest value known (9.866e-3 at e = 176),
+    and spot values up to 322, the last power of 9 within float masses.
+    """
+
+    EXPONENTS = (*range(1, 41), *range(170, 183), 60, 120, 250, 322)
+
+    def test_within_the_verification_budget(self):
+        chance = {
+            e: exact_outcome(make_instance(9**e, 0, 0.9, 0.1)).p_false_accept
+            for e in self.EXPONENTS
+        }
+        over = {e: p for e, p in chance.items() if p > 1 / VERIFICATION_CONFIDENCE}
+        assert not over
+        # The set still holds the worst case, so the bound is tested where it is tight.
+        assert max(chance.values()) > 9.8e-3
+
+
 def _weights(kind: str) -> np.ndarray:
     rng = np.random.default_rng(11)
     if kind == "one class":
@@ -464,6 +514,25 @@ class TestSampler:
                 twin.binomial(v, inst.ps[sampled[:e]])
                 states.append(twin.bit_generator.state)
             assert ours.bit_generator.state in states
+
+    @pytest.mark.parametrize("shots", (1, 2, 5, 60))
+    def test_likely_samples_that_fail_their_votes(self, shots):
+        # p just above 1/2 with one vote: about half the likely samples are
+        # rejected, at times the last one too, so cuts are passed over.
+        inst = ProblemInstance((IndexClass(0.52, 5, True), IndexClass(0.3, 2, False),
+                                IndexClass(0.55, 3, True)), strict=False)
+        state = init_state(inst)
+        w = state.w1 + state.w0
+        for seed in range(40):
+            ours, twin = _twins(seed)
+            got = _sample_block(ours, state, inst, 1, shots)
+            sampled = twin.choice(3, size=shots, p=w / w.sum())
+            hits = np.flatnonzero(twin.binomial(1, inst.ps[sampled]) > 0)
+            if hits.size:
+                assert got == (int(sampled[hits[0]]), int(hits[0]) + 1)
+            else:
+                assert got == (None, shots)
+                assert ours.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("v", (1, 3, 21, 101))
     def test_scalar_draws_over_runs_equal_the_array_draw(self, v):

@@ -65,7 +65,8 @@ class TestMakeInstance:
         assert inst.ps.tolist() == [0.95, 0.05]
         assert inst.counts.tolist() == [3.0, 7.0]
         assert inst.solution.tolist() == [True, False]
-        for array in (inst.ps, inst.counts, inst.solution):
+        assert inst.nonsolution.tolist() == [False, True]
+        for array in (inst.ps, inst.counts, inst.solution, inst.nonsolution):
             assert not array.flags.writeable
 
     def test_rejects_size_beyond_float_range(self):
@@ -216,5 +217,8 @@ class TestInvariants:
             state.w1 = np.zeros(2)
         with pytest.raises(ValueError):
             state.w1[0] = 0.5
+        # The operators hand their fresh arrays to the state read-only.
+        for later in (apply_amplification(state), apply_error_reduction(state, 1, inst)):
+            assert not later.w1.flags.writeable and not later.w0.flags.writeable
         with pytest.raises(AttributeError):
             inst.classes[0].p = 0.5
