@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import hashlib
 import json
 import math
@@ -401,7 +402,11 @@ COMMANDS = {
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later one: each parse returns a fresh namespace whose unset
+    flags are None, so no flag of one call carries over to the next."""
     parser = argparse.ArgumentParser(
         prog="besearch",
         description="Quantum search over bounded-error subroutines: exact simulator and cost toolkit.",

@@ -47,8 +47,21 @@ MAX_ROUND_DIM = 2**14
 # cached popcount arrays hold 1.4 MB.
 MAX_ENUM_R = 21
 
+# Largest weight array one enumeration pass builds (8 MB): the grid's rows
+# go through together up to r = 17 and one at a time at the cap.
+_ENUM_ENTRIES = 2**20
+
 # Largest n of the boost-first baseline: its error 1/(100 n) needs 100 n to fit a float.
 MAX_BASELINE_N = int(np.finfo(float).max) // VERIFICATION_CONFIDENCE
+
+# Scenarios of one dimension evaluated as one stack: at dimension 64 a
+# stack's arrays take about 0.4 MB per scenario, so a chunk of them adds
+# about 25 MB whatever the count.
+SCENARIO_CHUNK = 64
+
+# Largest scenario count of the fact checks: at dimension 64 each scenario
+# takes 1-1.5 ms, so the cap runs for about two minutes.
+MAX_SCENARIOS = 10**5
 
 # Explicit repetition count of the dense round-1 majority vote.
 ROUND_ONE_REPS = 5
@@ -76,7 +89,9 @@ class UnitarityError(RuntimeError):
 def _check_unitary(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
     """UnitarityError unless ``mat``, one matrix or a (k, d, d) stack of
     them, is unitary within tol; the error gives the largest defect."""
-    defect = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(mat.shape[-1])))
+    gram = mat.conj().swapaxes(-1, -2) @ mat
+    gram -= np.eye(mat.shape[-1])  # in place: one fewer temporary the size of the stack
+    defect = np.max(np.abs(gram))
     if not defect <= tol:  # also catches NaN from a broken construction
         raise UnitarityError(f"{name} deviates from unitarity by {defect:.3e}")
 
@@ -108,15 +123,17 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
     Negated Householder reflection through psi + e0: it maps e0 to psi,
     is unitary for any unit psi (zero entries included), and the choice
     of sign avoids cancellation because psi's first component is
-    nonnegative in every caller.
+    nonnegative in every caller. A (k, d) stack of vectors gives the
+    (k, d, d) stack of their completions, each the matrix its vector
+    alone gives.
     """
     psi = np.asarray(psi, dtype=complex)
-    dim = len(psi)
     v = psi.copy()
-    v[0] += 1.0
-    nv2 = np.vdot(v, v).real
-    u = 2.0 * np.outer(v, v.conj()) / nv2 - np.eye(dim, dtype=complex)
-    if np.linalg.norm(u[:, 0] - psi) > 1e-12:
+    v[..., 0] += 1.0
+    nv2 = np.array([np.vdot(x, x).real for x in v.reshape(-1, v.shape[-1])])
+    u = (2.0 * (v[..., :, None] * v.conj()[..., None, :]) / nv2.reshape(v.shape[:-1] + (1, 1))
+         - np.eye(v.shape[-1], dtype=complex))
+    if np.max(np.linalg.norm(u[..., :, 0] - psi, axis=-1)) > 1e-12:
         raise UnitarityError("completion does not reproduce the prescribed column")
     return u
 
@@ -279,7 +296,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
-def structured_vs_dense_round(instance: ProblemInstance) -> float:
+def structured_vs_dense_round(instances) -> float | np.ndarray:
     """Max per-index deviation between one dense round and the engine.
 
     Builds the whole first round as explicit matrices -- the preparation
@@ -292,45 +309,64 @@ def structured_vs_dense_round(instance: ProblemInstance) -> float:
     flag 0 and a work x work vote block on flag 1 for each index. Each
     distinct p's block is built and checked for unitarity once, and E1
     acts on the state through a reshape, so the cost is linear in n.
+
+    ``instances`` may also be a nonempty list or tuple of instances: the
+    result is then an array of their deviations, each the float that
+    instance alone gives. Every instance's dimension is checked against
+    MAX_ROUND_DIM before any of them is expanded to one class per index;
+    the distinct p are those of the whole batch, and A1 and G1 are built
+    and checked as one stack per n.
     """
-    n = instance.n
+    one = isinstance(instances, ProblemInstance)
+    batch = [instances] if one else list(instances) if isinstance(instances, (list, tuple)) else []
+    if not batch or not all(isinstance(inst, ProblemInstance) for inst in batch):
+        raise ValueError(f"instances must be a ProblemInstance or a nonempty list or tuple of "
+                         f"them, got {instances!r}")
     work = 2 ** (ROUND_ONE_REPS + 1)
-    if n * 2 * work > MAX_ROUND_DIM:  # checked before the n singleton classes are built
-        raise ValueError(f"dense round dimension {n * 2 * work} exceeds {MAX_ROUND_DIM}")
-    per_index = expand_classes(instance)
-    ps = per_index.ps
-
-    # Preparation state on index (x) flag, then a unitary completing it.
-    psi1 = np.zeros(2 * n, dtype=complex)
-    psi1[0::2] = np.sqrt((1.0 - ps) / n)
-    psi1[1::2] = np.sqrt(ps / n)
-    a1 = unitary_with_first_column(psi1)
-    _check_unitary(a1, "A1")
-
-    g1 = _grover_matrix(a1, np.tile([1.0, -1.0], n))
-    _check_unitary(g1, "G1")
-    after_g = g1 @ psi1
+    for inst in batch:  # every cap, before any instance's n singleton classes are built
+        if inst.n * 2 * work > MAX_ROUND_DIM:
+            raise ValueError(f"dense round dimension {inst.n * 2 * work} exceeds {MAX_ROUND_DIM}")
+    per_index = [expand_classes(inst) for inst in batch]
 
     # E1 on index (x) oldflag (x) votes (x) newflag, applied to
-    # after_g (x) |0...0>: flag 0 keeps its amplitude in work slot 0, flag 1
-    # takes column 0 of its index's vote block. The blocks are real.
-    distinct, which = np.unique(ps, return_inverse=True)
+    # G1 A1|0> (x) |0...0>: flag 0 keeps its amplitude in work slot 0, flag 1
+    # takes column 0 of its index's vote block. The blocks are real. Built
+    # one at a time, they run as fast as a (k, 64, 64) stack of them and
+    # hold one block's memory at a time instead of k.
+    distinct = np.unique(np.concatenate([e.ps for e in per_index]))
     first_columns = np.empty((len(distinct), work))
     for j, p in enumerate(distinct):
         votes = functools.reduce(_kron, [_rotation(p)] * ROUND_ONE_REPS + [np.eye(2)])
         block = _majority_permutation(ROUND_ONE_REPS) @ votes
         _check_unitary(block, "E1 vote block")
         first_columns[j] = block[:, 0]
-    psi2 = np.zeros((n, 2, work), dtype=complex)
-    psi2[:, 0, 0] = after_g[0::2]
-    psi2[:, 1, :] = after_g[1::2, None] * first_columns[which]
-    psi2 = psi2.reshape(n, 2, work // 2, 2)
-    dense_mass = np.sum(np.abs(psi2) ** 2, axis=(1, 2))
 
-    state, _ = build_state(per_index, rounds=1)
-    engine_mass = np.column_stack([state.w0, state.w1])
-
-    return float(np.max(np.abs(dense_mass - engine_mass)))
+    deviations = np.empty(len(batch))
+    by_n: dict[int, list[int]] = {}
+    for j, inst in enumerate(batch):
+        by_n.setdefault(inst.n, []).append(j)
+    for n, members in by_n.items():
+        # Preparation states on index (x) flag, then unitaries completing them.
+        ps = np.array([per_index[j].ps for j in members])
+        psi1 = np.zeros((len(members), 2 * n), dtype=complex)
+        psi1[:, 0::2] = np.sqrt((1.0 - ps) / n)
+        psi1[:, 1::2] = np.sqrt(ps / n)
+        a1 = unitary_with_first_column(psi1)
+        _check_unitary(a1, "A1")
+        g1 = _grover_matrix(a1, np.tile([1.0, -1.0], n))
+        _check_unitary(g1, "G1")
+        for g, psi, j in zip(g1, psi1, members):
+            after_g = g @ psi
+            psi2 = np.zeros((n, 2, work), dtype=complex)
+            psi2[:, 0, 0] = after_g[0::2]
+            psi2[:, 1, :] = after_g[1::2, None] * first_columns[
+                np.searchsorted(distinct, per_index[j].ps)]
+            psi2 = psi2.reshape(n, 2, work // 2, 2)
+            dense_mass = np.sum(np.abs(psi2) ** 2, axis=(1, 2))
+            state, _ = build_state(per_index[j], rounds=1)
+            engine_mass = np.column_stack([state.w0, state.w1])
+            deviations[j] = np.max(np.abs(dense_mass - engine_mass))
+    return float(deviations[0]) if one else deviations
 
 
 def simple_search_cost(n: int) -> int:
@@ -383,7 +419,7 @@ def _majority_ones(r: int) -> np.ndarray:
     return majority
 
 
-def enumerate_majority(r: int, p: float) -> float:
+def enumerate_majority(r: int, p) -> float | np.ndarray:
     """Exhaustive 2^r oracle for majority_prob: sums every outcome string.
 
     Each majority string contributes p^ones (1-p)^(r-ones), added in
@@ -391,24 +427,40 @@ def enumerate_majority(r: int, p: float) -> float:
     order (``np.sum`` would sum pairwise), so the result is the same
     float as a plain loop over the strings. r is capped at MAX_ENUM_R,
     since the cached popcounts take 2^(r-1) bytes.
+
+    ``p`` may also be a nonempty list or tuple of probabilities, each
+    checked like a scalar: the result is then an array with the float
+    each p alone gives, the rows of weights being accumulated together
+    in passes of at most _ENUM_ENTRIES entries.
     """
-    r, p = check_int("r", r, 1, MAX_ENUM_R), check_prob("p", p)
+    r = check_int("r", r, 1, MAX_ENUM_R)
+    one = not isinstance(p, (list, tuple))
+    ps = [check_prob("p", p)] if one else [check_prob("p", x) for x in p]
+    if not ps:
+        raise ValueError("p must be a probability or a nonempty list or tuple of them")
     if r % 2 == 0:
         raise ValueError(f"r must be odd, got {r}")
-    weight = np.array([p**j * (1.0 - p) ** (r - j) for j in range(r + 1)])
-    return float(np.add.accumulate(weight[_majority_ones(r)])[-1])
+    ones = _majority_ones(r)
+    weight = np.array([[x**j * (1.0 - x) ** (r - j) for j in range(r + 1)] for x in ps])
+    sums = np.empty(len(ps))
+    rows = max(1, _ENUM_ENTRIES // len(ones))
+    for start in range(0, len(ps), rows):
+        part = slice(start, start + rows)
+        terms = weight[part, ones]
+        sums[part] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]  # in place, no 2nd array
+    return float(sums[0]) if one else sums
 
 
 def majority_oracle_gap(max_r: int = 15) -> float:
     """Max |majority_prob - enumeration| over odd r <= max_r and MAJORITY_GRID.
 
-    max_r must lie in [1, MAX_ENUM_R]; majority_prob evaluates the whole
-    grid in one call per r.
+    max_r must lie in [1, MAX_ENUM_R]; majority_prob and the enumeration
+    each evaluate the whole grid in one call per r.
     """
     max_r = check_int("max_r", max_r, 1, MAX_ENUM_R)
     gap = 0.0
     for r in range(1, max_r + 1, 2):
-        enumerated = [enumerate_majority(r, p) for p in MAJORITY_GRID]
+        enumerated = enumerate_majority(r, MAJORITY_GRID)
         engine = majority_prob(r, np.array(MAJORITY_GRID))
         gap = max(gap, float(np.max(np.abs(engine - enumerated))))
     return gap
@@ -441,38 +493,41 @@ def run_fact_checks(
     """Run the four fact checks and return their records in report order.
 
     rotation-oracle: the dense 3-theta residual over ``scenarios`` random
-    scenarios, scenario i of dimension dims[i % len(dims)] and seed
-    seed + i, evaluated in one stack per dimension. majority-oracle:
-    majority_prob against 2^r enumeration for odd r <= max_r.
-    round-schedule: r_1..r_3 against the enumeration scan and
-    PINNED_SCHEDULE. round-crosscheck: one dense round against the
-    engine on each tuple of per-index probabilities in ``round_grid``
-    (an index is a solution when p >= 1/2). Arguments are checked before
-    any check runs.
+    scenarios (at most MAX_SCENARIOS), scenario i of dimension
+    dims[i % len(dims)] and seed seed + i, evaluated in stacks of at most
+    SCENARIO_CHUNK per dimension. majority-oracle: majority_prob against
+    2^r enumeration for odd r <= max_r. round-schedule: r_1..r_3 against
+    the enumeration scan and PINNED_SCHEDULE. round-crosscheck: one dense
+    round against the engine on each tuple of per-index probabilities in
+    ``round_grid`` (an index is a solution when p >= 1/2), all in one
+    stacked call. Arguments are checked before any check runs.
     """
-    scenarios, seed = check_int("scenarios", scenarios, 1), check_int("seed", seed, 0)
+    scenarios = check_int("scenarios", scenarios, 1, MAX_SCENARIOS)
+    seed = check_int("seed", seed, 0)
     dims = tuple(check_int("dim", d, 2, MAX_DENSE_DIM) for d in dims)
     if not dims:
         raise ValueError("fact checks need at least one dimension")
     gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work
-    # One stack per dimension; each residual lands at its scenario's place,
-    # so the maximum is taken in scenario order.
+    # Stacks of at most SCENARIO_CHUNK scenarios of one dimension; each
+    # residual lands at its scenario's place, so the maximum is taken in
+    # scenario order.
     stacks: dict[int, list[int]] = {}
     for i in range(scenarios):
         stacks.setdefault(dims[i % len(dims)], []).append(i)
     residuals = np.empty(scenarios)
     for dim, members in stacks.items():
-        residuals[members] = amplification_residual(
-            *random_scenario(dim, [seed + i for i in members]))
+        for start in range(0, len(members), SCENARIO_CHUNK):
+            chunk = members[start:start + SCENARIO_CHUNK]
+            residuals[chunk] = amplification_residual(
+                *random_scenario(dim, [seed + i for i in chunk]))
     residual = max(residuals.tolist())
     got = tuple(schedule_for_round(k) for k in (1, 2, 3))
     oracle = tuple(_oracle_schedule_r(k) for k in (1, 2, 3))
-    deviation = max(
-        structured_vs_dense_round(ProblemInstance(
-            tuple(IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in ps), strict=False
-        ))
+    deviation = float(np.max(structured_vs_dense_round([
+        ProblemInstance(
+            tuple(IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in ps), strict=False)
         for ps in round_grid
-    )
+    ])))
     return (
         FactCheck("rotation-oracle", residual, residual <= DENSE_TOL,
                   f"max residual {residual:.3e} (tol {DENSE_TOL:.0e}) over {scenarios} scenarios"),

@@ -12,7 +12,7 @@ from besearch import (
     MAX_SHOTS, AndOrTree, GATE_OR, InvariantError, dump_tree, evaluate_quantum_cost,
 )
 from besearch.cli import COMMANDS, HELP, build_parser, resolve_config, run_cli
-from besearch.oracles import run_fact_checks
+from besearch.oracles import MAX_SCENARIOS, run_fact_checks
 
 
 def run(capsys, *argv):
@@ -284,6 +284,34 @@ class TestCheckFacts:
         assert len(passed) == 3 and all(line.endswith(": ok") for line in passed)
 
 
+class TestParserCache:
+    """One parser serves every call in a process, and no call's flags or
+    defaults carry over to the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_sequence_equal_each_call_alone(self, capsys, tmp_path):
+        config = tmp_path / "search.cfg"
+        config.write_text("n = 729\nt = 2\nseed = 11\n")
+        calls = (
+            ("search", "--seed", "3"),
+            ("search",),  # back to the default seed
+            ("search", "--config", str(config)),  # a carried-over flag would override the file
+            ("check-facts", "--scenarios", "3"),
+        )
+        in_sequence = [run(capsys, *argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(run(capsys, *argv))
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [0, 0, 0, 0]
+        assert "seed=3 " in alone[0][1] and "seed=0 " in alone[1][1]
+        assert "n=729 t=2 strict=True seed=11 " in alone[2][1]
+        assert "over 3 scenarios" in alone[3][1]
+
+
 class TestBaselines:
     def test_table(self, capsys, tmp_path):
         path = tmp_path / "base.csv"
@@ -360,6 +388,7 @@ BAD_INPUTS = {
     "check-facts-dims-0": ["check-facts", "--dims", "0"],
     "check-facts-dims-100": ["check-facts", "--dims", "100"],
     "check-facts-scenarios-0": ["check-facts", "--scenarios", "0"],
+    "check-facts-scenarios-past-cap": ["check-facts", "--scenarios", str(MAX_SCENARIOS + 1)],
     "check-facts-max-r-0": ["check-facts", "--max-r", "0"],
     "check-facts-max-r-23": ["check-facts", "--max-r", "23"],
     # An empty grid is an error in every command, not an empty table.

@@ -31,9 +31,9 @@ from besearch.driver import check_seed, check_shots
 from besearch.error_reduction import _MAX_REPS, majority_prob, repetitions_for
 from besearch.model import IndexClass, StructuredState, check_int, check_prob
 from besearch.oracles import (
-    MAX_BASELINE_N, MAX_DENSE_DIM, MAX_ENUM_R, amplification_residual, block_recursion_cost,
-    dense_amplification_check, enumerate_majority, grover_operator, majority_oracle_gap,
-    random_scenario, random_unitary, run_fact_checks, simple_search_cost,
+    MAX_BASELINE_N, MAX_DENSE_DIM, MAX_ENUM_R, MAX_SCENARIOS, amplification_residual,
+    block_recursion_cost, dense_amplification_check, enumerate_majority, grover_operator,
+    majority_oracle_gap, random_scenario, random_unitary, run_fact_checks, simple_search_cost,
 )
 
 COUNT, SEED, SHOTS, PROB, SHAPE = "count", "seed", "shots", "probability", "shape"
@@ -94,7 +94,7 @@ ROWS = (
     Row("enumerate_majority", "r", "r", COUNT, 1, MAX_ENUM_R, 9,
         lambda v: enumerate_majority(v, 0.3), (MAX_ENUM_R + 2,)),
     Row("majority_oracle_gap", "max_r", "max_r", COUNT, 1, MAX_ENUM_R, 9, majority_oracle_gap),
-    Row("run_fact_checks-scenarios", "scenarios", "scenarios", COUNT, 1, None, 81,
+    Row("run_fact_checks-scenarios", "scenarios", "scenarios", COUNT, 1, MAX_SCENARIOS, 81,
         lambda v: _fact_checks(scenarios=v)),
     Row("run_fact_checks-dims", "dims", "dim", COUNT, 2, MAX_DENSE_DIM, 8,
         lambda v: _fact_checks(dims=(4, v))),

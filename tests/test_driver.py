@@ -454,6 +454,24 @@ class TestFalseAcceptBound:
         assert max(chance.values()) > 9.8e-3
 
 
+class TestFoundBound:
+    """P(found) >= 0.99 with one solution at the promise's corner
+    (p_good 9/10, p_bad 1/10), exactly, from exact_outcome, over the same
+    powers of 9 as TestFalseAcceptBound. The smallest value known over
+    e = 1..322 is 0.990270 at e = 176, beside the worst false-accept
+    chance; over e <= 40 it is 0.99182 at e = 20."""
+
+    def test_within_the_verification_budget(self):
+        found = {
+            e: exact_outcome(make_instance(9**e, 1, 0.9, 0.1)).p_found
+            for e in TestFalseAcceptBound.EXPONENTS
+        }
+        under = {e: p for e, p in found.items() if p < 0.99}
+        assert not under
+        # The set still holds the worst case, so the bound is tested where it is tight.
+        assert min(found.values()) < 0.991
+
+
 def _weights(kind: str) -> np.ndarray:
     rng = np.random.default_rng(11)
     if kind == "one class":

@@ -11,12 +11,14 @@ import hypothesis.strategies as st
 import besearch.oracles
 from besearch import IndexClass, ProblemInstance, full_sweep_cost, make_instance
 from besearch.oracles import (
+    MAJORITY_GRID,
     MAX_DENSE_DIM,
     MAX_ENUM_R,
     MAX_ROUND_DIM,
     ROUND_GRID,
     ROUND_ONE_REPS,
     ROUND_TOL,
+    SCENARIO_CHUNK,
     UnitarityError,
     amplification_residual,
     block_recursion_cost,
@@ -210,6 +212,20 @@ class TestDenseScenario:
         assert np.allclose(u[:, 0], psi)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
+    def test_stacked_completions_equal_one_at_a_time(self):
+        rng = np.random.default_rng(7)
+        psis = np.abs(rng.standard_normal((5, 6)))
+        psis[1, 0] = 0.0
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        stacked = unitary_with_first_column(psis)
+        assert stacked.shape == (5, 6, 6)
+        for u, psi in zip(stacked, psis):
+            assert np.array_equal(u, unitary_with_first_column(psi))
+        bad = psis.copy()
+        bad[3] *= 2.0  # not a unit vector: its completion cannot reproduce it
+        with pytest.raises(UnitarityError, match="prescribed column"):
+            unitary_with_first_column(bad)
+
 
 def one_at_a_time(scenarios, dims, seed):
     """Scenario i's residual computed alone, as in run_fact_checks' order."""
@@ -281,6 +297,34 @@ class TestStackedScenarios:
         assert rotation.value == max(alone)
         assert rotation.detail.endswith(f"over {scenarios} scenarios")
 
+    def test_chunks_of_a_dimension_give_the_same_residuals(self, monkeypatch):
+        # 11 scenarios over (4, 9): stacks of 6 and 5 cut into chunks of at
+        # most 2; the maximum is the one every scenario alone gives.
+        sizes = []
+        residual = besearch.oracles.amplification_residual
+
+        def recorded(unitary, flag_indices):
+            sizes.append(len(unitary))
+            return residual(unitary, flag_indices)
+
+        monkeypatch.setattr(besearch.oracles, "SCENARIO_CHUNK", 2)
+        monkeypatch.setattr(besearch.oracles, "amplification_residual", recorded)
+        rotation = run_fact_checks(11, (4, 9), 500, 1, round_grid=((0.0,),))[0]
+        assert sizes == [2, 2, 2, 2, 2, 1]
+        assert rotation.value == max(one_at_a_time(11, (4, 9), 500))
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # Unchunked, 300 scenarios of dimension 64 take about 0.4 MB each
+        # (over 100 MB); a chunk of SCENARIO_CHUNK takes about 25 MB.
+        assert SCENARIO_CHUNK <= 64
+        tracemalloc.start()
+        try:
+            run_fact_checks(300, (64,), 0, 1, round_grid=((0.0,),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
     @pytest.mark.parametrize("dim", (2, 5, 16))
     def test_stacked_draws_and_grover_equal_one_at_a_time(self, dim):
         seeds = [3, 1, 4, 1, 5]
@@ -324,6 +368,12 @@ class TestStructuredVsDense:
     def test_round_grid_bit_identity(self):
         got = {ps: structured_vs_dense_round(relaxed(ps)).hex() for ps in ROUND_GRID}
         assert got == ROUND_GRID_HEX
+        # The whole grid as one stack gives each instance's float.
+        batch = [relaxed(ps) for ps in ROUND_GRID]
+        stacked = structured_vs_dense_round(batch)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(ROUND_GRID),)
+        assert [x.hex() for x in stacked.tolist()] == [got[ps] for ps in ROUND_GRID]
+        assert structured_vs_dense_round(tuple(batch)).tolist() == stacked.tolist()
 
     def test_dimension_cap_in_linear_memory(self):
         # A dense E1 at the cap is a 16384^2 float64 matrix (2 GiB), and its
@@ -370,6 +420,28 @@ class TestStructuredVsDense:
         with pytest.raises(UnitarityError, match="E1"):
             structured_vs_dense_round(relaxed((0.9, 0.1, 0.1)))
 
+    @given(st.lists(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=2),
+                    min_size=1, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_stack_equals_one_at_a_time(self, grid):
+        alone = [structured_vs_dense_round(relaxed(ps)) for ps in grid]
+        assert structured_vs_dense_round([relaxed(ps) for ps in grid]).tolist() == alone
+
+    @pytest.mark.parametrize("bad_p", sorted({p for ps in ROUND_GRID for p in ps}))
+    def test_every_vote_block_of_a_stack_is_checked(self, monkeypatch, bad_p):
+        rotation = besearch.oracles._rotation
+        shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+        monkeypatch.setattr(
+            besearch.oracles, "_rotation", lambda p: shear if p == bad_p else rotation(p)
+        )
+        with pytest.raises(UnitarityError, match="E1"):
+            structured_vs_dense_round([relaxed(ps) for ps in ROUND_GRID])
+
+    @pytest.mark.parametrize("bad", ([], (), None, relaxed((0.5,)).classes, [relaxed((0.5,)), 3]))
+    def test_rejects_what_is_not_instances(self, bad):
+        with pytest.raises(ValueError, match="^instances must be"):
+            structured_vs_dense_round(bad)
+
     def test_resource_guard(self):
         big = make_instance(129, 0, 0.9, 0.1)
         with pytest.raises(ValueError):
@@ -395,6 +467,22 @@ class TestStructuredVsDense:
         assert calls == []
         structured_vs_dense_round(make_instance(128, 1, 0.9, 0.1))
         assert calls == [128]
+
+    @pytest.mark.parametrize("where", (0, 2, 4))
+    def test_every_cap_checked_before_any_instance_is_expanded(self, monkeypatch, where):
+        calls = []
+        expand = besearch.oracles.expand_classes
+
+        def counted(instance):
+            calls.append(instance.n)
+            return expand(instance)
+
+        monkeypatch.setattr(besearch.oracles, "expand_classes", counted)
+        batch = [relaxed(ps) for ps in ROUND_GRID[:4]]
+        batch.insert(where, make_instance(10**9, 1, 0.9, 0.1))
+        with pytest.raises(ValueError, match="exceeds"):
+            structured_vs_dense_round(batch)
+        assert calls == []
 
 
 class TestSimpleSearchCost:
@@ -488,6 +576,35 @@ class TestEnumerationOracle:
 
     def test_single_run(self):
         assert enumerate_majority(1, 0.3) == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("r", range(1, MAX_ENUM_R + 1, 2))
+    def test_grid_equals_one_p_at_a_time(self, r):
+        # The grid's rows are accumulated together (in passes at large r);
+        # each sum is still the float its p alone gives.
+        rng = random.Random(r)
+        ps = [*MAJORITY_GRID, 1.0 - 2.0**-53, *(rng.random() for _ in range(4))]
+        got = enumerate_majority(r, ps)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ps),)
+        assert got.tolist() == [enumerate_majority(r, p) for p in ps]
+        assert enumerate_majority(r, tuple(ps[:1])).tolist() == [enumerate_majority(r, ps[0])]
+
+    def test_grid_at_the_cap_in_bounded_memory(self):
+        # 7 rows of 2^20 terms would take 59 MB, and a second array for the
+        # running sums as much again. One row per pass, summed in place,
+        # peaks at about 16 MB: this pass's row and the last one's.
+        enumerate_majority(MAX_ENUM_R, 0.5)  # the cached popcounts are built outside the trace
+        tracemalloc.start()
+        try:
+            enumerate_majority(MAX_ENUM_R, MAJORITY_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("bad", ([], [0.5, True], [0.5, "0.9"], (0.5, 1.5), [math.nan]))
+    def test_grid_entries_are_checked(self, bad):
+        with pytest.raises(ValueError, match="^p must"):
+            enumerate_majority(5, bad)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
