@@ -46,6 +46,7 @@ from .andor import (
     GATE_OR,
     evaluate_classical,
     evaluate_quantum_cost,
+    level_costs,
     evaluate_quantum_sim,
     dump_tree,
     parse_tree,

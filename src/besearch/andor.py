@@ -74,14 +74,18 @@ class AndOrTree:
         """The subtree rooted one level down (gates alternate)."""
         if self.depth == 0:
             raise ValueError("a 0-level tree has no children")
-        return AndOrTree(self.depth - 1, self.fanouts[1:], _flip(self.root_gate))
+        return AndOrTree(self.depth - 1, self.fanouts[1:], _gate_at(self, self.depth - 1))
 
 
 Leaves = Union[Sequence[int], np.ndarray, bytes, bytearray]
 
 
-def _flip(gate: str) -> str:
-    return GATE_AND if gate == GATE_OR else GATE_OR
+def _gate_at(tree: AndOrTree, level: int) -> str:
+    """The gate of the nodes at ``level``: the root is at level ``depth``,
+    a node over leaves at level 1, and gates alternate."""
+    if (tree.depth - level) % 2 == 0:
+        return tree.root_gate
+    return GATE_AND if tree.root_gate == GATE_OR else GATE_OR
 
 
 def _gate(gate: str, vals: np.ndarray) -> np.ndarray:
@@ -121,14 +125,11 @@ def _child_values(tree: AndOrTree, bits: np.ndarray) -> np.ndarray:
     """Values of the root's children (depth >= 1), by one reduction per level.
 
     Each level below the root is reduced bottom up, on the values viewed
-    as rows of that level's fanout, so any depth works; the bottom gate
-    equals the root's when depth is odd, and gates alternate from there.
+    as rows of that level's fanout, so any depth works.
     """
     vals = bits
-    gate = tree.root_gate if tree.depth % 2 else _flip(tree.root_gate)
-    for f in reversed(tree.fanouts[1:]):
-        vals = _gate(gate, vals.reshape(-1, f))
-        gate = _flip(gate)
+    for level, f in enumerate(reversed(tree.fanouts[1:]), start=1):
+        vals = _gate(_gate_at(tree, level), vals.reshape(-1, f))
     return vals
 
 
@@ -168,29 +169,30 @@ def evaluate_quantum_sim(
 
 
 def evaluate_quantum_cost(tree: AndOrTree, shots: int = DEFAULT_SHOTS) -> int:
-    """Worst-case leaf-query count of the recursive evaluation.
+    """Worst-case leaf-query count of the recursive evaluation: the root row's
+    leaf_queries in ``level_costs``, or one query at depth 0."""
+    rows = level_costs(tree, shots)
+    return rows[-1][-1] if rows else 1
 
-    Depth 0 costs one query; a depth-1 node of fanout f costs
-    ceil(pi/4 sqrt(f)) (one-sided Grover over exact leaves); a deeper
-    node costs ``full_sweep_cost(f, shots)`` -- what the driver charges
-    for a search that finds nothing: every block's shots, each verified --
-    times the cost of one child. So the tree costs the bottom level's
-    Grover count times every upper level's sweep cost, one product at
-    any depth; the shot count is checked once, at every depth.
+
+def level_costs(tree: AndOrTree, shots: int) -> list[tuple]:
+    """The cost table: one row (level, fanout, leaves, gate, leaf_queries)
+    per level of the tree, bottom level first, none at depth 0.
+
+    A level-1 node of fanout f costs ceil(pi/4 sqrt(f)) leaf queries
+    (one-sided Grover over exact leaves); a higher one costs
+    ``full_sweep_cost(f, shots)`` -- what the driver charges for a search
+    that finds nothing -- times the cost of one child. The shot count is
+    checked at every depth.
     """
-    return math.prod(_level_costs(tree, check_shots(shots)))
-
-
-def _level_costs(tree: AndOrTree, shots: int) -> list[int]:
-    """Each level's factor of the leaf-query count, root first: one
-    ``full_sweep_cost(f, shots)`` per upper level, then the bottom level's
-    ceil(pi/4 sqrt(f)); none at depth 0. The product of the last k factors
-    is the cost of a level-k node, so one list prices every level."""
-    if tree.depth == 0:
-        return []
-    *upper, bottom = tree.fanouts
-    grover = math.ceil(math.pi / 4 * math.sqrt(bottom))
-    return [full_sweep_cost(f, shots) for f in upper] + [grover]
+    shots = check_shots(shots)
+    rows = []
+    q = leaves = 1
+    for level, f in enumerate(reversed(tree.fanouts), start=1):
+        q *= math.ceil(math.pi / 4 * math.sqrt(f)) if level == 1 else full_sweep_cost(f, shots)
+        leaves *= f
+        rows.append((level, f, leaves, _gate_at(tree, level), q))
+    return rows
 
 
 def dump_tree(tree: AndOrTree, bits: Leaves) -> str:

@@ -16,9 +16,11 @@ reproduces byte-identical files. A config file (JSON document or
 explicit flags. The environment variable ``BESEARCH_OUTDIR`` supplies
 a default directory for relative output paths.
 
-Exit codes: 0 success, 1 invariant violation, 2 usage error. A
-``ValueError`` from the library is a usage error, except for its
-``InvariantError`` subclass, and so is an unreadable or unwritable file.
+Exit codes: 0 success, 1 invariant violation, 2 usage error. An
+``InvariantError`` -- a round operator's broken precondition, or a matrix
+an oracle builds failing its unitarity check -- is an invariant violation;
+any other ``ValueError``, and an unreadable or unwritable file, is a
+usage error.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .andor import _flip, _level_costs, evaluate_classical, evaluate_quantum_sim, load_tree
+from .andor import evaluate_classical, evaluate_quantum_sim, level_costs, load_tree
 from .driver import (
     DEFAULT_SHOTS,
     ceil_log9,
@@ -55,10 +57,6 @@ CSV_SCHEMA = 1
 OUTDIR_ENV = "BESEARCH_OUTDIR"
 
 
-class UsageError(Exception):
-    """Bad flag/config combination; reported with exit code 2."""
-
-
 def resolve_config(cmd: str, args: argparse.Namespace) -> dict:
     """Resolve each parameter of ``cmd`` in ``COMMANDS``: explicit flag >
     config file > the table's default (the defaults carry the algorithm's
@@ -72,7 +70,7 @@ def resolve_config(cmd: str, args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     unknown = set(config) - set(defaults)
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     params = {}
     for key, default in defaults.items():
         if getattr(args, key) is not None:
@@ -145,7 +143,7 @@ def _load_config(path: Optional[str]) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key = value")
+            raise ValueError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         pairs.append((key.strip(), value.strip()))
     return _unique_keys(pairs)
@@ -156,7 +154,7 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     values: dict = {}
     for key, value in pairs:
         if key in values:
-            raise UsageError(f"config: duplicate key {key!r}")
+            raise ValueError(f"config: duplicate key {key!r}")
         values[key] = value
     return values
 
@@ -197,16 +195,16 @@ def _coerce(key: str, value, default):
             pass
     elif type(value) in json_types:
         return value
-    raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
+    raise ValueError(f"config key {key!r} expects {expected}, got {value!r}")
 
 
 def _parse_grid(text: str) -> list[int]:
     try:
         grid = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"bad integer list {text!r}") from None
+        raise ValueError(f"bad integer list {text!r}") from None
     if not grid:
-        raise UsageError(f"empty integer list {text!r}")
+        raise ValueError(f"empty integer list {text!r}")
     return grid
 
 
@@ -301,11 +299,11 @@ def _exact(q: int) -> Union[int, decimal.Decimal]:
 
 def cmd_andor(cfg: dict) -> int:
     if cfg["tree"] is None:
-        raise UsageError("andor requires --tree FILE")
+        raise ValueError("andor requires --tree FILE")
     try:
         tree, bits = load_tree(cfg["tree"])
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot load tree: {exc}") from None
+        raise ValueError(f"cannot load tree: {exc}") from None
     classical = evaluate_classical(tree, bits)
     simulated = evaluate_quantum_sim(tree, bits, cfg["seed"], cfg["shots"])
     print(
@@ -315,16 +313,8 @@ def cmd_andor(cfg: dict) -> int:
     )
     print(f"classical: {classical}")
     print(f"quantum_sim: {simulated}")
-    # Level k's cost and leaf count are the products of the last k
-    # per-level factors and fanouts; gates alternate from the root down.
-    rows = []  # one per level, level 1 first
-    q = leaves = 1
-    costs = _level_costs(tree, cfg["shots"])
-    for level, (fanout, cost) in enumerate(zip(reversed(tree.fanouts), reversed(costs)), start=1):
-        q *= cost
-        leaves *= fanout
-        gate = tree.root_gate if (tree.depth - level) % 2 == 0 else _flip(tree.root_gate)
-        rows.append((level, fanout, leaves, gate, _exact(q), _over_root(q, leaves)))
+    rows = [(level, fanout, leaves, gate, _exact(q), _over_root(q, leaves))
+            for level, fanout, leaves, gate, q in level_costs(tree, cfg["shots"])]
     _emit(cfg, ["level", "fanout", "leaves", "gate", "leaf_queries", "q_over_sqrt_leaves"],
           rows, ["level", "fanout", "leaves", "leaf_queries", "q_over_sqrt_leaves"], "cost: ")
     return 0
@@ -438,7 +428,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,8 @@ NORM_TOL = 1e-6
 
 
 class InvariantError(ValueError):
-    """A round operator's precondition on the state does not hold."""
+    """A round operator's precondition on the state, or the unitarity of
+    a matrix an oracle builds (``oracles.UnitarityError``), does not hold."""
 
 
 def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:

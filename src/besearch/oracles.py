@@ -31,7 +31,7 @@ import numpy as np
 from .driver import VERIFICATION_CONFIDENCE, build_state, check_seed
 from .error_reduction import majority_prob, repetitions_for, schedule_for_round
 from .model import (
-    IndexClass, ProblemInstance, check_int, check_prob, expand_classes
+    IndexClass, InvariantError, ProblemInstance, check_int, check_prob, expand_classes
 )
 
 # Dense scenarios stay comfortably below this Hilbert-space dimension.
@@ -66,10 +66,11 @@ MAX_SCENARIOS = 10**5
 # Explicit repetition count of the dense round-1 majority vote.
 ROUND_ONE_REPS = 5
 
-# Tolerances of the rotation, majority and one-round fact checks.
+# Tolerances of the rotation, majority and one-round fact checks, and of unitarity.
 DENSE_TOL = 1e-10
 ENUM_TOL = 1e-12
 ROUND_TOL = 1e-9
+UNITARY_TOL = 1e-12
 
 # r_1, r_2, r_3 of the round schedule, pinned by hand arithmetic.
 PINNED_SCHEDULE = (5, 7, 7)
@@ -81,18 +82,17 @@ MAJORITY_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 ROUND_GRID = ((0.0,), (0.3,), (1.0,), (0.9, 0.1), (1.0, 0.0), (0.75, 0.25), (0.5, 0.5))
 
 
-class UnitarityError(RuntimeError):
-    """A matrix that must be unitary is not: a construction bug, reported
-    distinctly from a residual failure."""
+class UnitarityError(InvariantError):
+    """A matrix that must be unitary is not: a construction bug, so an invariant violation."""
 
 
-def _check_unitary(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
+def _check_unitary(mat: np.ndarray, name: str) -> None:
     """UnitarityError unless ``mat``, one matrix or a (k, d, d) stack of
-    them, is unitary within tol; the error gives the largest defect."""
+    them, is unitary within UNITARY_TOL; the error gives the largest defect."""
     gram = mat.conj().swapaxes(-1, -2) @ mat
     gram -= np.eye(mat.shape[-1])  # in place: one fewer temporary the size of the stack
     defect = np.max(np.abs(gram))
-    if not defect <= tol:  # also catches NaN from a broken construction
+    if not defect <= UNITARY_TOL:  # also catches NaN from a broken construction
         raise UnitarityError(f"{name} deviates from unitarity by {defect:.3e}")
 
 
@@ -133,7 +133,7 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
     nv2 = np.array([np.vdot(x, x).real for x in v.reshape(-1, v.shape[-1])])
     u = (2.0 * (v[..., :, None] * v.conj()[..., None, :]) / nv2.reshape(v.shape[:-1] + (1, 1))
          - np.eye(v.shape[-1], dtype=complex))
-    if np.max(np.linalg.norm(u[..., :, 0] - psi, axis=-1)) > 1e-12:
+    if np.max(np.linalg.norm(u[..., :, 0] - psi, axis=-1)) > UNITARY_TOL:
         raise UnitarityError("completion does not reproduce the prescribed column")
     return u
 
@@ -451,7 +451,7 @@ def enumerate_majority(r: int, p) -> float | np.ndarray:
     return float(sums[0]) if one else sums
 
 
-def majority_oracle_gap(max_r: int = 15) -> float:
+def majority_oracle_gap(max_r: int) -> float:
     """Max |majority_prob - enumeration| over odd r <= max_r and MAJORITY_GRID.
 
     max_r must lie in [1, MAX_ENUM_R]; majority_prob and the enumeration
@@ -479,12 +479,16 @@ class FactCheck:
         return f"{self.name}: {self.detail}: {'ok' if self.ok else 'FAIL'}"
 
 
-def _oracle_schedule_r(k: int) -> int:
-    """r_k by scanning odd r with the 2^r enumeration oracle."""
-    r = 1
-    while enumerate_majority(r, 0.1) > 2.0 ** -(k + 5):
-        r += 2
-    return r
+def _oracle_schedule() -> tuple[int, ...]:
+    """r_1, r_2, r_3 by one scan of odd r with the 2^r enumeration oracle, each r
+    enumerated once: r_k is the first odd r with error <= 2^-(k+5) at p = 1/10."""
+    error = functools.cache(lambda r: enumerate_majority(r, 0.1))
+    schedule, r = [], 1
+    for k in (1, 2, 3):
+        while error(r) > 2.0 ** -(k + 5):
+            r += 2
+        schedule.append(r)
+    return tuple(schedule)
 
 
 def run_fact_checks(
@@ -522,7 +526,7 @@ def run_fact_checks(
                 *random_scenario(dim, [seed + i for i in chunk]))
     residual = max(residuals.tolist())
     got = tuple(schedule_for_round(k) for k in (1, 2, 3))
-    oracle = tuple(_oracle_schedule_r(k) for k in (1, 2, 3))
+    oracle = _oracle_schedule()
     deviation = float(np.max(structured_vs_dense_round([
         ProblemInstance(
             tuple(IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in ps), strict=False)

@@ -1,18 +1,22 @@
+import ast
 import decimal
 import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import besearch.cli
 import besearch.oracles
 from besearch import (
-    MAX_SHOTS, AndOrTree, GATE_OR, InvariantError, dump_tree, evaluate_quantum_cost,
+    MAX_SHOTS, AndOrTree, GATE_AND, GATE_OR, InvariantError, dump_tree, evaluate_quantum_cost,
+    level_costs,
 )
 from besearch.cli import COMMANDS, HELP, build_parser, resolve_config, run_cli
-from besearch.oracles import MAX_SCENARIOS, run_fact_checks
+from besearch.oracles import MAX_SCENARIOS, UnitarityError, run_fact_checks
 
 
 def run(capsys, *argv):
@@ -208,14 +212,25 @@ class TestAndor:
         code, out, _ = run(capsys, "andor", "--tree", str(tree_file), "--shots", "7")
         assert code == 0
         rows = [line for line in out.splitlines() if line.startswith("cost: ")]
-        node, want = tree, []
+        node, subtrees = tree, []  # each level's subtree, bottom level first
         while node.depth:
-            want.insert(0, f"cost: level={node.depth} fanout={node.fanouts[0]} "
-                           f"leaves={node.n_leaves} "
-                           f"leaf_queries={evaluate_quantum_cost(node, 7)} ")
+            subtrees.insert(0, node)
             node = node.child()
+        want = [f"cost: level={sub.depth} fanout={sub.fanouts[0]} leaves={sub.n_leaves} "
+                f"leaf_queries={evaluate_quantum_cost(sub, 7)} " for sub in subtrees]
         assert len(rows) == len(want)
         assert all(row.startswith(prefix) for row, prefix in zip(rows, want))
+        # The library's table has the same rows, and the gates alternate up to the root's.
+        assert level_costs(tree, 7) == [
+            (sub.depth, sub.fanouts[0], sub.n_leaves, sub.root_gate, evaluate_quantum_cost(sub, 7))
+            for sub in subtrees
+        ]
+        assert [row[3] for row in level_costs(tree, 7)] == [GATE_AND, GATE_OR] * 2
+        leaf = AndOrTree(0, (), GATE_OR)
+        assert level_costs(leaf, 7) == [] and evaluate_quantum_cost(leaf, 7) == 1
+        for call in (level_costs, evaluate_quantum_cost):
+            with pytest.raises(ValueError, match="^shots must lie in"):
+                call(leaf, 0)
 
     def test_costs_past_the_int_string_limit_print_exactly(self, capsys, tmp_path):
         # Python converts ints of at most 4300 digits to strings; these
@@ -274,6 +289,19 @@ class TestCheckFacts:
         assert code == 0
         checks = run_fact_checks(8, [2, 5], 3, 9)
         assert out.splitlines() == [str(check) for check in checks]
+
+    def test_failed_unitarity_check_exits_one(self, capsys, monkeypatch):
+        # A broken construction inside the dense oracle is an invariant
+        # violation: one line on stderr and exit 1, not a traceback.
+        shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+        monkeypatch.setattr(besearch.oracles, "_rotation", lambda p: shear)
+        with pytest.raises(InvariantError) as caught:
+            run_fact_checks(1, (4,), 0, 1)
+        assert type(caught.value) is UnitarityError
+        code, out, err = run(capsys, "check-facts", "--scenarios", "1", "--max-r", "1")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("invariant violation: E1 vote block deviates from unitarity by ")
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(besearch.oracles, "structured_vs_dense_round", lambda inst: 1.0)
@@ -617,3 +645,17 @@ def test_seeded_outputs_are_byte_identical(capsys, tmp_path, monkeypatch, name):
         data = "".join(line for line in out.splitlines(keepends=True)
                        if not line.startswith("wrote ")).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_cli_imports_no_private_library_name():
+    """cli.py takes only public names from the library: what it would need
+    of a module's internals belongs in that module."""
+    source = ast.parse(Path(besearch.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(source)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("besearch"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")  # __version__ is public
+    ]
+    assert not private

@@ -23,8 +23,8 @@ import besearch
 from besearch import (
     GATE_OR, MAX_ROUNDS, MAX_SHOTS, AndOrTree, ExactOutcome, analytic_cost, apply_error_reduction,
     build_state, ceil_log9, evaluate_quantum_cost, evaluate_quantum_sim, exact_outcome,
-    exact_success_curve, full_sweep_cost, init_state, make_instance, run_block, run_search,
-    schedule_for_round, search_blocks, verification_repetitions,
+    exact_success_curve, full_sweep_cost, init_state, level_costs, make_instance, run_block,
+    run_search, schedule_for_round, search_blocks, verification_repetitions,
 )
 from besearch.amplification import amplification_factors
 from besearch.driver import check_seed, check_shots
@@ -140,6 +140,9 @@ ROWS = (
         lambda v: evaluate_quantum_cost(TREE, v)),
     Row("evaluate_quantum_sim", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
         lambda v: evaluate_quantum_sim(TREE, [0] * 80 + [1], 0, v)),
+    # The root row's leaf_queries: the cost a shot-taking call reports.
+    Row("level_costs", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
+        lambda v: level_costs(TREE, v)[-1][-1]),
     Row("check_prob", "value", "x", PROB, 0.0, 1.0, 0.3, lambda v: check_prob("x", v)),
     Row("IndexClass", "p", "p", PROB, 0.0, 1.0, 0.3, lambda v: IndexClass(v, 3, False)),
     Row("make_instance-p_good", "p_good", "p_good", PROB, 0.0, 1.0, 0.3,

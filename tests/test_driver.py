@@ -472,6 +472,35 @@ class TestFoundBound:
         assert min(found.values()) < 0.991
 
 
+@st.composite
+def _strict_splits(draw):
+    """A strict instance of n in {81, 6561, 9^5} indices, split into 1-3
+    solution classes and 1-3 non-solution classes."""
+    n = draw(st.sampled_from((81, 6561, 9**5)))
+    good, bad = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=good + bad - 1,
+                               max_size=good + bad - 1)))
+    counts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
+    return ProblemInstance(tuple(
+        IndexClass(p=draw(st.floats(0.9, 1.0) if j < good else st.floats(0.0, 0.1)),
+                   count=count, is_solution=j < good)
+        for j, count in enumerate(counts)
+    ))
+
+
+class TestCornerIsWorst:
+    """A strict instance finds a solution at least as often as the promise's
+    corner with its n and t (every solution at p_good 9/10, every other
+    index at p_bad 1/10), exactly, from exact_outcome; 1e-12 allows for
+    the rounding of a different class split."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(inst=_strict_splits())
+    def test_no_worse_than_the_corner(self, inst):
+        corner = make_instance(inst.n, inst.t, 0.9, 0.1)
+        assert exact_outcome(inst).p_found >= exact_outcome(corner).p_found - 1e-12
+
+
 def _weights(kind: str) -> np.ndarray:
     rng = np.random.default_rng(11)
     if kind == "one class":

@@ -15,6 +15,7 @@ from besearch.oracles import (
     MAX_DENSE_DIM,
     MAX_ENUM_R,
     MAX_ROUND_DIM,
+    PINNED_SCHEDULE,
     ROUND_GRID,
     ROUND_ONE_REPS,
     ROUND_TOL,
@@ -620,3 +621,26 @@ class TestEnumerationOracle:
         for max_r in (0, MAX_ENUM_R + 1):
             with pytest.raises(ValueError):
                 majority_oracle_gap(max_r)
+
+
+class TestScheduleOracle:
+    """The round-schedule check reads r_1, r_2, r_3 off one scan of odd r."""
+
+    def test_one_enumeration_per_r(self, monkeypatch):
+        calls = []
+        enumerate_once = besearch.oracles.enumerate_majority
+
+        def counting(r, p):
+            calls.append((r, p))
+            return enumerate_once(r, p)
+
+        monkeypatch.setattr(besearch.oracles, "enumerate_majority", counting)
+        checks = run_fact_checks(40, (2, 4, 8, 16), 0, 13)
+        assert [r for r, p in calls if p == 0.1] == [1, 3, 5, 7]
+        assert len(calls) == 7 + 4  # the majority gap's odd r <= 13, then the scan
+        assert checks[2].ok and checks[2].value == PINNED_SCHEDULE
+
+    def test_scan_goes_past_max_r(self):
+        schedule = run_fact_checks(1, (4,), 0, 1, round_grid=((0.0,),))[2]
+        assert schedule.ok
+        assert schedule.detail == "r1,r2,r3 = (5, 7, 7) (oracle (5, 7, 7), expected (5, 7, 7))"
