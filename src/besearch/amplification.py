@@ -27,7 +27,13 @@ def amplification_factors(theta: float) -> tuple[float, float]:
     Either factor may be negative -- amplitudes are signed reals. theta
     must be a real number in [0, pi/2] (``check_prob`` with that interval).
     """
-    s2 = math.sin(check_prob("theta", theta, math.pi / 2, "pi/2")) ** 2
+    return _gains(check_prob("theta", theta, math.pi / 2, "pi/2"))
+
+
+def _gains(theta: float) -> tuple[float, float]:
+    """The core of ``amplification_factors``, unchecked: (g1, g0) at a
+    float theta in [0, pi/2]."""
+    s2 = math.sin(theta) ** 2
     return 3.0 - 4.0 * s2, 1.0 - 4.0 * s2
 
 
@@ -35,15 +41,15 @@ def _amplify(w1: np.ndarray, w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One amplification round on the class arrays of a normalized state:
     (w1 g1^2, w0 g0^2), with sin^2(theta) the flag-1 share of the total mass."""
     # Summed once; the total is the same float total_mass returns.
-    flag1 = float(w1.sum())
-    total = flag1 + float(w0.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    flag1 = float(np.add.reduce(w1))
+    total = flag1 + float(np.add.reduce(w0))
+    if not abs(total - 1.0) <= NORM_TOL:  # NaN fails too
         raise InvariantError("state is not normalized")
     # A share of the actual total keeps a rounding deficit in the total as
     # it is; taking sin^2 as sum(w1) alone would multiply the deficit by
     # about 9 per round once theta nears pi/2.
     s = min(1.0, flag1 / total)
-    g1, g0 = amplification_factors(math.asin(math.sqrt(s)))
+    g1, g0 = _gains(math.asin(math.sqrt(s)))
     return w1 * g1**2, w0 * g0**2
 
 

@@ -33,7 +33,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .driver import DEFAULT_SHOTS, check_seed, check_shots, full_sweep_cost, run_search
+from .driver import (
+    DEFAULT_SHOTS, check_seed, check_shots, full_sweep_cost, run_search, search_blocks
+)
 from .model import PROMISE_BAD, PROMISE_GOOD, check_int, make_instance
 
 GATE_OR = "OR"
@@ -182,17 +184,31 @@ def level_costs(tree: AndOrTree, shots: int) -> list[tuple]:
     A level-1 node of fanout f costs ceil(pi/4 sqrt(f)) leaf queries
     (one-sided Grover over exact leaves); a higher one costs
     ``full_sweep_cost(f, shots)`` -- what the driver charges for a search
-    that finds nothing -- times the cost of one child. The shot count is
+    that finds nothing -- times the cost of one child. Every fanout must
+    lie in [1, 9^479], the sizes the driver searches. The shot count is
     checked at every depth.
     """
     shots = check_shots(shots)
     rows = []
     q = leaves = 1
     for level, f in enumerate(reversed(tree.fanouts), start=1):
-        q *= math.ceil(math.pi / 4 * math.sqrt(f)) if level == 1 else full_sweep_cost(f, shots)
+        if level == 1:
+            search_blocks(f)  # the size bound full_sweep_cost checks on the levels above
+            q *= math.ceil(math.pi / 4 * _sqrt(f))
+        else:
+            q *= full_sweep_cost(f, shots)
         leaves *= f
         rows.append((level, f, leaves, _gate_at(tree, level), q))
     return rows
+
+
+def _sqrt(f: int) -> float:
+    """sqrt(f) as a float, also for an f past the float range: f is scaled
+    down by an exact power of 4 until it has at most 54 bits, and the
+    square root of that is scaled back up by the power of 2. An f below
+    2^54 is not scaled, so its root is ``math.sqrt(f)``."""
+    k = max(0, (f.bit_length() - 53) // 2)
+    return math.ldexp(math.sqrt(f >> 2 * k), k)
 
 
 def dump_tree(tree: AndOrTree, bits: Leaves) -> str:

@@ -16,9 +16,10 @@ control flow.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -29,10 +30,10 @@ from .error_reduction import (
 from .model import (
     ProblemInstance,
     StructuredState,
+    _base_masses,
+    _stats_rows,
     check_int,
-    init_state,
     measurement_weights,
-    state_stats,
 )
 
 #: Classical repetitions of the whole measurement block, per the driver's
@@ -53,6 +54,10 @@ MAX_N = 9 ** (MAX_ROUNDS + 1)
 # its inverse, rounded down, is a lower bound on ceil_log9(n) for an n of
 # that many bits, at most 3 + bits / 10^8 below it.
 _LOG2_9_UP = (31_699_251, 10**7)
+
+# States per statistics pass: a curve or trace computes its rows from
+# tables of at most this many states.
+_STATS_ROWS = 64
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -176,8 +181,9 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
 
 def _rounds(
     instance: ProblemInstance, rounds: int
-) -> Iterator[tuple[int, StructuredState, int]]:
-    """Yield (m, m-round state, query cost C(m)) for m = 0 .. rounds.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    """Yield (m, w1, w0, C(m)) for m = 0 .. rounds: the m-round state's
+    flag-1 and flag-0 class arrays and its query cost.
 
     The only place the round recursion is chained. Each state is built
     when it is asked for, so a consumer that stops early builds no more.
@@ -186,15 +192,17 @@ def _rounds(
     r_m looked up once. The majority vector and its push-back share
     depend only on r_m, which repeats every round or two, so they are
     computed from the instance's checked ps only when r_m differs from
-    r_(m-1). Each state adopts the kernels' fresh arrays without a copy.
+    r_(m-1). The arrays are the kernels' fresh arrays, made read-only;
+    a ``StructuredState`` is built from them only where a state leaves
+    the library.
     """
     schedule = _schedule(rounds)
     _, cost = next(schedule)  # checks the round count before any state is built
-    state = init_state(instance)
-    yield 0, state, cost
+    w1, w0 = _base_masses(instance)
+    w1.flags.writeable = w0.flags.writeable = False
+    yield 0, w1, w0, cost
     col = instance.ps.reshape(-1, 1)
     q = 1.0 - col
-    w1, w0 = state.w1, state.w0
     last = 0  # r_0: no majority vector yet
     for m, (r, cost) in enumerate(schedule, start=1):
         if r != last:
@@ -202,15 +210,27 @@ def _rounds(
             drop = np.maximum(0.0, 1.0 - keep)
             last = r
         w1, w0 = _push_back(*_amplify(w1, w0), keep, drop)
-        yield m, StructuredState._adopt(w1, w0), cost
+        w1.flags.writeable = w0.flags.writeable = False
+        yield m, w1, w0, cost
+
+
+def _with_stats(instance: ProblemInstance, states: Iterable[tuple]) -> Iterator[tuple]:
+    """Pair each (m, w1, w0, ...) entry of ``states`` with the statistics
+    ``state_stats`` gives its state, computed ``_STATS_ROWS`` states per
+    pass, so from an iterator at most that many entries are held at once."""
+    states = iter(states)
+    while batch := list(itertools.islice(states, _STATS_ROWS)):
+        w1 = np.array([entry[1] for entry in batch])
+        w0 = np.array([entry[2] for entry in batch])
+        yield from zip(batch, _stats_rows(w1, w0, instance))
 
 
 def build_state(instance: ProblemInstance, rounds: int) -> tuple[StructuredState, int]:
     """Build the preparation state with the given number of amplify/reduce
     rounds, and its query cost C(rounds); rounds = 0 is the base state (cost 1)."""
-    for _, state, cost in _rounds(instance, rounds):
+    for _, w1, w0, cost in _rounds(instance, rounds):
         pass
-    return state, cost
+    return StructuredState._adopt(w1, w0), cost
 
 
 def exact_success_curve(
@@ -221,9 +241,9 @@ def exact_success_curve(
     Computed in one incremental pass; since the round maps are
     deterministic, each row equals an independent m-round build.
     """
+    chain = _rounds(instance, check_int("m_max", m_max, 0, MAX_ROUNDS))
     return tuple(
-        CurvePoint(m, *state_stats(state, instance), cost)
-        for m, state, cost in _rounds(instance, check_int("m_max", m_max, 0, MAX_ROUNDS))
+        CurvePoint(m, *stats, cost) for (m, _, _, cost), stats in _with_stats(instance, chain)
     )
 
 
@@ -275,22 +295,23 @@ def _measure(rng: np.random.Generator, weights: np.ndarray, shots: int) -> np.nd
     state afterwards are the same. Weights that are not finite or sum to
     0 raise ValueError before anything is drawn.
     """
-    mass = float(weights.sum())
+    mass = float(np.add.reduce(weights))
     if not 0.0 < mass < math.inf:
         raise ValueError(f"measurement weights must be finite with a positive sum, got {mass}")
-    cdf = np.cumsum(weights / mass)
+    cdf = np.add.accumulate(weights / mass)
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(shots), side="right")
 
 
 def _sample_block(
     rng: np.random.Generator,
-    state: StructuredState,
+    weights: np.ndarray,
     instance: ProblemInstance,
     v: int,
     shots: int,
 ) -> tuple[Optional[int], int]:
-    """Sample one measurement block and verify sample-by-sample.
+    """Sample one measurement block of the state with measurement weights
+    ``weights`` (w1 + w0) and verify sample-by-sample.
 
     Returns (accepted class id or None, number of samples verified).
     Verification of index j majority-votes v fresh runs of F_j, i.e. a
@@ -310,7 +331,7 @@ def _sample_block(
     ``rng.binomial(v, ps[sampled])`` call; only the generator's state
     after an acceptance differs, and no caller draws from it again.
     """
-    sampled = _measure(rng, measurement_weights(state), shots)
+    sampled = _measure(rng, weights, shots)
     ps = instance.ps[sampled]
     half = v // 2  # a sample is accepted by more than half of its v votes
     high = ps > 0.5
@@ -352,14 +373,18 @@ def run_search(
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
     total = 0
-    trace: list[TraceRow] = []
-    for m, state, cost in _rounds(instance, search_blocks(instance.n) - 1):
-        hit, verified = _sample_block(rng, state, instance, v, shots)
+    blocks = []  # (m, w1, w0, C(m), verified) of every block entered
+    for m, w1, w0, cost in _rounds(instance, search_blocks(instance.n) - 1):
+        hit, verified = _sample_block(rng, w1 + w0, instance, v, shots)
         total += shots * cost + verified * v
-        trace.append(TraceRow(m, *state_stats(state, instance), cost, shots, verified))
+        blocks.append((m, w1, w0, cost, verified))
         if hit is not None:
-            return SearchResult("found", hit, total, tuple(trace))
-    return SearchResult("no_solutions", None, total, tuple(trace))
+            break
+    trace = tuple(
+        TraceRow(m, *stats, cost, shots, verified)
+        for (m, _, _, cost, verified), stats in _with_stats(instance, blocks)
+    )
+    return SearchResult("no_solutions" if hit is None else "found", hit, total, trace)
 
 
 def run_block(
@@ -378,7 +403,7 @@ def run_block(
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
     state, cost = build_state(instance, m)
-    hit, verified = _sample_block(rng, state, instance, v, shots)
+    hit, verified = _sample_block(rng, measurement_weights(state), instance, v, shots)
     return hit, shots * cost + verified * v
 
 
@@ -403,8 +428,8 @@ def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> Exac
     p_found = p_false = cost = 0.0
     found: list[float] = []
     false_accept: list[float] = []
-    for _, state, c in _rounds(instance, search_blocks(instance.n) - 1):
-        w = measurement_weights(state)
+    for _, w1, w0, c in _rounds(instance, search_blocks(instance.n) - 1):
+        w = w1 + w0
         accepted = w * acc / w.sum()
         q_good = float(accepted[instance.solution].sum())
         q_bad = float(accepted[instance.nonsolution].sum())

@@ -92,7 +92,7 @@ def _majority(r: int, col: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The core of ``majority_prob``, unchecked: one majority probability
     per row of the column ``col`` of probabilities, given q = 1 - col."""
     coeffs, ones, zeros = _majority_terms(r)
-    return (coeffs * col**ones * q**zeros).sum(axis=1)
+    return np.add.reduce(coeffs * col**ones * q**zeros, axis=1)
 
 
 # The one table every repetition count reads: entry i is the majority
@@ -138,7 +138,7 @@ def _push_back(
     moves share ``drop`` = max(0, 1 - keep) to flag 0. Both shares depend
     only on r_k, so the round chain computes them once per distinct r_k.
     Returns fresh arrays."""
-    if abs(float(w1.sum() + w0.sum()) - 1.0) > NORM_TOL:
+    if not abs(float(np.add.reduce(w1) + np.add.reduce(w0)) - 1.0) <= NORM_TOL:  # NaN fails too
         raise InvariantError("state is not normalized")
     return w1 * keep, w0 + w1 * drop
 

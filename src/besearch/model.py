@@ -205,6 +205,10 @@ class StructuredState:
                 raise ValueError(
                     f"state {name} must be a nonempty 1-D array, got shape {masses.shape}"
                 )
+            # NaN fails both comparisons, so one min and one max settle it.
+            if not (0.0 <= masses.min() and masses.max() < math.inf):
+                bad = masses[~(masses >= 0.0) | (masses == math.inf)][0]
+                raise ValueError(f"state {name} must hold finite nonnegative masses, got {bad}")
             masses.flags.writeable = False
             object.__setattr__(self, name, masses)
         if self.w1.size != self.w0.size:
@@ -232,15 +236,18 @@ def check_state(state: StructuredState, instance: ProblemInstance) -> None:
         )
 
 
+def _base_masses(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (w1, w0) class arrays of the base state ``init_state`` returns."""
+    n = float(instance.n)
+    return instance.counts * instance.ps / n, instance.counts * (1.0 - instance.ps) / n
+
+
 def init_state(instance: ProblemInstance) -> StructuredState:
     """Run every subroutine once in uniform superposition over indices.
 
     Class c gets flag-1 mass count*p/n and flag-0 mass count*(1-p)/n.
     """
-    n = float(instance.n)
-    return StructuredState._adopt(
-        instance.counts * instance.ps / n, instance.counts * (1.0 - instance.ps) / n
-    )
+    return StructuredState._adopt(*_base_masses(instance))
 
 
 def total_mass(state: StructuredState) -> float:
@@ -255,12 +262,28 @@ def state_stats(state: StructuredState, instance: ProblemInstance) -> tuple[floa
     arcsin(sqrt(alpha^2 + beta^2)), and the probability that measuring
     the index register yields a solution index (any flag)."""
     check_state(state, instance)
+    return _stats_rows(state.w1.reshape(1, -1), state.w0.reshape(1, -1), instance)[0]
+
+
+def _stats_rows(
+    w1: np.ndarray, w0: np.ndarray, instance: ProblemInstance
+) -> list[tuple[float, float, float, float]]:
+    """``state_stats`` of every row of two C-ordered (rows, classes) tables
+    of flag-1 and flag-0 masses, in one pass; callers pass at most 64 rows.
+
+    Each mass sum is ``np.add.reduce`` along a row of a C-ordered
+    ``np.compress`` of the table, so a row is summed in the order a 1-D
+    array of its classes is. (``table[:, mask]`` would come out F-ordered
+    and sum eight or more classes in another order.)
+    """
     sol = instance.solution
-    alpha2 = float(state.w1[sol].sum())
-    beta2 = float(state.w1[instance.nonsolution].sum())
-    s = min(1.0, math.sqrt(min(1.0, alpha2 + beta2)))
-    p_solution = float((state.w1 + state.w0)[sol].sum())
-    return math.sqrt(alpha2), math.sqrt(beta2), math.asin(s), p_solution
+    alpha2 = np.add.reduce(np.compress(sol, w1, axis=1), axis=1).tolist()
+    beta2 = np.add.reduce(np.compress(instance.nonsolution, w1, axis=1), axis=1).tolist()
+    p_solution = np.add.reduce(np.compress(sol, w1 + w0, axis=1), axis=1).tolist()
+    return [
+        (math.sqrt(a2), math.sqrt(b2), math.asin(min(1.0, math.sqrt(min(1.0, a2 + b2)))), p)
+        for a2, b2, p in zip(alpha2, beta2, p_solution)
+    ]
 
 
 def measurement_weights(state: StructuredState) -> np.ndarray:

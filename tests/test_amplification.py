@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from besearch import (
     InvariantError,
+    StructuredState,
     amplification_factors,
     apply_amplification,
     build_state,
@@ -78,6 +79,12 @@ class TestApply:
         bad = type(state)(w1=state.w1, w0=np.zeros_like(state.w0))
         with pytest.raises(InvariantError):
             apply_amplification(bad)
+
+    def test_rejects_a_nan_mass(self):
+        # abs(nan - 1) > tol is False, so only a check that NaN fails catches it.
+        state = StructuredState._adopt(np.array([np.nan, 0.0]), np.array([0.0, 0.5]))
+        with pytest.raises(InvariantError, match="not normalized"):
+            apply_amplification(state)
 
     @given(relaxed_instances(), st.integers(0, 4))
     @settings(max_examples=60)

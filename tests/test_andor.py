@@ -263,6 +263,28 @@ class TestQuantumCost:
         assert evaluate_quantum_cost(AndOrTree(2, (9**40, 4), GATE_OR)) == expected
         assert len(calls) == 39
 
+    def test_bottom_fanouts_to_2_53_keep_their_price(self):
+        rng = np.random.default_rng(53)
+        fanouts = [1, 2, 3, 10**6, 2**52 + 1, 2**53 - 1, 2**53,
+                   *(int(f) for f in rng.integers(1, 2**53, 20))]
+        for f in fanouts:
+            want = math.ceil(math.pi / 4 * math.sqrt(f))
+            assert evaluate_quantum_cost(AndOrTree(1, (f,), GATE_OR)) == want
+
+    def test_bottom_fanout_past_the_float_range(self):
+        # math.sqrt(f) overflows for these f; sqrt(f) itself is a float.
+        for f, root in ((10**400, 1e200), (9**479, 3.0**479)):
+            want = math.ceil(math.pi / 4 * root)
+            assert evaluate_quantum_cost(AndOrTree(1, (f,), GATE_OR)) == want
+            tree = AndOrTree(2, (3, f), GATE_AND)
+            assert evaluate_quantum_cost(tree) == full_sweep_cost(3) * want
+
+    @pytest.mark.parametrize("f", (9**479 + 1, 10**500))
+    def test_bottom_fanout_past_the_search_bound(self, f):
+        # The bound every upper level's fanout already meets through full_sweep_cost.
+        with pytest.raises(ValueError, match=r"^n must lie in \[1, 9\^479\]"):
+            evaluate_quantum_cost(AndOrTree(1, (f,), GATE_OR))
+
     def test_depth_growth_geometric(self):
         qs = [
             evaluate_quantum_cost(AndOrTree(d, fans, GATE_OR))

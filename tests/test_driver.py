@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -32,7 +33,7 @@ from besearch import (
     verification_repetitions,
 )
 from besearch.driver import VERIFICATION_CONFIDENCE, CurvePoint, _measure, _sample_block
-from besearch.model import IndexClass, ProblemInstance, StructuredState
+from besearch.model import IndexClass, ProblemInstance, StructuredState, _stats_rows
 from besearch.oracles import enumerate_majority
 from conftest import strict_instances
 from test_contracts import IntegerCases, ProbabilityCases, ShotCases
@@ -190,14 +191,14 @@ class TestBuildState:
         # check_chain shows each chained state equals the public operators'.
         inst = make_instance(9**12, 40, 0.93, 0.02)
         prev = None
-        for _, state, _ in besearch.driver._rounds(inst, 12):
-            for masses in (state.w1, state.w0):
+        for _, *state, _ in besearch.driver._rounds(inst, 12):
+            for masses in state:
                 assert not masses.flags.writeable
                 with pytest.raises(ValueError):
                     masses[0] = 0.0
             if prev is not None:
-                for new in (state.w1, state.w0):
-                    assert not any(np.shares_memory(new, old) for old in (prev.w1, prev.w0))
+                for new in state:
+                    assert not any(np.shares_memory(new, old) for old in prev)
             prev = state
 
     def test_interval_guarantee_spot(self):
@@ -545,7 +546,7 @@ class TestSampler:
         v = 15
         for seed in range(5):
             ours, twin = _twins(seed)
-            got = _sample_block(ours, state, inst, v, 200)
+            got = _sample_block(ours, state.w1 + state.w0, inst, v, 200)
             w = np.maximum(state.w1 + state.w0, 0.0)
             sampled = twin.choice(k, size=200, p=w / w.sum())
             after_choice = twin.bit_generator.state
@@ -572,7 +573,7 @@ class TestSampler:
         w = state.w1 + state.w0
         for seed in range(40):
             ours, twin = _twins(seed)
-            got = _sample_block(ours, state, inst, 1, shots)
+            got = _sample_block(ours, w, inst, 1, shots)
             sampled = twin.choice(3, size=shots, p=w / w.sum())
             hits = np.flatnonzero(twin.binomial(1, inst.ps[sampled]) > 0)
             if hits.size:
@@ -606,7 +607,7 @@ class TestSampler:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="measurement weights"):
-            _sample_block(rng, StructuredState(w1=w1, w0=w0), inst, 15, 100)
+            _sample_block(rng, w1 + w0, inst, 15, 100)
         assert rng.bit_generator.state == before
 
 
@@ -644,7 +645,7 @@ class TestPieceDraws:
         v = verification_repetitions(inst.n)
         for seed in range(10):
             rng = _CountingGenerator(seed)
-            _sample_block(rng, state, inst, v, 1000)
+            _sample_block(rng, state.w1 + state.w0, inst, v, 1000)
             assert rng.binomial_calls == 1
 
     def test_planted_block_draws_at_most_two_pieces_per_likely_sample(self):
@@ -655,7 +656,7 @@ class TestPieceDraws:
         accepted = 0
         for seed in range(30):
             rng = _CountingGenerator(seed)
-            hit, verified = _sample_block(rng, state, inst, v, 1000)
+            hit, verified = _sample_block(rng, state.w1 + state.w0, inst, v, 1000)
             sampled = _measure(np.random.default_rng(seed), weights, 1000)
             likely = np.count_nonzero(inst.ps[sampled[:verified]] > 0.5)
             assert rng.binomial_calls <= 2 * likely + 1
@@ -745,6 +746,59 @@ def _random_instance(rng: np.random.Generator, k: int) -> ProblemInstance:
     return ProblemInstance(tuple(
         IndexClass(float(p), int(c), bool(s)) for p, c, s in zip(ps, counts, solution)
     ))
+
+
+def _masked_instance(rng: np.random.Generator, solutions: int, nonsolutions: int):
+    """A strict instance with the given class counts on each side, in random order."""
+    solution = np.repeat([True, False], [solutions, nonsolutions])
+    rng.shuffle(solution)
+    k = solution.size
+    ps = np.where(solution, rng.uniform(0.9, 1.0, k), rng.uniform(0.0, 0.1, k))
+    return ProblemInstance(tuple(
+        IndexClass(float(p), int(c), bool(s))
+        for p, c, s in zip(ps, rng.integers(1, 1000, k), solution)
+    ))
+
+
+class TestStatsPasses:
+    """Curve and trace rows come from one statistics pass over up to 64
+    states, each row the state's own ``state_stats``, float for float."""
+
+    # numpy adds up to 7 values in order and 8 or more pairwise, so each
+    # side of the mask is taken below and above that size.
+    @pytest.mark.parametrize("solutions, nonsolutions", [
+        (1, 1), (7, 7), (8, 8), (9, 9), (3, 40), (40, 3), (120, 480),
+    ])
+    def test_rows_equal_per_state_stats(self, solutions, nonsolutions):
+        inst = _masked_instance(np.random.default_rng(solutions), solutions, nonsolutions)
+        chain = list(besearch.driver._rounds(inst, 12))
+        rows = _stats_rows(np.array([e[1] for e in chain]), np.array([e[2] for e in chain]), inst)
+        assert len(rows) == 13
+        for (_, w1, w0, _), row in zip(chain, rows):
+            assert _hex(row) == _hex(state_stats(StructuredState(w1=w1, w0=w0), inst))
+
+    def test_trace_rows_equal_the_curve(self):
+        rng = np.random.default_rng(7)
+        for i in range(20):
+            inst = _masked_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 30)))
+            trace = run_search(inst, i, 7).trace
+            curve = exact_success_curve(inst, len(trace) - 1)
+            for row, point in zip(trace, curve):
+                assert _hex(dataclasses.astuple(row)[:6]) == _hex(dataclasses.astuple(point))
+
+    def test_passes_hold_at_most_64_states(self, monkeypatch):
+        # A 200-round curve is 201 states: ceil(201 / 64) = 4 passes, so a
+        # curve holds O(64 x classes) masses, not O(rounds x classes).
+        passes = []
+        real = besearch.driver._stats_rows
+        monkeypatch.setattr(besearch.driver, "_stats_rows",
+                            lambda w1, w0, inst: passes.append(w1.shape) or real(w1, w0, inst))
+        inst = make_instance(9**40, 3, 0.95, 0.05)
+        assert len(exact_success_curve(inst, 200)) == 201
+        assert passes == [(64, 2)] * 3 + [(9, 2)]
+        passes.clear()
+        assert len(run_search(make_instance(9**70, 0, 0.95, 0.05), 1, 1).trace) == 70
+        assert passes == [(64, 1), (6, 1)]
 
 
 class TestEngineDigest:

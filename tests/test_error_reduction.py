@@ -335,6 +335,12 @@ class TestApplyErrorReduction:
         with pytest.raises(InvariantError, match="not normalized"):
             apply_error_reduction(StructuredState(w1=[0.5, 0.1], w0=[0.1, 0.1]), 1, inst)
 
+    def test_nan_state_rejected(self):
+        inst = make_instance(4, 1, 0.9, 0.1)
+        state = StructuredState._adopt(np.array([np.nan, 0.0]), np.array([0.0, 0.5]))
+        with pytest.raises(InvariantError, match="not normalized"):
+            apply_error_reduction(state, 1, inst)
+
     def test_state_of_another_class_count_rejected(self):
         # A one-class state used to broadcast against the two-class
         # instance into a state of total mass 2.

@@ -154,6 +154,19 @@ class TestStateShape:
         with pytest.raises(ValueError, match="^state w"):
             StructuredState(w1=w1, w0=w0)
 
+    @pytest.mark.parametrize("name", ("w1", "w0"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, -0.1))
+    def test_rejects_masses_that_are_not_finite_and_nonnegative(self, name, bad):
+        masses = dict(w1=[0.5, 0.0], w0=[0.0, 0.5])
+        masses[name] = [0.5, bad]
+        with pytest.raises(ValueError, match=f"^state {name} must hold finite nonnegative"):
+            StructuredState(**masses)
+
+    def test_rejects_a_negative_mass_in_a_unit_total(self):
+        # Total mass 1, so the round operators' norm checks would pass it.
+        with pytest.raises(ValueError, match="^state w0 must hold finite nonnegative"):
+            StructuredState(w1=[1.1, 0.0], w0=[0.0, -0.1])
+
     def test_stats_reject_a_state_of_another_class_count(self):
         inst = make_instance(4, 1, 0.9, 0.1)
         state = StructuredState(w1=[0.2, 0.2, 0.1], w0=[0.2, 0.2, 0.1])
