@@ -19,15 +19,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .amplification import _amplify
+from .amplification import _amplify, _gains
 from .error_reduction import (
     MAX_ROUNDS, _majority, _push_back, majority_prob, repetitions_for, schedule_for_round
 )
 from .model import (
+    NORM_TOL,
+    InvariantError,
     ProblemInstance,
     StructuredState,
     _base_masses,
@@ -59,7 +63,20 @@ _LOG2_9_UP = (31_699_251, 10**7)
 # tables of at most this many states.
 _STATS_ROWS = 64
 
+# Instances with fewer classes than this run the round chain and the block
+# sampler on tuples of Python floats. numpy adds fewer than 8 contiguous
+# float64 one after another (its pairwise sum starts at 8 terms), as
+# functools.reduce(add, ...) does, and every product and every sum of two
+# values is one IEEE operation either way, so the floats are the same
+# without numpy's per-call cost, which on a few classes exceeds the
+# arithmetic. From 8 classes on, the order of numpy's sums differs, so
+# wider instances keep the array kernels.
+_FLOAT_CLASSES = 8
+
 Seed = Union[int, np.random.SeedSequence]
+
+# One state's class masses as the round chain holds them (see _rounds).
+Masses = Union[tuple[float, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -181,25 +198,35 @@ def verification_repetitions(n: int, shots: int = DEFAULT_SHOTS) -> int:
 
 def _rounds(
     instance: ProblemInstance, rounds: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+) -> Iterator[tuple[int, Masses, Masses, int]]:
     """Yield (m, w1, w0, C(m)) for m = 0 .. rounds: the m-round state's
-    flag-1 and flag-0 class arrays and its query cost.
+    flag-1 and flag-0 class masses and its query cost.
 
     The only place the round recursion is chained. Each state is built
     when it is asked for, so a consumer that stops early builds no more.
     Round m is ``apply_error_reduction(apply_amplification(state), m,
-    instance)`` run on the class arrays through the same kernels, with
-    r_m looked up once. The majority vector and its push-back share
-    depend only on r_m, which repeats every round or two, so they are
-    computed from the instance's checked ps only when r_m differs from
-    r_(m-1). The arrays are the kernels' fresh arrays, made read-only;
-    a ``StructuredState`` is built from them only where a state leaves
-    the library.
+    instance)``, with r_m looked up once. The majority vector and its
+    push-back share depend only on r_m, which repeats every round or two,
+    so they are computed from the instance's checked ps only when r_m
+    differs from r_(m-1).
+
+    An instance with fewer than ``_FLOAT_CLASSES`` classes is chained on
+    tuples of floats by ``_float_round``, its majority vector converted
+    once per distinct r_m; a wider one on arrays by ``_amplify`` and
+    ``_push_back``, whose fresh arrays are made read-only. Both give the
+    floats of the public operators. A ``StructuredState`` is built from
+    the masses only where a state leaves the library, and a consumer that
+    needs arrays converts tuples itself (on tuples ``w1 + w0``
+    concatenates).
     """
     schedule = _schedule(rounds)
     _, cost = next(schedule)  # checks the round count before any state is built
     w1, w0 = _base_masses(instance)
-    w1.flags.writeable = w0.flags.writeable = False
+    floats = w1.size < _FLOAT_CLASSES
+    if floats:
+        w1, w0 = tuple(w1.tolist()), tuple(w0.tolist())
+    else:
+        w1.flags.writeable = w0.flags.writeable = False
     yield 0, w1, w0, cost
     col = instance.ps.reshape(-1, 1)
     q = 1.0 - col
@@ -207,11 +234,39 @@ def _rounds(
     for m, (r, cost) in enumerate(schedule, start=1):
         if r != last:
             keep = _majority(r, col, q)
-            drop = np.maximum(0.0, 1.0 - keep)
+            if floats:
+                keep = keep.tolist()
+                drop = [max(0.0, 1.0 - k) for k in keep]
+            else:
+                drop = np.maximum(0.0, 1.0 - keep)
             last = r
-        w1, w0 = _push_back(*_amplify(w1, w0), keep, drop)
-        w1.flags.writeable = w0.flags.writeable = False
+        if floats:
+            w1, w0 = _float_round(w1, w0, keep, drop)
+        else:
+            w1, w0 = _push_back(*_amplify(w1, w0), keep, drop)
+            w1.flags.writeable = w0.flags.writeable = False
         yield m, w1, w0, cost
+
+
+def _float_round(
+    w1: tuple[float, ...], w0: tuple[float, ...], keep: list[float], drop: list[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``_push_back(*_amplify(w1, w0), keep, drop)`` on a state of fewer than
+    ``_FLOAT_CLASSES`` classes held as tuples of floats: the same norm
+    checks, sin^2 share and gains, and the same float operations in the
+    same order. Sums run left to right through ``reduce``; ``sum`` is not
+    used, since from Python 3.12 it compensates float sums."""
+    flag1 = reduce(add, w1)
+    total = flag1 + reduce(add, w0)
+    if not abs(total - 1.0) <= NORM_TOL:  # NaN fails too
+        raise InvariantError("state is not normalized")
+    g1, g0 = _gains(math.asin(math.sqrt(min(1.0, flag1 / total))))
+    g1, g0 = g1**2, g0**2
+    w1 = [x * g1 for x in w1]
+    w0 = [x * g0 for x in w0]
+    if not abs(reduce(add, w1) + reduce(add, w0) - 1.0) <= NORM_TOL:
+        raise InvariantError("state is not normalized")
+    return tuple(map(mul, w1, keep)), tuple(map(add, w0, map(mul, w1, drop)))
 
 
 def _with_stats(instance: ProblemInstance, states: Iterable[tuple]) -> Iterator[tuple]:
@@ -230,7 +285,7 @@ def build_state(instance: ProblemInstance, rounds: int) -> tuple[StructuredState
     rounds, and its query cost C(rounds); rounds = 0 is the base state (cost 1)."""
     for _, w1, w0, cost in _rounds(instance, rounds):
         pass
-    return StructuredState._adopt(w1, w0), cost
+    return StructuredState._adopt(np.asarray(w1), np.asarray(w0)), cost
 
 
 def exact_success_curve(
@@ -286,26 +341,37 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _measure(rng: np.random.Generator, weights: np.ndarray, shots: int) -> np.ndarray:
+def _measure(rng: np.random.Generator, weights: Masses, shots: int) -> np.ndarray:
     """Draw ``shots`` class indices with probabilities proportional to ``weights``.
 
     These are the steps Generator.choice(len(weights), shots, p=weights /
-    weights.sum()) runs, without its per-call validation: the same
-    uniforms are drawn, so the indices, their dtype and the generator's
-    state afterwards are the same. Weights that are not finite or sum to
-    0 raise ValueError before anything is drawn.
+    weights.sum()) runs, without its per-call validation: sum, divide,
+    running sum, divide by its last entry, then ``searchsorted`` of the
+    same uniforms, so the indices, their dtype and the generator's state
+    afterwards are the same. A tuple of fewer than ``_FLOAT_CLASSES``
+    floats (the chain's form for such instances) takes these steps in
+    Python floats, each sum left to right as numpy adds so few, and only
+    the finished cdf becomes an array; an array takes them in numpy.
+    Weights that are not finite or sum to 0 raise ValueError before
+    anything is drawn.
     """
-    mass = float(np.add.reduce(weights))
+    floats = isinstance(weights, tuple)
+    mass = reduce(add, weights) if floats else float(np.add.reduce(weights))
     if not 0.0 < mass < math.inf:
         raise ValueError(f"measurement weights must be finite with a positive sum, got {mass}")
-    cdf = np.add.accumulate(weights / mass)
-    cdf /= cdf[-1]
+    if floats:
+        cdf = list(itertools.accumulate([w / mass for w in weights]))
+        last = cdf[-1]
+        cdf = np.array([c / last for c in cdf])
+    else:
+        cdf = np.add.accumulate(weights / mass)
+        cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(shots), side="right")
 
 
 def _sample_block(
     rng: np.random.Generator,
-    weights: np.ndarray,
+    weights: Masses,
     instance: ProblemInstance,
     v: int,
     shots: int,
@@ -375,7 +441,9 @@ def run_search(
     total = 0
     blocks = []  # (m, w1, w0, C(m), verified) of every block entered
     for m, w1, w0, cost in _rounds(instance, search_blocks(instance.n) - 1):
-        hit, verified = _sample_block(rng, w1 + w0, instance, v, shots)
+        # The block's weights w1 + w0, in the form of its masses.
+        weights = tuple(map(add, w1, w0)) if isinstance(w1, tuple) else w1 + w0
+        hit, verified = _sample_block(rng, weights, instance, v, shots)
         total += shots * cost + verified * v
         blocks.append((m, w1, w0, cost, verified))
         if hit is not None:
@@ -429,7 +497,7 @@ def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> Exac
     found: list[float] = []
     false_accept: list[float] = []
     for _, w1, w0, c in _rounds(instance, search_blocks(instance.n) - 1):
-        w = w1 + w0
+        w = np.add(w1, w0)
         accepted = w * acc / w.sum()
         q_good = float(accepted[instance.solution].sum())
         q_bad = float(accepted[instance.nonsolution].sum())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import cache
+from typing import Iterator
 
 import numpy as np
 
@@ -26,8 +27,12 @@ from .model import (
 # coefficients C(r, j) fit in a float (see _majority_terms).
 _MAX_REPS = 1029
 
-# Largest round index the schedule serves: round 479 would need r = 649,
-# past the 0.0 at r = 647 in _neg_errors, so every r_k up to here is exact.
+# Largest round index the schedule serves; r_478 = 647. The error table
+# is exact far past it, but the push-back's majority vectors are not:
+# _majority forms p^j as one power, at p = 1/10 subnormal from j = 308 and
+# 0.0 from j = 324, so from about r = 621 a class at p = 1/10 keeps an
+# inexact share (0.0 at r = 647 instead of 3.4e-146), and later rounds
+# would only lose more.
 MAX_ROUNDS = 478
 
 
@@ -95,18 +100,40 @@ def _majority(r: int, col: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.add.reduce(coeffs * col**ones * q**zeros, axis=1)
 
 
+def _majority_errors() -> Iterator[float]:
+    """Yield the majority error of r = 3, 5, 7, ... runs at base error 1/10,
+    each the correctly rounded float of an exact fraction.
+
+    The error of r runs is T(r) / 10^r with T(r) = sum_{j > r/2} C(r, j)
+    9^(r-j), an integer. T(1) = 1, and with h = (r-1)/2, T(r+2) = 100 T(r)
+    - 8 9^(h+1) C(r, h): two more runs give a majority to the outcomes of r
+    runs with h ones if both say 1 (chance 1/100) and take it from those
+    with h+1 ones if both say 0 (chance 81/100), and C(r, h) = C(r, h+1).
+    Python divides the integers with one rounding, down to the smallest
+    subnormal, so no entry is formed from float powers of 1/10, which are
+    subnormal from (1/10)^308.
+    """
+    tail, r, nines, scale = 1, 1, 9, 10  # T(r), r, 9^(h+1), 10^r
+    while True:
+        tail = 100 * tail - 8 * nines * math.comb(r, (r - 1) // 2)
+        r, nines, scale = r + 2, nines * 9, scale * 100
+        yield tail / scale
+
+
 # The one table every repetition count reads: entry i is the majority
 # error of 2i + 1 runs at base error PROMISE_BAD, negated so it ascends,
-# each computed once, on demand. The error falls strictly until it
-# underflows to 0.0 at r = 647, so every eps in (0, 1) is met and the
-# table never holds more than 324 entries.
+# each computed once, on demand, by _more_errors. The error falls
+# strictly until it rounds to 0.0 at r = 1451, so every eps in (0, 1) is
+# met, at r = 1449 at the latest, and the table never holds more than
+# 725 entries.
 _neg_errors: list[float] = [-PROMISE_BAD]
+_more_errors = _majority_errors()
 
 
 def _reps_within(eps: float) -> int:
     """First odd r whose entry in the majority-error table is <= eps."""
     while -_neg_errors[-1] > eps:
-        _neg_errors.append(-majority_prob(2 * len(_neg_errors) + 1, PROMISE_BAD))
+        _neg_errors.append(-next(_more_errors))
     return 2 * bisect_left(_neg_errors, -eps) + 1
 
 

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import math
 import time
+from functools import reduce
+from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from besearch import (
     verification_repetitions,
 )
 from besearch.driver import VERIFICATION_CONFIDENCE, CurvePoint, _measure, _sample_block
+from besearch.error_reduction import majority_prob
 from besearch.model import IndexClass, ProblemInstance, StructuredState, _stats_rows
 from besearch.oracles import enumerate_majority
 from conftest import strict_instances
@@ -159,10 +163,24 @@ class TestBuildState:
         for t in (0, 1, 5):
             self.check_chain(make_instance(9**40, t, 0.95, 0.05), 40)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_chain_equals_the_public_operators(self, seed):
+        # Under 8 classes the chain runs on tuples of floats; the public
+        # operators run on arrays. Relaxed instances of 1 to 7 classes.
+        rng = np.random.default_rng(seed)
+        for k in range(1, 8):
+            ps = rng.choice([0.0, 0.5, 1.0, *rng.random(4)], size=k)
+            inst = ProblemInstance(tuple(
+                IndexClass(float(p), int(c), bool(s))
+                for p, c, s in zip(ps, rng.integers(1, 10**6, k), rng.random(k) < 0.5)
+            ), strict=False)
+            self.check_chain(inst, 40)
+
     @staticmethod
     def check_chain(inst, rounds):
-        # The chain runs the rounds on the class arrays; each of its states
-        # is bit for bit one public round on the state before it.
+        # The chain runs the rounds on the class masses (tuples of floats
+        # under 8 classes, arrays from 8); each of its states is bit for
+        # bit one public round on the state before it.
         rows = exact_success_curve(inst, rounds)
         prev = init_state(inst)
         for k in range(rounds + 1):
@@ -187,9 +205,24 @@ class TestBuildState:
             exact_success_curve(inst, m)
             assert calls == sorted({schedule_for_round(k) for k in range(1, m + 1)})
 
-    def test_chained_states_are_read_only_and_unshared(self):
+    def test_float_chained_states_are_tuples_and_unshared(self):
         # check_chain shows each chained state equals the public operators'.
         inst = make_instance(9**12, 40, 0.93, 0.02)
+        prev = None
+        for _, *state, _ in besearch.driver._rounds(inst, 12):
+            for masses in state:
+                assert type(masses) is tuple and len(masses) == 2
+                assert all(type(x) is float for x in masses)
+                with pytest.raises(TypeError):
+                    masses[0] = 0.0
+            if prev is not None:
+                assert all(new is not old for new in state for old in prev)
+            prev = state
+
+    def test_chained_states_are_read_only_and_unshared(self):
+        # From 8 classes on the chain holds arrays.
+        inst = _masked_instance(np.random.default_rng(8), 3, 9)
+        assert inst.ps.size >= besearch.driver._FLOAT_CLASSES
         prev = None
         for _, *state, _ in besearch.driver._rounds(inst, 12):
             for masses in state:
@@ -433,6 +466,117 @@ class TestExactOutcome:
         assert len(calls) == 1
 
 
+class _Branches:
+    """Depth-first replay of a run's random choices. Each choice point takes
+    the option the current path names (option 0 where the path is new) and
+    multiplies the branch's chance by that option's chance; a branch whose
+    chance reaches 0 is abandoned. ``advance`` moves to the next path."""
+
+    class Abandoned(Exception):
+        pass
+
+    def __init__(self):
+        self.path: list[list[int]] = []  # [option, options] per choice point
+        self.kinds: set[str] = set()
+
+    def start(self) -> None:
+        self.depth, self.chance = 0, 1.0
+
+    def choose(self, chances: list[float]) -> int:
+        if self.depth == len(self.path):
+            self.path.append([0, len(chances)])
+        option = self.path[self.depth][0]
+        self.depth += 1
+        self.chance *= chances[option]
+        if self.chance == 0.0:
+            raise self.Abandoned
+        return option
+
+    def advance(self) -> bool:
+        del self.path[self.depth:]
+        while self.path and self.path[-1][0] + 1 == self.path[-1][1]:
+            self.path.pop()
+        if self.path:
+            self.path[-1][0] += 1
+        return bool(self.path)
+
+    def measure(self, rng, weights, shots: int) -> np.ndarray:
+        """``driver._measure``: one choice over the classes per shot."""
+        w = [float(x) for x in weights]
+        total = math.fsum(w)
+        return np.array([self.choose([x / total for x in w]) for _ in range(shots)])
+
+    def binomial(self, v: int, p, size=None):
+        """``Generator.binomial``: one choice per sample between its
+        acceptance (v votes) and its rejection (none)."""
+        each = np.broadcast_to(p, np.shape(p) if size is None else (size,))
+        self.kinds.add("scalar" if size is None and not each.ndim else
+                       "one-p piece" if size is not None else
+                       "mixed piece" if len(set(each.tolist())) > 1 else "array piece")
+        votes = []
+        for q in np.ravel(each).tolist():
+            accept = majority_prob(v, q)
+            votes.append(v if self.choose([accept, 1.0 - accept]) == 0 else 0)
+        return np.array(votes) if each.ndim else votes[0]
+
+
+class TestExactOutcomeReplay:
+    """exact_outcome against a second route: every branch of run_search's
+    own control flow, replayed with its measurements and votes as choice
+    points and weighted by its chance."""
+
+    @staticmethod
+    def replay(inst, shots, monkeypatch):
+        branches = _Branches()
+        monkeypatch.setattr(besearch.driver, "_measure", branches.measure)
+        monkeypatch.setattr(besearch.driver, "_rng", lambda seed: branches)
+        found = false = nothing = cost = 0.0
+        count = 0
+        while True:
+            branches.start()
+            try:
+                result = run_search(inst, 0, shots)
+            except _Branches.Abandoned:
+                pass
+            else:
+                count += 1
+                chance = branches.chance
+                if result.outcome == "no_solutions":
+                    nothing += chance
+                elif inst.classes[result.found_class].is_solution:
+                    found += chance
+                else:
+                    false += chance
+                cost += chance * result.total_cost
+            if not branches.advance():
+                return found, false, nothing, cost, count, branches.kinds
+
+    @pytest.mark.parametrize("n, t, classes, shots", [
+        *(pytest.param(n, t, None, shots, id=f"n={n},t={t},shots={shots}")
+          for n in (9, 81) for t in (0, 1, 3) for shots in (1, 2)),
+        *(pytest.param(81, None, ((0.95, 2, True), (0.4, 7, False), (0.05, 72, False)), shots,
+                       id=f"three relaxed classes,shots={shots}") for shots in (1, 2)),
+        # The array path of the sampler; two shots would run 30 times longer.
+        pytest.param(81, None, tuple((0.05 + 0.1 * c, 9 + 9 * (c == 0), c > 4) for c in range(8)),
+                     1, id="eight relaxed classes,shots=1"),
+    ])
+    def test_branches_add_up_to_the_exact_outcome(self, n, t, classes, shots, monkeypatch):
+        if classes is None:
+            inst = make_instance(n, t, 0.9, 0.1)
+        else:
+            inst = ProblemInstance(tuple(IndexClass(*c) for c in classes), strict=False)
+            assert inst.n == n
+        found, false, nothing, cost, count, kinds = self.replay(inst, shots, monkeypatch)
+        want = exact_outcome(inst, shots)
+        assert abs(found - want.p_found) <= 1e-14
+        assert abs(false - want.p_false_accept) <= 1e-14
+        assert abs(nothing - want.p_nothing) <= 1e-14
+        assert abs(cost - want.expected_cost) <= 1e-14 * want.expected_cost
+        assert count > 1
+        if classes is not None and len(classes) == 3 and shots == 2:
+            assert "mixed piece" in kinds and "scalar" in kinds
+
+
 class TestFalseAcceptBound:
     """P(false accept) <= 1/100 with no solution, exactly, from exact_outcome.
 
@@ -624,6 +768,65 @@ class _CountingGenerator:
     def binomial(self, *args, **kwargs):
         self.binomial_calls += 1
         return self.rng.binomial(*args, **kwargs)
+
+
+class TestFloatPath:
+    """Instances under 8 classes run the chain and the sampler on floats."""
+
+    def test_numpy_adds_under_eight_floats_in_order(self):
+        # What the threshold relies on. (sum() is not the reference: from
+        # Python 3.12 it compensates float sums.)
+        rng = np.random.default_rng(26)
+        for size in range(1, 8):
+            for _ in range(3000):
+                a = rng.random(size) * 10.0 ** rng.integers(-12, 12, size)
+                assert np.add.reduce(a) == reduce(add, a.tolist())
+
+    @pytest.mark.parametrize("kind", ("one class", "zero-weight classes"))
+    @pytest.mark.parametrize("shots", (1, 7, 1000))
+    def test_float_weights_draw_what_the_array_draws(self, kind, shots):
+        weights = _weights(kind)
+        for seed in range(3):
+            ours, twin = _twins(seed)
+            got = _measure(ours, tuple(weights.tolist()), shots)
+            want = twin.choice(len(weights), size=shots, p=weights / weights.sum())
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert ours.bit_generator.state == twin.bit_generator.state
+
+    def test_float_cdf_equals_the_array_cdf_at_its_steps(self):
+        # Uniforms on the array cdf's entries and their neighbours fall on
+        # the same side of every step of the float cdf: the two are equal.
+        rng = np.random.default_rng(5)
+        for size in range(1, 8):
+            for _ in range(300):
+                w = rng.random(size) * 10.0 ** rng.integers(-3, 3, size)
+                cdf = np.add.accumulate(w / np.add.reduce(w))
+                cdf /= cdf[-1]
+                u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+                uniforms = SimpleNamespace(random=lambda shots, u=u[u < 1.0]: u)
+                got = _measure(uniforms, tuple(w.tolist()), 0)
+                assert np.array_equal(got, _measure(uniforms, w, 0))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, 0.0))
+    def test_float_weights_are_checked(self, bad):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="measurement weights"):
+            _measure(rng, (bad, 0.0), 100)
+        assert rng.bit_generator.state == before
+
+    def test_run_search_samples_float_weights(self, monkeypatch):
+        # The search hands the sampler tuples under 8 classes, arrays from 8.
+        seen = []
+        real = besearch.driver._measure
+        monkeypatch.setattr(besearch.driver, "_measure",
+                            lambda rng, w, shots: seen.append(type(w)) or real(rng, w, shots))
+        run_search(make_instance(6561, 0, 0.9, 0.1), 1, 10)
+        assert set(seen) == {tuple}
+        seen.clear()
+        run_search(_masked_instance(np.random.default_rng(1), 2, 6), 1, 10)
+        assert set(seen) == {np.ndarray}
 
 
 class TestPieceDraws:

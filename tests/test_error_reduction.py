@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -223,36 +224,66 @@ class TestSchedule:
     def test_one_majority_evaluation_per_odd_r(self, monkeypatch):
         # From an empty table: r = 1 is the base error itself, and every
         # odd r from 3 to r_MAX_ROUNDS = 647 is evaluated once, by whichever
-        # count first needs it. Verification sizes then read the same table.
+        # count first needs it, from exact integers: majority_prob is not
+        # called. Verification sizes then read the same table.
         table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
         calls = count_majority_calls(monkeypatch)
+        entries = [0]
+
+        def counted():
+            for error in error_reduction._majority_errors():
+                entries[0] += 1
+                yield error
+
         monkeypatch.setattr(error_reduction, "_neg_errors", [-0.1])
+        monkeypatch.setattr(error_reduction, "_more_errors", counted())
         assert schedule_for_round(MAX_ROUNDS) == table[-1] == 647
         assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
-        assert calls[0] == 323
+        assert entries[0] == 323
         for n in [1] + [9**e for e in range(1, 41)]:
             for shots in (1, 7, 100, 1000, 10**6):
                 verification_repetitions(n, shots)
-        assert calls[0] == 323
+        assert entries[0] == 323
+        assert calls[0] == 0
 
     def test_budget_memo_stays_bounded(self):
         # A sweep over shot counts asks for thousands of distinct budgets;
         # no memo keeps them: every count is read from the one table, which
-        # holds one entry per odd r up to 647 whatever was asked.
+        # holds one entry per odd r up to 1449 whatever was asked.
         table = [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)]
         sizes = [verification_repetitions(6561, shots) for shots in range(1, 5001)]
-        assert len(error_reduction._neg_errors) <= 324
+        assert len(error_reduction._neg_errors) <= 725
         assert not hasattr(error_reduction._reps_within, "cache_info")
         assert [schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)] == table
         assert sizes[0] == verification_repetitions(6561, 1) and sizes == sorted(sizes)
 
-    def test_table_falls_strictly_until_zero_at_647(self):
-        schedule_for_round(MAX_ROUNDS)
-        rs = range(1, 648, 2)
-        errors = [-e for e in error_reduction._neg_errors]
-        assert errors == [majority_prob(r, 0.1) for r in rs]
+    def test_table_falls_strictly_until_zero_at_1451(self):
+        # Every eps in (0, 1) is met: the smallest subnormal too.
+        errors = [0.1, *itertools.takewhile(lambda e: e > 0.0, error_reduction._majority_errors())]
+        assert len(errors) == 725  # r = 1 .. 1449; r = 1451 is the first 0.0
         assert all(a > b for a, b in zip(errors, errors[1:]))
-        assert errors[-2] > 0.0 and errors[-1] == 0.0
+        assert errors[-1] == math.ulp(0.0)
+        assert repetitions_for(math.ulp(0.0)) == 1449
+        assert [-e for e in error_reduction._neg_errors] == errors
+
+    def test_entries_equal_the_integer_sums(self):
+        # Each entry is T(r) / 10^r rounded once, T(r) = sum_{j > r/2}
+        # C(r, j) 9^(r-j) summed directly, not by the table's recurrence.
+        repetitions_for(1e-300)  # fills the table past r = 701
+        for r in range(1, 702, 2):
+            tail = sum(math.comb(r, j) * 9 ** (r - j) for j in range(r // 2 + 1, r + 1))
+            assert -error_reduction._neg_errors[r // 2] == tail / 10**r, r
+
+    @pytest.mark.parametrize("eps, r", [(1e-146, 651), (9e-146, 647), (1e-150, 669),
+                                        (1e-200, 893)])
+    def test_budgets_below_the_float_powers(self, eps, r):
+        # Below about 1e-145 the float table once read 645 or 647 for all
+        # of these: its terms were formed from 0.1^j, subnormal from j = 308.
+        def error(r):
+            return sum(math.comb(r, j) * 9 ** (r - j) for j in range(r // 2 + 1, r + 1)) / 10**r
+
+        assert repetitions_for(eps) == r
+        assert error(r) <= eps < error(r - 2)
 
     @given(st.integers(1, 25))
     @settings(max_examples=25)

@@ -500,12 +500,32 @@ class TestSimpleSearchCost:
             simple_search_cost(1)
 
     def test_costs_equal_the_recorded_digest(self):
-        # Recorded when each cost came from its own memoized scan from r = 1.
+        # n = 10^2 .. 10^143 recorded when each cost came from its own
+        # memoized scan from r = 1; past that the float majority table then
+        # in use was inexact (0.0 from r = 647), so the rest was recorded
+        # from the integer-exact table, whose counts the next test checks.
         costs = [simple_search_cost(10**e) for e in range(2, 301)]
         assert costs[:3] == [104, 475, 1817]
-        assert hashlib.sha256(repr(costs).encode()).hexdigest() == (
-            "996daeb0d94c092b19469d6d2da2013b1ec18d101f970f1fb9a6784354bcae14"
+        assert hashlib.sha256(repr(costs[:142]).encode()).hexdigest() == (
+            "cf8e56ba2aaaf88c553079373fa692ad84e5631f6e448875101b668a25fc62aa"
         )
+        assert hashlib.sha256(repr(costs).encode()).hexdigest() == (
+            "5ae3360717436a8efc608f3f46cf7f24bd41c5d9faeb711c4a6a08b5953b5ca2"
+        )
+
+    @pytest.mark.parametrize("e, reps", [
+        (143, 645), (144, 651), (145, 655), (150, 677), (200, 903), (300, 1353),
+    ])
+    def test_tiny_budgets_price_the_exact_repetitions(self, e, reps):
+        # The budget 1/(100 n) is below 1e-145 from n = 10^144 on. reps is
+        # the first odd r whose exact majority error, an integer sum over
+        # 10^r rounded once, is within the float budget.
+        def error(r):
+            return sum(math.comb(r, j) * 9 ** (r - j) for j in range(r // 2 + 1, r + 1)) / 10**r
+
+        budget = 1.0 / (100 * 10**e)
+        assert error(reps) <= budget < error(reps - 2)
+        assert simple_search_cost(10**e) == math.ceil(math.pi / 4 * math.sqrt(10**e)) * reps
 
     def test_sqrt_n_log_n_envelope(self):
         ratios = [
