@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -72,6 +72,16 @@ _STATS_ROWS = 64
 # arithmetic. From 8 classes on, the order of numpy's sums differs, so
 # wider instances keep the array kernels.
 _FLOAT_CLASSES = 8
+
+# A uniform this close to its class's cut, or to numpy's restart point,
+# leaves its block to the binomial path (see _first_accept). numpy's
+# inversion loop subtracts at most 87 terms from a uniform below 1 (its
+# bound is at most 30 + 10 sqrt(31)), each rounding by at most 2^-54, and
+# the cut table adds the same terms, each rounding by at most 2^-53: both
+# lie within 87 * 1.5 * 2^-53 < 2^-45 of the exact partial sums. A last-bit
+# difference between numpy's array exp and log and the C library's moves
+# the sums by about 2^-52 more. 2^-40 is over 30 times all of it.
+_BAND = 2.0**-40
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -369,12 +379,130 @@ def _measure(rng: np.random.Generator, weights: Masses, shots: int) -> np.ndarra
     return cdf.searchsorted(rng.random(shots), side="right")
 
 
+class _Cuts(NamedTuple):
+    """One run's verification votes as cuts on uniforms, built by ``_vote_cuts``."""
+
+    v: int
+    ps: np.ndarray  # the instance's ps, for the binomial path
+    cut: Optional[np.ndarray]  # per class; None: every block takes the binomial path
+    sign: Optional[np.ndarray]  # 1.0: accepted above the cut (p <= 1/2); -1.0: below it
+    drawn: Optional[np.ndarray]  # classes numpy draws a uniform for (p != 0); None: all
+    top: float  # a uniform above this may restart numpy's loop
+
+
+def _inversion_sums(v: int, p, q, qn, steps: int) -> list:
+    """S_0 .. S_steps of numpy's inversion loop for Binomial(v, p), q = 1 - p
+    and qn = q^v, on floats or on arrays of classes: S_x = px_0 + ... +
+    px_(x-1), with px_x by the loop's own recurrence."""
+    sums = [0.0 * qn]  # S_0 = 0, a float or an array as qn is
+    px = qn
+    for x in range(1, steps + 1):
+        sums.append(sums[-1] + px)
+        px = ((v - x + 1) * p * px) / (x * q)
+    return sums
+
+
+def _vote_cuts(ps: np.ndarray, v: int, wide: bool = False) -> _Cuts:
+    """The cut table of a run with v votes per verification.
+
+    For v * min(p, 1 - p) <= 30 numpy draws Binomial(v, p) by inversion:
+    with p' = min(p, 1 - p), q = 1 - p' and px_0 = q^v, it draws one
+    uniform U and returns the first X with U - S_X <= px_X (S_X as in
+    ``_inversion_sums``), or v - X for p > 1/2; past X = bound it draws a
+    fresh uniform and starts again. So a sample with p <= 1/2 is accepted
+    (X > v // 2) iff U > S_(v//2 + 1), one with p > 1/2 (v - X > v // 2) iff
+    U <= S_(v - v//2), and the loop restarts iff U > S_(bound + 1). A cut
+    past the restart point stands at it. p = 0 draws no uniform.
+
+    An instance with a class in numpy's BTPE regime gets no cuts: its
+    blocks take the binomial path (``_first_accept``). One under
+    ``_FLOAT_CLASSES`` classes is set up in Python floats, which costs
+    less than a block's binomial votes. A wider one is set up on arrays,
+    which costs more, so only when ``wide`` is given: ``run_search`` asks
+    for it from its second block on, and a single block goes without.
+    """
+    binomial = _Cuts(v, ps, None, None, None, 0.0)
+    if ps.size >= _FLOAT_CLASSES and not wide:
+        return binomial
+    half = v // 2
+    if ps.size < _FLOAT_CLASSES:
+        cut, sign, restart = [], [], []
+        for p in ps.tolist():
+            low = p <= 0.5
+            p = p if low else 1.0 - p
+            if p * v > 30.0:
+                return binomial
+            q = 1.0 - p
+            mean = v * p
+            bound = int(min(v, mean + 10.0 * math.sqrt(mean * q + 1)))
+            sums = _inversion_sums(v, p, q, math.exp(v * math.log(q)), bound + 1)
+            cut.append(sums[min(half + 1 if low else v - half, bound + 1)])
+            sign.append(1.0 if low else -1.0)
+            restart.append(sums[bound + 1])
+        cut, sign, top = np.array(cut), np.array(sign), min(restart)
+    else:
+        low = ps <= 0.5
+        p = np.where(low, ps, 1.0 - ps)
+        if (p * v > 30.0).any():
+            return binomial
+        q = 1.0 - p
+        mean = v * p
+        bound = np.minimum(v, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
+        sums = np.array(_inversion_sums(v, p, q, np.exp(v * np.log(q)), int(bound.max()) + 1))
+        cols = np.arange(ps.size)
+        cut = sums[np.minimum(np.where(low, half + 1, v - half), bound + 1), cols]
+        sign = np.where(low, 1.0, -1.0)
+        top = float(sums[bound + 1, cols].min())
+    drawn = None if ps.all() else ps != 0.0
+    return _Cuts(v, ps, cut, sign, drawn, top - _BAND)
+
+
+def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) -> int:
+    """Position of the first of the ``sampled`` classes whose v votes accept
+    it, or ``len(sampled)`` when none is accepted: the votes of
+    ``rng.binomial(v, ps[sampled])`` up to that position.
+
+    With cuts, each sample numpy draws by inversion takes one uniform,
+    compared with its class's cut. A uniform within ``_BAND`` of its cut,
+    or above ``cuts.top``, up to the first acceptance puts the generator
+    back and leaves the block to the binomial path. That path draws the
+    first 8 samples' votes with ``rng.binomial`` and, unless one of them
+    is accepted, the rest's with one more call. After a block that
+    accepts nothing the generator stands where the one call over the
+    block leaves it, on either path.
+    """
+    if cuts.cut is not None:
+        at = None if cuts.drawn is None else np.flatnonzero(cuts.drawn[sampled])
+        drawn = sampled if at is None else sampled[at]
+        if not drawn.size:
+            return sampled.size  # p = 0 throughout: numpy draws nothing
+        saved = rng.bit_generator.state
+        u = rng.random(drawn.size)
+        margin = (u - cuts.cut.take(drawn)) * cuts.sign.take(drawn)  # > 0: accepted
+        close = margin > -_BAND  # accepted, or too close to its cut to tell
+        first = int(close.argmax())
+        if not close[first]:
+            if u.max() <= cuts.top:
+                return sampled.size
+        elif margin[first] >= _BAND and u[: first + 1].max() <= cuts.top:
+            return first if at is None else int(at[first])
+        rng.bit_generator.state = saved
+    for start, stop in ((0, 8), (8, sampled.size)):
+        if start < sampled.size:
+            accepts = rng.binomial(cuts.v, cuts.ps[sampled[start:stop]]) > cuts.v // 2
+            first = int(accepts.argmax())
+            if accepts[first]:
+                return start + first
+    return sampled.size
+
+
 def _sample_block(
     rng: np.random.Generator,
     weights: Masses,
     instance: ProblemInstance,
     v: int,
     shots: int,
+    cuts: Optional[_Cuts] = None,
 ) -> tuple[Optional[int], int]:
     """Sample one measurement block of the state with measurement weights
     ``weights`` (w1 + w0) and verify sample-by-sample.
@@ -384,42 +512,18 @@ def _sample_block(
     Binomial(v, p_j) draw compared against v/2; it stops at the first
     accepted sample.
 
-    The votes are drawn piece by piece and only up to the first piece
-    that holds an acceptance. The samples are cut before and after every
-    sample with p > 1/2, the ones that (for odd v) are accepted with
-    probability above 1/2, so a block takes a few draw calls whatever
-    its classes. Each cut is found from the previous one, only as far as
-    the draws go. A piece of one p value is drawn as
-    ``rng.binomial(v, p, size=len)``, which is cheaper than an array of
-    p and gives the same votes in the same order from the same uniforms;
-    a mixed piece is drawn with its array of p. So the indices, the votes
-    up to the first acceptance and the result are those of one
-    ``rng.binomial(v, ps[sampled])`` call; only the generator's state
-    after an acceptance differs, and no caller draws from it again.
+    The votes are decided by ``_first_accept`` from the run's cut table
+    ``cuts`` (set up here when not given), so the indices, the votes up
+    to the first acceptance and the result are those of one
+    ``rng.binomial(v, ps[sampled])`` call, and so is the generator's
+    state after a block that accepts nothing. After an acceptance the
+    generator stands further on, and no caller draws from it again.
     """
     sampled = _measure(rng, weights, shots)
-    ps = instance.ps[sampled]
-    half = v // 2  # a sample is accepted by more than half of its v votes
-    high = ps > 0.5
-    start = 0
-    while start < shots:
-        likely = start + int(high[start:].argmax())  # the next likely sample, if any
-        if not high[likely]:
-            likely = shots
-        piece = ps[start:likely]
-        if piece.size:
-            # Comparing the ends first settles most mixed pieces at once.
-            if piece[0] == piece[-1] and (piece == piece[0]).all():
-                accepts = rng.binomial(v, piece[0], size=piece.size) > half
-            else:
-                accepts = rng.binomial(v, piece) > half
-            first = int(accepts.argmax())
-            if accepts[first]:
-                return int(sampled[start + first]), start + first + 1
-        if likely < shots and rng.binomial(v, ps[likely]) > half:
-            return int(sampled[likely]), likely + 1
-        start = likely + 1
-    return None, shots
+    if cuts is None:
+        cuts = _vote_cuts(instance.ps, v)
+    first = _first_accept(rng, cuts, sampled)
+    return (None, shots) if first == shots else (int(sampled[first]), first + 1)
 
 
 def run_search(
@@ -438,12 +542,15 @@ def run_search(
     shots = check_shots(shots)
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
+    cuts = _vote_cuts(instance.ps, v)
     total = 0
     blocks = []  # (m, w1, w0, C(m), verified) of every block entered
     for m, w1, w0, cost in _rounds(instance, search_blocks(instance.n) - 1):
+        if m == 1 and instance.ps.size >= _FLOAT_CLASSES:  # worth a wide table now
+            cuts = _vote_cuts(instance.ps, v, wide=True)
         # The block's weights w1 + w0, in the form of its masses.
         weights = tuple(map(add, w1, w0)) if isinstance(w1, tuple) else w1 + w0
-        hit, verified = _sample_block(rng, weights, instance, v, shots)
+        hit, verified = _sample_block(rng, weights, instance, v, shots, cuts)
         total += shots * cost + verified * v
         blocks.append((m, w1, w0, cost, verified))
         if hit is not None:
