@@ -473,12 +473,12 @@ def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) ->
     """
     if cuts.cut is not None:
         at = None if cuts.drawn is None else np.flatnonzero(cuts.drawn[sampled])
-        drawn = sampled if at is None else sampled[at]
-        if not drawn.size:
+        classes = sampled if at is None else sampled[at]  # of the samples with uniforms
+        if not classes.size:
             return sampled.size  # p = 0 throughout: numpy draws nothing
         saved = rng.bit_generator.state
-        u = rng.random(drawn.size)
-        margin = (u - cuts.cut.take(drawn)) * cuts.sign.take(drawn)  # > 0: accepted
+        u = rng.random(classes.size)
+        margin = (u - cuts.cut.take(classes)) * cuts.sign.take(classes)  # > 0: accepted
         close = margin > -_BAND  # accepted, or too close to its cut to tell
         first = int(close.argmax())
         if not close[first]:
