@@ -466,8 +466,9 @@ def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) ->
     compared with its class's cut. A uniform within ``_BAND`` of its cut,
     or above ``cuts.top``, up to the first acceptance puts the generator
     back and leaves the block to the binomial path. That path draws the
-    first 8 samples' votes with ``rng.binomial`` and, unless one of them
-    is accepted, the rest's with one more call. After a block that
+    first 8 samples' votes one ``rng.binomial`` call with a scalar p each
+    (an array-p call costs more than 8 of those) and, unless one of them
+    is accepted, the rest's with one array-p call. After a block that
     accepts nothing the generator stands where the one call over the
     block leaves it, on either path.
     """
@@ -487,12 +488,15 @@ def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) ->
         elif margin[first] >= _BAND and u[: first + 1].max() <= cuts.top:
             return first if at is None else int(at[first])
         rng.bit_generator.state = saved
-    for start, stop in ((0, 8), (8, sampled.size)):
-        if start < sampled.size:
-            accepts = rng.binomial(cuts.v, cuts.ps[sampled[start:stop]]) > cuts.v // 2
-            first = int(accepts.argmax())
-            if accepts[first]:
-                return start + first
+    half = cuts.v // 2
+    for position, p in enumerate(cuts.ps[sampled[:8]].tolist()):
+        if rng.binomial(cuts.v, p) > half:
+            return position
+    if sampled.size > 8:
+        accepts = rng.binomial(cuts.v, cuts.ps[sampled[8:]]) > half
+        first = int(accepts.argmax())
+        if accepts[first]:
+            return 8 + first
     return sampled.size
 
 

@@ -908,9 +908,9 @@ class TestPieceDraws:
         # The planted block accepts most of the time, so the accepting exit is taken.
         assert accepted >= 20 if block == "planted" else accepted == 0
 
-    def test_wide_block_without_cuts_draws_two_pieces_at_most(self):
+    def test_wide_block_without_cuts_draws_nine_calls_at_most(self):
         # A wide run's first block has no table: its votes are drawn by
-        # binomial, the first 8 samples' apart, so an early hit stops there.
+        # binomial, the first 8 samples' one by one, so an early hit stops there.
         inst = ProblemInstance(tuple(
             IndexClass(float(p), 5, bool(p > 0.5)) for p in np.random.default_rng(4).random(600)
         ), strict=False)
@@ -920,8 +920,8 @@ class TestPieceDraws:
             rng = _CountingGenerator(seed)
             hit, verified = _sample_block(rng, weights, inst, 15, 1000)
             assert rng.random_calls == 1
-            assert rng.binomial_calls == (1 if hit is not None and verified <= 8 else 2)
-            early += rng.binomial_calls == 1
+            assert rng.binomial_calls == (verified if hit is not None and verified <= 8 else 9)
+            early += rng.binomial_calls <= 8
         assert early >= 20
 
     def test_wide_runs_set_up_cuts_for_their_second_block(self, monkeypatch):
