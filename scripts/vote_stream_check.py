@@ -4,15 +4,21 @@
 The sampler decides each verification vote by comparing one uniform with
 its class's cut (``besearch.driver._vote_cuts``). That is exact because
 numpy draws Binomial(v, p) by inversion, from one uniform per draw, when
-v * min(p, 1 - p) <= 30. For every (v, p) of ``GRID`` this script draws
-``--draws`` votes both ways from twin generators: the threshold votes
-must equal ``binomial(v, p, draws) > v // 2`` and leave the generator in
-the same state. Where the cut table leaves the votes to the binomial
-path instead (numpy's BTPE regime), numpy must indeed take more than
-one uniform per draw. It prints numpy's version and exits 1 naming the
-first (v, p) that fails.
+v * min(p, 1 - p) <= 30. For every (v, p) of ``GRID`` this script checks,
+against twin generators that draw ``binomial(v, p, N) > v // 2``:
 
-    python3 scripts/vote_stream_check.py [--draws N]
+* the cut table at ``--draws`` votes: a uniform above the cut (p <= 1/2)
+  or at or below it (p > 1/2) must vote as numpy does, and the generator
+  must end in the same state. Where the table leaves the votes to the
+  binomial path instead (numpy's BTPE regime), numpy must indeed take
+  more than one uniform per draw;
+* the sampler's vote step ``besearch.driver._first_accept`` itself, on
+  ``--blocks`` one-sample blocks: each block must accept as numpy's vote
+  does, and the generator must end in the same state.
+
+It prints numpy's version and exits 1 naming the first (v, p) that fails.
+
+    python3 scripts/vote_stream_check.py [--draws N] [--blocks N]
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from besearch.driver import _BAND, _vote_cuts  # noqa: E402
+from besearch.driver import _BAND, _first_accept, _vote_cuts  # noqa: E402
 
 VOTES = (1, 3, 21, 61, 101, 301)
 PS = (0.0, 1e-3, 0.05, 0.1, 0.3, 0.48, 0.5, 0.52, 0.9, 1.0)
@@ -66,9 +72,10 @@ GRID = grid()
 
 
 def threshold_votes(rng: np.random.Generator, v: int, p: float, draws: int):
-    """``draws`` votes of one class decided by its cut, with a mask of the
-    ones the sampler would leave to its binomial path, or None where the
-    cut table leaves every vote to it."""
+    """``draws`` votes of one class decided by its cut as ``_vote_cuts``
+    defines it, with a mask of the uniforms within ``_BAND`` of the cut or
+    above the restart point, or None where the cut table leaves every vote
+    to the binomial path."""
     cuts = _vote_cuts(np.array([p]), v)
     if cuts.cut is None:
         return None
@@ -99,15 +106,40 @@ def stream_check(v: int, p: float, draws: int, seed: int = 0) -> tuple[str, Opti
     return "threshold", None
 
 
+def first_accept_check(v: int, p: float, blocks: int, seed: int = 0) -> Optional[str]:
+    """None, or what differs, when ``blocks`` one-sample blocks of one class
+    go through ``_first_accept`` with the run's cut table: block i must
+    accept iff vote i of ``binomial(v, p, blocks)`` does, and the generator
+    must stand where that call leaves it."""
+    cuts = _vote_cuts(np.array([p]), v)
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    sample = np.zeros(1, np.intp)
+    got = np.array([_first_accept(ours, cuts, sample) == 0 for _ in range(blocks)])
+    want = twin.binomial(v, p, blocks) > v // 2
+    differ = np.flatnonzero(got != want)
+    if differ.size:
+        return f"block {differ[0]} of {blocks} differs"
+    if ours.bit_generator.state != twin.bit_generator.state:
+        return "the generator states differ after the blocks"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--draws", type=int, default=10**6, help="votes per (v, p)")
+    parser.add_argument("--draws", type=int, default=10**6, help="table votes per (v, p)")
+    parser.add_argument("--blocks", type=int, default=10**4,
+                        help="one-sample blocks through the vote step per (v, p)")
     args = parser.parse_args(argv)
-    print(f"numpy {np.__version__}: {len(GRID)} (v, p) pairs, {args.draws} votes each")
+    print(f"numpy {np.__version__}: {len(GRID)} (v, p) pairs, {args.draws} table votes "
+          f"and {args.blocks} one-sample blocks each")
     for v, p in GRID:
         path, error = stream_check(v, p, args.draws)
         if error:
             print(f"v={v} p={p!r} ({path}): {error}")
+            return 1
+        error = first_accept_check(v, p, args.blocks)
+        if error:
+            print(f"v={v} p={p!r} (_first_accept): {error}")
             return 1
     print("vote stream check: ok")
     return 0

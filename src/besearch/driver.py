@@ -390,11 +390,11 @@ class _Cuts(NamedTuple):
     top: float  # a uniform above this may restart numpy's loop
 
 
-def _inversion_sums(v: int, p, q, qn, steps: int) -> list:
+def _inversion_sums(v: int, p: float, q: float, qn: float, steps: int) -> list[float]:
     """S_0 .. S_steps of numpy's inversion loop for Binomial(v, p), q = 1 - p
-    and qn = q^v, on floats or on arrays of classes: S_x = px_0 + ... +
-    px_(x-1), with px_x by the loop's own recurrence."""
-    sums = [0.0 * qn]  # S_0 = 0, a float or an array as qn is
+    and qn = q^v: S_x = px_0 + ... + px_(x-1), with px_x by the loop's own
+    recurrence."""
+    sums = [0.0]
     px = qn
     for x in range(1, steps + 1):
         sums.append(sums[-1] + px)
@@ -402,7 +402,7 @@ def _inversion_sums(v: int, p, q, qn, steps: int) -> list:
     return sums
 
 
-def _vote_cuts(ps: np.ndarray, v: int, wide: bool = False) -> _Cuts:
+def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
     """The cut table of a run with v votes per verification.
 
     For v * min(p, 1 - p) <= 30 numpy draws Binomial(v, p) by inversion:
@@ -414,47 +414,30 @@ def _vote_cuts(ps: np.ndarray, v: int, wide: bool = False) -> _Cuts:
     U <= S_(v - v//2), and the loop restarts iff U > S_(bound + 1). A cut
     past the restart point stands at it. p = 0 draws no uniform.
 
-    An instance with a class in numpy's BTPE regime gets no cuts: its
-    blocks take the binomial path (``_first_accept``). One under
-    ``_FLOAT_CLASSES`` classes is set up in Python floats, which costs
-    less than a block's binomial votes. A wider one is set up on arrays,
-    which costs more, so only when ``wide`` is given: ``run_search`` asks
-    for it from its second block on, and a single block goes without.
+    An instance with a class in numpy's BTPE regime gets no cuts, and
+    neither does one of ``_FLOAT_CLASSES`` classes or more: their blocks
+    take the binomial path (``_first_accept``). The table is set up in
+    Python floats, with the C library's exp and log as numpy's loop uses.
     """
     binomial = _Cuts(v, ps, None, None, None, 0.0)
-    if ps.size >= _FLOAT_CLASSES and not wide:
+    if ps.size >= _FLOAT_CLASSES:
         return binomial
     half = v // 2
-    if ps.size < _FLOAT_CLASSES:
-        cut, sign, restart = [], [], []
-        for p in ps.tolist():
-            low = p <= 0.5
-            p = p if low else 1.0 - p
-            if p * v > 30.0:
-                return binomial
-            q = 1.0 - p
-            mean = v * p
-            bound = int(min(v, mean + 10.0 * math.sqrt(mean * q + 1)))
-            sums = _inversion_sums(v, p, q, math.exp(v * math.log(q)), bound + 1)
-            cut.append(sums[min(half + 1 if low else v - half, bound + 1)])
-            sign.append(1.0 if low else -1.0)
-            restart.append(sums[bound + 1])
-        cut, sign, top = np.array(cut), np.array(sign), min(restart)
-    else:
-        low = ps <= 0.5
-        p = np.where(low, ps, 1.0 - ps)
-        if (p * v > 30.0).any():
+    cut, sign, restart = [], [], []
+    for p in ps.tolist():
+        low = p <= 0.5
+        p = p if low else 1.0 - p
+        if p * v > 30.0:
             return binomial
         q = 1.0 - p
         mean = v * p
-        bound = np.minimum(v, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
-        sums = np.array(_inversion_sums(v, p, q, np.exp(v * np.log(q)), int(bound.max()) + 1))
-        cols = np.arange(ps.size)
-        cut = sums[np.minimum(np.where(low, half + 1, v - half), bound + 1), cols]
-        sign = np.where(low, 1.0, -1.0)
-        top = float(sums[bound + 1, cols].min())
+        bound = int(min(v, mean + 10.0 * math.sqrt(mean * q + 1)))
+        sums = _inversion_sums(v, p, q, math.exp(v * math.log(q)), bound + 1)
+        cut.append(sums[min(half + 1 if low else v - half, bound + 1)])
+        sign.append(1.0 if low else -1.0)
+        restart.append(sums[bound + 1])
     drawn = None if ps.all() else ps != 0.0
-    return _Cuts(v, ps, cut, sign, drawn, top - _BAND)
+    return _Cuts(v, ps, np.array(cut), np.array(sign), drawn, min(restart) - _BAND)
 
 
 def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) -> int:
@@ -465,12 +448,10 @@ def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) ->
     With cuts, each sample numpy draws by inversion takes one uniform,
     compared with its class's cut. A uniform within ``_BAND`` of its cut,
     or above ``cuts.top``, up to the first acceptance puts the generator
-    back and leaves the block to the binomial path. That path draws the
-    first 8 samples' votes one ``rng.binomial`` call with a scalar p each
-    (an array-p call costs more than 8 of those) and, unless one of them
-    is accepted, the rest's with one array-p call. After a block that
-    accepts nothing the generator stands where the one call over the
-    block leaves it, on either path.
+    back and leaves the block to the binomial path, which draws every
+    sample's votes with one array-p ``rng.binomial`` call. After a block
+    that accepts nothing the generator stands where that call leaves it,
+    on either path.
     """
     if cuts.cut is not None:
         at = None if cuts.drawn is None else np.flatnonzero(cuts.drawn[sampled])
@@ -488,16 +469,9 @@ def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) ->
         elif margin[first] >= _BAND and u[: first + 1].max() <= cuts.top:
             return first if at is None else int(at[first])
         rng.bit_generator.state = saved
-    half = cuts.v // 2
-    for position, p in enumerate(cuts.ps[sampled[:8]].tolist()):
-        if rng.binomial(cuts.v, p) > half:
-            return position
-    if sampled.size > 8:
-        accepts = rng.binomial(cuts.v, cuts.ps[sampled[8:]]) > half
-        first = int(accepts.argmax())
-        if accepts[first]:
-            return 8 + first
-    return sampled.size
+    accepts = rng.binomial(cuts.v, cuts.ps[sampled]) > cuts.v // 2
+    first = int(accepts.argmax())
+    return first if accepts[first] else sampled.size
 
 
 def _sample_block(
@@ -550,8 +524,6 @@ def run_search(
     total = 0
     blocks = []  # (m, w1, w0, C(m), verified) of every block entered
     for m, w1, w0, cost in _rounds(instance, search_blocks(instance.n) - 1):
-        if m == 1 and instance.ps.size >= _FLOAT_CLASSES:  # worth a wide table now
-            cuts = _vote_cuts(instance.ps, v, wide=True)
         # The block's weights w1 + w0, in the form of its masses.
         weights = tuple(map(add, w1, w0)) if isinstance(w1, tuple) else w1 + w0
         hit, verified = _sample_block(rng, weights, instance, v, shots, cuts)

@@ -879,18 +879,19 @@ class TestFloatPath:
 class TestPieceDraws:
     """With a cut table, a block's votes are one uniform per sample compared
     with its class's cut: one call for the measurement's uniforms, one for
-    the votes', and no binomial call whatever the block's classes."""
+    the votes', and no binomial call. Without one, they are one array-p
+    binomial call."""
 
-    @pytest.mark.parametrize("block", ("one class", "40 classes", "relaxed p_good 0.15",
+    @pytest.mark.parametrize("block", ("one class", "7 classes", "relaxed p_good 0.15",
                                        "planted"))
     def test_block_is_two_uniform_calls(self, block):
         if block == "one class":
             inst = make_instance(6561, 0, 0.9, 0.1)
             state, _ = build_state(inst, 2)
-        elif block == "40 classes":
-            ps = np.random.default_rng(3).random(40) * 0.1
+        elif block == "7 classes":  # the widest instance with a cut table
+            ps = np.random.default_rng(3).random(7) * 0.1
             inst = ProblemInstance(tuple(IndexClass(float(p), 5, False) for p in ps), strict=False)
-            state = StructuredState(w1=np.full(40, 0.0125), w0=np.full(40, 0.0125))
+            state = StructuredState(w1=np.full(7, 1 / 14), w0=np.full(7, 1 / 14))
         elif block == "relaxed p_good 0.15":
             inst = make_instance(6561, 50, 0.15, 0.05, strict=False)
             state, _ = build_state(inst, 2)
@@ -898,7 +899,7 @@ class TestPieceDraws:
             inst = make_instance(6561, 9, 0.9, 0.1)
             state, _ = build_state(inst, 2)
         v = verification_repetitions(inst.n)
-        cuts = _vote_cuts(inst.ps, v, wide=True)
+        cuts = _vote_cuts(inst.ps, v)
         accepted = 0
         for seed in range(30):
             rng = _CountingGenerator(seed)
@@ -908,34 +909,19 @@ class TestPieceDraws:
         # The planted block accepts most of the time, so the accepting exit is taken.
         assert accepted >= 20 if block == "planted" else accepted == 0
 
-    def test_wide_block_without_cuts_draws_nine_calls_at_most(self):
-        # A wide run's first block has no table: its votes are drawn by
-        # binomial, the first 8 samples' one by one, so an early hit stops there.
-        inst = ProblemInstance(tuple(
-            IndexClass(float(p), 5, bool(p > 0.5)) for p in np.random.default_rng(4).random(600)
-        ), strict=False)
-        weights = np.full(600, 1 / 600)
-        early = 0
-        for seed in range(30):
+    @pytest.mark.parametrize("classes", (8, 40, 600))
+    def test_wide_block_is_one_binomial_call(self, classes):
+        # From 8 classes on there is no cut table: a block's votes are one
+        # array-p binomial call after the measurement's uniforms.
+        ps = np.random.default_rng(4).random(classes)
+        inst = ProblemInstance(tuple(IndexClass(float(p), 5, bool(p > 0.5)) for p in ps),
+                               strict=False)
+        assert _vote_cuts(inst.ps, 15).cut is None
+        weights = np.full(classes, 1 / classes)
+        for seed in range(10):
             rng = _CountingGenerator(seed)
-            hit, verified = _sample_block(rng, weights, inst, 15, 1000)
-            assert rng.random_calls == 1
-            assert rng.binomial_calls == (verified if hit is not None and verified <= 8 else 9)
-            early += rng.binomial_calls <= 8
-        assert early >= 20
-
-    def test_wide_runs_set_up_cuts_for_their_second_block(self, monkeypatch):
-        calls = []
-        real = besearch.driver._vote_cuts
-        monkeypatch.setattr(besearch.driver, "_vote_cuts",
-                            lambda ps, v, wide=False: calls.append((ps.size, wide)) or
-                            real(ps, v, wide))
-        run_search(make_instance(6561, 0, 0.9, 0.1), 1)
-        assert calls == [(1, False)]
-        calls.clear()
-        result = run_search(_masked_instance(np.random.default_rng(1), 0, 30), 1)
-        assert len(result.trace) > 2
-        assert calls == [(30, False), (30, True)]
+            _sample_block(rng, weights, inst, 15, 1000)
+            assert (rng.random_calls, rng.binomial_calls) == (1, 1)
 
     def test_relaxed_outputs_equal_the_recorded_digest(self):
         # Recorded when every block drew all of its votes in one array-p
@@ -990,18 +976,10 @@ class TestVoteCuts:
             checked += 1
         assert checked > 50
 
-    @pytest.mark.parametrize("v", vote_stream_check.VOTES)
-    def test_wide_table_equals_the_float_tables(self, v):
-        # numpy's array exp and log may differ from the C library's in the
-        # last bit; the band is wide enough for that.
-        ps = np.array([p for w, p in vote_stream_check.GRID if w == v and min(p, 1 - p) * v <= 30])
-        ps = np.concatenate([ps, np.random.default_rng(v).random(40) * min(1.0, 30 / v)])
-        wide = _vote_cuts(ps, v, wide=True)
-        ones = [_vote_cuts(np.array([p]), v) for p in ps]
-        assert np.array_equal(wide.sign, [one.sign[0] for one in ones])
-        assert np.abs(wide.cut - [one.cut[0] for one in ones]).max() <= 1e-14
-        assert abs(wide.top - min(one.top for one in ones)) <= 1e-14
-        assert np.array_equal(wide.drawn, ps != 0.0)
+    @pytest.mark.parametrize("v, p", vote_stream_check.GRID)
+    def test_vote_step_equals_numpy(self, v, p):
+        # The sampler's own vote step, one sample per block.
+        assert vote_stream_check.first_accept_check(v, p, 500) is None
 
     def test_every_block_falling_back_keeps_the_digests(self, monkeypatch):
         # A band wider than [0, 1) sends every block that draws uniforms to
