@@ -12,9 +12,12 @@ against twin generators that draw ``binomial(v, p, N) > v // 2``:
   must end in the same state. Where the table leaves the votes to the
   binomial path instead (numpy's BTPE regime), numpy must indeed take
   more than one uniform per draw;
-* the sampler's vote step ``besearch.driver._first_accept`` itself, on
-  ``--blocks`` one-sample blocks: each block must accept as numpy's vote
-  does, and the generator must end in the same state.
+* the block sampler ``besearch.driver._sample_block`` itself, on
+  ``--blocks`` blocks of one class (one sample each) and as many of two
+  classes, p and 1 - p (two samples each): each block must accept what
+  ``Generator.choice`` followed by ``binomial(v, ps[sampled])`` accepts,
+  and after a block that accepts nothing the generator must stand where
+  those calls leave it.
 
 It prints numpy's version and exits 1 naming the first (v, p) that fails.
 
@@ -31,7 +34,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from besearch.driver import _BAND, _first_accept, _vote_cuts  # noqa: E402
+from besearch.driver import _BAND, _sample_block, _vote_cuts  # noqa: E402
+from besearch.model import IndexClass, ProblemInstance  # noqa: E402
 
 VOTES = (1, 3, 21, 61, 101, 301)
 PS = (0.0, 1e-3, 0.05, 0.1, 0.3, 0.48, 0.5, 0.52, 0.9, 1.0)
@@ -106,21 +110,31 @@ def stream_check(v: int, p: float, draws: int, seed: int = 0) -> tuple[str, Opti
     return "threshold", None
 
 
-def first_accept_check(v: int, p: float, blocks: int, seed: int = 0) -> Optional[str]:
-    """None, or what differs, when ``blocks`` one-sample blocks of one class
-    go through ``_first_accept`` with the run's cut table: block i must
-    accept iff vote i of ``binomial(v, p, blocks)`` does, and the generator
-    must stand where that call leaves it."""
-    cuts = _vote_cuts(np.array([p]), v)
+def block_check(v: int, p: float, classes: int, blocks: int, seed: int = 0) -> Optional[str]:
+    """None, or what differs, when ``blocks`` blocks go through
+    ``_sample_block`` with the run's cut table: of one class at p, one
+    sample each, or of two classes at p and 1 - p with weights 0.3 and
+    0.7, two samples each. Each block must give the (class, verified) of
+    ``choice`` followed by ``binomial(v, ps[sampled])`` on a twin
+    generator, and after a block that accepts nothing the generator must
+    stand where the twin's does; after an accepting one the twin is set to
+    our state, since the votes past an acceptance are not drawn alike."""
+    ps = (p,) if classes == 1 else (p, 1.0 - p)
+    weights = np.array((1.0,) if classes == 1 else (0.3, 0.7))
+    inst = ProblemInstance(tuple(IndexClass(q, 1, q > 0.5) for q in ps), strict=False)
+    cuts = _vote_cuts(inst.ps, v)
     ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    sample = np.zeros(1, np.intp)
-    got = np.array([_first_accept(ours, cuts, sample) == 0 for _ in range(blocks)])
-    want = twin.binomial(v, p, blocks) > v // 2
-    differ = np.flatnonzero(got != want)
-    if differ.size:
-        return f"block {differ[0]} of {blocks} differs"
-    if ours.bit_generator.state != twin.bit_generator.state:
-        return "the generator states differ after the blocks"
+    for block in range(blocks):
+        got = _sample_block(ours, weights, inst, v, classes, cuts)
+        sampled = twin.choice(classes, size=classes, p=weights / weights.sum())
+        hits = np.flatnonzero(twin.binomial(v, inst.ps[sampled]) > v // 2)
+        want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, classes)
+        if got != want:
+            return f"block {block} of {blocks} gave {got}, numpy {want}"
+        if hits.size:
+            twin.bit_generator.state = ours.bit_generator.state
+        elif ours.bit_generator.state != twin.bit_generator.state:
+            return f"the generator states differ after block {block} of {blocks}"
     return None
 
 
@@ -128,19 +142,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=10**6, help="table votes per (v, p)")
     parser.add_argument("--blocks", type=int, default=10**4,
-                        help="one-sample blocks through the vote step per (v, p)")
+                        help="one- and two-class blocks through the sampler per (v, p)")
     args = parser.parse_args(argv)
     print(f"numpy {np.__version__}: {len(GRID)} (v, p) pairs, {args.draws} table votes "
-          f"and {args.blocks} one-sample blocks each")
+          f"and {args.blocks} one- and two-class blocks each")
     for v, p in GRID:
         path, error = stream_check(v, p, args.draws)
         if error:
             print(f"v={v} p={p!r} ({path}): {error}")
             return 1
-        error = first_accept_check(v, p, args.blocks)
-        if error:
-            print(f"v={v} p={p!r} (_first_accept): {error}")
-            return 1
+        for classes in (1, 2):
+            error = block_check(v, p, classes, args.blocks)
+            if error:
+                print(f"v={v} p={p!r} ({classes}-class _sample_block): {error}")
+                return 1
     print("vote stream check: ok")
     return 0
 

@@ -63,18 +63,18 @@ _LOG2_9_UP = (31_699_251, 10**7)
 # tables of at most this many states.
 _STATS_ROWS = 64
 
-# Instances with fewer classes than this run the round chain and the block
-# sampler on tuples of Python floats. numpy adds fewer than 8 contiguous
-# float64 one after another (its pairwise sum starts at 8 terms), as
-# functools.reduce(add, ...) does, and every product and every sum of two
-# values is one IEEE operation either way, so the floats are the same
-# without numpy's per-call cost, which on a few classes exceeds the
-# arithmetic. From 8 classes on, the order of numpy's sums differs, so
-# wider instances keep the array kernels.
+# Instances with fewer classes than this run the round chain on tuples of
+# Python floats, and the block sampler builds its cdf in them. numpy adds
+# fewer than 8 contiguous float64 one after another (its pairwise sum
+# starts at 8 terms), as functools.reduce(add, ...) does, and every
+# product and every sum of two values is one IEEE operation either way, so
+# the floats are the same without numpy's per-call cost, which on a few
+# classes exceeds the arithmetic. From 8 classes on, the order of numpy's
+# sums differs, so wider instances keep the array kernels.
 _FLOAT_CLASSES = 8
 
 # A uniform this close to its class's cut, or to numpy's restart point,
-# leaves its block to the binomial path (see _first_accept). numpy's
+# leaves its block to the binomial path (see _cut_block). numpy's
 # inversion loop subtracts at most 87 terms from a uniform below 1 (its
 # bound is at most 30 + 10 sqrt(31)), each rounding by at most 2^-54, and
 # the cut table adds the same terms, each rounding by at most 2^-53: both
@@ -351,32 +351,56 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _measure(rng: np.random.Generator, weights: Masses, shots: int) -> np.ndarray:
-    """Draw ``shots`` class indices with probabilities proportional to ``weights``.
+def _cdf(weights: Masses) -> Union[list[float], np.ndarray]:
+    """The running sum that ``Generator.choice(len(weights), p=weights /
+    weights.sum())`` looks its uniforms up in, without its per-call
+    validation: sum, divide, running sum, divide by its last entry.
 
-    These are the steps Generator.choice(len(weights), shots, p=weights /
-    weights.sum()) runs, without its per-call validation: sum, divide,
-    running sum, divide by its last entry, then ``searchsorted`` of the
-    same uniforms, so the indices, their dtype and the generator's state
-    afterwards are the same. A tuple of fewer than ``_FLOAT_CLASSES``
-    floats (the chain's form for such instances) takes these steps in
-    Python floats, each sum left to right as numpy adds so few, and only
-    the finished cdf becomes an array; an array takes them in numpy.
-    Weights that are not finite or sum to 0 raise ValueError before
-    anything is drawn.
+    Fewer than ``_FLOAT_CLASSES`` weights, a tuple (the chain's form for
+    such instances) or an array, take these steps in Python floats, each
+    sum left to right as numpy adds so few, and give a list whose last
+    entry is exactly 1.0; more take them in numpy and give an array.
+    Weights that are not finite or sum to 0 raise ValueError.
     """
-    floats = isinstance(weights, tuple)
+    floats = len(weights) < _FLOAT_CLASSES
+    if floats and isinstance(weights, np.ndarray):
+        weights = weights.tolist()
     mass = reduce(add, weights) if floats else float(np.add.reduce(weights))
     if not 0.0 < mass < math.inf:
         raise ValueError(f"measurement weights must be finite with a positive sum, got {mass}")
-    if floats:
-        cdf = list(itertools.accumulate([w / mass for w in weights]))
-        last = cdf[-1]
-        cdf = np.array([c / last for c in cdf])
-    else:
+    if not floats:
         cdf = np.add.accumulate(weights / mass)
         cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(shots), side="right")
+        return cdf
+    cdf = list(itertools.accumulate([w / mass for w in weights]))
+    last = cdf[-1]
+    return [c / last for c in cdf]
+
+
+def _classes(cdf: Union[list[float], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """The class of each uniform in ``u``: ``cdf.searchsorted(u,
+    side="right")``, the count of cdf entries at or below it, as int64.
+    A list's last entry, 1.0, lies above every uniform, so on a list the
+    count is that of its other entries, one compare each."""
+    if isinstance(cdf, np.ndarray):
+        return cdf.searchsorted(u, side="right")
+    steps = cdf[:-1]
+    if not steps:
+        return np.zeros(u.size, np.intp)
+    index = (u >= steps[0]).astype(np.intp)
+    for step in steps[1:]:
+        index += u >= step
+    return index
+
+
+def _measure(rng: np.random.Generator, weights: Masses, shots: int) -> np.ndarray:
+    """Draw ``shots`` class indices with probabilities proportional to
+    ``weights``: the indices, their dtype and the generator's state
+    afterwards are those of ``Generator.choice(len(weights), shots,
+    p=weights / weights.sum())``. Unusable weights raise ValueError before
+    anything is drawn."""
+    cdf = _cdf(weights)
+    return _classes(cdf, rng.random(shots))
 
 
 class _Cuts(NamedTuple):
@@ -384,10 +408,12 @@ class _Cuts(NamedTuple):
 
     v: int
     ps: np.ndarray  # the instance's ps, for the binomial path
-    cut: Optional[np.ndarray]  # per class; None: every block takes the binomial path
-    sign: Optional[np.ndarray]  # 1.0: accepted above the cut (p <= 1/2); -1.0: below it
+    cut: Optional[tuple[float, ...]]  # per class; None: every block takes the binomial path
+    sign: Optional[tuple[float, ...]]  # 1.0: accepted above the cut (p <= 1/2); -1.0: below it
     drawn: Optional[np.ndarray]  # classes numpy draws a uniform for (p != 0); None: all
     top: float  # a uniform above this may restart numpy's loop
+    lo: Optional[np.ndarray]  # per class, a uniform in (lo, hi] is certainly a rejection
+    hi: Optional[np.ndarray]
 
 
 def _inversion_sums(v: int, p: float, q: float, qn: float, steps: int) -> list[float]:
@@ -414,12 +440,16 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
     U <= S_(v - v//2), and the loop restarts iff U > S_(bound + 1). A cut
     past the restart point stands at it. p = 0 draws no uniform.
 
+    Each class's safe-reject interval (lo, hi] holds the uniforms at least
+    ``_BAND`` on its rejecting side of the cut and at or below ``top``:
+    below the cut for p <= 1/2, above it for p > 1/2.
+
     An instance with a class in numpy's BTPE regime gets no cuts, and
     neither does one of ``_FLOAT_CLASSES`` classes or more: their blocks
     take the binomial path (``_first_accept``). The table is set up in
     Python floats, with the C library's exp and log as numpy's loop uses.
     """
-    binomial = _Cuts(v, ps, None, None, None, 0.0)
+    binomial = _Cuts(v, ps, None, None, None, 0.0, None, None)
     if ps.size >= _FLOAT_CLASSES:
         return binomial
     half = v // 2
@@ -436,39 +466,53 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
         cut.append(sums[min(half + 1 if low else v - half, bound + 1)])
         sign.append(1.0 if low else -1.0)
         restart.append(sums[bound + 1])
+    top = min(restart) - _BAND
+    lo = [-math.inf if s > 0.0 else c + _BAND for c, s in zip(cut, sign)]
+    hi = [min(c - _BAND, top) if s > 0.0 else top for c, s in zip(cut, sign)]
     drawn = None if ps.all() else ps != 0.0
-    return _Cuts(v, ps, np.array(cut), np.array(sign), drawn, min(restart) - _BAND)
+    return _Cuts(v, ps, tuple(cut), tuple(sign), drawn, top, np.array(lo), np.array(hi))
+
+
+def _cut_block(
+    rng: np.random.Generator, cdf: list[float], cuts: _Cuts, shots: int
+) -> Optional[tuple[Optional[int], int]]:
+    """One block measured and voted on from uniforms alone, or None where
+    a vote is too close to its cut, or to a restart, to tell.
+
+    Without p = 0 the block's 2 * shots uniforms come from one call, the
+    measurement's first; ``random(2 k)`` is ``random(k)`` followed by
+    ``random(k)``. With one, numpy draws a vote uniform only for the
+    samples with p != 0, so those come from a second call. The votes up to
+    the first acceptance must lie in their classes' safe-reject intervals,
+    and the accepted one at least ``_BAND`` past its cut and at or below
+    ``cuts.top``.
+    """
+    if cuts.drawn is None:
+        u = rng.random(2 * shots)
+        sampled = classes = _classes(cdf, u[:shots])
+        at, votes = None, u[shots:]
+    else:
+        sampled = _classes(cdf, rng.random(shots))
+        at = np.flatnonzero(cuts.drawn[sampled])
+        if not at.size:
+            return None, shots  # p = 0 throughout: numpy draws nothing
+        classes = sampled[at]
+        votes = rng.random(at.size)
+    rejected = (votes > cuts.lo.take(classes)) & (votes <= cuts.hi.take(classes))
+    first = int(rejected.argmin())
+    if rejected[first]:
+        return None, shots
+    c, u = int(classes[first]), float(votes[first])
+    if (u - cuts.cut[c]) * cuts.sign[c] < _BAND or u > cuts.top:
+        return None
+    position = first if at is None else int(at[first])
+    return int(sampled[position]), position + 1
 
 
 def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) -> int:
     """Position of the first of the ``sampled`` classes whose v votes accept
-    it, or ``len(sampled)`` when none is accepted: the votes of
-    ``rng.binomial(v, ps[sampled])`` up to that position.
-
-    With cuts, each sample numpy draws by inversion takes one uniform,
-    compared with its class's cut. A uniform within ``_BAND`` of its cut,
-    or above ``cuts.top``, up to the first acceptance puts the generator
-    back and leaves the block to the binomial path, which draws every
-    sample's votes with one array-p ``rng.binomial`` call. After a block
-    that accepts nothing the generator stands where that call leaves it,
-    on either path.
-    """
-    if cuts.cut is not None:
-        at = None if cuts.drawn is None else np.flatnonzero(cuts.drawn[sampled])
-        classes = sampled if at is None else sampled[at]  # of the samples with uniforms
-        if not classes.size:
-            return sampled.size  # p = 0 throughout: numpy draws nothing
-        saved = rng.bit_generator.state
-        u = rng.random(classes.size)
-        margin = (u - cuts.cut.take(classes)) * cuts.sign.take(classes)  # > 0: accepted
-        close = margin > -_BAND  # accepted, or too close to its cut to tell
-        first = int(close.argmax())
-        if not close[first]:
-            if u.max() <= cuts.top:
-                return sampled.size
-        elif margin[first] >= _BAND and u[: first + 1].max() <= cuts.top:
-            return first if at is None else int(at[first])
-        rng.bit_generator.state = saved
+    it, or ``len(sampled)`` when none is accepted, from one array-p
+    ``rng.binomial(v, ps[sampled])`` call: the binomial path."""
     accepts = rng.binomial(cuts.v, cuts.ps[sampled]) > cuts.v // 2
     first = int(accepts.argmax())
     return first if accepts[first] else sampled.size
@@ -490,16 +534,27 @@ def _sample_block(
     Binomial(v, p_j) draw compared against v/2; it stops at the first
     accepted sample.
 
-    The votes are decided by ``_first_accept`` from the run's cut table
-    ``cuts`` (set up here when not given), so the indices, the votes up
-    to the first acceptance and the result are those of one
-    ``rng.binomial(v, ps[sampled])`` call, and so is the generator's
-    state after a block that accepts nothing. After an acceptance the
-    generator stands further on, and no caller draws from it again.
+    The result, and the generator's state after a block that accepts
+    nothing, are those of ``Generator.choice`` over the classes followed by
+    one ``rng.binomial(v, ps[sampled])`` call. With a cut table (``cuts``,
+    set up here when not given) ``_cut_block`` finds the classes by
+    compares on the cdf and decides the votes from uniforms, one draw per
+    block unless a class has p = 0. A block it cannot decide puts the
+    generator back where it stood before the measurement and takes the
+    binomial path, ``_measure`` and then ``_first_accept``, as every block
+    without a table does. After an acceptance the generator stands further
+    on, and no caller draws from it again.
     """
-    sampled = _measure(rng, weights, shots)
     if cuts is None:
         cuts = _vote_cuts(instance.ps, v)
+    if cuts.cut is not None:
+        cdf = _cdf(weights)  # unusable weights raise before anything is drawn
+        saved = rng.bit_generator.state
+        block = _cut_block(rng, cdf, cuts, shots)
+        if block is not None:
+            return block
+        rng.bit_generator.state = saved
+    sampled = _measure(rng, weights, shots)
     first = _first_accept(rng, cuts, sampled)
     return (None, shots) if first == shots else (int(sampled[first]), first + 1)
 

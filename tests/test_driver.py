@@ -38,7 +38,8 @@ from besearch import (
     verification_repetitions,
 )
 from besearch.driver import (
-    DEFAULT_SHOTS, VERIFICATION_CONFIDENCE, CurvePoint, _measure, _sample_block, _vote_cuts
+    DEFAULT_SHOTS, VERIFICATION_CONFIDENCE, CurvePoint, _cdf, _classes, _measure, _sample_block,
+    _vote_cuts,
 )
 from besearch.error_reduction import majority_prob
 from besearch.model import IndexClass, ProblemInstance, StructuredState, _stats_rows
@@ -47,11 +48,17 @@ from conftest import strict_instances
 from test_contracts import IntegerCases, ProbabilityCases, ShotCases
 
 _ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "vote_stream_check", _ROOT / "scripts" / "vote_stream_check.py"
-)
-vote_stream_check = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(vote_stream_check)
+
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, _ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+vote_stream_check = _script("vote_stream_check")
+cost_table = _script("cost_table")
 
 
 def oracle_reps(eps: float) -> int:
@@ -538,6 +545,10 @@ class TestExactOutcomeReplay:
     @staticmethod
     def replay(inst, shots, monkeypatch):
         branches = _Branches()
+        # A table-less cut table sends every block through _measure and _first_accept.
+        cuts = besearch.driver._vote_cuts
+        monkeypatch.setattr(besearch.driver, "_vote_cuts",
+                            lambda ps, v: cuts(ps, v)._replace(cut=None))
         monkeypatch.setattr(besearch.driver, "_measure", branches.measure)
         monkeypatch.setattr(besearch.driver, "_first_accept", branches.first_accept)
         monkeypatch.setattr(besearch.driver, "_rng", lambda seed: branches)
@@ -660,6 +671,13 @@ class TestCostBound:
                  for e in self.EXPONENTS}
         assert not {e: r for e, r in ratio.items() if r > 6.7}
         assert max(ratio.values()) > 6.6
+
+    def test_script_table_ends_the_baseline_at_its_cap(self):
+        # scripts/cost_table.py: 9^320 <= MAX_BASELINE_N < 9^321.
+        (_, cost, simple), (_, _, last), (_, _, past) = cost_table.rows((1, 320, 321))
+        assert cost == exact_outcome(make_instance(9, 1, 0.9, 0.1)).expected_cost / 3
+        assert simple == 9.0  # 3 Grover iterations of 9 runs, over sqrt(9)
+        assert last is not None and past is None
 
 
 @st.composite
@@ -864,27 +882,34 @@ class TestFloatPath:
         assert rng.bit_generator.state == before
 
     def test_run_search_samples_float_weights(self, monkeypatch):
-        # The search hands the sampler tuples under 8 classes, arrays from 8.
+        # Under 8 classes the search's blocks reach the cut step with a cdf
+        # of Python floats; from 8 they are measured on arrays.
         seen = []
-        real = besearch.driver._measure
+        cut_block, measure = besearch.driver._cut_block, besearch.driver._measure
+        monkeypatch.setattr(besearch.driver, "_cut_block", lambda rng, cdf, cuts, shots: (
+            seen.append((type(cdf), type(cdf[0]))) or cut_block(rng, cdf, cuts, shots)))
         monkeypatch.setattr(besearch.driver, "_measure",
-                            lambda rng, w, shots: seen.append(type(w)) or real(rng, w, shots))
+                            lambda rng, w, shots: seen.append(type(w)) or measure(rng, w, shots))
         run_search(make_instance(6561, 0, 0.9, 0.1), 1, 10)
-        assert set(seen) == {tuple}
+        assert set(seen) == {(list, float)}
         seen.clear()
         run_search(_masked_instance(np.random.default_rng(1), 2, 6), 1, 10)
         assert set(seen) == {np.ndarray}
 
 
 class TestPieceDraws:
-    """With a cut table, a block's votes are one uniform per sample compared
-    with its class's cut: one call for the measurement's uniforms, one for
-    the votes', and no binomial call. Without one, they are one array-p
-    binomial call."""
+    """With a cut table, a block's classes and votes come from uniforms
+    alone: one ``random`` call for both when no class has p = 0, and one
+    for the measurement and one for the votes when one has. Without a
+    table, the votes are one array-p binomial call."""
 
-    @pytest.mark.parametrize("block", ("one class", "7 classes", "relaxed p_good 0.15",
-                                       "planted"))
-    def test_block_is_two_uniform_calls(self, block):
+    @pytest.mark.parametrize("block, calls", [
+        pytest.param(block, calls, id=block) for block, calls in (
+            ("one class", 1), ("7 classes", 1), ("relaxed p_good 0.15", 1), ("planted", 1),
+            ("planted, p_bad 0", 2),
+        )
+    ])
+    def test_block_uniform_calls(self, block, calls):
         if block == "one class":
             inst = make_instance(6561, 0, 0.9, 0.1)
             state, _ = build_state(inst, 2)
@@ -896,7 +921,7 @@ class TestPieceDraws:
             inst = make_instance(6561, 50, 0.15, 0.05, strict=False)
             state, _ = build_state(inst, 2)
         else:
-            inst = make_instance(6561, 9, 0.9, 0.1)
+            inst = make_instance(6561, 9, 0.9, 0.1 if block == "planted" else 0.0)
             state, _ = build_state(inst, 2)
         v = verification_repetitions(inst.n)
         cuts = _vote_cuts(inst.ps, v)
@@ -904,10 +929,10 @@ class TestPieceDraws:
         for seed in range(30):
             rng = _CountingGenerator(seed)
             hit, _ = _sample_block(rng, state.w1 + state.w0, inst, v, 1000, cuts)
-            assert (rng.random_calls, rng.binomial_calls) == (2, 0)
+            assert (rng.random_calls, rng.binomial_calls) == (calls, 0)
             accepted += hit is not None
-        # The planted block accepts most of the time, so the accepting exit is taken.
-        assert accepted >= 20 if block == "planted" else accepted == 0
+        # The planted blocks accept most of the time, so the accepting exit is taken.
+        assert accepted >= 20 if block.startswith("planted") else accepted == 0
 
     @pytest.mark.parametrize("classes", (8, 40, 600))
     def test_wide_block_is_one_binomial_call(self, classes):
@@ -949,6 +974,89 @@ class TestPieceDraws:
         )
 
 
+class TestOneDraw:
+    """Under 8 classes a block's classes come from compares on the float
+    cdf and, when no class has p = 0, its votes from the same ``random``
+    call. What that relies on in numpy, and the block itself against
+    ``Generator.choice`` followed by ``Generator.binomial``."""
+
+    @pytest.mark.parametrize("shots", (1, 2, 5, 50, 1000))
+    def test_one_call_is_two_calls(self, shots):
+        for seed in range(5):
+            ours, twin = _twins(seed)
+            got = ours.random(2 * shots)
+            want = np.concatenate([twin.random(shots), twin.random(shots)])
+            assert np.array_equal(got, want)
+            assert ours.bit_generator.state == twin.bit_generator.state
+
+    def test_compare_count_equals_searchsorted(self):
+        # Uniforms on every cdf entry and on its neighbours, zero-weight
+        # classes included.
+        rng = np.random.default_rng(28)
+        for size in range(1, 8):
+            for _ in range(300):
+                w = rng.random(size) * 10.0 ** rng.integers(-3, 3, size)
+                w[rng.random(size) < 0.3] = 0.0
+                w[rng.integers(size)] += 1.0
+                cdf = _cdf(w)
+                steps = np.array(cdf)
+                assert isinstance(cdf, list) and cdf[-1] == 1.0
+                u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
+                u = u[(u >= 0.0) & (u < 1.0)]
+                got = _classes(cdf, u)
+                want = steps.searchsorted(u, side="right")
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_undecided_votes_are_left_to_the_binomial_path(self):
+        # One-sample blocks of two classes, p <= 1/2 and p > 1/2, with
+        # planted uniforms: a vote within the band of its cut, or above the
+        # restart point, leaves the block undecided; the others decide it.
+        cuts = _vote_cuts(np.array([0.1, 0.9]), 21)
+        band, top = besearch.driver._BAND, cuts.top
+        for c, measured in ((0, 0.25), (1, 0.75)):
+            cut, sign = cuts.cut[c], cuts.sign[c]
+            planted = {
+                cut - band / 2: None, cut + band / 2: None, float(np.nextafter(top, 2.0)): None,
+                cut + 2 * band * sign: (c, 1), cut - 2 * band * sign: (None, 1),
+            }
+            for vote, want in planted.items():
+                uniforms = SimpleNamespace(random=lambda size, u=[measured, vote]: np.array(u))
+                got = besearch.driver._cut_block(uniforms, _cdf((0.5, 0.5)), cuts, 1)
+                assert got == want, (c, vote)
+
+    def test_blocks_equal_choice_then_binomial(self):
+        # Seeded random blocks of 1-7 classes, tuple and array weights, one
+        # weight at 1e-300 in some; after a block that accepts nothing the
+        # generator stands where the twin's does.
+        rng = np.random.default_rng(2028)
+        values = (0.0, 1e-3, 0.05, 0.48, 0.5, 0.52, 0.95, 1.0)
+        tally = {"table": 0, "accepted": 0, "rejected": 0}
+        for block in range(4000):
+            k = int(rng.integers(1, 8))
+            ps = np.array([float(rng.choice(values)) if rng.random() < 0.8 else rng.random()
+                           for _ in range(k)])
+            v = int(rng.choice((1, 3, 5, 21, 23, 29, 61, 101)))
+            shots = int(rng.choice((1, 2, 5, 50, 1000)))
+            w = rng.random(k)
+            if k > 1 and block % 5 == 0:
+                w[rng.integers(k)] = 1e-300
+            inst = ProblemInstance(tuple(IndexClass(float(p), 1, bool(p > 0.5)) for p in ps),
+                                   strict=False)
+            cuts = _vote_cuts(inst.ps, v)
+            ours, twin = _twins(block)
+            got = _sample_block(ours, tuple(w.tolist()) if block % 2 else w, inst, v, shots, cuts)
+            sampled = twin.choice(k, size=shots, p=w / w.sum())
+            hits = np.flatnonzero(twin.binomial(v, inst.ps[sampled]) > v // 2)
+            want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, shots)
+            assert got == want, block
+            if not hits.size:
+                assert ours.bit_generator.state == twin.bit_generator.state, block
+            tally["table"] += cuts.cut is not None
+            tally["accepted" if hits.size else "rejected"] += 1
+        assert min(tally.values()) > 1000, tally
+
+
 class TestVoteCuts:
     """The cut table reproduces numpy's binomial votes. It relies on numpy
     drawing Binomial(v, p) by inversion, one uniform per draw, when
@@ -978,19 +1086,36 @@ class TestVoteCuts:
 
     @pytest.mark.parametrize("v, p", vote_stream_check.GRID)
     def test_vote_step_equals_numpy(self, v, p):
-        # The sampler's own vote step, one sample per block.
-        assert vote_stream_check.first_accept_check(v, p, 500) is None
+        # The sampler itself, on blocks of one class and of two (p and 1 - p).
+        for classes in (1, 2):
+            assert vote_stream_check.block_check(v, p, classes, 250) is None
 
     def test_every_block_falling_back_keeps_the_digests(self, monkeypatch):
-        # A band wider than [0, 1) sends every block that draws uniforms to
-        # the binomial path, after the generator is put back.
-        made = []
+        # A band wider than [0, 1) sends every block that draws vote uniforms
+        # to the binomial path, after the generator is put back where it
+        # stood before the block's measurement.
+        made, entered, measured = [], [], []
+        sample_block, measure = besearch.driver._sample_block, besearch.driver._measure
+
+        def block(rng, *args):
+            entered.append(rng.bit_generator.state)
+            return sample_block(rng, *args)
+
+        def remeasure(rng, weights, shots):
+            measured.append(rng.bit_generator.state == entered[-1])
+            return measure(rng, weights, shots)
+
         monkeypatch.setattr(besearch.driver, "_BAND", 2.0)
         monkeypatch.setattr(besearch.driver, "_rng",
                             lambda seed: made.append(_CountingGenerator(seed)) or made[-1])
+        monkeypatch.setattr(besearch.driver, "_sample_block", block)
+        monkeypatch.setattr(besearch.driver, "_measure", remeasure)
         TestPieceDraws().test_relaxed_outputs_equal_the_recorded_digest()
         TestEngineDigest().test_outputs_equal_the_recorded_digest()
         assert sum(rng.binomial_calls for rng in made) > len(made)
+        assert all(measured)  # every binomial block is measured from the block's start
+        # Uniform calls beyond the measurements: cut blocks that drew and were put back.
+        assert sum(rng.random_calls for rng in made) - len(measured) > len(made)
 
 
 # The contract cases generated from the registry in tests/test_contracts.py
