@@ -12,21 +12,34 @@ against twin generators that draw ``binomial(v, p, N) > v // 2``:
   must end in the same state. Where the table leaves the votes to the
   binomial path instead (numpy's BTPE regime), numpy must indeed take
   more than one uniform per draw;
-* the block sampler ``besearch.driver._sample_block`` itself, on
-  ``--blocks`` blocks of one class (one sample each) and as many of two
-  classes, p and 1 - p (two samples each): each block must accept what
-  ``Generator.choice`` followed by ``binomial(v, ps[sampled])`` accepts,
-  and after a block that accepts nothing the generator must stand where
-  those calls leave it.
+* the block sampler ``besearch.driver._sample_block`` itself, on the
+  blocks of ``BLOCKS``: ``--blocks`` blocks of one class (one sample
+  each) and as many of two classes, p and 1 - p (two samples each), and a
+  tenth and a hundredth as many of two classes with 1 - p at weight 1e-4
+  (50 and 1000 samples each), where at small p most blocks reject every
+  sample from their uniforms' extremes and the others look their classes
+  up. Each block must accept what ``Generator.choice`` followed by
+  ``binomial(v, ps[sampled])`` accepts, and after a block that accepts
+  nothing the generator must stand where those calls leave it.
 
-It prints numpy's version and exits 1 naming the first (v, p) that fails.
+The (v, p) pairs are checked in ``WORKERS`` processes. It prints numpy's
+version and how many blocks took each path: the
+all-reject shortcut, the general cut path, the fallback (an undecided
+block, rewound and drawn again by ``rng.binomial``) and the binomial path
+of an instance without a cut table. It exits 1 naming the first (v, p)
+that fails, or when no block took the shortcut or the general path.
 
     python3 scripts/vote_stream_check.py [--draws N] [--blocks N]
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import multiprocessing
 import sys
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import besearch.driver as driver  # noqa: E402
 from besearch.driver import _BAND, _sample_block, _vote_cuts  # noqa: E402
 from besearch.model import IndexClass, ProblemInstance  # noqa: E402
 
@@ -110,52 +124,124 @@ def stream_check(v: int, p: float, draws: int, seed: int = 0) -> tuple[str, Opti
     return "threshold", None
 
 
-def block_check(v: int, p: float, classes: int, blocks: int, seed: int = 0) -> Optional[str]:
-    """None, or what differs, when ``blocks`` blocks go through
-    ``_sample_block`` with the run's cut table: of one class at p, one
-    sample each, or of two classes at p and 1 - p with weights 0.3 and
-    0.7, two samples each. Each block must give the (class, verified) of
-    ``choice`` followed by ``binomial(v, ps[sampled])`` on a twin
-    generator, and after a block that accepts nothing the generator must
-    stand where the twin's does; after an accepting one the twin is set to
-    our state, since the votes past an acceptance are not drawn alike."""
-    ps = (p,) if classes == 1 else (p, 1.0 - p)
-    weights = np.array((1.0,) if classes == 1 else (0.3, 0.7))
+# The blocks ``block_check`` runs per (v, p): (class weights, samples per
+# block, divisor of --blocks). The classes are at p and 1 - p.
+BLOCKS = (
+    ((1.0,), 1, 1),
+    ((0.3, 0.7), 2, 1),
+    ((1.0 - 1e-4, 1e-4), 50, 10),
+    ((1.0 - 1e-4, 1e-4), 1000, 100),
+)
+
+PATHS = ("shortcut", "general", "fallback", "binomial")
+
+
+@contextlib.contextmanager
+def tally_paths(tally: Counter):
+    """Count in ``tally`` the path each ``_sample_block`` call takes while
+    the block runs: ``_cut_block`` returning a count of uniforms is a
+    fallback, and one that decides looked classes up on the general path
+    or not at all on the shortcut. Blocks that never reach ``_cut_block``
+    are counted as binomial by ``block_check``."""
+    cut_block, classes = driver._cut_block, driver._classes
+    looked = []
+
+    def counted_classes(cdf, u):
+        looked.append(u.size)
+        return classes(cdf, u)
+
+    def counted_cut_block(*args):
+        looked.clear()
+        block = cut_block(*args)
+        tally["fallback" if isinstance(block, int) else "general" if looked else "shortcut"] += 1
+        return block
+
+    driver._cut_block, driver._classes = counted_cut_block, counted_classes
+    try:
+        yield tally
+    finally:
+        driver._cut_block, driver._classes = cut_block, classes
+
+
+def block_check(v: int, p: float, weights: tuple[float, ...], shots: int, blocks: int,
+                seed: int = 0, tally: Optional[Counter] = None) -> Optional[str]:
+    """None, or what differs, when ``blocks`` blocks of ``shots`` samples go
+    through ``_sample_block`` with the run's cut table: of one class at p,
+    or of two at p and 1 - p, with class weights ``weights``. Each block
+    must give the (class, verified) of ``choice`` followed by
+    ``binomial(v, ps[sampled])`` on a twin generator, and after a block
+    that accepts nothing the generator must stand where the twin's does;
+    after an accepting one the twin is set to our state, since the votes
+    past an acceptance are not drawn alike. Each block's path is added to
+    ``tally`` when one is given."""
+    tally = Counter() if tally is None else tally
+    ps = (p, 1.0 - p)[:len(weights)]
+    weights = np.array(weights)
+    probs = weights / weights.sum()
     inst = ProblemInstance(tuple(IndexClass(q, 1, q > 0.5) for q in ps), strict=False)
     cuts = _vote_cuts(inst.ps, v)
     ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    for block in range(blocks):
-        got = _sample_block(ours, weights, inst, v, classes, cuts)
-        sampled = twin.choice(classes, size=classes, p=weights / weights.sum())
-        hits = np.flatnonzero(twin.binomial(v, inst.ps[sampled]) > v // 2)
-        want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, classes)
-        if got != want:
-            return f"block {block} of {blocks} gave {got}, numpy {want}"
-        if hits.size:
-            twin.bit_generator.state = ours.bit_generator.state
-        elif ours.bit_generator.state != twin.bit_generator.state:
-            return f"the generator states differ after block {block} of {blocks}"
+    cut = sum(tally.values())
+    with tally_paths(tally):
+        for block in range(blocks):
+            got = _sample_block(ours, weights, inst, v, shots, cuts)
+            sampled = twin.choice(len(ps), size=shots, p=probs)
+            accepts = twin.binomial(v, inst.ps[sampled]) > v // 2
+            first = int(accepts.argmax())
+            hit = bool(accepts[first])
+            want = (int(sampled[first]), first + 1) if hit else (None, shots)
+            if got != want:
+                return f"block {block} of {blocks} gave {got}, numpy {want}"
+            if hit:
+                twin.bit_generator.state = ours.bit_generator.state
+            elif ours.bit_generator.state != twin.bit_generator.state:
+                return f"the generator states differ after block {block} of {blocks}"
+    tally["binomial"] += blocks - (sum(tally.values()) - cut)
     return None
+
+
+def check_pair(pair: tuple[int, float], draws: int, blocks: int) -> tuple[Optional[str], Counter]:
+    """The stream check and the block checks of one (v, p): what fails
+    first, or None, and the paths the blocks took."""
+    v, p = pair
+    tally = Counter()
+    path, error = stream_check(v, p, draws)
+    if error:
+        return f"v={v} p={p!r} ({path}): {error}", tally
+    for weights, shots, divisor in BLOCKS:
+        error = block_check(v, p, weights, shots, blocks // divisor, tally=tally)
+        if error:
+            return f"v={v} p={p!r} ({len(weights)}-class {shots}-sample _sample_block): {error}", tally
+    return None, tally
+
+
+# The (v, p) pairs are checked in this many processes.
+WORKERS = 2
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=10**6, help="table votes per (v, p)")
     parser.add_argument("--blocks", type=int, default=10**4,
-                        help="one- and two-class blocks through the sampler per (v, p)")
+                        help="one- and two-class blocks through the sampler per (v, p); "
+                             "a tenth and a hundredth as many of 50 and 1000 samples")
     args = parser.parse_args(argv)
     print(f"numpy {np.__version__}: {len(GRID)} (v, p) pairs, {args.draws} table votes "
           f"and {args.blocks} one- and two-class blocks each")
-    for v, p in GRID:
-        path, error = stream_check(v, p, args.draws)
-        if error:
-            print(f"v={v} p={p!r} ({path}): {error}")
-            return 1
-        for classes in (1, 2):
-            error = block_check(v, p, classes, args.blocks)
+    tally = Counter()
+    check = functools.partial(check_pair, draws=args.draws, blocks=args.blocks)
+    with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for error, paths in pool.map(check, GRID):
             if error:
-                print(f"v={v} p={p!r} ({classes}-class _sample_block): {error}")
+                print(error)
+                pool.shutdown(cancel_futures=True)
                 return 1
+            tally.update(paths)
+    print("blocks by path: " + ", ".join(f"{tally[path]} {path}" for path in PATHS))
+    missing = [path for path in PATHS[:2] if not tally[path]]
+    if missing:
+        print(f"no block took the {' or the '.join(missing)} path")
+        return 1
     print("vote stream check: ok")
     return 0
 

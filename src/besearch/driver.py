@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -44,8 +46,8 @@ from .model import (
 #: success analysis. Configurable in run_search; tests pin the default.
 DEFAULT_SHOTS = 1000
 
-#: Largest shot count per block: a block draws int64 arrays of this
-#: length, so the cap keeps each at 8 MB.
+#: Largest shot count per block: a block draws its uniforms in float64
+#: arrays of at most twice this length, so the cap keeps each at 16 MB.
 MAX_SHOTS = 10**6
 
 #: The execution-wide false-accept budget is 1/VERIFICATION_CONFIDENCE.
@@ -82,6 +84,13 @@ _FLOAT_CLASSES = 8
 # difference between numpy's array exp and log and the C library's moves
 # the sums by about 2^-52 more. 2^-40 is over 30 times all of it.
 _BAND = 2.0**-40
+
+# r_k for k = 0 .. len - 1, r_0 = 0: every repetition count _schedule
+# reads, each looked up once, on demand, from schedule_for_round. It holds
+# at most MAX_ROUNDS + 1 entries. Entry k is appended at position k, so
+# threads fill it one at a time.
+_round_reps: list[int] = [0]
+_round_reps_lock = threading.Lock()
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -173,13 +182,18 @@ def _schedule(rounds: int) -> Iterator[tuple[int, int]]:
     amplification runs the preparation twice more, once inverted, and
     error reduction adds r_k runs. One unit is one invocation of any F_i
     or its inverse; one superposed call over all indices costs 1. The
-    round count is checked before anything is yielded.
+    round count is checked before anything is yielded, and r_k is read
+    from ``_round_reps``, which is filled up to it first.
     """
     rounds = check_int("rounds", rounds, 0, MAX_ROUNDS)
+    reps = _round_reps
+    if len(reps) <= rounds:
+        with _round_reps_lock:
+            while len(reps) <= rounds:
+                reps.append(schedule_for_round(len(reps)))
     c = 1
     yield 0, c
-    for k in range(1, rounds + 1):
-        r = schedule_for_round(k)
+    for r in itertools.islice(reps, 1, rounds + 1):
         c = 3 * c + r
         yield r, c
 
@@ -475,20 +489,31 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
 
 def _cut_block(
     rng: np.random.Generator, cdf: list[float], cuts: _Cuts, shots: int
-) -> Optional[tuple[Optional[int], int]]:
-    """One block measured and voted on from uniforms alone, or None where
-    a vote is too close to its cut, or to a restart, to tell.
+) -> Union[tuple[Optional[int], int], int]:
+    """One block measured and voted on from uniforms alone: (accepted class
+    or None, samples verified), or, where a vote is too close to its cut,
+    or to a restart, to tell, the number of uniforms drawn.
 
     Without p = 0 the block's 2 * shots uniforms come from one call, the
     measurement's first; ``random(2 k)`` is ``random(k)`` followed by
-    ``random(k)``. With one, numpy draws a vote uniform only for the
-    samples with p != 0, so those come from a second call. The votes up to
-    the first acceptance must lie in their classes' safe-reject intervals,
-    and the accepted one at least ``_BAND`` past its cut and at or below
-    ``cuts.top``.
+    ``random(k)``. If the smallest and the largest measurement uniform fall
+    in one class, every sample is in it, and if the smallest and the
+    largest vote also lie in its safe-reject interval, every sample is
+    rejected: most blocks of a search end there. With p = 0, numpy draws a
+    vote uniform only for the samples with p != 0, so those come from a
+    second call. The votes up to the first acceptance must lie in their
+    classes' safe-reject intervals, and the accepted one at least
+    ``_BAND`` past its cut and at or below ``cuts.top``.
     """
     if cuts.drawn is None:
         u = rng.random(2 * shots)
+        halves = u.reshape(2, shots)
+        (low, low_vote), (high, high_vote) = (
+            np.minimum.reduce(halves, axis=1).tolist(), np.maximum.reduce(halves, axis=1).tolist()
+        )
+        c = bisect_right(cdf, low)  # the cdf's last entry, 1.0, lies above every uniform
+        if bisect_right(cdf, high) == c and cuts.lo[c] < low_vote and high_vote <= cuts.hi[c]:
+            return None, shots
         sampled = classes = _classes(cdf, u[:shots])
         at, votes = None, u[shots:]
     else:
@@ -504,7 +529,7 @@ def _cut_block(
         return None, shots
     c, u = int(classes[first]), float(votes[first])
     if (u - cuts.cut[c]) * cuts.sign[c] < _BAND or u > cuts.top:
-        return None
+        return shots + votes.size
     position = first if at is None else int(at[first])
     return int(sampled[position]), position + 1
 
@@ -539,21 +564,22 @@ def _sample_block(
     one ``rng.binomial(v, ps[sampled])`` call. With a cut table (``cuts``,
     set up here when not given) ``_cut_block`` finds the classes by
     compares on the cdf and decides the votes from uniforms, one draw per
-    block unless a class has p = 0. A block it cannot decide puts the
-    generator back where it stood before the measurement and takes the
-    binomial path, ``_measure`` and then ``_first_accept``, as every block
-    without a table does. After an acceptance the generator stands further
-    on, and no caller draws from it again.
+    block unless a class has p = 0. A block it cannot decide rewinds the
+    generator by the uniforms it drew, to where it stood before the
+    measurement, and takes the binomial path, ``_measure`` and then
+    ``_first_accept``, as every block without a table does. Each uniform
+    is one output of the generator's PCG64 (``_rng``), so rewinding by
+    that count undoes the draws. After an acceptance the generator stands
+    further on, and no caller draws from it again.
     """
     if cuts is None:
         cuts = _vote_cuts(instance.ps, v)
     if cuts.cut is not None:
         cdf = _cdf(weights)  # unusable weights raise before anything is drawn
-        saved = rng.bit_generator.state
         block = _cut_block(rng, cdf, cuts, shots)
-        if block is not None:
+        if isinstance(block, tuple):
             return block
-        rng.bit_generator.state = saved
+        rng.bit_generator.advance(-block)
     sampled = _measure(rng, weights, shots)
     first = _first_accept(rng, cuts, sampled)
     return (None, shots) if first == shots else (int(sampled[first]), first + 1)

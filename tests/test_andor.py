@@ -245,9 +245,10 @@ class TestQuantumCost:
         assert evaluate_quantum_cost(AndOrTree(2, (f, c), GATE_OR)) == expected
 
     def test_root_blocks_cost_one_pass(self, monkeypatch):
-        # C(0..39) of a fanout-9^40 node take 39 schedule lookups, not one
-        # rebuild of C(0..m) per block (780 lookups); each of the 40 blocks
-        # verifies its shots, so verification adds 40 * v.
+        # From an empty r_k table, C(0..39) of a fanout-9^40 node take 39
+        # schedule lookups, not one rebuild of C(0..m) per block (780
+        # lookups); each of the 40 blocks verifies its shots, so
+        # verification adds 40 * v.
         expected, c = 1, 1
         for k in range(1, 40):
             c = 3 * c + driver.schedule_for_round(k)
@@ -260,6 +261,7 @@ class TestQuantumCost:
             return lookup(k)
 
         monkeypatch.setattr(driver, "schedule_for_round", counted)
+        monkeypatch.setattr(driver, "_round_reps", [0])
         assert evaluate_quantum_cost(AndOrTree(2, (9**40, 4), GATE_OR)) == expected
         assert len(calls) == 39
 

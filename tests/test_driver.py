@@ -1,8 +1,12 @@
+import ctypes
 import dataclasses
 import hashlib
 import importlib.util
 import math
+import sys
+import threading
 import time
+from collections import Counter
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -118,6 +122,49 @@ class TestAnalyticCost:
     def test_big_o_of_three_to_m(self):
         ratios = [analytic_cost(m) / 3**m for m in range(21)]
         assert max(ratios) <= 4.0  # measured max ~3.876
+
+
+class TestRoundReps:
+    """_schedule reads r_k from one table, each entry looked up once from
+    schedule_for_round when first needed."""
+
+    def test_table_holds_the_schedule(self, monkeypatch):
+        calls, lookup = [], besearch.driver.schedule_for_round
+        monkeypatch.setattr(besearch.driver, "schedule_for_round",
+                            lambda k: calls.append(k) or lookup(k))
+        monkeypatch.setattr(besearch.driver, "_round_reps", [0])
+        schedule = besearch.driver._schedule
+        assert [r for r, _ in schedule(5)] == [0, *map(lookup, range(1, 6))]
+        assert [r for r, _ in schedule(3)] == [0, *map(lookup, range(1, 4))]
+        assert calls == [1, 2, 3, 4, 5]
+        with pytest.raises(ValueError, match="rounds"):
+            next(schedule(MAX_ROUNDS + 1))
+        reps = [r for r, _ in schedule(MAX_ROUNDS)]
+        assert reps == [0, *map(lookup, range(1, MAX_ROUNDS + 1))]
+        assert calls == list(range(1, MAX_ROUNDS + 1))
+        assert besearch.driver._round_reps == reps
+
+    def test_threads_fill_the_table_in_order(self, monkeypatch):
+        monkeypatch.setattr(besearch.driver, "_round_reps", [0])
+        want = [0, *map(schedule_for_round, range(1, MAX_ROUNDS + 1))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: list(besearch.driver._schedule(MAX_ROUNDS)))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert besearch.driver._round_reps == want
+
+    def test_table_stays_bounded(self):
+        for rounds in (MAX_ROUNDS, 3, MAX_ROUNDS, 0):
+            list(besearch.driver._schedule(rounds))
+            assert len(besearch.driver._round_reps) == MAX_ROUNDS + 1
 
 
 class TestBuildState:
@@ -835,6 +882,53 @@ class _CountingGenerator:
         return self.rng.binomial(*args, **kwargs)
 
 
+_NEXT_INT = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state pointer and the four draw functions."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _NEXT_INT),
+                ("next_uint32", _NEXT_INT), ("next_double", _NEXT_DOUBLE),
+                ("next_raw", _NEXT_INT)]
+
+
+_capsule = ctypes.pythonapi.PyCapsule_New
+_capsule.restype = ctypes.py_object
+_capsule.argtypes = (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)
+
+
+class _Replay:
+    """A bit generator for ``np.random.Generator`` that hands out planted
+    uniforms: every double numpy draws, in ``random`` and in the inversion
+    binomial alike, is the next planted one, then those of a seeded tail.
+    ``drawn`` counts them and is its state; ``advance`` moves it as
+    PCG64's does. No integer may be drawn (``integers`` counts them)."""
+
+    def __init__(self, planted):
+        self.doubles = [*map(float, planted), *np.random.default_rng(0).random(64).tolist()]
+        self.drawn = self.integers = 0
+        self.lock = threading.Lock()
+
+        def integer(_):
+            self.integers += 1
+            return 0
+
+        def double(_):
+            self.drawn += 1
+            return self.doubles[self.drawn - 1]
+
+        self._draws = (_NEXT_INT(integer), _NEXT_DOUBLE(double))
+        self._bitgen = _Bitgen(None, self._draws[0], self._draws[0], self._draws[1],
+                               self._draws[0])
+        self._name = b"BitGenerator"
+        self.capsule = _capsule(ctypes.addressof(self._bitgen), self._name, None)
+
+    def advance(self, delta: int) -> None:
+        self.drawn += delta
+
+
 class TestFloatPath:
     """Instances under 8 classes run the chain and the sampler on floats."""
 
@@ -1011,13 +1105,14 @@ class TestOneDraw:
     def test_undecided_votes_are_left_to_the_binomial_path(self):
         # One-sample blocks of two classes, p <= 1/2 and p > 1/2, with
         # planted uniforms: a vote within the band of its cut, or above the
-        # restart point, leaves the block undecided; the others decide it.
+        # restart point, leaves the block undecided, and _cut_block gives
+        # the count of uniforms it drew (2); the others decide it.
         cuts = _vote_cuts(np.array([0.1, 0.9]), 21)
         band, top = besearch.driver._BAND, cuts.top
         for c, measured in ((0, 0.25), (1, 0.75)):
             cut, sign = cuts.cut[c], cuts.sign[c]
             planted = {
-                cut - band / 2: None, cut + band / 2: None, float(np.nextafter(top, 2.0)): None,
+                cut - band / 2: 2, cut + band / 2: 2, float(np.nextafter(top, 2.0)): 2,
                 cut + 2 * band * sign: (c, 1), cut - 2 * band * sign: (None, 1),
             }
             for vote, want in planted.items():
@@ -1057,6 +1152,117 @@ class TestOneDraw:
         assert min(tally.values()) > 1000, tally
 
 
+    def test_planted_edges_equal_choice_then_binomial(self, monkeypatch):
+        # Uniforms planted at the edges of the all-reject shortcut: the
+        # measurement's extremes on the cdf step and one float below it,
+        # the votes' extremes on a class's safe-reject bounds and one float
+        # past them, with a zero-weight class whose cdf entry repeats the
+        # step. A block skips the class lookup exactly when every planted
+        # extreme lies inside; either way it gives what choice + binomial
+        # give on the same uniforms, and after a block that accepts nothing
+        # both have drawn alike.
+        lookups = []
+        classes = besearch.driver._classes
+        monkeypatch.setattr(besearch.driver, "_classes",
+                            lambda cdf, u: lookups.append(u.size) or classes(cdf, u))
+        below = lambda x: float(np.nextafter(x, 0.0))  # noqa: E731
+        above = lambda x: float(np.nextafter(x, 1.0))  # noqa: E731
+        order = np.random.default_rng(29).permutation(50)
+        checked = {True: 0, False: 0}
+        for ps, weights in (((0.1, 0.9), (0.3, 0.7)), ((0.1, 0.5, 0.9), (0.3, 0.0, 0.7))):
+            inst = ProblemInstance(tuple(IndexClass(p, 1, p > 0.5) for p in ps), strict=False)
+            cuts = _vote_cuts(inst.ps, 21)
+            step, top = _cdf(weights)[0], len(ps) - 1
+            lo, hi = cuts.lo.tolist(), cuts.hi.tolist()
+            # Per class: the far measurement extreme, then (uniform, inside)
+            # edges of the near measurement extreme, the smallest and the
+            # largest vote.
+            edges = {
+                0: (0.01, [(below(step), True), (step, False)], [(0.0, True)],
+                    [(hi[0], True), (above(hi[0]), False)]),
+                top: (0.99, [(step, True), (below(step), False)],
+                      [(above(lo[top]), True), (lo[top], False)],
+                      [(hi[top], True), (above(hi[top]), False)]),
+            }
+            cases = []
+            for far, near, low, high in edges.values():
+                for m, m_in in near:
+                    cases += [([m], [u], m_in and u_in) for u, u_in in low + high]
+                    cases += [(np.linspace(min(m, far), max(m, far), 50)[order],
+                               np.linspace(u, w, 50)[order], m_in and u_in and w_in)
+                              for u, u_in in low for w, w_in in high]
+            for measured, votes, inside in cases:
+                shots = len(measured)
+                ours = np.random.Generator(_Replay([*measured, *votes]))
+                twin = np.random.Generator(_Replay([*measured, *votes]))
+                lookups.clear()
+                got = _sample_block(ours, weights, inst, 21, shots, cuts)
+                sampled = twin.choice(len(ps), size=shots, p=np.divide(weights, sum(weights)))
+                hits = np.flatnonzero(twin.binomial(21, inst.ps[sampled]) > 10)
+                want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, shots)
+                assert got == want, (ps, measured, votes)
+                assert (not lookups) == inside, (ps, measured, votes)
+                if not hits.size:
+                    assert ours.bit_generator.drawn == twin.bit_generator.drawn
+                assert ours.bit_generator.integers == twin.bit_generator.integers == 0
+                checked[inside] += 1
+        assert min(checked.values()) >= 10, checked
+
+    def test_most_huge_n_blocks_skip_the_class_lookup(self, monkeypatch):
+        # Only the last block or two of a search hold enough solution mass
+        # to accept; the blocks before reject every sample from their
+        # uniforms' extremes, with no per-sample lookup.
+        lookups = []
+        classes = besearch.driver._classes
+        monkeypatch.setattr(besearch.driver, "_classes",
+                            lambda cdf, u: lookups.append(u.size) or classes(cdf, u))
+        inst = make_instance(9**24, 1, 0.95, 0.05)
+        blocks = sum(len(run_search(inst, seed).trace) for seed in range(10))
+        assert blocks >= 200
+        assert len(lookups) * 5 < blocks, (len(lookups), blocks)
+
+
+class TestRewind:
+    """A block the cuts cannot decide rewinds the generator by the uniforms
+    it drew, to where it stood before the block, and is measured again."""
+
+    @pytest.mark.parametrize("ps", [(0.1, 0.9), (0.0, 0.3, 0.9)], ids=["no p = 0", "p = 0"])
+    @pytest.mark.parametrize("shots", (1, 50, 1000))
+    def test_undecided_block_rewinds_to_its_start(self, ps, shots, monkeypatch):
+        # A band wider than [0, 1) leaves every block that draws a vote
+        # undecided. The whole state dict is compared: advance also clears
+        # PCG64's buffered uint32, which stays empty when nothing draws
+        # integers, as in every search.
+        monkeypatch.setattr(besearch.driver, "_BAND", 2.0)
+        inst = ProblemInstance(tuple(IndexClass(p, 1, p > 0.5) for p in ps), strict=False)
+        weights = np.full(len(ps), 1 / len(ps))
+        cuts = _vote_cuts(inst.ps, 21)
+        returned, measured = [], []
+        cut_block, measure = besearch.driver._cut_block, besearch.driver._measure
+        monkeypatch.setattr(besearch.driver, "_cut_block",
+                            lambda *args: returned.append(cut_block(*args)) or returned[-1])
+        monkeypatch.setattr(besearch.driver, "_measure", lambda rng, w, shots: (
+            measured.append(rng.bit_generator.state) or measure(rng, w, shots)))
+        for seed in range(10):
+            ours, twin = _twins(seed)
+            ours.random(seed)
+            twin.random(seed)
+            before = ours.bit_generator.state
+            got = _sample_block(ours, weights, inst, 21, shots, cuts)
+            sampled = twin.choice(len(ps), size=shots, p=weights)
+            voted = int(np.count_nonzero(inst.ps[sampled]))
+            hits = np.flatnonzero(twin.binomial(21, inst.ps[sampled]) > 10)
+            want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, shots)
+            assert got == want
+            if not voted:  # every sample at p = 0: decided without a vote uniform
+                assert returned[-1] == (None, shots)
+                continue
+            assert returned[-1] == shots + voted
+            assert measured[-1] == before
+            if not hits.size:
+                assert ours.bit_generator.state == twin.bit_generator.state
+
+
 class TestVoteCuts:
     """The cut table reproduces numpy's binomial votes. It relies on numpy
     drawing Binomial(v, p) by inversion, one uniform per draw, when
@@ -1086,9 +1292,22 @@ class TestVoteCuts:
 
     @pytest.mark.parametrize("v, p", vote_stream_check.GRID)
     def test_vote_step_equals_numpy(self, v, p):
-        # The sampler itself, on blocks of one class and of two (p and 1 - p).
-        for classes in (1, 2):
-            assert vote_stream_check.block_check(v, p, classes, 250) is None
+        # The sampler itself, on blocks of one class and of two (p and
+        # 1 - p), two of them of 50 and 1000 samples with 1 - p rare.
+        for weights, shots, divisor in vote_stream_check.BLOCKS:
+            error = vote_stream_check.block_check(v, p, weights, shots, 250 // divisor)
+            assert error is None
+
+    def test_check_script_takes_every_path(self):
+        # On its rare-class blocks the script sees the shortcut and the
+        # general path; undecided blocks fall back, and BTPE-regime
+        # instances have no cut table.
+        tally = Counter()
+        for v, p in vote_stream_check.GRID:
+            for weights, shots, divisor in vote_stream_check.BLOCKS[2:]:
+                vote_stream_check.block_check(v, p, weights, shots, 100 // divisor, tally=tally)
+        assert tally["shortcut"] > 100 and tally["general"] > 100 and tally["binomial"] > 0
+        assert sum(tally.values()) == len(vote_stream_check.GRID) * (10 + 1)
 
     def test_every_block_falling_back_keeps_the_digests(self, monkeypatch):
         # A band wider than [0, 1) sends every block that draws vote uniforms
