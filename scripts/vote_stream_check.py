@@ -22,12 +22,12 @@ against twin generators that draw ``binomial(v, p, N) > v // 2``:
   ``binomial(v, ps[sampled])`` accepts, and after a block that accepts
   nothing the generator must stand where those calls leave it.
 
-The (v, p) pairs are checked in ``WORKERS`` processes. It prints numpy's
-version and how many blocks took each path: the
-all-reject shortcut, the general cut path, the fallback (an undecided
-block, rewound and drawn again by ``rng.binomial``) and the binomial path
-of an instance without a cut table. It exits 1 naming the first (v, p)
-that fails, or when no block took the shortcut or the general path.
+The (v, p) pairs are checked in ``WORKERS`` processes. The script prints
+numpy's version and how many blocks took each path: the all-reject
+shortcut, the general cut path, the fallback (an undecided block,
+rewound and drawn again by ``rng.binomial``) and the binomial path of an
+instance without a cut table. It exits 1 naming the first (v, p) that
+fails, or when no block took the shortcut or the general path.
 
     python3 scripts/vote_stream_check.py [--draws N] [--blocks N]
 """
@@ -181,7 +181,7 @@ def block_check(v: int, p: float, weights: tuple[float, ...], shots: int, blocks
     inst = ProblemInstance(tuple(IndexClass(q, 1, q > 0.5) for q in ps), strict=False)
     cuts = _vote_cuts(inst.ps, v)
     ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    cut = sum(tally.values())
+    counted = sum(tally.values())
     with tally_paths(tally):
         for block in range(blocks):
             got = _sample_block(ours, weights, inst, v, shots, cuts)
@@ -196,7 +196,7 @@ def block_check(v: int, p: float, weights: tuple[float, ...], shots: int, blocks
                 twin.bit_generator.state = ours.bit_generator.state
             elif ours.bit_generator.state != twin.bit_generator.state:
                 return f"the generator states differ after block {block} of {blocks}"
-    tally["binomial"] += blocks - (sum(tally.values()) - cut)
+    tally["binomial"] += blocks - (sum(tally.values()) - counted)
     return None
 
 
@@ -211,7 +211,8 @@ def check_pair(pair: tuple[int, float], draws: int, blocks: int) -> tuple[Option
     for weights, shots, divisor in BLOCKS:
         error = block_check(v, p, weights, shots, blocks // divisor, tally=tally)
         if error:
-            return f"v={v} p={p!r} ({len(weights)}-class {shots}-sample _sample_block): {error}", tally
+            block = f"{len(weights)}-class {shots}-sample _sample_block"
+            return f"v={v} p={p!r} ({block}): {error}", tally
     return None, tally
 
 

@@ -12,6 +12,7 @@ flag-1 mass and pushes the rest back to flag 0.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 from functools import cache
 from typing import Iterator
@@ -125,15 +126,19 @@ def _majority_errors() -> Iterator[float]:
 # each computed once, on demand, by _more_errors. The error falls
 # strictly until it rounds to 0.0 at r = 1451, so every eps in (0, 1) is
 # met, at r = 1449 at the latest, and the table never holds more than
-# 725 entries.
+# 725 entries. Threads extend it one at a time: the generator runs in one
+# thread at a time, and its entries must be appended in order.
 _neg_errors: list[float] = [-PROMISE_BAD]
 _more_errors = _majority_errors()
+_errors_lock = threading.Lock()
 
 
 def _reps_within(eps: float) -> int:
     """First odd r whose entry in the majority-error table is <= eps."""
-    while -_neg_errors[-1] > eps:
-        _neg_errors.append(-next(_more_errors))
+    if -_neg_errors[-1] > eps:
+        with _errors_lock:
+            while -_neg_errors[-1] > eps:
+                _neg_errors.append(-next(_more_errors))
     return 2 * bisect_left(_neg_errors, -eps) + 1
 
 

@@ -882,16 +882,17 @@ class _CountingGenerator:
         return self.rng.binomial(*args, **kwargs)
 
 
-_NEXT_INT = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_U64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_U32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 _NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 
 
 class _Bitgen(ctypes.Structure):
     """numpy's ``bitgen_t``: a state pointer and the four draw functions."""
 
-    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _NEXT_INT),
-                ("next_uint32", _NEXT_INT), ("next_double", _NEXT_DOUBLE),
-                ("next_raw", _NEXT_INT)]
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _NEXT_U64),
+                ("next_uint32", _NEXT_U32), ("next_double", _NEXT_DOUBLE),
+                ("next_raw", _NEXT_U64)]
 
 
 _capsule = ctypes.pythonapi.PyCapsule_New
@@ -919,9 +920,8 @@ class _Replay:
             self.drawn += 1
             return self.doubles[self.drawn - 1]
 
-        self._draws = (_NEXT_INT(integer), _NEXT_DOUBLE(double))
-        self._bitgen = _Bitgen(None, self._draws[0], self._draws[0], self._draws[1],
-                               self._draws[0])
+        self._draws = (_NEXT_U64(integer), _NEXT_U32(integer), _NEXT_DOUBLE(double))
+        self._bitgen = _Bitgen(None, *self._draws, self._draws[0])
         self._name = b"BitGenerator"
         self.capsule = _capsule(ctypes.addressof(self._bitgen), self._name, None)
 

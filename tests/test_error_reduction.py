@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -245,6 +247,28 @@ class TestSchedule:
                 verification_repetitions(n, shots)
         assert entries[0] == 323
         assert calls[0] == 0
+
+    def test_threads_extend_the_table_in_order(self, monkeypatch):
+        # Eight threads asking for r = 1449 from an empty table, switching
+        # every microsecond: each gets it, and the table ascends.
+        monkeypatch.setattr(error_reduction, "_neg_errors", [-0.1])
+        monkeypatch.setattr(error_reduction, "_more_errors", error_reduction._majority_errors())
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append(repetitions_for(1e-300)))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [repetitions_for(1e-300)] * 8
+        errors = error_reduction._neg_errors
+        assert all(a < b for a, b in zip(errors, errors[1:]))
 
     def test_budget_memo_stays_bounded(self):
         # A sweep over shot counts asks for thousands of distinct budgets;
