@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Check the majority vectors built from power tables against the per-r
+formula, bit for bit, on this numpy.
+
+``besearch.error_reduction._powers`` computes every p^j and (1-p)^j once,
+per round chain or per ``majority_prob`` call, and ``_majority`` forms
+each r's terms C(r, j) p^j (1-p)^(r-j) from slices of those tables. That
+gives the floats of the formula that computed every power anew for each
+r only because numpy's ``power`` rounds a given (p, j) the same way in
+the tables' layout as in the formula's. At 1, 2, 3, 7, 8, 64 and 600
+classes, on probability vectors that hold 0, 1, 1/2, 0.1, 0.9, 1e-300
+and the smallest subnormal among random values, this script checks:
+
+* ``majority_prob`` at every odd r up to 1029;
+* the majority vector of a MAX_ROUNDS-round chain at every distinct r_k;
+* the tables of every chain of 1 .. MAX_ROUNDS rounds: they must be the
+  leading rows of the longest chain's tables, and the majority vector at
+  the chain's last r_m must equal the longest chain's.
+
+The class counts are checked in ``WORKERS`` processes. The script prints
+numpy's version and the number of compared entries, and exits 1 naming
+the first mismatch.
+
+    python3 scripts/power_table_check.py
+"""
+from __future__ import annotations
+
+import functools
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+from typing import Optional
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import besearch.driver as driver  # noqa: E402
+from besearch.error_reduction import (  # noqa: E402
+    _MAX_REPS, MAX_ROUNDS, _majority, _powers, majority_prob, schedule_for_round,
+)
+from besearch.model import IndexClass, ProblemInstance  # noqa: E402
+
+CLASSES = (1, 2, 3, 7, 8, 64, 600)
+EDGES = (0.0, 1.0, 0.5, 0.1, 0.9, 1e-300, 5e-324)
+
+# The class counts are checked in this many processes; the 600-class
+# majority_prob sweep, most of the work, is split between them.
+WORKERS = 2
+
+
+@functools.cache
+def _coefficients(r: int) -> np.ndarray:
+    """C(r, j) for j = (r+1)/2 .. r, each exact integer rounded once, from
+    the row C(r, 0 .. r)."""
+    row = [1]
+    for j in range(r):
+        row.append(row[-1] * (r - j) // (j + 1))
+    return np.array([float(c) for c in row[(r + 1) // 2:]])
+
+
+def reference_majority(r: int, p) -> np.ndarray:
+    """The majority formula that computed every power anew for each r:
+    the powers with the exponents on the inner axis, and each entry's
+    terms added along one contiguous row."""
+    col = np.asarray(p, dtype=float).reshape(-1, 1)
+    q = 1.0 - col
+    ones = np.arange((r + 1) // 2, r + 1, dtype=float)
+    zeros = r - ones
+    return np.add.reduce(_coefficients(r) * col**ones * q**zeros, axis=1)
+
+
+def p_grids(classes: int) -> list[np.ndarray]:
+    """Probability vectors of ``classes`` entries that hold, between them,
+    every value of EDGES, padded with random values, and one random vector."""
+    rng = np.random.default_rng(classes)
+    edges = np.array(EDGES)
+    rows = -(-edges.size // classes)
+    padded = rng.permutation(np.concatenate([edges, rng.random(rows * classes - edges.size)]))
+    return [*padded.reshape(rows, classes), rng.random(classes)]
+
+
+def _differ(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape != want.shape or got.tobytes() != want.tobytes()
+
+
+def check_majority(classes: int, part: int, parts: int) -> tuple[Optional[str], int]:
+    """``majority_prob`` against the per-r formula at every ``parts``-th odd
+    r from the ``part``-th, on every vector of ``p_grids(classes)``."""
+    compared = 0
+    for ps in p_grids(classes):
+        for r in range(2 * part + 1, _MAX_REPS + 1, 2 * parts):
+            if _differ(majority_prob(r, ps), reference_majority(r, ps)):
+                return f"majority_prob({r}, ...) at {classes} classes differs", compared
+            compared += classes
+    return None, compared
+
+
+def check_chains(classes: int) -> tuple[Optional[str], int]:
+    """The chain's majority vectors and the tables of every chain prefix, on
+    a relaxed instance whose probabilities are ``p_grids(classes)[0]``."""
+    rng = np.random.default_rng(classes)
+    ps = p_grids(classes)[0]
+    inst = ProblemInstance(tuple(
+        IndexClass(p, int(c), bool(s))
+        for p, c, s in zip(ps.tolist(), rng.integers(1, 10**6, classes), rng.random(classes) < 0.5)
+    ), strict=False)
+    tables, keeps = [], {}
+
+    def powers(ps, low, top):
+        tables.append((low, *_powers(ps, low, top)))
+        return tables[-1][1:]
+
+    def majority(r, pw, qw, low):
+        keeps[r] = _majority(r, pw, qw, low)
+        return keeps[r]
+
+    driver._powers, driver._majority = powers, majority
+    try:
+        for _ in driver._rounds(inst, MAX_ROUNDS):
+            pass
+        for m in range(1, MAX_ROUNDS):
+            next(driver._rounds(inst, m))  # builds the tables, runs no round
+    finally:
+        driver._powers, driver._majority = _powers, _majority
+    compared = 0
+    for r, keep in keeps.items():
+        if _differ(keep, reference_majority(r, inst.ps)):
+            return f"the chain's majority vector at r = {r}, {classes} classes, differs", compared
+        compared += classes
+    (low, pw, qw), prefixes = tables[0], tables[1:]
+    for m, (_, pw_m, qw_m) in enumerate(prefixes, start=1):
+        r = schedule_for_round(m)
+        if _differ(pw_m, pw[:len(pw_m)]) or _differ(qw_m, qw[:len(qw_m)]):
+            return f"the tables of {m} rounds, {classes} classes, differ", compared
+        if _differ(_majority(r, pw_m, qw_m, low), keeps[r]):
+            return f"the majority vector of {m} rounds, {classes} classes, differs", compared
+        compared += pw_m.size + qw_m.size + classes
+    return None, compared
+
+
+def main() -> int:
+    tasks = [functools.partial(check_majority, CLASSES[-1], part, WORKERS)
+             for part in range(WORKERS)]
+    tasks += [functools.partial(check_majority, classes, 0, 1) for classes in CLASSES[:-1]]
+    tasks += [functools.partial(check_chains, classes) for classes in CLASSES]
+    print(f"numpy {np.__version__}: classes {', '.join(map(str, CLASSES))}, "
+          f"every odd r up to {_MAX_REPS}, chains of 1 .. {MAX_ROUNDS} rounds")
+    compared = 0
+    with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for error, count in pool.map(_run, tasks):
+            compared += count
+            if error:
+                print(error)
+                pool.shutdown(cancel_futures=True)
+                return 1
+    print(f"{compared} entries compared")
+    print("power table check: ok")
+    return 0
+
+
+def _run(task):
+    return task()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,7 @@ import numpy as np
 
 from .amplification import _amplify, _gains
 from .error_reduction import (
-    MAX_ROUNDS, _majority, _push_back, majority_prob, repetitions_for, schedule_for_round
+    MAX_ROUNDS, _majority, _powers, _push_back, majority_prob, repetitions_for, schedule_for_round
 )
 from .model import (
     NORM_TOL,
@@ -227,12 +227,14 @@ def _rounds(
     flag-1 and flag-0 class masses and its query cost.
 
     The only place the round recursion is chained. Each state is built
-    when it is asked for, so a consumer that stops early builds no more.
-    Round m is ``apply_error_reduction(apply_amplification(state), m,
-    instance)``, with r_m looked up once. The majority vector and its
+    when it is asked for, so a consumer that stops early builds no more
+    states. Round m is ``apply_error_reduction(apply_amplification(state),
+    m, instance)``, with r_m looked up once. The majority vector and its
     push-back share depend only on r_m, which repeats every round or two,
-    so they are computed from the instance's checked ps only when r_m
-    differs from r_(m-1).
+    so they are computed only when r_m differs from r_(m-1), each from
+    slices of one pair of power tables of the instance's checked ps. The
+    pair reaches r_rounds and is built up front, with the first state, even
+    for a consumer that stops there; a 0-round chain builds none.
 
     An instance with fewer than ``_FLOAT_CLASSES`` classes is chained on
     tuples of floats by ``_float_round``, its majority vector converted
@@ -251,13 +253,14 @@ def _rounds(
         w1, w0 = tuple(w1.tolist()), tuple(w0.tolist())
     else:
         w1.flags.writeable = w0.flags.writeable = False
+    if rounds:
+        low = (_round_reps[1] + 1) // 2
+        pw, qw = _powers(instance.ps, low, _round_reps[rounds])
     yield 0, w1, w0, cost
-    col = instance.ps.reshape(-1, 1)
-    q = 1.0 - col
     last = 0  # r_0: no majority vector yet
     for m, (r, cost) in enumerate(schedule, start=1):
         if r != last:
-            keep = _majority(r, col, q)
+            keep = _majority(r, pw, qw, low)
             if floats:
                 keep = keep.tolist()
                 drop = [max(0.0, 1.0 - k) for k in keep]

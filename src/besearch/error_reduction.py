@@ -30,16 +30,21 @@ _MAX_REPS = 1029
 
 # Largest round index the schedule serves; r_478 = 647. The error table
 # is exact far past it, but the push-back's majority vectors are not:
-# _majority forms p^j as one power, at p = 1/10 subnormal from j = 308 and
-# 0.0 from j = 324, so from about r = 621 a class at p = 1/10 keeps an
-# inexact share (0.0 at r = 647 instead of 3.4e-146), and later rounds
-# would only lose more.
+# _powers forms each p^j as one float power, at p = 1/10 subnormal from
+# j = 308 and 0.0 from j = 324, so from about r = 621 a class at p = 1/10
+# keeps an inexact share (0.0 at r = 647 instead of 3.4e-146), and later
+# rounds would only lose more.
 MAX_ROUNDS = 478
+
+# The exponents 0 .. _MAX_REPS, one read-only contiguous float row that
+# _powers slices.
+_EXPONENTS = np.arange(_MAX_REPS + 1, dtype=float)
+_EXPONENTS.flags.writeable = False
 
 
 @cache
-def _majority_terms(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C(r, j), j and r - j for j = (r+1)/2 .. r, as read-only float arrays.
+def _majority_terms(r: int) -> np.ndarray:
+    """C(r, j) for j = (r+1)/2 .. r, as a read-only float column.
 
     Each coefficient is an exact integer, from C(r, j+1) = C(r, j)(r-j)/(j+1),
     rounded once to float. The cache stays small: past r = 1029 the
@@ -50,14 +55,9 @@ def _majority_terms(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in ones:
         coeffs.append(float(c))
         c = c * (r - j) // (j + 1)
-    terms = (
-        np.array(coeffs),
-        np.array(ones, dtype=float),
-        np.array([r - j for j in ones], dtype=float),
-    )
-    for a in terms:
-        a.flags.writeable = False
-    return terms
+    column = np.array(coeffs).reshape(-1, 1)
+    column.flags.writeable = False
+    return column
 
 
 def majority_prob(r: int, p):
@@ -69,11 +69,12 @@ def majority_prob(r: int, p):
     ndarray; the result is a float or an array of the same shape, one
     value per entry. A scalar p and each entry of a list or tuple go
     through ``check_prob``; an ndarray is checked entry by entry in one
-    pass. One numpy pass builds the terms C(r, j) p^j (1-p)^(r-j), j
-    ascending, for every entry and adds each entry's terms by pairwise
-    summation. The result is not correctly rounded: for odd r up to 647 it
-    was measured within 3 ulp (3.3e-16 absolute) of the correctly rounded
-    sum of the terms.
+    pass. The entries' power tables for this one r (``_powers``) give the
+    terms C(r, j) p^j (1-p)^(r-j), j ascending, and ``_majority`` adds
+    each entry's terms by pairwise summation, as the round chain does
+    from its tables for every r_k. The result is not correctly rounded:
+    for odd r up to 647 it was measured within 3 ulp (3.3e-16 absolute)
+    of the correctly rounded sum of the terms.
     """
     r = check_int("r", r, 1, _MAX_REPS)
     if r % 2 == 0:
@@ -86,19 +87,47 @@ def majority_prob(r: int, p):
         raise ValueError(f"p must be a number, got an array of dtype {p.dtype}")
     p = np.asarray(p, dtype=float)
     col = p.reshape(-1, 1)
-    q = 1.0 - col
-    ok = col * q >= 0.0  # p(1-p) >= 0 exactly when 0 <= p <= 1; NaN fails
+    ok = col * (1.0 - col) >= 0.0  # p(1-p) >= 0 exactly when 0 <= p <= 1; NaN fails
     if not ok.all():
         check_prob("p", float(col[~ok][0]))  # raises, naming the first bad entry
-    m = _majority(r, col, q).reshape(p.shape)
+    low = (r + 1) // 2
+    m = _majority(r, *_powers(col, low, r), low).reshape(p.shape)
     return m if m.ndim else float(m)
 
 
-def _majority(r: int, col: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _powers(ps: np.ndarray, low: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The power tables of the probabilities ``ps``, unchecked: row j - low
+    of the first is every p^j for j = low .. top, row j of the second every
+    (1-p)^j for j = 0 .. (top-1)/2, each power computed once.
+
+    Each table is built with the exponents on the inner axis, a column of
+    bases against a row of exponents, then copied to one C-ordered row per
+    exponent. numpy's ``power`` gives the same bits for the same (p, j)
+    whatever the layout, with one exception: with a stride-0 exponent
+    (``ps ** E[:, None]``, one row per exponent) it squares for exponent 2,
+    which does not always round as the general power does.
+    """
+    col = ps.reshape(-1, 1)
+    pw = (col ** _EXPONENTS[low:top + 1]).T.copy()
+    qw = ((1.0 - col) ** _EXPONENTS[:(top - 1) // 2 + 1]).T.copy()
+    return pw, qw
+
+
+def _majority(r: int, pw: np.ndarray, qw: np.ndarray, low: int) -> np.ndarray:
     """The core of ``majority_prob``, unchecked: one majority probability
-    per row of the column ``col`` of probabilities, given q = 1 - col."""
-    coeffs, ones, zeros = _majority_terms(r)
-    return np.add.reduce(coeffs * col**ones * q**zeros, axis=1)
+    of r runs per column of the tables ``_powers(ps, low, top)`` gives,
+    for an odd r with (r+1)/2 >= low and r <= top.
+
+    The h = (r+1)/2 terms of a column are added as numpy adds a contiguous
+    row of them: left to right under 8 terms, which adding the term rows
+    down the columns does too, and pairwise from 8, so such a block is
+    added along a C-ordered copy of its transpose.
+    """
+    h = (r + 1) // 2
+    terms = _majority_terms(r) * pw[h - low:r - low + 1] * qw[h - 1::-1]
+    if h < 8:
+        return np.add.reduce(terms, axis=0)
+    return np.add.reduce(terms.T.copy(), axis=1)
 
 
 def _majority_errors() -> Iterator[float]:

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -261,7 +262,7 @@ class TestBuildState:
         calls = []
         real = besearch.driver._majority
         monkeypatch.setattr(besearch.driver, "_majority",
-                            lambda r, col, q: calls.append(r) or real(r, col, q))
+                            lambda r, pw, qw, low: calls.append(r) or real(r, pw, qw, low))
         inst = make_instance(6561, 3, 0.9, 0.1)
         build_state(inst, 5)
         assert calls == [5, 7, 9]
@@ -269,6 +270,54 @@ class TestBuildState:
             calls.clear()
             exact_success_curve(inst, m)
             assert calls == sorted({schedule_for_round(k) for k in range(1, m + 1)})
+
+    @pytest.fixture
+    def power_tables(self, monkeypatch):
+        # (low, top, p^j rows, columns, (1-p)^j rows) of every _powers call.
+        tables = []
+        real = besearch.driver._powers
+
+        def spy(ps, low, top):
+            pw, qw = real(ps, low, top)
+            tables.append((low, top, *pw.shape, qw.shape[0]))
+            return pw, qw
+
+        monkeypatch.setattr(besearch.driver, "_powers", spy)
+        return tables
+
+    @staticmethod
+    def expected_tables(inst, rounds):
+        # One pair per chain of at least one round: p^j for j = (r_1+1)/2 ..
+        # r_rounds, top - low + 1 rows, and (1-p)^j for j = 0 .. (top-1)/2,
+        # (top + 1)/2 rows, one column per class.
+        if not rounds:
+            return []
+        low, top = (schedule_for_round(1) + 1) // 2, schedule_for_round(rounds)
+        return [(low, top, top - low + 1, inst.ps.size, (top + 1) // 2)]
+
+    def test_power_tables_once_per_chain(self, power_tables):
+        for inst in (make_instance(6561, 3, 0.9, 0.1),
+                     _masked_instance(np.random.default_rng(8), 3, 9)):
+            for m in (0, 1, 2, 5, 40, MAX_ROUNDS):
+                for run in (build_state, exact_success_curve):
+                    power_tables.clear()
+                    run(inst, m)
+                    assert power_tables == self.expected_tables(inst, m)
+
+    def test_power_tables_once_per_search(self, power_tables):
+        # Built before the chain's first state, so a search that stops at
+        # block 0 still builds them once; a one-block search (n <= 9) runs a
+        # 0-round chain and builds none.
+        for inst, seed, blocks in (
+            (make_instance(6561, 9, 0.9, 0.1), 1, 2),
+            (make_instance(729, 0, 0.9, 0.1), 3, 3),
+            (make_instance(16, 16, 1.0, 0.1), 7, 1),
+            (make_instance(9, 1, 0.9, 0.1), 0, 1),
+        ):
+            power_tables.clear()
+            assert len(run_search(inst, seed).trace) == blocks
+            assert power_tables == self.expected_tables(inst, search_blocks(inst.n) - 1)
+        assert not power_tables
 
     def test_float_chained_states_are_tuples_and_unshared(self):
         # check_chain shows each chained state equals the public operators'.
@@ -1489,4 +1538,44 @@ class TestEngineDigest:
                     row.shots, row.verified)
         assert digest.hexdigest() == (
             "55050608e8b2164678ba20f6697b60b0c5db56221ea29fc8061d15bfb21875dc"
+        )
+
+    @staticmethod
+    def relaxed_instance(rng, k, n=None):
+        # Promise-band probabilities with one class in ten anywhere in
+        # [0, 1], not held to the promise; counts of 1-999, or scaled to
+        # sum to n, the last class taking the remainder.
+        solution = rng.random(k) < 0.3
+        ps = np.where(solution, rng.uniform(0.9, 1.0, k), rng.uniform(0.0, 0.1, k))
+        ps = np.where(rng.random(k) < 0.1, rng.random(k), ps)
+        counts = rng.integers(1, 1000, k).tolist()
+        if n is not None:
+            counts = [c * (n // (1000 * k)) for c in counts]
+            counts[-1] += n - sum(counts)
+        return ProblemInstance(tuple(
+            IndexClass(float(p), int(c), bool(s)) for p, c, s in zip(ps, counts, solution)
+        ), strict=False)
+
+    def test_wide_long_chains_equal_the_recorded_digests(self):
+        # The digest above pins wide instances to 8 rounds; these pin a
+        # 600-class curve over all MAX_ROUNDS rounds, whose majority vectors
+        # reach r = 647, and a 64-class outcome over 40 blocks. Recorded
+        # when each distinct r_k computed its powers anew.
+        rng = np.random.default_rng(478)
+        wide = self.relaxed_instance(rng, 600)
+        tracemalloc.start()
+        try:
+            curve = exact_success_curve(wide, MAX_ROUNDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The chain's power tables hold 600 x 969 floats (4.7 MB).
+        assert peak < 16 * 2**20, peak
+        assert hashlib.sha256(repr(curve).encode()).hexdigest() == (
+            "441f84c1e0d450779c3bd976ec06c101ea9c4e590c9540eb67f6593d6709adc8"
+        )
+        inst = self.relaxed_instance(rng, 64, 9**40)
+        assert inst.n == 9**40
+        assert hashlib.sha256(repr(exact_outcome(inst)).encode()).hexdigest() == (
+            "e4fe7ead3bee9e56cee1305c507173714a0fe1eb5824a6e730e7566ab7d4e9e6"
         )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import besearch.driver as driver
 import besearch.error_reduction as error_reduction
 from besearch import (
     MAX_ROUNDS,
@@ -17,6 +19,7 @@ from besearch import (
     StructuredState,
     apply_amplification,
     apply_error_reduction,
+    build_state,
     init_state,
     majority_prob,
     make_instance,
@@ -144,6 +147,85 @@ class TestMajorityProb:
             ]
             got = majority_prob(r, np.array(grid))
             assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), r
+
+
+@functools.cache
+def _coefficients(r: int) -> np.ndarray:
+    """C(r, j) for j = (r+1)/2 .. r, each exact integer rounded once, from
+    the row C(r, 0 .. r)."""
+    row = [1]
+    for j in range(r):
+        row.append(row[-1] * (r - j) // (j + 1))
+    return np.array([float(c) for c in row[(r + 1) // 2:]])
+
+
+def reference_majority(r: int, p) -> np.ndarray:
+    """The majority formula that computed every power anew for each r, kept
+    verbatim: the powers with the exponents on the inner axis, and each
+    entry's terms added along one contiguous row."""
+    col = np.asarray(p, dtype=float).reshape(-1, 1)
+    q = 1.0 - col
+    ones = np.arange((r + 1) // 2, r + 1, dtype=float)
+    zeros = r - ones
+    coeffs = _coefficients(r)
+    return np.add.reduce(coeffs * col**ones * q**zeros, axis=1)
+
+
+def p_grids(classes: int) -> list[np.ndarray]:
+    """Probability vectors of ``classes`` entries that hold, between them,
+    every edge value (0, 1, 1/2, 0.1, 0.9, 1e-300 and the smallest
+    subnormal), padded and followed by random values."""
+    rng = np.random.default_rng(classes)
+    edges = np.array([0.0, 1.0, 0.5, 0.1, 0.9, 1e-300, 5e-324])
+    rows = -(-edges.size // classes)
+    padded = rng.permutation(np.concatenate([edges, rng.random(rows * classes - edges.size)]))
+    return [*padded.reshape(rows, classes), rng.random(classes)]
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPowerTables:
+    # Majority probabilities come from tables of p^j and (1-p)^j built once
+    # (error_reduction._powers) and must equal the per-r formula bit for
+    # bit. r = 3 (h = 2) is the case a table built with one row per
+    # exponent gets wrong: with a stride-0 exponent numpy squares for
+    # exponent 2, which differs from its general power in the last bit.
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 64, 600])
+    def test_majority_prob_equals_the_per_r_formula(self, classes):
+        rs = range(1, error_reduction._MAX_REPS + 1, 2)
+        if classes == 600:
+            # Every r of under 8 terms, then every eighth: the chain test
+            # below meets every r_k up to 647 at 600 classes, and
+            # scripts/power_table_check.py checks every odd r.
+            rs = [r for r in rs if r < 16 or r % 16 == 1]
+        for ps in p_grids(classes):
+            for r in rs:
+                assert _bits(majority_prob(r, ps)) == _bits(reference_majority(r, ps)), r
+
+    @pytest.mark.parametrize("classes", [1, 2, 8, 600])
+    def test_chain_keep_vectors_equal_the_per_r_formula(self, classes, monkeypatch):
+        # One keep vector per distinct r_k of a MAX_ROUNDS-round chain,
+        # from the chain's one pair of tables.
+        keeps = {}
+        kernel = driver._majority
+
+        def recorded(r, pw, qw, low):
+            keeps[r] = kernel(r, pw, qw, low)
+            return keeps[r]
+
+        monkeypatch.setattr(driver, "_majority", recorded)
+        rng = np.random.default_rng(classes)
+        inst = ProblemInstance(tuple(
+            IndexClass(p, int(c), bool(s))
+            for p, c, s in zip(p_grids(classes)[0].tolist(), rng.integers(1, 10**6, classes),
+                               rng.random(classes) < 0.5)
+        ), strict=False)
+        build_state(inst, MAX_ROUNDS)
+        assert sorted(keeps) == sorted({schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)})
+        for r, keep in keeps.items():
+            assert _bits(keep) == _bits(reference_majority(r, inst.ps)), r
 
 
 class TestRepetitionsFor:
