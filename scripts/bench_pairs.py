@@ -11,9 +11,14 @@ change first in odd ones, so neither side always meets the host's load
 first. Each checkout runs its own ``perfbench/`` and ``src/``; this
 script only reads their output. ``BENCH_<pr>.json`` gets, per workload,
 each side's median, quartiles and IQR of every end-to-end metric, the
-ops/s of every pair and how many the change won, and the operations
-attempted and failed. Workloads already in the file are kept, so one
-file collects several runs of this script.
+ops/s of every pair, and the operations attempted and failed. For each
+end-to-end metric of ``BENCHMARK.json`` it also records the inputs of
+the accept rule: the pairs the change won in the metric's ``better``
+direction, the gap between the medians over the parent's IQR (positive
+when the change is better), and whether the change's median is worse
+than the parent's by no more than the metric's ``bound``. Workloads
+already in the file are kept, so one file collects several runs of this
+script.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import json
 import statistics
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,25 +53,50 @@ def _quartiles(values: list) -> dict:
     return dict(iqr=round(q3 - q1, 4), median=round(median, 4), q1=round(q1, 4), q3=round(q3, 4))
 
 
-def summarize(pairs: list) -> dict:
+def _accept_inputs(pairs: list, runs: dict, metric: dict) -> dict:
+    """The accept rule's inputs for one end-to-end metric of
+    ``BENCHMARK.json`` (``name``, ``better``, ``bound``): pairs won by the
+    change (strictly better), the gap between the medians over the
+    parent's IQR, signed so that a better change is positive (None when
+    that IQR is 0), and whether the change's median lies within the bound."""
+    name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+    values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for _, p, c in pairs]
+    parent, change = runs["parent"][name], runs["change"][name]
+    gap = sign * (change["median"] - parent["median"])
+    return dict(
+        better=metric["better"],
+        bound=metric["bound"],
+        pairs_won_by_change=sum(sign * (c - p) > 0.0 for p, c in values),
+        median_gap_over_parent_iqr=round(gap / parent["iqr"], 4) if parent["iqr"] else None,
+        within_bound=gap >= -metric["bound"] * parent["median"],
+    )
+
+
+def summarize(pairs: list, end_to_end: Sequence[dict] = ()) -> dict:
     """One workload's entry from ``[(seed, parent result, change result), ...]``,
     each result a perfbench JSON object (``correct``, ``attempted``,
-    ``failed``, ``metrics``). ops/s is higher-better, so the change wins a
-    pair when its ops/s is strictly higher."""
+    ``failed``, ``metrics``), with the accept rule's inputs for each metric
+    of ``end_to_end`` (``BENCHMARK.json``'s list) that every run reports.
+    ops/s is higher-better, so the change wins a pair when its ops/s is
+    strictly higher."""
     by_side = {side: [pair[k] for pair in pairs] for k, side in enumerate(SIDES, start=1)}
     ops = [(seed, parent["metrics"]["ops_per_s"]["value"], change["metrics"]["ops_per_s"]["value"])
            for seed, parent, change in pairs]
+    runs = {side: {name: _quartiles([r["metrics"][name]["value"] for r in side_runs])
+                   for name in side_runs[0]["metrics"]}
+            for side, side_runs in by_side.items()}
+    reported = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair[1:]))
     return dict(
         pairs=len(pairs),
         ops_per_s_pairs=[[seed, round(p, 2), round(c, 2)] for seed, p, c in ops],
         ops_per_s_pairs_won_by_change=sum(c > p for _, p, c in ops),
-        **{f"attempted_{side}": sum(r["attempted"] for r in runs)
-           for side, runs in by_side.items()},
-        failed={side: sum(r["failed"] for r in runs) for side, runs in by_side.items()},
-        correct={side: all(r["correct"] for r in runs) for side, runs in by_side.items()},
-        runs={side: {name: _quartiles([r["metrics"][name]["value"] for r in runs])
-                     for name in runs[0]["metrics"]}
-              for side, runs in by_side.items()},
+        **{f"attempted_{side}": sum(r["attempted"] for r in side_runs)
+           for side, side_runs in by_side.items()},
+        failed={side: sum(r["failed"] for r in side_runs) for side, side_runs in by_side.items()},
+        correct={side: all(r["correct"] for r in side_runs) for side, side_runs in by_side.items()},
+        runs=runs,
+        accept={metric["name"]: _accept_inputs(pairs, runs, metric)
+                for metric in end_to_end if metric["name"] in reported},
     )
 
 
@@ -115,8 +146,9 @@ def main(argv=None) -> int:
                 "--seconds T --trace 0, parent and change alternating which runs first, "
                 "seed S = pair index"),
     )
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     doc.setdefault("workloads", {})[args.workload] = dict(
-        seconds=args.seconds, **summarize(pairs)
+        seconds=args.seconds, **summarize(pairs, end_to_end)
     )
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")

@@ -37,6 +37,7 @@ from .model import (
     ProblemInstance,
     StructuredState,
     _base_masses,
+    _stats_row,
     _stats_rows,
     check_int,
     measurement_weights,
@@ -61,18 +62,20 @@ MAX_N = 9 ** (MAX_ROUNDS + 1)
 # that many bits, at most 3 + bits / 10^8 below it.
 _LOG2_9_UP = (31_699_251, 10**7)
 
-# States per statistics pass: a curve or trace computes its rows from
-# tables of at most this many states.
+# States per statistics pass from 8 classes on: a curve or trace of such an
+# instance computes its rows from tables of at most this many states.
 _STATS_ROWS = 64
 
 # Instances with fewer classes than this run the round chain on tuples of
-# Python floats, and the block sampler builds its cdf in them. numpy adds
-# fewer than 8 contiguous float64 one after another (its pairwise sum
-# starts at 8 terms), as functools.reduce(add, ...) does, and every
-# product and every sum of two values is one IEEE operation either way, so
-# the floats are the same without numpy's per-call cost, which on a few
-# classes exceeds the arithmetic. From 8 classes on, the order of numpy's
-# sums differs, so wider instances keep the array kernels.
+# Python floats, form their base masses and their cdf in them, and compute
+# each state's statistics in one pass of float additions, holding one state
+# at a time. numpy adds fewer than 8 contiguous float64 one after another
+# (its pairwise sum starts at 8 terms), as functools.reduce(add, ...) and
+# += from 0.0 do, and every product and every sum of two values is one IEEE
+# operation either way, so the floats are the same without numpy's
+# per-call cost, which on a few classes exceeds the arithmetic. From 8
+# classes on, the order of numpy's sums differs, so wider instances keep
+# the array kernels.
 _FLOAT_CLASSES = 8
 
 # A uniform this close to its class's cut, or to numpy's restart point,
@@ -237,8 +240,9 @@ def _rounds(
     for a consumer that stops there; a 0-round chain builds none.
 
     An instance with fewer than ``_FLOAT_CLASSES`` classes is chained on
-    tuples of floats by ``_float_round``, its majority vector converted
-    once per distinct r_m; a wider one on arrays by ``_amplify`` and
+    tuples of floats by ``_float_round``, from base masses formed in floats
+    as ``_base_masses`` forms them, its majority vector converted once per
+    distinct r_m; a wider one on arrays by ``_amplify`` and
     ``_push_back``, whose fresh arrays are made read-only. Both give the
     floats of the public operators. A ``StructuredState`` is built from
     the masses only where a state leaves the library, and a consumer that
@@ -247,11 +251,14 @@ def _rounds(
     """
     schedule = _schedule(rounds)
     _, cost = next(schedule)  # checks the round count before any state is built
-    w1, w0 = _base_masses(instance)
-    floats = w1.size < _FLOAT_CLASSES
+    floats = instance.ps.size < _FLOAT_CLASSES
     if floats:
-        w1, w0 = tuple(w1.tolist()), tuple(w0.tolist())
+        n = float(instance.n)
+        pairs = list(zip(instance.counts.tolist(), instance.ps.tolist()))
+        w1 = tuple([c * p / n for c, p in pairs])
+        w0 = tuple([c * (1.0 - p) / n for c, p in pairs])
     else:
+        w1, w0 = _base_masses(instance)
         w1.flags.writeable = w0.flags.writeable = False
     if rounds:
         low = (_round_reps[1] + 1) // 2
@@ -298,8 +305,25 @@ def _float_round(
 
 def _with_stats(instance: ProblemInstance, states: Iterable[tuple]) -> Iterator[tuple]:
     """Pair each (m, w1, w0, ...) entry of ``states`` with the statistics
-    ``state_stats`` gives its state, computed ``_STATS_ROWS`` states per
-    pass, so from an iterator at most that many entries are held at once."""
+    ``state_stats`` gives its state.
+
+    Under ``_FLOAT_CLASSES`` classes each entry's three mass sums are added
+    in one pass over its classes, in class order from 0.0, as numpy adds
+    so few, one entry at a time. Wider instances go through ``_stats_rows``
+    ``_STATS_ROWS`` states per pass, so from an iterator at most that many
+    entries are held at once."""
+    if instance.ps.size < _FLOAT_CLASSES:
+        solution = instance.solution.tolist()
+        for entry in states:
+            alpha2 = beta2 = p_solution = 0.0
+            for x, y, s in zip(entry[1], entry[2], solution):
+                if s:
+                    alpha2 += x
+                    p_solution += x + y
+                else:
+                    beta2 += x
+            yield entry, _stats_row(alpha2, beta2, p_solution)
+        return
     states = iter(states)
     while batch := list(itertools.islice(states, _STATS_ROWS)):
         w1 = np.array([entry[1] for entry in batch])
@@ -433,16 +457,20 @@ class _Cuts(NamedTuple):
     hi: Optional[np.ndarray]
 
 
-def _inversion_sums(v: int, p: float, q: float, qn: float, steps: int) -> list[float]:
-    """S_0 .. S_steps of numpy's inversion loop for Binomial(v, p), q = 1 - p
-    and qn = q^v: S_x = px_0 + ... + px_(x-1), with px_x by the loop's own
-    recurrence."""
-    sums = [0.0]
+def _inversion_sums(
+    v: int, p: float, q: float, qn: float, at: int, steps: int
+) -> tuple[float, float]:
+    """(S_at, S_steps), 1 <= at <= steps, of numpy's inversion loop for
+    Binomial(v, p), q = 1 - p and qn = q^v: S_x = px_0 + ... + px_(x-1),
+    with px_x by the loop's own recurrence."""
+    total = 0.0
     px = qn
     for x in range(1, steps + 1):
-        sums.append(sums[-1] + px)
+        total += px
+        if x == at:
+            partial = total
         px = ((v - x + 1) * p * px) / (x * q)
-    return sums
+    return partial, total
 
 
 def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
@@ -471,7 +499,8 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
         return binomial
     half = v // 2
     cut, sign, restart = [], [], []
-    for p in ps.tolist():
+    probabilities = ps.tolist()
+    for p in probabilities:
         low = p <= 0.5
         p = p if low else 1.0 - p
         if p * v > 30.0:
@@ -479,14 +508,15 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
         q = 1.0 - p
         mean = v * p
         bound = int(min(v, mean + 10.0 * math.sqrt(mean * q + 1)))
-        sums = _inversion_sums(v, p, q, math.exp(v * math.log(q)), bound + 1)
-        cut.append(sums[min(half + 1 if low else v - half, bound + 1)])
+        at = min(half + 1 if low else v - half, bound + 1)
+        at_cut, at_restart = _inversion_sums(v, p, q, math.exp(v * math.log(q)), at, bound + 1)
+        cut.append(at_cut)
         sign.append(1.0 if low else -1.0)
-        restart.append(sums[bound + 1])
+        restart.append(at_restart)
     top = min(restart) - _BAND
     lo = [-math.inf if s > 0.0 else c + _BAND for c, s in zip(cut, sign)]
     hi = [min(c - _BAND, top) if s > 0.0 else top for c, s in zip(cut, sign)]
-    drawn = None if ps.all() else ps != 0.0
+    drawn = None if all(probabilities) else ps != 0.0
     return _Cuts(v, ps, tuple(cut), tuple(sign), drawn, top, np.array(lo), np.array(hi))
 
 
@@ -502,23 +532,29 @@ def _cut_block(
     ``random(k)``. If the smallest and the largest measurement uniform fall
     in one class, every sample is in it, and if the smallest and the
     largest vote also lie in its safe-reject interval, every sample is
-    rejected: most blocks of a search end there. With p = 0, numpy draws a
-    vote uniform only for the samples with p != 0, so those come from a
-    second call. The votes up to the first acceptance must lie in their
-    classes' safe-reject intervals, and the accepted one at least
-    ``_BAND`` past its cut and at or below ``cuts.top``.
+    rejected: most blocks of a search end there. Only the extremes the
+    test reads are reduced: no largest measurement uniform when the
+    smallest lies in the last class, no vote when the samples span
+    classes, and no smallest vote when the interval is open below. With
+    p = 0, numpy draws a vote uniform only for the samples with p != 0, so
+    those come from a second call. The votes up to the first acceptance
+    must lie in their classes' safe-reject intervals, and the accepted one
+    at least ``_BAND`` past its cut and at or below ``cuts.top``.
     """
     if cuts.drawn is None:
         u = rng.random(2 * shots)
-        halves = u.reshape(2, shots)
-        (low, low_vote), (high, high_vote) = (
-            np.minimum.reduce(halves, axis=1).tolist(), np.maximum.reduce(halves, axis=1).tolist()
-        )
-        c = bisect_right(cdf, low)  # the cdf's last entry, 1.0, lies above every uniform
-        if bisect_right(cdf, high) == c and cuts.lo[c] < low_vote and high_vote <= cuts.hi[c]:
+        measured, votes = u[:shots], u[shots:]
+        # The cdf's last entry, 1.0, lies above every uniform, so if the
+        # smallest is in the last class, all are; lo is -inf where sign is 1.0.
+        c = bisect_right(cdf, np.minimum.reduce(measured))
+        if (
+            (c == len(cdf) - 1 or bisect_right(cdf, np.maximum.reduce(measured)) == c)
+            and np.maximum.reduce(votes) <= cuts.hi[c]
+            and (cuts.sign[c] > 0.0 or cuts.lo[c] < np.minimum.reduce(votes))
+        ):
             return None, shots
-        sampled = classes = _classes(cdf, u[:shots])
-        at, votes = None, u[shots:]
+        sampled = classes = _classes(cdf, measured)
+        at = None
     else:
         sampled = _classes(cdf, rng.random(shots))
         at = np.flatnonzero(cuts.drawn[sampled])

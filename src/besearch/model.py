@@ -280,10 +280,18 @@ def _stats_rows(
     alpha2 = np.add.reduce(np.compress(sol, w1, axis=1), axis=1).tolist()
     beta2 = np.add.reduce(np.compress(instance.nonsolution, w1, axis=1), axis=1).tolist()
     p_solution = np.add.reduce(np.compress(sol, w1 + w0, axis=1), axis=1).tolist()
-    return [
-        (math.sqrt(a2), math.sqrt(b2), math.asin(min(1.0, math.sqrt(min(1.0, a2 + b2)))), p)
-        for a2, b2, p in zip(alpha2, beta2, p_solution)
-    ]
+    return list(map(_stats_row, alpha2, beta2, p_solution))
+
+
+def _stats_row(alpha2: float, beta2: float, p_solution: float) -> tuple[float, float, float, float]:
+    """(alpha, beta, theta, p_solution) from the flag-1 solution mass
+    alpha^2, the flag-1 non-solution mass beta^2 and the solution mass."""
+    return (
+        math.sqrt(alpha2),
+        math.sqrt(beta2),
+        math.asin(min(1.0, math.sqrt(min(1.0, alpha2 + beta2)))),
+        p_solution,
+    )
 
 
 def measurement_weights(state: StructuredState) -> np.ndarray:

@@ -49,6 +49,33 @@ class TestSummarize:
         # change op_ms_p50 sorted: 7, 8, 8, 9.5, 10.5
         assert runs["change"]["op_ms_p50"] == dict(iqr=1.5, median=8.0, q1=8.0, q3=9.5)
 
+    def test_accept_inputs_per_metric(self):
+        # BENCHMARK.json's layout; peak_rss_mb is reported by no run, so it is left out.
+        end_to_end = [dict(name="ops_per_s", better="higher", bound=0.25),
+                      dict(name="op_ms_p50", better="lower", bound=0.25),
+                      dict(name="peak_rss_mb", better="lower", bound=0.1)]
+        accept = bench_pairs.summarize(CANNED, end_to_end)["accept"]
+        assert set(accept) == {"ops_per_s", "op_ms_p50"}
+        # ops/s medians 100 -> 120 over the parent's IQR of 10; p50 medians
+        # 10 -> 8 over its IQR of 1, positive since lower is better.
+        assert accept["ops_per_s"] == dict(better="higher", bound=0.25, pairs_won_by_change=3,
+                                           median_gap_over_parent_iqr=2.0, within_bound=True)
+        assert accept["op_ms_p50"] == dict(better="lower", bound=0.25, pairs_won_by_change=3,
+                                           median_gap_over_parent_iqr=2.0, within_bound=True)
+
+    def test_accept_inputs_of_a_worse_change(self):
+        end_to_end = [dict(name="ops_per_s", better="higher", bound=0.25),
+                      dict(name="op_ms_p50", better="lower", bound=0.25)]
+        pairs = [(i, _result(100.0, 10.0, 1000), _result(70.0 + i, 12.5, 700)) for i in range(4)]
+        accept = bench_pairs.summarize(pairs, end_to_end)["accept"]
+        # A parent IQR of 0 gives no gap; median 71.5 lies below 0.75 x 100.
+        assert accept["ops_per_s"] == dict(better="higher", bound=0.25, pairs_won_by_change=0,
+                                           median_gap_over_parent_iqr=None, within_bound=False)
+        # 12.5 ms is exactly 1.25 x 10 ms: on the bound, so within it.
+        assert accept["op_ms_p50"]["within_bound"] is True
+        assert accept["op_ms_p50"]["pairs_won_by_change"] == 0
+        assert bench_pairs.summarize(pairs)["accept"] == {}
+
     def test_layout_of_the_recorded_files(self):
         recorded = json.loads((ROOT / "BENCH_7.json").read_text())["workloads"]["search_mc"]
         got = bench_pairs.summarize(CANNED)
@@ -95,6 +122,12 @@ def test_runs_alternate_and_merge_into_one_file(tmp_path):
     search = doc["workloads"]["search_mc"]
     assert search["ops_per_s_pairs"] == [[0, 100, 150], [1, 101, 151], [2, 102, 152]]
     assert search["ops_per_s_pairs_won_by_change"] == 3
+    # The fake runs report ops/s alone; its rule comes from BENCHMARK.json.
+    bound = next(m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+                 if m["name"] == "ops_per_s")
+    assert search["accept"] == dict(ops_per_s=dict(
+        better="higher", bound=bound, pairs_won_by_change=3, median_gap_over_parent_iqr=50.0,
+        within_bound=True))
 
 
 def test_commits_fall_back_to_the_source_hash(tmp_path):

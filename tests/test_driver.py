@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -1312,6 +1313,54 @@ class TestRewind:
                 assert ours.bit_generator.state == twin.bit_generator.state
 
 
+def _listed_inversion_sums(v: int, p: float, q: float, qn: float, steps: int) -> list[float]:
+    """S_0 .. S_steps of numpy's inversion loop, all in one list, as the cut
+    table once kept them: the reference for ``_inversion_sums``."""
+    sums = [0.0]
+    px = qn
+    for x in range(1, steps + 1):
+        sums.append(sums[-1] + px)
+        px = ((v - x + 1) * p * px) / (x * q)
+    return sums
+
+
+def _four_extreme_cut_block(rng, cdf, cuts, shots, shortcuts: list):
+    """``_cut_block`` as it was when the all-reject test reduced all four
+    extremes (the smallest and the largest uniform of each half): the
+    reference for the test that reduces only those it reads. Each block
+    the test decides appends (class, classes, sign of the class) to
+    ``shortcuts``."""
+    driver = besearch.driver
+    if cuts.drawn is None:
+        u = rng.random(2 * shots)
+        halves = u.reshape(2, shots)
+        (low, low_vote), (high, high_vote) = (
+            np.minimum.reduce(halves, axis=1).tolist(), np.maximum.reduce(halves, axis=1).tolist()
+        )
+        c = bisect_right(cdf, low)
+        if bisect_right(cdf, high) == c and cuts.lo[c] < low_vote and high_vote <= cuts.hi[c]:
+            shortcuts.append((c, len(cdf), cuts.sign[c]))
+            return None, shots
+        sampled = classes = driver._classes(cdf, u[:shots])
+        at, votes = None, u[shots:]
+    else:
+        sampled = driver._classes(cdf, rng.random(shots))
+        at = np.flatnonzero(cuts.drawn[sampled])
+        if not at.size:
+            return None, shots
+        classes = sampled[at]
+        votes = rng.random(at.size)
+    rejected = (votes > cuts.lo.take(classes)) & (votes <= cuts.hi.take(classes))
+    first = int(rejected.argmin())
+    if rejected[first]:
+        return None, shots
+    c, u = int(classes[first]), float(votes[first])
+    if (u - cuts.cut[c]) * cuts.sign[c] < driver._BAND or u > cuts.top:
+        return shots + votes.size
+    position = first if at is None else int(at[first])
+    return int(sampled[position]), position + 1
+
+
 class TestVoteCuts:
     """The cut table reproduces numpy's binomial votes. It relies on numpy
     drawing Binomial(v, p) by inversion, one uniform per draw, when
@@ -1327,6 +1376,58 @@ class TestVoteCuts:
         paths = [vote_stream_check.stream_check(v, p, 100)[0]
                  for p in vote_stream_check.inversion_edges(v)]
         assert paths == ["threshold", "binomial"] * 2
+
+    def test_inversion_sums_equal_the_listed_sums(self):
+        # Every (v, p) of the check script's grid and random p at its v.
+        rng = np.random.default_rng(32)
+        pairs = [*vote_stream_check.GRID, *(
+            (int(rng.choice(vote_stream_check.VOTES)), float(rng.random())) for _ in range(400)
+        )]
+        checked = 0
+        for v, p in pairs:
+            low = p <= 0.5
+            p = p if low else 1.0 - p
+            if p * v > 30.0:
+                continue
+            q = 1.0 - p
+            mean = v * p
+            bound = int(min(v, mean + 10.0 * math.sqrt(mean * q + 1)))
+            qn = math.exp(v * math.log(q))
+            sums = _listed_inversion_sums(v, p, q, qn, bound + 1)
+            for at in {min(v // 2 + 1 if low else v - v // 2, bound + 1), 1, bound + 1}:
+                got = besearch.driver._inversion_sums(v, p, q, qn, at, bound + 1)
+                assert _hex(got) == _hex((sums[at], sums[bound + 1])), (v, p, at)
+            checked += 1
+        assert checked > 250
+
+    def test_all_reject_test_equals_the_four_extreme_test(self):
+        # Random one- and two-class blocks, the heavy class first or last, so
+        # that the smallest measurement uniform often lies in the last class,
+        # with p on both sides of 1/2 (a finite lo above it): the same
+        # result, the same draws and the same path as the reference.
+        rng = np.random.default_rng(3232)
+        shortcuts, tally = [], Counter()
+        values = (0.02, 0.1, 0.3, 0.5, 0.52, 0.6, 0.7, 0.9, 0.97)
+        with vote_stream_check.tally_paths(tally):
+            for block in range(3000):
+                k = int(rng.integers(1, 3))
+                cuts = _vote_cuts(np.array([float(rng.choice(values)) for _ in range(k)]),
+                                  int(rng.choice((1, 3, 5, 21, 29))))
+                weights = [float(rng.choice((1e-4, 0.02, 0.3))), 1.0][2 - k:]
+                if block % 2:
+                    weights.reverse()
+                cdf = _cdf(tuple(weights))
+                shots = int(rng.choice((1, 2, 5, 50, 1000)))
+                ours, twin = _twins(block)
+                got = besearch.driver._cut_block(ours, cdf, cuts, shots)
+                want = _four_extreme_cut_block(twin, cdf, cuts, shots, shortcuts)
+                assert got == want, block
+                assert ours.bit_generator.state == twin.bit_generator.state, block
+                assert tally["shortcut"] == len(shortcuts), block
+        kinds = {(c == classes - 1, classes, sign) for c, classes, sign in shortcuts}
+        places = ((True, 1), (True, 2), (False, 2))  # (last class, classes)
+        assert kinds == {(last, classes, sign) for last, classes in places for sign in (1.0, -1.0)}
+        assert tally["general"] > 100 and tally["fallback"] == 0
 
     def test_cuts_equal_the_majority_chance(self):
         checked = 0
@@ -1457,9 +1558,37 @@ def _masked_instance(rng: np.random.Generator, solutions: int, nonsolutions: int
     ))
 
 
+# Probabilities that give zero masses, a negative zero and subnormal masses.
+_SPECIAL_PS = (0.0, 1.0, -0.0, 5e-324)
+
+
 class TestStatsPasses:
-    """Curve and trace rows come from one statistics pass over up to 64
-    states, each row the state's own ``state_stats``, float for float."""
+    """Curve and trace rows are each state's own ``state_stats``, float for
+    float: under 8 classes from one float pass per state, from 8 classes
+    on from array passes over up to 64 states."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_float_rows_equal_per_state_stats(self, k):
+        # Every split of k classes into solutions and non-solutions, none
+        # and all included; in the first trials each class takes each
+        # special p in turn, in the others a random one.
+        rng = np.random.default_rng(k)
+        for solutions in range(k + 1):
+            for trial in range(len(_SPECIAL_PS) + 3):
+                solution = np.repeat([True, False], [solutions, k - solutions])
+                rng.shuffle(solution)
+                ps = [_SPECIAL_PS[(trial + i) % len(_SPECIAL_PS)] if trial < len(_SPECIAL_PS)
+                      else float(rng.random()) for i in range(k)]
+                inst = ProblemInstance(tuple(
+                    IndexClass(p, int(c), bool(s))
+                    for p, c, s in zip(ps, rng.integers(1, 1000, k), solution)
+                ), strict=False)
+                rows = list(besearch.driver._with_stats(inst, besearch.driver._rounds(inst, 6)))
+                assert len(rows) == 7
+                for (_, w1, w0, _), row in rows:
+                    assert isinstance(w1, tuple)
+                    want = state_stats(StructuredState(w1=w1, w0=w0), inst)
+                    assert _hex(row) == _hex(want), (ps, solution)
 
     # numpy adds up to 7 values in order and 8 or more pairwise, so each
     # side of the mask is taken below and above that size.
@@ -1484,18 +1613,28 @@ class TestStatsPasses:
                 assert _hex(dataclasses.astuple(row)[:6]) == _hex(dataclasses.astuple(point))
 
     def test_passes_hold_at_most_64_states(self, monkeypatch):
-        # A 200-round curve is 201 states: ceil(201 / 64) = 4 passes, so a
-        # curve holds O(64 x classes) masses, not O(rounds x classes).
+        # From 8 classes on, a 200-round curve is 201 states: ceil(201 / 64)
+        # = 4 passes, so a curve holds O(64 x classes) masses, not
+        # O(rounds x classes).
         passes = []
         real = besearch.driver._stats_rows
         monkeypatch.setattr(besearch.driver, "_stats_rows",
                             lambda w1, w0, inst: passes.append(w1.shape) or real(w1, w0, inst))
-        inst = make_instance(9**40, 3, 0.95, 0.05)
+        inst = _masked_instance(np.random.default_rng(3), 3, 7)
         assert len(exact_success_curve(inst, 200)) == 201
-        assert passes == [(64, 2)] * 3 + [(9, 2)]
+        assert passes == [(64, 10)] * 3 + [(9, 10)]
         passes.clear()
+        n = 9**70
+        wide = ProblemInstance(tuple(
+            IndexClass(0.01 * (i + 1), n // 8 + (n % 8 if i == 0 else 0), False) for i in range(8)
+        ))
+        assert len(run_search(wide, 1, 1).trace) == 70
+        assert passes == [(64, 8), (6, 8)]
+        passes.clear()
+        # Under 8 classes every row comes from the float pass, with no table.
+        assert len(exact_success_curve(make_instance(9**40, 3, 0.95, 0.05), 200)) == 201
         assert len(run_search(make_instance(9**70, 0, 0.95, 0.05), 1, 1).trace) == 70
-        assert passes == [(64, 1), (6, 1)]
+        assert passes == []
 
 
 class TestEngineDigest:
