@@ -3,19 +3,27 @@
 formula, bit for bit, on this numpy.
 
 ``besearch.error_reduction._powers`` computes every p^j and (1-p)^j once,
-per round chain or per ``majority_prob`` call, and ``_majority`` forms
-each r's terms C(r, j) p^j (1-p)^(r-j) from slices of those tables. That
-gives the floats of the formula that computed every power anew for each
-r only because numpy's ``power`` rounds a given (p, j) the same way in
-the tables' layout as in the formula's. At 1, 2, 3, 7, 8, 64 and 600
-classes, on probability vectors that hold 0, 1, 1/2, 0.1, 0.9, 1e-300
-and the smallest subnormal among random values, this script checks:
+per round chain of 8 classes or more or per ``majority_prob`` call, and
+``_majority`` forms each r's terms C(r, j) p^j (1-p)^(r-j) from slices of
+those tables. A chain under 8 classes instead gathers every term of every
+odd r from r_1 to its last r_k into one term table
+(``error_reduction._chain_terms``), from the same powers built class-major,
+and ``_chain_majorities`` adds each r's row segment. Either gives the
+floats of the formula that computed every power anew for each r only
+because numpy's ``power`` rounds a given (p, j) the same way in the
+tables' layouts as in the formula's, and adds a class's terms in the
+formula's order. At 1, 2, 3, 7, 8, 64 and 600 classes, on probability
+vectors that hold 0, 1, 1/2, 0.1, 0.9, 1e-300 and the smallest subnormal
+among random values, this script checks:
 
 * ``majority_prob`` at every odd r up to 1029;
 * the majority vector of a MAX_ROUNDS-round chain at every distinct r_k;
-* the tables of every chain of 1 .. MAX_ROUNDS rounds: they must be the
-  leading rows of the longest chain's tables, and the majority vector at
-  the chain's last r_m must equal the longest chain's.
+* every chain of 1 .. MAX_ROUNDS rounds against the longest. From 8
+  classes on, its power tables must be the leading rows of the longest
+  chain's, and the majority vector at its last r_m must equal the longest
+  chain's. Under 8, its term table must be the leading columns of the
+  longest chain's, and its majority vectors the leading rows of the
+  longest chain's.
 
 The class counts are checked in ``WORKERS`` processes. The script prints
 numpy's version and the number of compared entries, and exits 1 naming
@@ -38,7 +46,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import besearch.driver as driver  # noqa: E402
 from besearch.error_reduction import (  # noqa: E402
-    _MAX_REPS, MAX_ROUNDS, _majority, _powers, majority_prob, schedule_for_round,
+    _MAX_REPS, MAX_ROUNDS, _chain_majorities, _chain_terms, _majority, _powers, majority_prob,
+    schedule_for_round,
 )
 from besearch.model import IndexClass, ProblemInstance  # noqa: E402
 
@@ -106,6 +115,8 @@ def check_chains(classes: int) -> tuple[Optional[str], int]:
         IndexClass(p, int(c), bool(s))
         for p, c, s in zip(ps.tolist(), rng.integers(1, 10**6, classes), rng.random(classes) < 0.5)
     ), strict=False)
+    if classes < driver._FLOAT_CLASSES:
+        return _check_term_chains(inst)
     tables, keeps = [], {}
 
     def powers(ps, low, top):
@@ -118,10 +129,7 @@ def check_chains(classes: int) -> tuple[Optional[str], int]:
 
     driver._powers, driver._majority = powers, majority
     try:
-        for _ in driver._rounds(inst, MAX_ROUNDS):
-            pass
-        for m in range(1, MAX_ROUNDS):
-            next(driver._rounds(inst, m))  # builds the tables, runs no round
+        _run_chains(inst)
     finally:
         driver._powers, driver._majority = _powers, _majority
     compared = 0
@@ -137,6 +145,53 @@ def check_chains(classes: int) -> tuple[Optional[str], int]:
         if _differ(_majority(r, pw_m, qw_m, low), keeps[r]):
             return f"the majority vector of {m} rounds, {classes} classes, differs", compared
         compared += pw_m.size + qw_m.size + classes
+    return None, compared
+
+
+def _run_chains(inst: ProblemInstance) -> None:
+    """Run a MAX_ROUNDS-round chain, then each chain of 1 .. MAX_ROUNDS - 1
+    rounds to its first round, where it builds its tables."""
+    for _ in driver._rounds(inst, MAX_ROUNDS):
+        pass
+    for m in range(1, MAX_ROUNDS):
+        chain = driver._rounds(inst, m)
+        next(chain)
+        next(chain)
+
+
+def _check_term_chains(inst: ProblemInstance) -> tuple[Optional[str], int]:
+    """``check_chains`` under 8 classes, where a chain reads every majority
+    vector from one term table."""
+    classes, first = inst.ps.size, schedule_for_round(1)
+    chains = []  # (last r_k, majority vectors) of every chain, the longest first
+
+    def majorities(ps, top):
+        chains.append((top, _chain_majorities(ps, top)))
+        return chains[-1][1]
+
+    driver._chain_majorities = majorities
+    try:
+        _run_chains(inst)
+    finally:
+        driver._chain_majorities = _chain_majorities
+    (top, keeps), prefixes = chains[0], chains[1:]
+    distinct = {schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)}
+    rs = range(first, top + 1, 2)
+    if set(rs) != distinct or len(keeps) != len(rs):
+        return f"the chain's majority vectors at {classes} classes miss an r_k", 0
+    compared = 0
+    for r, keep in zip(rs, keeps):
+        if _differ(keep, reference_majority(r, inst.ps)):
+            return f"the chain's majority vector at r = {r}, {classes} classes, differs", compared
+        compared += classes
+    terms, _ = _chain_terms(inst.ps, top)
+    for m, (top_m, keeps_m) in enumerate(prefixes, start=1):
+        terms_m, _ = _chain_terms(inst.ps, top_m)
+        if top_m != schedule_for_round(m) or _differ(terms_m, terms[:, :terms_m.shape[1]]):
+            return f"the term table of {m} rounds, {classes} classes, differs", compared
+        if _differ(keeps_m, keeps[:len(keeps_m)]):
+            return f"the majority vectors of {m} rounds, {classes} classes, differ", compared
+        compared += terms_m.size + keeps_m.size
     return None, compared
 
 

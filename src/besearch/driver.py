@@ -29,7 +29,8 @@ import numpy as np
 
 from .amplification import _amplify, _gains
 from .error_reduction import (
-    MAX_ROUNDS, _majority, _powers, _push_back, majority_prob, repetitions_for, schedule_for_round
+    MAX_ROUNDS, _chain_majorities, _majority, _powers, _push_back, majority_prob, repetitions_for,
+    schedule_for_round,
 )
 from .model import (
     NORM_TOL,
@@ -120,6 +121,23 @@ class TraceRow(CurvePoint):
 
     shots: int
     verified: int
+
+
+def _row(cls: type, m: int, stats: tuple, cost: int, shots: int = 0, verified: int = 0):
+    """``CurvePoint(m, *stats, cost)``, or ``TraceRow(m, *stats, cost, shots,
+    verified)`` for ``cls`` TraceRow, without the frozen dataclass's
+    ``__init__``, which sets each field through ``object.__setattr__``: the
+    fields go straight into the new row's ``__dict__``, in field order, so
+    the row compares, hashes and prints as the constructor's does."""
+    row = object.__new__(cls)
+    fields = row.__dict__
+    fields["m"] = m
+    fields["alpha"], fields["beta"], fields["theta"], fields["p_solution"] = stats
+    fields["cost"] = cost
+    if cls is TraceRow:
+        fields["shots"] = shots
+        fields["verified"] = verified
+    return row
 
 
 @dataclass(frozen=True)
@@ -233,17 +251,21 @@ def _rounds(
     when it is asked for, so a consumer that stops early builds no more
     states. Round m is ``apply_error_reduction(apply_amplification(state),
     m, instance)``, with r_m looked up once. The majority vector and its
-    push-back share depend only on r_m, which repeats every round or two,
-    so they are computed only when r_m differs from r_(m-1), each from
-    slices of one pair of power tables of the instance's checked ps. The
-    pair reaches r_rounds and is built up front, with the first state, even
-    for a consumer that stops there; a 0-round chain builds none.
+    push-back share depend only on r_m, which repeats every round or two.
+    They are computed when the chain first reaches round 1, not before, so
+    a consumer that stops at the base state, and a 0-round chain, compute
+    none.
 
     An instance with fewer than ``_FLOAT_CLASSES`` classes is chained on
     tuples of floats by ``_float_round``, from base masses formed in floats
-    as ``_base_masses`` forms them, its majority vector converted once per
-    distinct r_m; a wider one on arrays by ``_amplify`` and
-    ``_push_back``, whose fresh arrays are made read-only. Both give the
+    as ``_base_masses`` forms them. Its majority vectors, one for every odd
+    r from r_1 to r_rounds (the distinct r_m), come from one term table
+    (``_chain_majorities``) and are converted to lists with one ``tolist``
+    each for the vectors and their shares. A wider instance is chained on
+    arrays by ``_amplify`` and ``_push_back``, whose fresh arrays are made
+    read-only; its majority vectors are computed by ``_majority`` when r_m
+    differs from r_(m-1), from slices of one pair of power tables of the
+    instance's checked ps (``_powers``), up to r_rounds. Both give the
     floats of the public operators. A ``StructuredState`` is built from
     the masses only where a state leaves the library, and a consumer that
     needs arrays converts tuples itself (on tuples ``w1 + w0``
@@ -260,25 +282,28 @@ def _rounds(
     else:
         w1, w0 = _base_masses(instance)
         w1.flags.writeable = w0.flags.writeable = False
-    if rounds:
-        low = (_round_reps[1] + 1) // 2
-        pw, qw = _powers(instance.ps, low, _round_reps[rounds])
     yield 0, w1, w0, cost
+    if not rounds:
+        return
+    first, top = _round_reps[1], _round_reps[rounds]
+    if floats:
+        vectors = _chain_majorities(instance.ps, top)
+        keeps, drops = vectors.tolist(), np.maximum(0.0, 1.0 - vectors).tolist()
+        for m, (r, cost) in enumerate(schedule, start=1):
+            i = (r - first) // 2
+            w1, w0 = _float_round(w1, w0, keeps[i], drops[i])
+            yield m, w1, w0, cost
+        return
+    low = (first + 1) // 2
+    pw, qw = _powers(instance.ps, low, top)
     last = 0  # r_0: no majority vector yet
     for m, (r, cost) in enumerate(schedule, start=1):
         if r != last:
             keep = _majority(r, pw, qw, low)
-            if floats:
-                keep = keep.tolist()
-                drop = [max(0.0, 1.0 - k) for k in keep]
-            else:
-                drop = np.maximum(0.0, 1.0 - keep)
+            drop = np.maximum(0.0, 1.0 - keep)
             last = r
-        if floats:
-            w1, w0 = _float_round(w1, w0, keep, drop)
-        else:
-            w1, w0 = _push_back(*_amplify(w1, w0), keep, drop)
-            w1.flags.writeable = w0.flags.writeable = False
+        w1, w0 = _push_back(*_amplify(w1, w0), keep, drop)
+        w1.flags.writeable = w0.flags.writeable = False
         yield m, w1, w0, cost
 
 
@@ -349,7 +374,7 @@ def exact_success_curve(
     """
     chain = _rounds(instance, check_int("m_max", m_max, 0, MAX_ROUNDS))
     return tuple(
-        CurvePoint(m, *stats, cost) for (m, _, _, cost), stats in _with_stats(instance, chain)
+        _row(CurvePoint, m, stats, cost) for (m, _, _, cost), stats in _with_stats(instance, chain)
     )
 
 
@@ -652,7 +677,7 @@ def run_search(
         if hit is not None:
             break
     trace = tuple(
-        TraceRow(m, *stats, cost, shots, verified)
+        _row(TraceRow, m, stats, cost, shots, verified)
         for (m, _, _, cost, verified), stats in _with_stats(instance, blocks)
     )
     return SearchResult("no_solutions" if hit is None else "found", hit, total, trace)

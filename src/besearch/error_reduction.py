@@ -15,7 +15,7 @@ import math
 import threading
 from bisect import bisect_left
 from functools import cache
-from typing import Iterator
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,7 +37,7 @@ _MAX_REPS = 1029
 MAX_ROUNDS = 478
 
 # The exponents 0 .. _MAX_REPS, one read-only contiguous float row that
-# _powers slices.
+# _class_powers slices.
 _EXPONENTS = np.arange(_MAX_REPS + 1, dtype=float)
 _EXPONENTS.flags.writeable = False
 
@@ -107,10 +107,16 @@ def _powers(ps: np.ndarray, low: int, top: int) -> tuple[np.ndarray, np.ndarray]
     (``ps ** E[:, None]``, one row per exponent) it squares for exponent 2,
     which does not always round as the general power does.
     """
+    pw, qw = _class_powers(ps, low, top)
+    return pw.T.copy(), qw.T.copy()
+
+
+def _class_powers(ps: np.ndarray, low: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_powers``' tables before its copy, class-major: row c of the first
+    holds p_c^j for j = low .. top, row c of the second (1-p_c)^j for j = 0
+    .. (top-1)/2."""
     col = ps.reshape(-1, 1)
-    pw = (col ** _EXPONENTS[low:top + 1]).T.copy()
-    qw = ((1.0 - col) ** _EXPONENTS[:(top - 1) // 2 + 1]).T.copy()
-    return pw, qw
+    return col ** _EXPONENTS[low:top + 1], (1.0 - col) ** _EXPONENTS[:(top - 1) // 2 + 1]
 
 
 def _majority(r: int, pw: np.ndarray, qw: np.ndarray, low: int) -> np.ndarray:
@@ -128,6 +134,92 @@ def _majority(r: int, pw: np.ndarray, qw: np.ndarray, low: int) -> np.ndarray:
     if h < 8:
         return np.add.reduce(terms, axis=0)
     return np.add.reduce(terms.T.copy(), axis=1)
+
+
+class _TermPlan(NamedTuple):
+    """Where each term of ``_chain_terms``' table comes from: segment i
+    holds, in columns bounds[i] .. bounds[i + 1] - 1, the terms of r = first
+    + 2i, j = (r+1)/2 .. r: C(r, j) times the p^j at ``p_column`` of a power
+    table from p^((first+1)/2) times the (1-p)^(r-j) at ``q_column`` of one
+    from (1-p)^0."""
+
+    first: int
+    bounds: tuple[int, ...]
+    coeffs: np.ndarray
+    p_column: np.ndarray
+    q_column: np.ndarray
+
+    @property
+    def top(self) -> int:
+        """The last r the plan covers (first - 2 while it is empty)."""
+        return self.first + 2 * (len(self.bounds) - 2)
+
+
+# The term plan of every round chain under 8 classes, from r_1 on. It
+# depends only on the schedule, so all chains share it, each reading the
+# segments up to its last r_k, a prefix. It is grown on demand to the r a
+# chain needs, at most r_MAX_ROUNDS = 647 (322 segments, 52 647 terms), by
+# one thread at a time, and replaced whole, so a reader always sees a
+# complete plan.
+_term_plan: Optional[_TermPlan] = None
+_term_plan_lock = threading.Lock()
+
+
+def _plan_to(top: int) -> _TermPlan:
+    """The term plan, grown first to cover every odd r up to ``top``."""
+    global _term_plan
+    plan = _term_plan
+    if plan is None or plan.top < top:
+        with _term_plan_lock:
+            empty = np.empty(0, np.intp)
+            plan = _term_plan or _TermPlan(schedule_for_round(1), (0,), np.empty(0), empty, empty)
+            if plan.top < top:
+                rs = range(plan.top + 2, top + 1, 2)
+                ones = [np.arange((r + 1) // 2, r + 1) for r in rs]  # each r's j
+                bounds = [*plan.bounds]
+                for j in ones:
+                    bounds.append(bounds[-1] + j.size)
+                low = (plan.first + 1) // 2
+                plan = _term_plan = _TermPlan(
+                    plan.first,
+                    tuple(bounds),
+                    np.concatenate([plan.coeffs, *(_majority_terms(r).ravel() for r in rs)]),
+                    np.concatenate([plan.p_column, *(j - low for j in ones)]),
+                    np.concatenate([plan.q_column, *(r - j for r, j in zip(rs, ones))]),
+                )
+    return plan
+
+
+def _chain_terms(ps: np.ndarray, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The term table of a round chain whose last r_k is ``top``, and its
+    segment bounds: one C-ordered row per class of ``ps``, and in it, for
+    every odd r from r_1 to ``top`` in turn, the terms C(r, j) p^j
+    (1-p)^(r-j), j = (r+1)/2 .. r, as ``_majority`` forms them.
+
+    The powers are ``_powers``' floats, taken class-major from
+    ``_class_powers`` and gathered along the rows by ``take``, which gives
+    a C-ordered table. Fancy indexing (``pw[:, index]``) would give an
+    F-ordered one, whose segments numpy adds in another order.
+    """
+    plan = _plan_to(top)
+    bounds = plan.bounds[:(top - plan.first) // 2 + 2]
+    end = bounds[-1]
+    pw, qw = _class_powers(ps, (plan.first + 1) // 2, top)
+    terms = (plan.coeffs[:end] * pw.take(plan.p_column[:end], axis=1)
+             * qw.take(plan.q_column[:end], axis=1))
+    return terms, bounds
+
+
+def _chain_majorities(ps: np.ndarray, top: int) -> np.ndarray:
+    """The majority vector of every odd r from r_1 to ``top``, row (r -
+    r_1)/2 of the result, for the probabilities ``ps`` (unchecked) of an
+    instance under 8 classes: each class's terms in ``_chain_terms`` added
+    along their contiguous row segment, as ``_majority`` adds them."""
+    terms, bounds = _chain_terms(ps, top)
+    out = np.empty((len(bounds) - 1, ps.size))
+    for row, start, end in zip(out, bounds, bounds[1:]):
+        np.add.reduce(terms[:, start:end], axis=1, out=row)
+    return out
 
 
 def _majority_errors() -> Iterator[float]:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import math
+import pickle
 import sys
 import threading
 import time
@@ -44,8 +45,8 @@ from besearch import (
     verification_repetitions,
 )
 from besearch.driver import (
-    DEFAULT_SHOTS, VERIFICATION_CONFIDENCE, CurvePoint, _cdf, _classes, _measure, _sample_block,
-    _vote_cuts,
+    DEFAULT_SHOTS, VERIFICATION_CONFIDENCE, CurvePoint, TraceRow, _cdf, _classes, _measure,
+    _sample_block, _vote_cuts,
 )
 from besearch.error_reduction import majority_prob
 from besearch.model import IndexClass, ProblemInstance, StructuredState, _stats_rows
@@ -258,67 +259,93 @@ class TestBuildState:
             assert rows[k] == CurvePoint(k, *state_stats(state, inst), cost)
             prev = state
 
-    def test_majority_once_per_distinct_repetition_count(self, monkeypatch):
-        # r_1 .. r_5 = 5, 7, 7, 9, 9: three distinct counts, three vectors.
-        calls = []
-        real = besearch.driver._majority
-        monkeypatch.setattr(besearch.driver, "_majority",
-                            lambda r, pw, qw, low: calls.append(r) or real(r, pw, qw, low))
-        inst = make_instance(6561, 3, 0.9, 0.1)
-        build_state(inst, 5)
-        assert calls == [5, 7, 9]
-        for m in (0, 1, 2, 12, 40):
-            calls.clear()
-            exact_success_curve(inst, m)
-            assert calls == sorted({schedule_for_round(k) for k in range(1, m + 1)})
-
     @pytest.fixture
-    def power_tables(self, monkeypatch):
-        # (low, top, p^j rows, columns, (1-p)^j rows) of every _powers call.
-        tables = []
-        real = besearch.driver._powers
+    def kernels(self, monkeypatch):
+        # Every call of the chain's two majority kernels: ("chain", top,
+        # vectors, classes) for the term table under 8 classes, ("majority",
+        # r) for each array-path vector, and ("powers", low, top, p^j rows,
+        # columns, (1-p)^j rows) for the array path's power tables.
+        calls = []
+        driver = besearch.driver
+        chain, majority, powers = driver._chain_majorities, driver._majority, driver._powers
 
-        def spy(ps, low, top):
-            pw, qw = real(ps, low, top)
-            tables.append((low, top, *pw.shape, qw.shape[0]))
+        def chain_spy(ps, top):
+            out = chain(ps, top)
+            calls.append(("chain", top, *out.shape))
+            return out
+
+        def powers_spy(ps, low, top):
+            pw, qw = powers(ps, low, top)
+            calls.append(("powers", low, top, *pw.shape, qw.shape[0]))
             return pw, qw
 
-        monkeypatch.setattr(besearch.driver, "_powers", spy)
-        return tables
+        monkeypatch.setattr(driver, "_chain_majorities", chain_spy)
+        monkeypatch.setattr(driver, "_majority",
+                            lambda r, pw, qw, low: calls.append(("majority", r))
+                            or majority(r, pw, qw, low))
+        monkeypatch.setattr(driver, "_powers", powers_spy)
+        return calls
+
+    def test_majority_once_per_distinct_repetition_count(self, kernels):
+        # r_1 .. r_5 = 5, 7, 7, 9, 9: three distinct counts, three vectors,
+        # from one term table under 8 classes and one _majority call each
+        # from 8 classes on.
+        narrow = make_instance(6561, 3, 0.9, 0.1)
+        wide = _masked_instance(np.random.default_rng(8), 3, 9)
+        build_state(narrow, 5)
+        assert kernels == [("chain", 9, 3, 2)]
+        kernels.clear()
+        build_state(wide, 5)
+        assert [c for c in kernels if c[0] == "majority"] == [("majority", r) for r in (5, 7, 9)]
+        for m in (0, 1, 2, 12, 40):
+            distinct = sorted({schedule_for_round(k) for k in range(1, m + 1)})
+            kernels.clear()
+            exact_success_curve(narrow, m)
+            assert kernels == ([("chain", distinct[-1], len(distinct), 2)] if m else [])
+            kernels.clear()
+            exact_success_curve(wide, m)
+            assert [c[1] for c in kernels if c[0] == "majority"] == distinct
 
     @staticmethod
     def expected_tables(inst, rounds):
-        # One pair per chain of at least one round: p^j for j = (r_1+1)/2 ..
-        # r_rounds, top - low + 1 rows, and (1-p)^j for j = 0 .. (top-1)/2,
-        # (top + 1)/2 rows, one column per class.
+        # One table per chain of at least one round, none for a 0-round
+        # chain. Under 8 classes: the term table up to r_rounds, one vector
+        # per distinct r_k. From 8 classes on: the power tables, p^j for j =
+        # (r_1+1)/2 .. r_rounds, top - low + 1 rows, and (1-p)^j for j = 0
+        # .. (top-1)/2, (top + 1)/2 rows, one column per class.
         if not rounds:
             return []
         low, top = (schedule_for_round(1) + 1) // 2, schedule_for_round(rounds)
-        return [(low, top, top - low + 1, inst.ps.size, (top + 1) // 2)]
+        if inst.ps.size < besearch.driver._FLOAT_CLASSES:
+            distinct = len({schedule_for_round(k) for k in range(1, rounds + 1)})
+            return [("chain", top, distinct, inst.ps.size)]
+        return [("powers", low, top, top - low + 1, inst.ps.size, (top + 1) // 2)]
 
-    def test_power_tables_once_per_chain(self, power_tables):
+    def test_power_tables_once_per_chain(self, kernels):
         for inst in (make_instance(6561, 3, 0.9, 0.1),
                      _masked_instance(np.random.default_rng(8), 3, 9)):
             for m in (0, 1, 2, 5, 40, MAX_ROUNDS):
                 for run in (build_state, exact_success_curve):
-                    power_tables.clear()
+                    kernels.clear()
                     run(inst, m)
-                    assert power_tables == self.expected_tables(inst, m)
+                    tables = [c for c in kernels if c[0] != "majority"]
+                    assert tables == self.expected_tables(inst, m)
 
-    def test_power_tables_once_per_search(self, power_tables):
-        # Built before the chain's first state, so a search that stops at
-        # block 0 still builds them once; a one-block search (n <= 9) runs a
-        # 0-round chain and builds none.
+    def test_power_tables_once_per_search(self, kernels):
+        # Built when the chain first reaches round 1: a search that stops at
+        # block 0 builds none, and neither does a one-block search (n <= 9),
+        # which runs a 0-round chain; any other builds one.
         for inst, seed, blocks in (
             (make_instance(6561, 9, 0.9, 0.1), 1, 2),
             (make_instance(729, 0, 0.9, 0.1), 3, 3),
             (make_instance(16, 16, 1.0, 0.1), 7, 1),
             (make_instance(9, 1, 0.9, 0.1), 0, 1),
         ):
-            power_tables.clear()
+            kernels.clear()
             assert len(run_search(inst, seed).trace) == blocks
-            assert power_tables == self.expected_tables(inst, search_blocks(inst.n) - 1)
-        assert not power_tables
+            rounds = search_blocks(inst.n) - 1 if blocks > 1 else 0
+            assert kernels == self.expected_tables(inst, rounds)
+        assert not kernels
 
     def test_float_chained_states_are_tuples_and_unshared(self):
         # check_chain shows each chained state equals the public operators'.
@@ -441,6 +468,42 @@ class TestSuccessCurve:
             assert row.alpha == pytest.approx(alpha, abs=1e-13)
             assert row.beta == pytest.approx(beta, abs=1e-13)
             assert row.cost == cost
+
+
+class TestRows:
+    """Curve and trace rows are built by driver._row, which fills a frozen
+    row's fields without its __init__; they must be the constructor's rows."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert list(vars(got)) == [f.name for f in dataclasses.fields(want)]
+        assert pickle.loads(pickle.dumps(got)) == want
+        for field in dataclasses.fields(want):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, field.name, 0)
+
+    def test_rows_equal_the_constructors(self):
+        row = besearch.driver._row
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            m, cost, shots, verified = (int(x) for x in rng.integers(0, 10**6, 4))
+            stats = tuple(rng.choice([0.0, -0.0, 1.0, 5e-324, float(rng.random())], 4).tolist())
+            self.assert_same(row(CurvePoint, m, stats, cost), CurvePoint(m, *stats, cost))
+            self.assert_same(row(TraceRow, m, stats, cost, shots, verified),
+                             TraceRow(m, *stats, cost, shots, verified))
+        assert row(CurvePoint, 1, (0.5,) * 4, 2) != row(TraceRow, 1, (0.5,) * 4, 2, 0, 0)
+
+    def test_library_rows_equal_the_constructors(self):
+        for inst in (make_instance(9**6, 3, 0.93, 0.04),
+                     _masked_instance(np.random.default_rng(2), 2, 8)):
+            for point in exact_success_curve(inst, 12):
+                self.assert_same(point, CurvePoint(*dataclasses.astuple(point)))
+            for seed in range(5):
+                for trace_row in run_search(inst, seed).trace:
+                    self.assert_same(trace_row, TraceRow(*dataclasses.astuple(trace_row)))
 
 
 class TestRunSearch:

@@ -206,15 +206,22 @@ class TestPowerTables:
 
     @pytest.mark.parametrize("classes", [1, 2, 8, 600])
     def test_chain_keep_vectors_equal_the_per_r_formula(self, classes, monkeypatch):
-        # One keep vector per distinct r_k of a MAX_ROUNDS-round chain,
-        # from the chain's one pair of tables.
+        # One keep vector per distinct r_k of a MAX_ROUNDS-round chain: under
+        # 8 classes from the chain's one term table, row (r - r_1)/2; from 8
+        # on from the chain's one pair of power tables.
         keeps = {}
-        kernel = driver._majority
+        chain, kernel = driver._chain_majorities, driver._majority
+
+        def chained(ps, top):
+            out = chain(ps, top)
+            keeps.update(zip(range(schedule_for_round(1), top + 1, 2), out))
+            return out
 
         def recorded(r, pw, qw, low):
             keeps[r] = kernel(r, pw, qw, low)
             return keeps[r]
 
+        monkeypatch.setattr(driver, "_chain_majorities", chained)
         monkeypatch.setattr(driver, "_majority", recorded)
         rng = np.random.default_rng(classes)
         inst = ProblemInstance(tuple(
@@ -226,6 +233,101 @@ class TestPowerTables:
         assert sorted(keeps) == sorted({schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)})
         for r, keep in keeps.items():
             assert _bits(keep) == _bits(reference_majority(r, inst.ps)), r
+
+
+def _plan_segments(top: int):
+    """The term plan from r_1 to ``top``, rebuilt from _majority_terms:
+    (bounds, coefficients, p^j columns, (1-p)^(r-j) columns)."""
+    first = schedule_for_round(1)
+    low = (first + 1) // 2
+    rs = range(first, top + 1, 2)
+    js = [np.arange((r + 1) // 2, r + 1) for r in rs]
+    bounds = [0, *itertools.accumulate(j.size for j in js)]
+    return (bounds, np.concatenate([error_reduction._majority_terms(r).ravel() for r in rs]),
+            np.concatenate([j - low for j in js]), np.concatenate([r - j for r, j in zip(rs, js)]))
+
+
+class TestChainTerms:
+    # Under 8 classes the round chain reads every majority vector from one
+    # term table (error_reduction._chain_terms), whose layout the process-
+    # wide plan gives, and adds each r's terms along its row segment.
+    TOP = schedule_for_round(MAX_ROUNDS)
+
+    @pytest.mark.parametrize("classes", range(1, 8))
+    def test_vectors_equal_the_per_r_formula(self, classes):
+        # Every odd r from r_1 to r_MAX_ROUNDS = 647, the p_grids edges, and
+        # vectors of -0.0, alone and among 0, 1 and the smallest subnormal.
+        grids = [*p_grids(classes), np.full(classes, -0.0),
+                 np.resize([-0.0, 5e-324, 1.0, 0.0, 0.5], classes)]
+        first = schedule_for_round(1)
+        for ps in grids:
+            vectors = error_reduction._chain_majorities(ps, self.TOP)
+            assert vectors.shape == ((self.TOP - first) // 2 + 1, classes)
+            for r, vector in zip(range(first, self.TOP + 1, 2), vectors):
+                assert _bits(vector) == _bits(reference_majority(r, ps)), (r, ps)
+            for top in (first, first + 2, 15, 17, 59, 61):
+                shorter = error_reduction._chain_majorities(ps, top)
+                assert _bits(shorter) == _bits(vectors[:len(shorter)]), top
+
+    @pytest.mark.parametrize("classes", [1, 2, 7])
+    def test_term_table_is_c_ordered(self, classes):
+        # A row segment of an F-ordered table is added in another order from
+        # 8 terms on (r >= 15), and its vectors differ in the last bit.
+        ps = p_grids(classes)[-1]
+        for top in (schedule_for_round(1), 15, 61, self.TOP):
+            terms, bounds = error_reduction._chain_terms(ps, top)
+            assert terms.flags.c_contiguous and terms.shape == (classes, bounds[-1])
+            assert list(bounds) == _plan_segments(top)[0]
+
+    def test_plan_is_the_terms_of_every_odd_r(self):
+        bounds, coeffs, p_column, q_column = _plan_segments(self.TOP)
+        plan = error_reduction._plan_to(self.TOP)
+        end = bounds[-1]
+        assert end == 52_647
+        assert list(plan.bounds[:len(bounds)]) == bounds
+        assert _bits(plan.coeffs[:end]) == _bits(coeffs)
+        assert np.array_equal(plan.p_column[:end], p_column)
+        assert np.array_equal(plan.q_column[:end], q_column)
+
+    def test_threads_grow_the_plan_in_order(self, monkeypatch):
+        # Eight threads growing a fresh plan to shuffled tops, switching
+        # every microsecond: each gets a plan that covers its top and is a
+        # prefix of the last, which ascends, covers r_MAX_ROUNDS and holds
+        # no term twice.
+        monkeypatch.setattr(error_reduction, "_term_plan", None)
+        tops = sorted({schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)})
+        got = []
+
+        def grow(seed):
+            for top in np.random.default_rng(seed).permutation(tops).tolist():
+                got.append((top, error_reduction._plan_to(top)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8 * len(tops)
+        plan = error_reduction._term_plan
+        bounds, coeffs, p_column, q_column = _plan_segments(self.TOP)
+        assert plan.top == self.TOP and list(plan.bounds) == bounds
+        assert all(a < b for a, b in zip(plan.bounds, plan.bounds[1:]))
+        assert plan.coeffs.size == plan.p_column.size == plan.q_column.size == 52_647
+        assert _bits(plan.coeffs) == _bits(coeffs)
+        assert np.array_equal(plan.p_column, p_column)
+        assert np.array_equal(plan.q_column, q_column)
+        for top, seen in got:
+            end = seen.bounds[-1]
+            assert seen.top >= top and seen.bounds == plan.bounds[:len(seen.bounds)]
+            assert _bits(seen.coeffs) == _bits(plan.coeffs[:end])
+            assert np.array_equal(seen.p_column, plan.p_column[:end])
+            assert np.array_equal(seen.q_column, plan.q_column[:end])
 
 
 class TestRepetitionsFor:
