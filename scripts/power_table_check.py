@@ -2,28 +2,27 @@
 """Check the majority vectors built from power tables against the per-r
 formula, bit for bit, on this numpy.
 
-``besearch.error_reduction._powers`` computes every p^j and (1-p)^j once,
-per round chain of 8 classes or more or per ``majority_prob`` call, and
-``_majority`` forms each r's terms C(r, j) p^j (1-p)^(r-j) from slices of
-those tables. A chain under 8 classes instead gathers every term of every
-odd r from r_1 to its last r_k into one term table
-(``error_reduction._chain_terms``), from the same powers built class-major,
-and ``_chain_majorities`` adds each r's row segment. Either gives the
-floats of the formula that computed every power anew for each r only
-because numpy's ``power`` rounds a given (p, j) the same way in the
-tables' layouts as in the formula's, and adds a class's terms in the
-formula's order. At 1, 2, 3, 7, 8, 64 and 600 classes, on probability
+``besearch.error_reduction._class_powers`` computes every p^j and (1-p)^j
+once, one row per class, per round chain or per ``majority_prob`` call.
+From 8 classes on, and in ``majority_prob``, ``_majority`` forms each r's
+terms C(r, j) p^j (1-p)^(r-j) from column slices of those tables. A chain
+under 8 classes instead gathers every term of every odd r from r_1 to its
+last r_k into one term table (``error_reduction._chain_terms``), and
+``_chain_majorities`` adds each r's row segment. Either gives the floats
+of the formula that computed every power anew for each r only because
+numpy's ``power`` rounds a given (p, j) in the tables as in the formula,
+and the terms of a class are added in the formula's order. At 1, 2, 3, 7, 8, 64 and 600 classes, on probability
 vectors that hold 0, 1, 1/2, 0.1, 0.9, 1e-300 and the smallest subnormal
 among random values, this script checks:
 
 * ``majority_prob`` at every odd r up to 1029;
 * the majority vector of a MAX_ROUNDS-round chain at every distinct r_k;
-* every chain of 1 .. MAX_ROUNDS rounds against the longest. From 8
-  classes on, its power tables must be the leading rows of the longest
-  chain's, and the majority vector at its last r_m must equal the longest
-  chain's. Under 8, its term table must be the leading columns of the
-  longest chain's, and its majority vectors the leading rows of the
-  longest chain's.
+* every chain of 1 .. MAX_ROUNDS rounds against the longest. Its power
+  tables (from 8 classes on) or its term table (under 8) must be the
+  leading columns of the longest chain's. From 8 classes on, the
+  majority vector at its last r_m must equal the longest chain's; under
+  8, its majority vectors must be the leading rows of the longest
+  chain's.
 
 The class counts are checked in ``WORKERS`` processes. The script prints
 numpy's version and the number of compared entries, and exits 1 naming
@@ -46,8 +45,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import besearch.driver as driver  # noqa: E402
 from besearch.error_reduction import (  # noqa: E402
-    _MAX_REPS, MAX_ROUNDS, _chain_majorities, _chain_terms, _majority, _powers, majority_prob,
-    schedule_for_round,
+    _MAX_REPS, MAX_ROUNDS, _chain_majorities, _chain_terms, _class_powers, _majority,
+    majority_prob, schedule_for_round,
 )
 from besearch.model import IndexClass, ProblemInstance  # noqa: E402
 
@@ -94,6 +93,11 @@ def _differ(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape != want.shape or got.tobytes() != want.tobytes()
 
 
+def _not_leading(part: np.ndarray, whole: np.ndarray) -> bool:
+    """Whether the table ``part`` differs from the leading columns of ``whole``."""
+    return _differ(part, whole[:, :part.shape[1]])
+
+
 def check_majority(classes: int, part: int, parts: int) -> tuple[Optional[str], int]:
     """``majority_prob`` against the per-r formula at every ``parts``-th odd
     r from the ``part``-th, on every vector of ``p_grids(classes)``."""
@@ -120,18 +124,18 @@ def check_chains(classes: int) -> tuple[Optional[str], int]:
     tables, keeps = [], {}
 
     def powers(ps, low, top):
-        tables.append((low, *_powers(ps, low, top)))
+        tables.append((low, *_class_powers(ps, low, top)))
         return tables[-1][1:]
 
     def majority(r, pw, qw, low):
         keeps[r] = _majority(r, pw, qw, low)
         return keeps[r]
 
-    driver._powers, driver._majority = powers, majority
+    driver._class_powers, driver._majority = powers, majority
     try:
         _run_chains(inst)
     finally:
-        driver._powers, driver._majority = _powers, _majority
+        driver._class_powers, driver._majority = _class_powers, _majority
     compared = 0
     for r, keep in keeps.items():
         if _differ(keep, reference_majority(r, inst.ps)):
@@ -140,7 +144,7 @@ def check_chains(classes: int) -> tuple[Optional[str], int]:
     (low, pw, qw), prefixes = tables[0], tables[1:]
     for m, (_, pw_m, qw_m) in enumerate(prefixes, start=1):
         r = schedule_for_round(m)
-        if _differ(pw_m, pw[:len(pw_m)]) or _differ(qw_m, qw[:len(qw_m)]):
+        if _not_leading(pw_m, pw) or _not_leading(qw_m, qw):
             return f"the tables of {m} rounds, {classes} classes, differ", compared
         if _differ(_majority(r, pw_m, qw_m, low), keeps[r]):
             return f"the majority vector of {m} rounds, {classes} classes, differs", compared
@@ -187,7 +191,7 @@ def _check_term_chains(inst: ProblemInstance) -> tuple[Optional[str], int]:
     terms, _ = _chain_terms(inst.ps, top)
     for m, (top_m, keeps_m) in enumerate(prefixes, start=1):
         terms_m, _ = _chain_terms(inst.ps, top_m)
-        if top_m != schedule_for_round(m) or _differ(terms_m, terms[:, :terms_m.shape[1]]):
+        if top_m != schedule_for_round(m) or _not_leading(terms_m, terms):
             return f"the term table of {m} rounds, {classes} classes, differs", compared
         if _differ(keeps_m, keeps[:len(keeps_m)]):
             return f"the majority vectors of {m} rounds, {classes} classes, differ", compared

@@ -184,7 +184,7 @@ def block_check(v: int, p: float, weights: tuple[float, ...], shots: int, blocks
     counted = sum(tally.values())
     with tally_paths(tally):
         for block in range(blocks):
-            got = _sample_block(ours, weights, inst, v, shots, cuts)
+            got = _sample_block(ours, weights, cuts, shots)
             sampled = twin.choice(len(ps), size=shots, p=probs)
             accepts = twin.binomial(v, inst.ps[sampled]) > v // 2
             first = int(accepts.argmax())

@@ -29,8 +29,8 @@ import numpy as np
 
 from .amplification import _amplify, _gains
 from .error_reduction import (
-    MAX_ROUNDS, _chain_majorities, _majority, _powers, _push_back, majority_prob, repetitions_for,
-    schedule_for_round,
+    MAX_ROUNDS, _chain_majorities, _class_powers, _majority, _push_back, majority_prob,
+    repetitions_for, schedule_for_round,
 )
 from .model import (
     NORM_TOL,
@@ -41,7 +41,6 @@ from .model import (
     _stats_row,
     _stats_rows,
     check_int,
-    measurement_weights,
 )
 
 #: Classical repetitions of the whole measurement block, per the driver's
@@ -265,7 +264,7 @@ def _rounds(
     arrays by ``_amplify`` and ``_push_back``, whose fresh arrays are made
     read-only; its majority vectors are computed by ``_majority`` when r_m
     differs from r_(m-1), from slices of one pair of power tables of the
-    instance's checked ps (``_powers``), up to r_rounds. Both give the
+    instance's checked ps (``_class_powers``), up to r_rounds. Both give the
     floats of the public operators. A ``StructuredState`` is built from
     the masses only where a state leaves the library, and a consumer that
     needs arrays converts tuples itself (on tuples ``w1 + w0``
@@ -295,7 +294,7 @@ def _rounds(
             yield m, w1, w0, cost
         return
     low = (first + 1) // 2
-    pw, qw = _powers(instance.ps, low, top)
+    pw, qw = _class_powers(instance.ps, low, top)
     last = 0  # r_0: no majority vector yet
     for m, (r, cost) in enumerate(schedule, start=1):
         if r != last:
@@ -422,15 +421,13 @@ def _cdf(weights: Masses) -> Union[list[float], np.ndarray]:
     weights.sum())`` looks its uniforms up in, without its per-call
     validation: sum, divide, running sum, divide by its last entry.
 
-    Fewer than ``_FLOAT_CLASSES`` weights, a tuple (the chain's form for
-    such instances) or an array, take these steps in Python floats, each
-    sum left to right as numpy adds so few, and give a list whose last
-    entry is exactly 1.0; more take them in numpy and give an array.
-    Weights that are not finite or sum to 0 raise ValueError.
+    Fewer than ``_FLOAT_CLASSES`` weights (the chain holds such masses as
+    tuples) take these steps one float at a time, each sum left to right
+    as numpy adds so few, and give a list whose last entry is exactly 1.0;
+    more take them in numpy and give an array. Weights that are not finite
+    or sum to 0 raise ValueError.
     """
     floats = len(weights) < _FLOAT_CLASSES
-    if floats and isinstance(weights, np.ndarray):
-        weights = weights.tolist()
     mass = reduce(add, weights) if floats else float(np.add.reduce(weights))
     if not 0.0 < mass < math.inf:
         raise ValueError(f"measurement weights must be finite with a positive sum, got {mass}")
@@ -607,37 +604,35 @@ def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) ->
     return first if accepts[first] else sampled.size
 
 
+def _weights(w1: Masses, w0: Masses) -> Masses:
+    """The measurement weights w1 + w0 of a state, in the form of its masses."""
+    return tuple(map(add, w1, w0)) if isinstance(w1, tuple) else w1 + w0
+
+
 def _sample_block(
-    rng: np.random.Generator,
-    weights: Masses,
-    instance: ProblemInstance,
-    v: int,
-    shots: int,
-    cuts: Optional[_Cuts] = None,
+    rng: np.random.Generator, weights: Masses, cuts: _Cuts, shots: int
 ) -> tuple[Optional[int], int]:
     """Sample one measurement block of the state with measurement weights
     ``weights`` (w1 + w0) and verify sample-by-sample.
 
     Returns (accepted class id or None, number of samples verified).
     Verification of index j majority-votes v fresh runs of F_j, i.e. a
-    Binomial(v, p_j) draw compared against v/2; it stops at the first
+    Binomial(v, p_j) draw compared against v/2, with v and the ps those of
+    the run's cut table ``cuts`` (``_vote_cuts``); it stops at the first
     accepted sample.
 
     The result, and the generator's state after a block that accepts
     nothing, are those of ``Generator.choice`` over the classes followed by
-    one ``rng.binomial(v, ps[sampled])`` call. With a cut table (``cuts``,
-    set up here when not given) ``_cut_block`` finds the classes by
-    compares on the cdf and decides the votes from uniforms, one draw per
-    block unless a class has p = 0. A block it cannot decide rewinds the
-    generator by the uniforms it drew, to where it stood before the
-    measurement, and takes the binomial path, ``_measure`` and then
-    ``_first_accept``, as every block without a table does. Each uniform
-    is one output of the generator's PCG64 (``_rng``), so rewinding by
-    that count undoes the draws. After an acceptance the generator stands
+    one ``rng.binomial(v, ps[sampled])`` call. Where the table holds cuts,
+    ``_cut_block`` finds the classes by compares on the cdf and decides the
+    votes from uniforms, one draw per block unless a class has p = 0. A
+    block it cannot decide rewinds the generator by the uniforms it drew,
+    to where it stood before the measurement, and takes the binomial path,
+    ``_measure`` and then ``_first_accept``, as every block of a table
+    without cuts does. Each uniform is one output of the generator's PCG64
+    (``_rng``), so rewinding by that count undoes the draws. After an acceptance the generator stands
     further on, and no caller draws from it again.
     """
-    if cuts is None:
-        cuts = _vote_cuts(instance.ps, v)
     if cuts.cut is not None:
         cdf = _cdf(weights)  # unusable weights raise before anything is drawn
         block = _cut_block(rng, cdf, cuts, shots)
@@ -669,9 +664,7 @@ def run_search(
     total = 0
     blocks = []  # (m, w1, w0, C(m), verified) of every block entered
     for m, w1, w0, cost in _rounds(instance, search_blocks(instance.n) - 1):
-        # The block's weights w1 + w0, in the form of its masses.
-        weights = tuple(map(add, w1, w0)) if isinstance(w1, tuple) else w1 + w0
-        hit, verified = _sample_block(rng, weights, instance, v, shots, cuts)
+        hit, verified = _sample_block(rng, _weights(w1, w0), cuts, shots)
         total += shots * cost + verified * v
         blocks.append((m, w1, w0, cost, verified))
         if hit is not None:
@@ -698,8 +691,9 @@ def run_block(
     shots = check_shots(shots)
     rng = _rng(seed)
     v = verification_repetitions(instance.n, shots)
-    state, cost = build_state(instance, m)
-    hit, verified = _sample_block(rng, measurement_weights(state), instance, v, shots)
+    for _, w1, w0, cost in _rounds(instance, m):
+        pass
+    hit, verified = _sample_block(rng, _weights(w1, w0), _vote_cuts(instance.ps, v), shots)
     return hit, shots * cost + verified * v
 
 

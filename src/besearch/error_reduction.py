@@ -30,10 +30,10 @@ _MAX_REPS = 1029
 
 # Largest round index the schedule serves; r_478 = 647. The error table
 # is exact far past it, but the push-back's majority vectors are not:
-# _powers forms each p^j as one float power, at p = 1/10 subnormal from
-# j = 308 and 0.0 from j = 324, so from about r = 621 a class at p = 1/10
-# keeps an inexact share (0.0 at r = 647 instead of 3.4e-146), and later
-# rounds would only lose more.
+# _class_powers forms each p^j as one float power, at p = 1/10 subnormal
+# from j = 308 and 0.0 from j = 324, so from about r = 621 a class at p =
+# 1/10 keeps an inexact share (0.0 at r = 647 instead of 3.4e-146), and
+# later rounds would only lose more.
 MAX_ROUNDS = 478
 
 # The exponents 0 .. _MAX_REPS, one read-only contiguous float row that
@@ -69,8 +69,8 @@ def majority_prob(r: int, p):
     ndarray; the result is a float or an array of the same shape, one
     value per entry. A scalar p and each entry of a list or tuple go
     through ``check_prob``; an ndarray is checked entry by entry in one
-    pass. The entries' power tables for this one r (``_powers``) give the
-    terms C(r, j) p^j (1-p)^(r-j), j ascending, and ``_majority`` adds
+    pass. The entries' power tables for this one r (``_class_powers``) give
+    the terms C(r, j) p^j (1-p)^(r-j), j ascending, and ``_majority`` adds
     each entry's terms by pairwise summation, as the round chain does
     from its tables for every r_k. The result is not correctly rounded:
     for odd r up to 647 it was measured within 3 ulp (3.3e-16 absolute)
@@ -91,49 +91,45 @@ def majority_prob(r: int, p):
     if not ok.all():
         check_prob("p", float(col[~ok][0]))  # raises, naming the first bad entry
     low = (r + 1) // 2
-    m = _majority(r, *_powers(col, low, r), low).reshape(p.shape)
+    m = _majority(r, *_class_powers(col, low, r), low).reshape(p.shape)
     return m if m.ndim else float(m)
 
 
-def _powers(ps: np.ndarray, low: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The power tables of the probabilities ``ps``, unchecked: row j - low
-    of the first is every p^j for j = low .. top, row j of the second every
-    (1-p)^j for j = 0 .. (top-1)/2, each power computed once.
-
-    Each table is built with the exponents on the inner axis, a column of
-    bases against a row of exponents, then copied to one C-ordered row per
-    exponent. numpy's ``power`` gives the same bits for the same (p, j)
-    whatever the layout, with one exception: with a stride-0 exponent
-    (``ps ** E[:, None]``, one row per exponent) it squares for exponent 2,
-    which does not always round as the general power does.
-    """
-    pw, qw = _class_powers(ps, low, top)
-    return pw.T.copy(), qw.T.copy()
-
-
 def _class_powers(ps: np.ndarray, low: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_powers``' tables before its copy, class-major: row c of the first
-    holds p_c^j for j = low .. top, row c of the second (1-p_c)^j for j = 0
-    .. (top-1)/2."""
+    """The power tables of the probabilities ``ps``, unchecked: row c of the
+    first holds p_c^j for j = low .. top, row c of the second (1-p_c)^j for
+    j = 0 .. (top-1)/2, each power computed once.
+
+    Each table is a column of bases against a row of exponents, C-ordered,
+    one row per class. numpy's ``power`` gives the same bits for the same
+    (p, j) whatever the layout, with one exception: with a stride-0
+    exponent (``ps ** E[:, None]``, one row per exponent) it squares for
+    exponent 2, which does not always round as the general power does.
+    """
     col = ps.reshape(-1, 1)
     return col ** _EXPONENTS[low:top + 1], (1.0 - col) ** _EXPONENTS[:(top - 1) // 2 + 1]
 
 
 def _majority(r: int, pw: np.ndarray, qw: np.ndarray, low: int) -> np.ndarray:
     """The core of ``majority_prob``, unchecked: one majority probability
-    of r runs per column of the tables ``_powers(ps, low, top)`` gives,
+    of r runs per row of the tables ``_class_powers(ps, low, top)`` gives,
     for an odd r with (r+1)/2 >= low and r <= top.
 
-    The h = (r+1)/2 terms of a column are added as numpy adds a contiguous
-    row of them: left to right under 8 terms, which adding the term rows
-    down the columns does too, and pairwise from 8, so such a block is
-    added along a C-ordered copy of its transpose.
+    The h = (r+1)/2 terms of a class are added as numpy adds a contiguous
+    row of them: left to right under 8 terms, which adding a C-ordered
+    block of one term row per j down its columns does too, and pairwise
+    from 8, so such a block is built with one row per class and added
+    along its rows.
     """
     h = (r + 1) // 2
-    terms = _majority_terms(r) * pw[h - low:r - low + 1] * qw[h - 1::-1]
+    coeffs, a, b = _majority_terms(r), h - low, r - low + 1
     if h < 8:
+        terms = np.multiply(coeffs, pw[:, a:b].T, order="C")
+        terms *= qw[:, h - 1::-1].T
         return np.add.reduce(terms, axis=0)
-    return np.add.reduce(terms.T.copy(), axis=1)
+    terms = coeffs.T * pw[:, a:b]
+    terms *= qw[:, h - 1::-1]
+    return np.add.reduce(terms, axis=1)
 
 
 class _TermPlan(NamedTuple):
@@ -196,10 +192,10 @@ def _chain_terms(ps: np.ndarray, top: int) -> tuple[np.ndarray, tuple[int, ...]]
     every odd r from r_1 to ``top`` in turn, the terms C(r, j) p^j
     (1-p)^(r-j), j = (r+1)/2 .. r, as ``_majority`` forms them.
 
-    The powers are ``_powers``' floats, taken class-major from
-    ``_class_powers`` and gathered along the rows by ``take``, which gives
-    a C-ordered table. Fancy indexing (``pw[:, index]``) would give an
-    F-ordered one, whose segments numpy adds in another order.
+    The powers are ``_class_powers``' floats, gathered along the rows by
+    ``take``, which gives a C-ordered table. Fancy indexing (``pw[:,
+    index]``) would give an F-ordered one, whose segments numpy adds in
+    another order.
     """
     plan = _plan_to(top)
     bounds = plan.bounds[:(top - plan.first) // 2 + 2]

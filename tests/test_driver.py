@@ -264,10 +264,10 @@ class TestBuildState:
         # Every call of the chain's two majority kernels: ("chain", top,
         # vectors, classes) for the term table under 8 classes, ("majority",
         # r) for each array-path vector, and ("powers", low, top, p^j rows,
-        # columns, (1-p)^j rows) for the array path's power tables.
+        # columns, (1-p)^j columns) for the array path's power tables.
         calls = []
         driver = besearch.driver
-        chain, majority, powers = driver._chain_majorities, driver._majority, driver._powers
+        chain, majority, powers = driver._chain_majorities, driver._majority, driver._class_powers
 
         def chain_spy(ps, top):
             out = chain(ps, top)
@@ -276,14 +276,14 @@ class TestBuildState:
 
         def powers_spy(ps, low, top):
             pw, qw = powers(ps, low, top)
-            calls.append(("powers", low, top, *pw.shape, qw.shape[0]))
+            calls.append(("powers", low, top, *pw.shape, qw.shape[1]))
             return pw, qw
 
         monkeypatch.setattr(driver, "_chain_majorities", chain_spy)
         monkeypatch.setattr(driver, "_majority",
                             lambda r, pw, qw, low: calls.append(("majority", r))
                             or majority(r, pw, qw, low))
-        monkeypatch.setattr(driver, "_powers", powers_spy)
+        monkeypatch.setattr(driver, "_class_powers", powers_spy)
         return calls
 
     def test_majority_once_per_distinct_repetition_count(self, kernels):
@@ -310,16 +310,16 @@ class TestBuildState:
     def expected_tables(inst, rounds):
         # One table per chain of at least one round, none for a 0-round
         # chain. Under 8 classes: the term table up to r_rounds, one vector
-        # per distinct r_k. From 8 classes on: the power tables, p^j for j =
-        # (r_1+1)/2 .. r_rounds, top - low + 1 rows, and (1-p)^j for j = 0
-        # .. (top-1)/2, (top + 1)/2 rows, one column per class.
+        # per distinct r_k. From 8 classes on: the power tables, one row per
+        # class, p^j for j = (r_1+1)/2 .. r_rounds, top - low + 1 columns,
+        # and (1-p)^j for j = 0 .. (top-1)/2, (top + 1)/2 columns.
         if not rounds:
             return []
         low, top = (schedule_for_round(1) + 1) // 2, schedule_for_round(rounds)
         if inst.ps.size < besearch.driver._FLOAT_CLASSES:
             distinct = len({schedule_for_round(k) for k in range(1, rounds + 1)})
             return [("chain", top, distinct, inst.ps.size)]
-        return [("powers", low, top, top - low + 1, inst.ps.size, (top + 1) // 2)]
+        return [("powers", low, top, inst.ps.size, top - low + 1, (top + 1) // 2)]
 
     def test_power_tables_once_per_chain(self, kernels):
         for inst in (make_instance(6561, 3, 0.9, 0.1),
@@ -913,7 +913,7 @@ class TestSampler:
         v = 15
         for seed in range(5):
             ours, twin = _twins(seed)
-            got = _sample_block(ours, state.w1 + state.w0, inst, v, 200)
+            got = _sample_block(ours, state.w1 + state.w0, _vote_cuts(inst.ps, v), 200)
             w = np.maximum(state.w1 + state.w0, 0.0)
             sampled = twin.choice(k, size=200, p=w / w.sum())
             after_choice = twin.bit_generator.state
@@ -940,7 +940,7 @@ class TestSampler:
         w = state.w1 + state.w0
         for seed in range(40):
             ours, twin = _twins(seed)
-            got = _sample_block(ours, w, inst, 1, shots)
+            got = _sample_block(ours, w, _vote_cuts(inst.ps, 1), shots)
             sampled = twin.choice(3, size=shots, p=w / w.sum())
             hits = np.flatnonzero(twin.binomial(1, inst.ps[sampled]) > 0)
             if hits.size:
@@ -974,7 +974,7 @@ class TestSampler:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="measurement weights"):
-            _sample_block(rng, w1 + w0, inst, 15, 100)
+            _sample_block(rng, w1 + w0, _vote_cuts(inst.ps, 15), 100)
         assert rng.bit_generator.state == before
 
 
@@ -1135,7 +1135,7 @@ class TestPieceDraws:
         accepted = 0
         for seed in range(30):
             rng = _CountingGenerator(seed)
-            hit, _ = _sample_block(rng, state.w1 + state.w0, inst, v, 1000, cuts)
+            hit, _ = _sample_block(rng, state.w1 + state.w0, cuts, 1000)
             assert (rng.random_calls, rng.binomial_calls) == (calls, 0)
             accepted += hit is not None
         # The planted blocks accept most of the time, so the accepting exit is taken.
@@ -1148,11 +1148,12 @@ class TestPieceDraws:
         ps = np.random.default_rng(4).random(classes)
         inst = ProblemInstance(tuple(IndexClass(float(p), 5, bool(p > 0.5)) for p in ps),
                                strict=False)
-        assert _vote_cuts(inst.ps, 15).cut is None
+        cuts = _vote_cuts(inst.ps, 15)
+        assert cuts.cut is None
         weights = np.full(classes, 1 / classes)
         for seed in range(10):
             rng = _CountingGenerator(seed)
-            _sample_block(rng, weights, inst, 15, 1000)
+            _sample_block(rng, weights, cuts, 1000)
             assert (rng.random_calls, rng.binomial_calls) == (1, 1)
 
     def test_relaxed_outputs_equal_the_recorded_digest(self):
@@ -1253,7 +1254,7 @@ class TestOneDraw:
                                    strict=False)
             cuts = _vote_cuts(inst.ps, v)
             ours, twin = _twins(block)
-            got = _sample_block(ours, tuple(w.tolist()) if block % 2 else w, inst, v, shots, cuts)
+            got = _sample_block(ours, tuple(w.tolist()) if block % 2 else w, cuts, shots)
             sampled = twin.choice(k, size=shots, p=w / w.sum())
             hits = np.flatnonzero(twin.binomial(v, inst.ps[sampled]) > v // 2)
             want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, shots)
@@ -1309,7 +1310,7 @@ class TestOneDraw:
                 ours = np.random.Generator(_Replay([*measured, *votes]))
                 twin = np.random.Generator(_Replay([*measured, *votes]))
                 lookups.clear()
-                got = _sample_block(ours, weights, inst, 21, shots, cuts)
+                got = _sample_block(ours, weights, cuts, shots)
                 sampled = twin.choice(len(ps), size=shots, p=np.divide(weights, sum(weights)))
                 hits = np.flatnonzero(twin.binomial(21, inst.ps[sampled]) > 10)
                 want = (int(sampled[hits[0]]), int(hits[0]) + 1) if hits.size else (None, shots)
@@ -1361,7 +1362,7 @@ class TestRewind:
             ours.random(seed)
             twin.random(seed)
             before = ours.bit_generator.state
-            got = _sample_block(ours, weights, inst, 21, shots, cuts)
+            got = _sample_block(ours, weights, cuts, shots)
             sampled = twin.choice(len(ps), size=shots, p=weights)
             voted = int(np.count_nonzero(inst.ps[sampled]))
             hits = np.flatnonzero(twin.binomial(21, inst.ps[sampled]) > 10)

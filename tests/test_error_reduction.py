@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def _bits(a) -> bytes:
 
 class TestPowerTables:
     # Majority probabilities come from tables of p^j and (1-p)^j built once
-    # (error_reduction._powers) and must equal the per-r formula bit for
+    # (error_reduction._class_powers) and must equal the per-r formula bit for
     # bit. r = 3 (h = 2) is the case a table built with one row per
     # exponent gets wrong: with a stride-0 exponent numpy squares for
     # exponent 2, which differs from its general power in the last bit.
@@ -233,6 +234,31 @@ class TestPowerTables:
         assert sorted(keeps) == sorted({schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)})
         for r, keep in keeps.items():
             assert _bits(keep) == _bits(reference_majority(r, inst.ps)), r
+
+
+    def test_class_powers_hold_one_c_ordered_row_per_class(self):
+        ps = np.random.default_rng(5).random(600)
+        pw, qw = error_reduction._class_powers(ps, 323, 645)
+        assert pw.shape == qw.shape == (600, 323)
+        assert pw.flags.c_contiguous and qw.flags.c_contiguous
+        for c in (0, 1, 599):
+            assert _bits(pw[c]) == _bits(ps[c] ** np.arange(323.0, 646.0))
+            assert _bits(qw[c]) == _bits((1.0 - ps[c]) ** np.arange(323.0))
+
+    def test_wide_majority_prob_makes_no_table_copy(self):
+        # At r = 645 on 600 entries the two power tables and the block of
+        # terms are each 600 x 323 floats; a transposed copy of any of them
+        # would take the peak to 4 tables.
+        ps = np.random.default_rng(6).random(600)
+        table = 600 * 323 * 8
+        majority_prob(645, ps)  # the coefficients are cached outside the trace
+        tracemalloc.start()
+        try:
+            majority_prob(645, ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * table, peak / table
 
 
 def _plan_segments(top: int):
