@@ -78,6 +78,10 @@ PINNED_SCHEDULE = (5, 7, 7)
 # Success probabilities at which the majority oracle is compared with the engine.
 MAJORITY_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
+# The p of the round-schedule scan, a point of MAJORITY_GRID: the scan reads
+# the majority check's enumerations at it.
+SCHEDULE_P = 0.1
+
 # Per-index success probabilities of the one-round cross-check instances.
 ROUND_GRID = ((0.0,), (0.3,), (1.0,), (0.9, 0.1), (1.0, 0.0), (0.75, 0.25), (0.5, 0.5))
 
@@ -207,11 +211,14 @@ def random_scenario(dim: int, seed) -> tuple[np.ndarray, frozenset[int] | tuple[
         check_seed(s)
     rngs = [np.random.default_rng(s) for s in seeds]
     a = random_unitary(dim, rngs)
-    flags = tuple(
-        frozenset(int(i) for i in rng.choice(dim, size=int(rng.integers(1, dim)), replace=False))
-        for rng in rngs
-    )
+    flags = tuple(frozenset(int(i) for i in _draw_flags(rng, dim)) for rng in rngs)
     return (a[0], flags[0]) if one else (a, flags)
+
+
+def _draw_flags(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A scenario's flag-1 indices, drawn after its unitary: a size in
+    [1, dim - 1], then that many distinct indices."""
+    return rng.choice(dim, size=int(rng.integers(1, dim)), replace=False)
 
 
 def grover_operator(unitary: np.ndarray, flag_indices) -> np.ndarray:
@@ -239,6 +246,13 @@ def amplification_residual(unitary: np.ndarray, flag_indices) -> float | np.ndar
     once on the stack, and only theta is computed scenario by scenario.
     """
     a, masks = _scenario_stack(unitary, flag_indices)
+    residuals = _residuals(a, masks)
+    return float(residuals[0]) if np.ndim(unitary) == 2 else residuals
+
+
+def _residuals(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """amplification_residual of a checked (k, d, d) stack of unitaries
+    and its (k, d) flag-1 masks, as an array of k residuals."""
     g = _grover_matrix(a, np.where(masks, -1.0, 1.0)[:, None, :])
     _check_unitary(g, "G")
     psi = a[:, :, 0]
@@ -256,8 +270,7 @@ def amplification_residual(unitary: np.ndarray, flag_indices) -> float | np.ndar
     size = np.abs(overlap)
     turn = size > 0.0
     out[turn] *= (size[turn] / overlap[turn])[:, None]
-    residuals = _row_norms(out - target)
-    return float(residuals[0]) if np.ndim(unitary) == 2 else residuals
+    return _row_norms(out - target)
 
 
 def dense_amplification_check(dim: int, flag_indices, seed) -> float:
@@ -269,31 +282,51 @@ def dense_amplification_check(dim: int, flag_indices, seed) -> float:
     return amplification_residual(random_unitary(dim, np.random.default_rng(seed)), flag_indices)
 
 
-@functools.cache
-def _majority_permutation(reps: int) -> np.ndarray:
-    """Permutation on reps vote qubits + 1 output qubit: output ^= majority.
-    Read-only, since the cache hands the same array to every caller."""
-    dim = 2 ** (reps + 1)
-    perm = np.zeros((dim, dim))
-    for b in range(2**reps):
-        maj = 1 if bin(b).count("1") * 2 > reps else 0
-        for c in (0, 1):
-            perm[b * 2 + (c ^ maj), b * 2 + c] = 1.0
-    perm.flags.writeable = False
-    return perm
-
-
 def _rotation(p: float) -> np.ndarray:
     """Single-qubit rotation taking |0> to sqrt(1-p)|0> + sqrt(p)|1>."""
     s, c = math.sqrt(p), math.sqrt(1.0 - p)
     return np.array([[c, -s], [s, c]])
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices as one broadcast product: the same single
-    multiplication per entry, so the same values."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+def _vote_blocks(ps: np.ndarray) -> np.ndarray:
+    """The (k, 2w, 2w) vote blocks of k probabilities, w = 2^ROUND_ONE_REPS:
+    the majority row order applied to R(p)^(x)ROUND_ONE_REPS (x) I.
+
+    The Kronecker product is a stack of outer products, one factor at a
+    time. Each product puts the new factor's row and column axes in front
+    of the accumulated ones, so the multiplications run over whole
+    contiguous blocks, and every entry is the left-to-right product
+    ((R R) R ...) I that folding np.kron over the factors forms. One
+    gather then reads the entries in Kronecker order, rows permuted.
+    """
+    rotations = np.array([_rotation(p) for p in ps])
+    factors = [rotations] * ROUND_ONE_REPS + [np.broadcast_to(np.eye(2), rotations.shape)]
+    votes = factors[0]
+    for factor in factors[1:]:
+        votes = factor.reshape(factor.shape + (1,) * (votes.ndim - 1)) * votes[:, None, None]
+    return votes.reshape(len(ps), -1)[:, _vote_entries(ROUND_ONE_REPS)]
+
+
+@functools.cache
+def _vote_entries(reps: int) -> np.ndarray:
+    """Where _vote_blocks' product holds each entry of a vote block on
+    reps vote qubits + 1 output qubit.
+
+    The product's axes run (last factor's row, column, ..., first
+    factor's row, column), while a block's row and column bits run first
+    factor first. Its rows apply output ^= majority: row i of the block
+    is row i ^ majority(i >> 1) of the Kronecker product. Read-only,
+    since the cache hands the same array to every caller.
+    """
+    qubits = reps + 1
+    dim = 2**qubits
+    row = np.array([i ^ (bin(i >> 1).count("1") * 2 > reps) for i in range(dim)])[:, None]
+    col = np.arange(dim)[None, :]
+    flat = np.zeros((dim, dim), dtype=np.intp)
+    for q in range(qubits):  # bit q of row and column, counted from the last factor
+        flat += (((row >> q) & 1) * 2 + ((col >> q) & 1)) << (2 * (qubits - 1 - q))
+    flat.flags.writeable = False
+    return flat
 
 
 def structured_vs_dense_round(instances) -> float | np.ndarray:
@@ -308,14 +341,17 @@ def structured_vs_dense_round(instances) -> float | np.ndarray:
     The error-reduction step E1 is block-diagonal: an identity on
     flag 0 and a work x work vote block on flag 1 for each index. Each
     distinct p's block is built and checked for unitarity once, and E1
-    acts on the state through a reshape, so the cost is linear in n.
+    acts on the state through a reshape, so the cost is linear in n. The
+    blocks are built as stacks of at most SCENARIO_CHUNK p's
+    (``_vote_blocks``), so their memory is bounded whatever the batch.
 
     ``instances`` may also be a nonempty list or tuple of instances: the
     result is then an array of their deviations, each the float that
     instance alone gives. Every instance's dimension is checked against
     MAX_ROUND_DIM before any of them is expanded to one class per index;
     the distinct p are those of the whole batch, and A1 and G1 are built
-    and checked as one stack per n.
+    and checked as one stack per n. An instance whose classes are all
+    singletons is its own expansion and is used as it is.
     """
     one = isinstance(instances, ProblemInstance)
     batch = [instances] if one else list(instances) if isinstance(instances, (list, tuple)) else []
@@ -326,20 +362,18 @@ def structured_vs_dense_round(instances) -> float | np.ndarray:
     for inst in batch:  # every cap, before any instance's n singleton classes are built
         if inst.n * 2 * work > MAX_ROUND_DIM:
             raise ValueError(f"dense round dimension {inst.n * 2 * work} exceeds {MAX_ROUND_DIM}")
-    per_index = [expand_classes(inst) for inst in batch]
+    per_index = [inst if inst.n == len(inst.classes) else expand_classes(inst) for inst in batch]
 
     # E1 on index (x) oldflag (x) votes (x) newflag, applied to
     # G1 A1|0> (x) |0...0>: flag 0 keeps its amplitude in work slot 0, flag 1
-    # takes column 0 of its index's vote block. The blocks are real. Built
-    # one at a time, they run as fast as a (k, 64, 64) stack of them and
-    # hold one block's memory at a time instead of k.
+    # takes column 0 of its index's vote block. The blocks are real.
     distinct = np.unique(np.concatenate([e.ps for e in per_index]))
     first_columns = np.empty((len(distinct), work))
-    for j, p in enumerate(distinct):
-        votes = functools.reduce(_kron, [_rotation(p)] * ROUND_ONE_REPS + [np.eye(2)])
-        block = _majority_permutation(ROUND_ONE_REPS) @ votes
-        _check_unitary(block, "E1 vote block")
-        first_columns[j] = block[:, 0]
+    for start in range(0, len(distinct), SCENARIO_CHUNK):
+        blocks = _vote_blocks(distinct[start:start + SCENARIO_CHUNK])
+        for block in blocks:
+            _check_unitary(block, "E1 vote block")
+        first_columns[start:start + len(blocks)] = blocks[:, :, 0]
 
     deviations = np.empty(len(batch))
     by_n: dict[int, list[int]] = {}
@@ -457,13 +491,21 @@ def majority_oracle_gap(max_r: int) -> float:
     max_r must lie in [1, MAX_ENUM_R]; majority_prob and the enumeration
     each evaluate the whole grid in one call per r.
     """
+    return _majority_gap(max_r)[0]
+
+
+def _majority_gap(max_r: int) -> tuple[float, dict[int, float]]:
+    """majority_oracle_gap(max_r), with the enumeration's column at
+    SCHEDULE_P keyed by r: each entry is the float that
+    enumerate_majority(r, SCHEDULE_P) gives."""
     max_r = check_int("max_r", max_r, 1, MAX_ENUM_R)
-    gap = 0.0
+    gap, column = 0.0, {}
     for r in range(1, max_r + 1, 2):
         enumerated = enumerate_majority(r, MAJORITY_GRID)
         engine = majority_prob(r, np.array(MAJORITY_GRID))
         gap = max(gap, float(np.max(np.abs(engine - enumerated))))
-    return gap
+        column[r] = float(enumerated[MAJORITY_GRID.index(SCHEDULE_P)])
+    return gap, column
 
 
 @dataclass(frozen=True)
@@ -479,10 +521,19 @@ class FactCheck:
         return f"{self.name}: {self.detail}: {'ok' if self.ok else 'FAIL'}"
 
 
-def _oracle_schedule() -> tuple[int, ...]:
-    """r_1, r_2, r_3 by one scan of odd r with the 2^r enumeration oracle, each r
-    enumerated once: r_k is the first odd r with error <= 2^-(k+5) at p = 1/10."""
-    error = functools.cache(lambda r: enumerate_majority(r, 0.1))
+def _oracle_schedule(errors: dict[int, float]) -> tuple[int, ...]:
+    """r_1, r_2, r_3 by one scan of odd r with the 2^r enumeration oracle:
+    r_k is the first odd r with error <= 2^-(k+5) at p = SCHEDULE_P.
+
+    ``errors`` holds the enumerated errors at SCHEDULE_P already known by
+    r (the majority check's column); the scan reads those and enumerates
+    each r past them once, adding it to ``errors``.
+    """
+    def error(r: int) -> float:
+        if r not in errors:
+            errors[r] = enumerate_majority(r, SCHEDULE_P)
+        return errors[r]
+
     schedule, r = [], 1
     for k in (1, 2, 3):
         while error(r) > 2.0 ** -(k + 5):
@@ -511,10 +562,12 @@ def run_fact_checks(
     dims = tuple(check_int("dim", d, 2, MAX_DENSE_DIM) for d in dims)
     if not dims:
         raise ValueError("fact checks need at least one dimension")
-    gap = majority_oracle_gap(max_r)  # rejects a bad max_r before the dense work
+    gap, errors = _majority_gap(max_r)  # rejects a bad max_r before the dense work
     # Stacks of at most SCENARIO_CHUNK scenarios of one dimension; each
     # residual lands at its scenario's place, so the maximum is taken in
-    # scenario order.
+    # scenario order. A chunk is drawn as random_scenario draws it, with
+    # the flag sets written straight into masks: the draws are valid by
+    # construction, so only A's unitarity is checked.
     stacks: dict[int, list[int]] = {}
     for i in range(scenarios):
         stacks.setdefault(dims[i % len(dims)], []).append(i)
@@ -522,11 +575,16 @@ def run_fact_checks(
     for dim, members in stacks.items():
         for start in range(0, len(members), SCENARIO_CHUNK):
             chunk = members[start:start + SCENARIO_CHUNK]
-            residuals[chunk] = amplification_residual(
-                *random_scenario(dim, [seed + i for i in chunk]))
+            rngs = [np.random.default_rng(seed + i) for i in chunk]
+            a = random_unitary(dim, rngs)
+            masks = np.zeros((len(chunk), dim), dtype=bool)
+            for mask, rng in zip(masks, rngs):
+                mask[_draw_flags(rng, dim)] = True
+            _check_unitary(a, "A")
+            residuals[chunk] = _residuals(a, masks)
     residual = max(residuals.tolist())
     got = tuple(schedule_for_round(k) for k in (1, 2, 3))
-    oracle = _oracle_schedule()
+    oracle = _oracle_schedule(errors)
     deviation = float(np.max(structured_vs_dense_round([
         ProblemInstance(
             tuple(IndexClass(p=p, count=1, is_solution=p >= 0.5) for p in ps), strict=False)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -302,14 +303,14 @@ class TestStackedScenarios:
         # 11 scenarios over (4, 9): stacks of 6 and 5 cut into chunks of at
         # most 2; the maximum is the one every scenario alone gives.
         sizes = []
-        residual = besearch.oracles.amplification_residual
+        residuals = besearch.oracles._residuals
 
-        def recorded(unitary, flag_indices):
-            sizes.append(len(unitary))
-            return residual(unitary, flag_indices)
+        def recorded(a, masks):
+            sizes.append(len(a))
+            return residuals(a, masks)
 
         monkeypatch.setattr(besearch.oracles, "SCENARIO_CHUNK", 2)
-        monkeypatch.setattr(besearch.oracles, "amplification_residual", recorded)
+        monkeypatch.setattr(besearch.oracles, "_residuals", recorded)
         rotation = run_fact_checks(11, (4, 9), 500, 1, round_grid=((0.0,),))[0]
         assert sizes == [2, 2, 2, 2, 2, 1]
         assert rotation.value == max(one_at_a_time(11, (4, 9), 500))
@@ -447,6 +448,79 @@ class TestStructuredVsDense:
         big = make_instance(129, 0, 0.9, 0.1)
         with pytest.raises(ValueError):
             structured_vs_dense_round(big)
+
+    @staticmethod
+    def reference_vote_block(p):
+        """R(p)^(x)5 (x) I folded with np.kron, then an explicit permutation
+        matrix that flips the output qubit where the votes hold a majority."""
+        s, c = math.sqrt(p), math.sqrt(1.0 - p)
+        votes = functools.reduce(np.kron, [np.array([[c, -s], [s, c]])] * ROUND_ONE_REPS
+                                 + [np.eye(2)])
+        perm = np.zeros(votes.shape)
+        for b in range(len(votes) // 2):
+            majority = int(bin(b).count("1") * 2 > ROUND_ONE_REPS)
+            for out in (0, 1):
+                perm[2 * b + (out ^ majority), 2 * b + out] = 1.0
+        return perm @ votes
+
+    def assert_blocks_equal_reference(self, ps):
+        blocks = besearch.oracles._vote_blocks(np.array(ps))
+        assert blocks.shape == (len(ps), 64, 64)
+        for block, p in zip(blocks, ps):
+            reference = self.reference_vote_block(p)
+            assert np.array_equal(block, reference), p
+            assert block[:, 0].tobytes() == reference[:, 0].tobytes(), p
+
+    def test_vote_blocks_equal_kron_and_permutation(self):
+        self.assert_blocks_equal_reference(sorted({p for ps in ROUND_GRID for p in ps}))
+
+    @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=70))
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_vote_blocks_equal_kron_and_permutation(self, ps):
+        self.assert_blocks_equal_reference(ps)
+
+    @staticmethod
+    def distinct_p_batch(instances):
+        """Two-index relaxed instances whose 2 * instances p are all distinct."""
+        return [relaxed(((2 * i + 0.5) / (2 * instances), (2 * i + 1.5) / (2 * instances)))
+                for i in range(instances)]
+
+    def test_vote_block_chunks_give_the_same_deviations(self, monkeypatch):
+        batch = self.distinct_p_batch(20)
+        whole = structured_vs_dense_round(batch)
+        monkeypatch.setattr(besearch.oracles, "SCENARIO_CHUNK", 3)
+        assert structured_vs_dense_round(batch).tolist() == whole.tolist()
+
+    def test_vote_block_memory_is_bounded_by_the_chunk(self):
+        # 1 000 distinct p as one stack of 64 x 64 blocks take 32 MB per
+        # array of the build (over 60 MiB traced); a chunk of
+        # SCENARIO_CHUNK takes about 8 MiB.
+        assert SCENARIO_CHUNK <= 64
+        batch = self.distinct_p_batch(500)
+        tracemalloc.start()
+        try:
+            deviations = structured_vs_dense_round(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(deviations) <= ROUND_TOL
+        assert peak < 24 * 2**20
+
+    def test_singleton_instances_are_not_expanded(self, monkeypatch):
+        calls = []
+        expand = besearch.oracles.expand_classes
+
+        def counted(instance):
+            calls.append(instance.n)
+            return expand(instance)
+
+        monkeypatch.setattr(besearch.oracles, "expand_classes", counted)
+        singles = [relaxed(ps) for ps in ROUND_GRID]
+        grouped = make_instance(3, 1, 0.9, 0.1)
+        deviations = structured_vs_dense_round([*singles, grouped])
+        assert calls == [3]
+        assert deviations[-1] == structured_vs_dense_round(expand(grouped))
+        assert deviations[:-1].tolist() == structured_vs_dense_round(singles).tolist()
 
     def test_cap_checked_before_the_instance_is_expanded(self, monkeypatch):
         # Expanding builds one class per index, linear in n: a rejected n
@@ -646,7 +720,10 @@ class TestEnumerationOracle:
 class TestScheduleOracle:
     """The round-schedule check reads r_1, r_2, r_3 off one scan of odd r."""
 
-    def test_one_enumeration_per_r(self, monkeypatch):
+    @staticmethod
+    def enumerations(monkeypatch, *args, **kwargs):
+        """Every (r, p) that run_fact_checks(*args, **kwargs) enumerates, in
+        order, and its records."""
         calls = []
         enumerate_once = besearch.oracles.enumerate_majority
 
@@ -655,12 +732,51 @@ class TestScheduleOracle:
             return enumerate_once(r, p)
 
         monkeypatch.setattr(besearch.oracles, "enumerate_majority", counting)
-        checks = run_fact_checks(40, (2, 4, 8, 16), 0, 13)
-        assert [r for r, p in calls if p == 0.1] == [1, 3, 5, 7]
-        assert len(calls) == 7 + 4  # the majority gap's odd r <= 13, then the scan
+        return calls, run_fact_checks(*args, **kwargs)
+
+    def test_one_enumeration_per_r(self, monkeypatch):
+        calls, checks = self.enumerations(monkeypatch, 40, (2, 4, 8, 16), 0, 13)
+        # The majority gap's odd r <= 13 over the grid; the scan reads r = 1..7
+        # from the grid's p = 0.1 column and enumerates nothing at 0.1 alone.
+        assert calls == [(r, MAJORITY_GRID) for r in range(1, 14, 2)]
         assert checks[2].ok and checks[2].value == PINNED_SCHEDULE
+
+    @pytest.mark.parametrize("max_r", (1, 3, 5))
+    def test_scan_enumerates_only_r_past_max_r(self, monkeypatch, max_r):
+        calls, _ = self.enumerations(monkeypatch, 1, (4,), 0, max_r, round_grid=((0.0,),))
+        assert calls == ([(r, MAJORITY_GRID) for r in range(1, max_r + 1, 2)]
+                         + [(r, 0.1) for r in range(max_r + 2, 8, 2)])
 
     def test_scan_goes_past_max_r(self):
         schedule = run_fact_checks(1, (4,), 0, 1, round_grid=((0.0,),))[2]
         assert schedule.ok
         assert schedule.detail == "r1,r2,r3 = (5, 7, 7) (oracle (5, 7, 7), expected (5, 7, 7))"
+
+
+# sha256 of repr([(repr(value), ok, detail), ...]) over every record of
+# run_fact_checks for each group of argument tuples, as recorded from the
+# construction that built each vote block from five Kronecker products and
+# a permutation-matrix product, validated each drawn flag set index by
+# index, and enumerated the schedule scan's r at p = 0.1 on their own.
+FACT_DIMS = (2, 4, 8, 16)
+FACT_CHECK_GOLDEN = (
+    # The benchmark's arguments (--scenarios 40 --max-r 13) at seeds 0..31.
+    ([(40, FACT_DIMS, seed, 13) for seed in range(32)],
+     "517d9bd3d75d0e05c96d9b67d969be0355d72e16a726a83ddb934d154989890a"),
+    # check-facts' defaults.
+    ([(200, FACT_DIMS, 0, 15)],
+     "f04d7aa520ac9006c79f8d0a6aa37cd786f8ac7fdb87de660cbda338288adae0"),
+    # The enumeration oracle at its r cap.
+    ([(1, FACT_DIMS, 0, 21)],
+     "950f1d6ab49ff5e9a06756f6dff789805f3f123b00946ee7280f571c8b34b00c"),
+    # The dense oracle up to its dimension cap.
+    ([(200, FACT_DIMS + (32, 64), 0, 15)],
+     "33a9e892eb593b650334e86004c43030fc8e2dff92534fcd01b9a27ea38cf14f"),
+)
+
+
+@pytest.mark.parametrize("calls, digest", FACT_CHECK_GOLDEN)
+def test_fact_check_records_golden(calls, digest):
+    records = [(repr(check.value), check.ok, check.detail)
+               for args in calls for check in run_fact_checks(*args)]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
