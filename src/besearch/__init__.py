@@ -32,6 +32,7 @@ from .driver import (
     analytic_cost,
     build_state,
     ceil_log9,
+    exact_cost_quantile,
     exact_outcome,
     exact_success_curve,
     full_sweep_cost,

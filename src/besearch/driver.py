@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -41,6 +41,7 @@ from .model import (
     _stats_row,
     _stats_rows,
     check_int,
+    check_prob,
 )
 
 #: Classical repetitions of the whole measurement block, per the driver's
@@ -151,14 +152,11 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class ExactOutcome:
-    """Exact outcome distribution of ``run_search`` with a shot count.
-
-    ``p_found``, ``p_false_accept`` and ``p_nothing`` are the chances that
-    the search accepts a solution, accepts a non-solution, or ends with
-    no_solutions; ``expected_cost`` is its expected total cost. Entry m
-    of ``block_found`` and ``block_false_accept`` is the chance that block
-    m, run alone as ``run_block`` runs it, accepts a solution or a
-    non-solution.
+    """Exact outcome distribution of ``run_search`` with a shot count: the
+    chances that it accepts a solution, accepts a non-solution, or ends
+    with no_solutions, and its expected total cost. Entry m of
+    ``block_found`` and ``block_false_accept`` is the chance that block m,
+    run alone as ``run_block`` runs it, accepts a solution or a non-solution.
     """
 
     p_found: float
@@ -247,28 +245,19 @@ def _rounds(
     flag-1 and flag-0 class masses and its query cost.
 
     The only place the round recursion is chained. Each state is built
-    when it is asked for, so a consumer that stops early builds no more
-    states. Round m is ``apply_error_reduction(apply_amplification(state),
-    m, instance)``, with r_m looked up once. The majority vector and its
-    push-back share depend only on r_m, which repeats every round or two.
-    They are computed when the chain first reaches round 1, not before, so
-    a consumer that stops at the base state, and a 0-round chain, compute
-    none.
+    when it is asked for, so a consumer that stops early builds no more.
+    Round m is ``apply_error_reduction(apply_amplification(state), m,
+    instance)``. Its majority vector and push-back share depend only on
+    r_m; they are computed from round 1 on, so a 0-round chain computes none.
 
     An instance with fewer than ``_FLOAT_CLASSES`` classes is chained on
-    tuples of floats by ``_float_round``, from base masses formed in floats
-    as ``_base_masses`` forms them. Its majority vectors, one for every odd
-    r from r_1 to r_rounds (the distinct r_m), come from one term table
-    (``_chain_majorities``) and are converted to lists with one ``tolist``
-    each for the vectors and their shares. A wider instance is chained on
-    arrays by ``_amplify`` and ``_push_back``, whose fresh arrays are made
-    read-only; its majority vectors are computed by ``_majority`` when r_m
-    differs from r_(m-1), from slices of one pair of power tables of the
-    instance's checked ps (``_class_powers``), up to r_rounds. Both give the
-    floats of the public operators. A ``StructuredState`` is built from
-    the masses only where a state leaves the library, and a consumer that
-    needs arrays converts tuples itself (on tuples ``w1 + w0``
-    concatenates).
+    tuples of floats by ``_float_round``, with the vectors of every odd r
+    up to r_rounds from one term table (``_chain_majorities``). A wider one
+    is chained on read-only arrays by ``_amplify`` and ``_push_back``, with
+    each distinct r_m's vector computed by ``_majority`` from one pair of
+    power tables (``_class_powers``). Both give the floats of the public
+    operators. A consumer that needs arrays converts tuples itself (on
+    tuples ``w1 + w0`` concatenates).
     """
     schedule = _schedule(rounds)
     _, cost = next(schedule)  # checks the round count before any state is built
@@ -697,40 +686,92 @@ def run_block(
     return hit, shots * cost + verified * v
 
 
-def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> ExactOutcome:
-    """The exact outcome distribution of ``run_search``, block by block.
+class _BlockLaw(NamedTuple):
+    """The exact law of one block of ``run_search`` (see ``_block_laws``)."""
 
-    In block m one shot measures class c with chance w_c (the measurement
-    weights, normalized) and the v votes accept it with chance acc_c =
-    majority_prob(v, p_c), so a shot is accepted with chance
-    q = sum_c w_c acc_c. The block accepts nothing with chance
-    (1 - q)^shots and verifies E = (1 - (1 - q)^shots) / q samples on
-    average (all of them when q = 0). Each verified sample is an accepted
-    solution with chance q_good, the solution classes' part of q, so the
-    block accepts a solution with chance E q_good. acc depends on neither
-    m nor the state, so it is computed once. O(blocks x classes); nothing
-    is sampled.
+    m: int
+    cost: int  # C(m)
+    v: int  # votes per verified sample
+    q_good: float  # chance that one shot is an accepted solution
+    q_bad: float  # chance that one shot is an accepted non-solution
+    log_miss: float  # ln(1 - q), q = q_good + q_bad; -inf when q >= 1
+    verified: float  # expected samples verified
+
+
+def _block_laws(instance: ProblemInstance, shots: int) -> Iterator[_BlockLaw]:
+    """Yield the law of each block m = 0 .. search_blocks(n) - 1, built when
+    it is asked for; the only place the law is formed. One shot measures
+    class c with chance w_c (the normalized measurement weights) and the v
+    votes accept it with chance acc_c = majority_prob(v, p_c), computed
+    once, so a shot is accepted with chance q = sum_c w_c acc_c. The block
+    verifies samples until one is accepted: (1 - (1 - q)^shots) / q of them
+    on average, all of them when q = 0.
     """
-    shots = check_shots(shots)
     v = verification_repetitions(instance.n, shots)
     acc = majority_prob(v, instance.ps)
-    reach = 1.0  # chance that the search enters the block
-    p_found = p_false = cost = 0.0
-    found: list[float] = []
-    false_accept: list[float] = []
-    for _, w1, w0, c in _rounds(instance, search_blocks(instance.n) - 1):
+    for m, w1, w0, c in _rounds(instance, search_blocks(instance.n) - 1):
         w = np.add(w1, w0)
         accepted = w * acc / w.sum()
         q_good = float(accepted[instance.solution].sum())
         q_bad = float(accepted[instance.nonsolution].sum())
         q = q_good + q_bad
-        log_miss = shots * math.log1p(-q) if q < 1.0 else -math.inf
-        hit = -math.expm1(log_miss)  # 1 - (1 - q)^shots, accurate for tiny q
-        verified = hit / q if q > 0.0 else shots  # expected samples verified
-        found.append(verified * q_good)
-        false_accept.append(verified * q_bad)
-        cost += reach * (shots * c + verified * v)
+        log_miss = math.log1p(-q) if q < 1.0 else -math.inf
+        verified = -math.expm1(shots * log_miss) / q if q > 0.0 else shots  # accurate for tiny q
+        yield _BlockLaw(m, c, v, q_good, q_bad, log_miss, verified)
+
+
+def exact_outcome(instance: ProblemInstance, shots: int = DEFAULT_SHOTS) -> ExactOutcome:
+    """The exact outcome distribution of ``run_search``, a fold over the
+    block laws: block m accepts a solution with chance E q_good and a
+    non-solution with chance E q_bad, E its expected samples verified.
+    O(blocks x classes); nothing is sampled."""
+    shots = check_shots(shots)
+    reach = 1.0  # chance that the search enters the block
+    p_found = p_false = cost = 0.0
+    found: list[float] = []
+    false_accept: list[float] = []
+    for law in _block_laws(instance, shots):
+        found.append(law.verified * law.q_good)
+        false_accept.append(law.verified * law.q_bad)
+        cost += reach * (shots * law.cost + law.verified * law.v)
         p_found += reach * found[-1]
         p_false += reach * false_accept[-1]
-        reach *= math.exp(log_miss)
+        reach *= math.exp(shots * law.log_miss)
     return ExactOutcome(p_found, p_false, reach, cost, tuple(found), tuple(false_accept))
+
+
+def _found_blocks(instance: ProblemInstance, shots: int) -> Iterator[tuple]:
+    """Yield (start, v, found) per block of ``run_search``: once it has
+    verified j of the block's samples, 1 <= j <= shots, the run has paid
+    start + j v and has accepted a solution with chance found(j).
+    found(shots) sums P(found) through the block as ``exact_outcome`` does."""
+    reach, done, start = 1.0, 0.0, 0
+    for law in _block_laws(instance, shots):
+        start += shots * law.cost
+
+        def found(j: int, done: float = done, reach: float = reach, law: _BlockLaw = law) -> float:
+            q_good, q = law.q_good, law.q_good + law.q_bad
+            return done + reach * (-math.expm1(j * law.log_miss) / q * q_good if q_good else 0.0)
+
+        yield start, law.v, found
+        done = found(shots)
+        reach *= math.exp(shots * law.log_miss)
+        start += shots * law.v
+
+
+def exact_cost_quantile(
+    instance: ProblemInstance, confidence: float, shots: int = DEFAULT_SHOTS
+) -> Optional[int]:
+    """The smallest integer x such that ``run_search`` accepts a solution
+    with total_cost <= x with chance >= ``confidence``, which lies in
+    (0, 1); None when P(found) is below it. It stops at the first block
+    whose end reaches the confidence and bisects the samples verified
+    there: O(blocks + log shots)."""
+    confidence = check_prob("confidence", confidence)
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    shots = check_shots(shots)
+    for start, v, found in _found_blocks(instance, shots):
+        if found(shots) >= confidence:
+            return start + v * (1 + bisect_left(range(1, shots), confidence, key=found))
+    return None

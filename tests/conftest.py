@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 
 from besearch import IndexClass, ProblemInstance
+from besearch.driver import DEFAULT_SHOTS, _found_blocks
 
 
 @st.composite
@@ -32,3 +33,14 @@ def relaxed_instances(draw, max_classes=4, max_count=60):
         for _ in range(n_classes)
     ]
     return ProblemInstance(tuple(classes), strict=False)
+
+
+def found_within(inst, x, shots=DEFAULT_SHOTS):
+    """F(x), the chance that run_search accepts a solution with total_cost
+    <= x, read from the blocks exact_cost_quantile bisects."""
+    chance = 0.0
+    for start, v, found in _found_blocks(inst, shots):
+        if x < start + v:
+            break
+        chance = found(min(shots, (x - start) // v))
+    return chance

@@ -24,6 +24,7 @@ from besearch import (
     evaluate_classical,
     evaluate_quantum_cost,
     evaluate_quantum_sim,
+    exact_cost_quantile,
     exact_outcome,
     exact_success_curve,
     full_sweep_cost,
@@ -33,6 +34,7 @@ from besearch import (
     schedule_for_round,
 )
 from besearch.cli import run_cli
+from conftest import found_within
 from besearch.oracles import run_fact_checks
 
 SLACK = 1e-9
@@ -212,9 +214,14 @@ def test_criterion_6_monte_carlo_search():
     # The exact route: each count lies in its binomial interval, and the
     # mean cost within 5 standard errors of the exact expectation.
     exact, exact_empty = exact_outcome(planted), exact_outcome(empty)
+    # The cost within which a solution is found with chance 0.9; F(x) is that chance exactly.
+    x = exact_cost_quantile(planted, 0.9)
+    within = sum(run.outcome == "found" and planted.classes[run.found_class].is_solution
+                 and run.total_cost <= x for run in runs)
     counts = (  # (what, seeded count, exact probability)
         ("found", found, 1.0 - exact.p_nothing),
         ("solution found", solutions, exact.p_found),
+        (f"solution found within cost {x}", within, found_within(planted, x)),
         ("block m=3", block_hits, exact.block_found[3]),
         ("t=0 no_solutions", none, exact_empty.p_nothing),
     )

@@ -22,9 +22,9 @@ import hypothesis.strategies as st
 import besearch
 from besearch import (
     GATE_OR, MAX_ROUNDS, MAX_SHOTS, AndOrTree, ExactOutcome, analytic_cost, apply_error_reduction,
-    build_state, ceil_log9, evaluate_quantum_cost, evaluate_quantum_sim, exact_outcome,
-    exact_success_curve, full_sweep_cost, init_state, level_costs, make_instance, run_block,
-    run_search, schedule_for_round, search_blocks, verification_repetitions,
+    build_state, ceil_log9, evaluate_quantum_cost, evaluate_quantum_sim, exact_cost_quantile,
+    exact_outcome, exact_success_curve, full_sweep_cost, init_state, level_costs, make_instance,
+    run_block, run_search, schedule_for_round, search_blocks, verification_repetitions,
 )
 from besearch.amplification import amplification_factors
 from besearch.driver import check_seed, check_shots
@@ -136,6 +136,9 @@ ROWS = (
         lambda v: run_search(INST, 0, v), (-5, 2.0)),
     Row("run_block", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5, lambda v: run_block(INST, 1, 0, v)),
     Row("exact_outcome", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5, lambda v: exact_outcome(INST, v)),
+    # At 5 shots P(found) is 0.357, so the quantile at 0.3 is an int.
+    Row("exact_cost_quantile", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
+        lambda v: exact_cost_quantile(INST, 0.3, v)),
     Row("evaluate_quantum_cost", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
         lambda v: evaluate_quantum_cost(TREE, v)),
     Row("evaluate_quantum_sim", "shots", "shots", SHOTS, 1, MAX_SHOTS, 5,
@@ -155,6 +158,9 @@ ROWS = (
     # value is named too.
     Row("repetitions_for", "eps", "eps", PROB, 0.0, 1.0, 0.01, repetitions_for,
         (0.0, 1.0, [0.1], {}, "0.01")),
+    # confidence lies in (0, 1), like eps.
+    Row("exact_cost_quantile", "confidence", "confidence", PROB, 0.0, 1.0, 0.9,
+        lambda v: exact_cost_quantile(INST, v), (0.0, 1.0, [0.9], "0.9")),
     Row("amplification_factors", "theta", "theta", PROB, 0.0, math.pi / 2, 0.5,
         amplification_factors, ("0.5", 1.6)),
 )
@@ -331,7 +337,7 @@ def test_each_error_names_its_parameter():
 # shot count or seed; records that only hold results are exempt.
 CHECKED = {"n", "t", "m", "m_max", "rounds", "k", "r", "max_r", "count", "depth", "fanouts",
            "scenarios", "dim", "dims", "shots", "seed", "p", "p_good", "p_bad",
-           "eps", "theta", "flag_indices", "value"}
+           "eps", "confidence", "theta", "flag_indices", "value"}
 RECORDS = {"CurvePoint", "TraceRow", "SearchResult", "FactCheck"}
 
 

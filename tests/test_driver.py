@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import math
 import pickle
 import sys
@@ -32,6 +33,7 @@ from besearch import (
     build_state,
     ceil_log9,
     evaluate_quantum_cost,
+    exact_cost_quantile,
     exact_outcome,
     exact_success_curve,
     full_sweep_cost,
@@ -51,7 +53,7 @@ from besearch.driver import (
 from besearch.error_reduction import majority_prob
 from besearch.model import IndexClass, ProblemInstance, StructuredState, _stats_rows
 from besearch.oracles import enumerate_majority
-from conftest import strict_instances
+from conftest import found_within, strict_instances
 from test_contracts import IntegerCases, ProbabilityCases, ShotCases
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -643,6 +645,26 @@ class TestExactOutcome:
         exact_outcome(inst)
         assert len(calls) == 1
 
+    def test_grid_equals_the_recorded_digest(self):
+        # Every field of every outcome over strict and relaxed two-class
+        # instances from n = 1 to 9^322 at 1 to 10^6 shots, and an 8-class
+        # relaxed instance on the array path. Recorded when exact_outcome
+        # formed each block's law in its own loop.
+        outs = []
+        for n in (1, 9, 6561, 9**8, 9**40, 9**322):
+            for t in (t for t in (0, 1, 9) if t <= n):
+                for p_good, p_bad, strict in ((0.9, 0.1, True), (1.0, 0.0, True),
+                                              (0.6, 0.4, False)):
+                    inst = make_instance(n, t, p_good, p_bad, strict=strict)
+                    outs += [exact_outcome(inst, shots) for shots in (1, 7, 1000, 10**6)]
+        wide = ProblemInstance(tuple(IndexClass(0.05 + 0.12 * c, 10**c, c % 3 == 0)
+                                     for c in range(8)), strict=False)
+        outs += [exact_outcome(wide, shots) for shots in (1, 7, 1000, 10**6)]
+        assert len(outs) == 208
+        assert hashlib.sha256(repr(tuple(outs)).encode()).hexdigest() == (
+            "cd671a00d633464d6eaedebfd20c8447f429ab0f033e218e4ac31893a868d7f1"
+        )
+
 
 class _Branches:
     """Depth-first replay of a run's random choices. Each choice point takes
@@ -697,10 +719,29 @@ class _Branches:
         return len(sampled)
 
 
+_REPLAYS = [
+    *(pytest.param(n, t, None, shots, id=f"n={n},t={t},shots={shots}")
+      for n in (9, 81) for t in (0, 1, 3) for shots in (1, 2)),
+    *(pytest.param(81, None, ((0.95, 2, True), (0.4, 7, False), (0.05, 72, False)), shots,
+                   id=f"three relaxed classes,shots={shots}") for shots in (1, 2)),
+    # The array path of the sampler; two shots would run 30 times longer.
+    pytest.param(81, None, tuple((0.05 + 0.1 * c, 9 + 9 * (c == 0), c > 4) for c in range(8)),
+                 1, id="eight relaxed classes,shots=1"),
+]
+
+
 class TestExactOutcomeReplay:
-    """exact_outcome against a second route: every branch of run_search's
-    own control flow, replayed with its measurements and votes as choice
-    points and weighted by its chance."""
+    """exact_outcome and the cost quantile against a second route: every
+    branch of run_search's own control flow, replayed with its
+    measurements and votes as choice points and weighted by its chance."""
+
+    @staticmethod
+    def instance(n, t, classes):
+        if classes is None:
+            return make_instance(n, t, 0.9, 0.1)
+        inst = ProblemInstance(tuple(IndexClass(*c) for c in classes), strict=False)
+        assert inst.n == n
+        return inst
 
     @staticmethod
     def replay(inst, shots, monkeypatch):
@@ -713,7 +754,7 @@ class TestExactOutcomeReplay:
         monkeypatch.setattr(besearch.driver, "_first_accept", branches.first_accept)
         monkeypatch.setattr(besearch.driver, "_rng", lambda seed: branches)
         found = false = nothing = cost = 0.0
-        count = 0
+        runs = []  # (total_cost, found a solution, chance) per branch
         while True:
             branches.start()
             try:
@@ -721,42 +762,52 @@ class TestExactOutcomeReplay:
             except _Branches.Abandoned:
                 pass
             else:
-                count += 1
                 chance = branches.chance
+                solution = False
                 if result.outcome == "no_solutions":
                     nothing += chance
                 elif inst.classes[result.found_class].is_solution:
                     found += chance
+                    solution = True
                 else:
                     false += chance
                 cost += chance * result.total_cost
+                runs.append((result.total_cost, solution, chance))
             if not branches.advance():
-                return found, false, nothing, cost, count, branches.mixed
+                return found, false, nothing, cost, runs, branches.mixed
 
-    @pytest.mark.parametrize("n, t, classes, shots", [
-        *(pytest.param(n, t, None, shots, id=f"n={n},t={t},shots={shots}")
-          for n in (9, 81) for t in (0, 1, 3) for shots in (1, 2)),
-        *(pytest.param(81, None, ((0.95, 2, True), (0.4, 7, False), (0.05, 72, False)), shots,
-                       id=f"three relaxed classes,shots={shots}") for shots in (1, 2)),
-        # The array path of the sampler; two shots would run 30 times longer.
-        pytest.param(81, None, tuple((0.05 + 0.1 * c, 9 + 9 * (c == 0), c > 4) for c in range(8)),
-                     1, id="eight relaxed classes,shots=1"),
-    ])
+    @pytest.mark.parametrize("n, t, classes, shots", _REPLAYS)
     def test_branches_add_up_to_the_exact_outcome(self, n, t, classes, shots, monkeypatch):
-        if classes is None:
-            inst = make_instance(n, t, 0.9, 0.1)
-        else:
-            inst = ProblemInstance(tuple(IndexClass(*c) for c in classes), strict=False)
-            assert inst.n == n
-        found, false, nothing, cost, count, mixed = self.replay(inst, shots, monkeypatch)
+        inst = self.instance(n, t, classes)
+        found, false, nothing, cost, runs, mixed = self.replay(inst, shots, monkeypatch)
         want = exact_outcome(inst, shots)
         assert abs(found - want.p_found) <= 1e-14
         assert abs(false - want.p_false_accept) <= 1e-14
         assert abs(nothing - want.p_nothing) <= 1e-14
         assert abs(cost - want.expected_cost) <= 1e-14 * want.expected_cost
-        assert count > 1
+        assert len(runs) > 1
         if classes is not None and len(classes) == 3 and shots == 2:
             assert mixed
+
+    @pytest.mark.parametrize("n, t, classes, shots", _REPLAYS)
+    def test_branch_costs_give_the_cost_quantile(self, n, t, classes, shots, monkeypatch):
+        inst = self.instance(n, t, classes)
+        *_, runs, _ = self.replay(inst, shots, monkeypatch)
+        within = 0.0  # P(found and total_cost <= x) over the branches
+        confidences = [0.05, 0.5, 0.9, 0.99]
+        for x, group in itertools.groupby(sorted(runs), key=lambda run: run[0]):
+            within += sum(chance for _, solution, chance in group if solution)
+            chance = found_within(inst, x, shots)
+            assert abs(within - chance) <= 1e-14
+            if 0.0 < chance < 1.0:
+                confidences.append(chance)  # every step of F, each block's end and P(found) too
+        p_found = exact_outcome(inst, shots).p_found
+        for confidence in confidences:
+            x = exact_cost_quantile(inst, confidence, shots)
+            if p_found < confidence:
+                assert x is None
+            else:
+                assert found_within(inst, x, shots) >= confidence > found_within(inst, x - 1, shots)
 
 
 class TestFalseAcceptBound:
@@ -825,6 +876,26 @@ class TestCostBound:
         assert not {key: r for key, r in ratio.items() if r > 1 + 1e-6}
         # The grid still holds the tight case: one block and about one verification.
         assert max(ratio.values()) > 1.0
+
+    def test_cost_quantile_within_the_bound(self):
+        """The abstract's "with high probability": at 1000 shots the cost
+        within which a solution is found with chance 0.9 is at most 1.5
+        shots sqrt(n / t). The largest ratio over the grid is 1.4811 (n =
+        9^7, t = 10^4). The bound is for 1000 shots only: at n = 6561, t =
+        1 the ratio is 2.40 at 100 shots."""
+        ratio = {}
+        for e in self.EXPONENTS:
+            n = 9**e
+            for t in self.solution_counts(n):
+                x = exact_cost_quantile(make_instance(n, t, 0.9, 0.1), 0.9, 1000)
+                ratio[e, t] = x / (1000 * math.sqrt(n / t))
+        assert not {key: r for key, r in ratio.items() if r > 1.5}
+        # The grid still holds the tight case.
+        assert max(ratio.values()) > 1.47
+        assert exact_cost_quantile(make_instance(6561, 0, 0.9, 0.1), 0.9, 1000) is None
+        relaxed = make_instance(6561, 1, 0.6, 0.4, strict=False)
+        assert exact_outcome(relaxed).p_found < 0.9
+        assert exact_cost_quantile(relaxed, 0.9, 1000) is None
 
     def test_full_sweep_within_the_bound(self):
         ratio = {e: full_sweep_cost(9**e) / (DEFAULT_SHOTS * math.sqrt(9**e))
