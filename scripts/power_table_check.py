@@ -6,23 +6,26 @@ formula, bit for bit, on this numpy.
 once, one row per class, per round chain or per ``majority_prob`` call.
 From 8 classes on, and in ``majority_prob``, ``_majority`` forms each r's
 terms C(r, j) p^j (1-p)^(r-j) from column slices of those tables. A chain
-under 8 classes instead gathers every term of every odd r from r_1 to its
-last r_k into one term table (``error_reduction._chain_terms``), and
-``_chain_majorities`` adds each r's row segment. Either gives the floats
-of the formula that computed every power anew for each r only because
-numpy's ``power`` rounds a given (p, j) in the tables as in the formula,
-and the terms of a class are added in the formula's order. At 1, 2, 3, 7, 8, 64 and 600 classes, on probability
-vectors that hold 0, 1, 1/2, 0.1, 0.9, 1e-300 and the smallest subnormal
-among random values, this script checks:
+under 8 classes instead gathers the terms of every odd r from r_1 to its
+last r_k, up to r = 253, into padded rows of one width
+(``error_reduction._padded_plan``) that one reduction adds. Either gives
+the floats of the formula that computed every power anew for each r only
+because numpy's ``power`` rounds a given (p, j) in the tables as in the
+formula, and the terms of a class are added in the formula's order. The
+padded rows add in that order only under numpy's summation rule, which
+``row_sum`` states. This script checks:
 
-* ``majority_prob`` at every odd r up to 1029;
-* the majority vector of a MAX_ROUNDS-round chain at every distinct r_k;
-* every chain of 1 .. MAX_ROUNDS rounds against the longest. Its power
-  tables (from 8 classes on) or its term table (under 8) must be the
-  leading columns of the longest chain's. From 8 classes on, the
-  majority vector at its last r_m must equal the longest chain's; under
-  8, its majority vectors must be the leading rows of the longest
-  chain's.
+* ``row_sum`` against numpy on rows of 1 .. 700 floats, with -0.0 and
+  subnormal entries; a numpy that adds otherwise fails here, by name;
+* ``majority_prob`` at every odd r up to 1029, at 1, 2, 3, 7, 8, 64 and
+  600 classes, on probability vectors that hold 0, 1, 1/2, 0.1, 0.9,
+  1e-300 and the smallest subnormal among random values;
+* at 1 .. 8, 64 and 600 classes, the majority vector of a MAX_ROUNDS-round
+  chain at every distinct r_k, and every chain of 1 .. MAX_ROUNDS rounds
+  against the longest. From 8 classes on its power tables must be the
+  leading columns of the longest chain's and its majority vector at its
+  last r_m must equal the longest chain's; under 8, its majority vectors
+  must be the leading rows of the longest chain's.
 
 The class counts are checked in ``WORKERS`` processes. The script prints
 numpy's version and the number of compared entries, and exits 1 naming
@@ -45,12 +48,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import besearch.driver as driver  # noqa: E402
 from besearch.error_reduction import (  # noqa: E402
-    _MAX_REPS, MAX_ROUNDS, _chain_majorities, _chain_terms, _class_powers, _majority,
+    _MAX_REPS, MAX_ROUNDS, _chain_majorities, _class_powers, _majority,
     majority_prob, schedule_for_round,
 )
 from besearch.model import IndexClass, ProblemInstance  # noqa: E402
 
 CLASSES = (1, 2, 3, 7, 8, 64, 600)
+CHAIN_CLASSES = (*range(1, 9), 64, 600)
 EDGES = (0.0, 1.0, 0.5, 0.1, 0.9, 1e-300, 5e-324)
 
 # The class counts are checked in this many processes; the 600-class
@@ -89,6 +93,58 @@ def p_grids(classes: int) -> list[np.ndarray]:
     return [*padded.reshape(rows, classes), rng.random(classes)]
 
 
+def row_sum(row: list[float]) -> float:
+    """numpy's ``add.reduce`` of a contiguous float row, in pure Python:
+    the row's pairwise sum added to 0.0."""
+    return 0.0 + _pairwise(row)
+
+
+def _pairwise(row: list[float]) -> float:
+    """numpy's pairwise sum of a contiguous float64 row."""
+    n = len(row)
+    if n < 8:
+        total = 0.0
+        for x in row:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(row[:half]) + _pairwise(row[half:])
+    sums, cut = row[:8], n - n % 8
+    for i in range(8, cut):
+        sums[i % 8] += row[i]
+    s0, s1, s2, s3, s4, s5, s6, s7 = sums
+    total = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+    for x in row[cut:]:
+        total += x
+    return total
+
+
+def summation_rows(n: int) -> np.ndarray:
+    """Rows of ``n`` floats for the rule check: one of random magnitudes
+    and signs, one with -0.0 and subnormal entries among them, and one all
+    -0.0."""
+    rng = np.random.default_rng(n)
+    mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    zeros = mixed.copy()
+    zeros[rng.random(n) < 0.3] = -0.0
+    zeros[rng.random(n) < 0.2] = 5e-324
+    return np.array([mixed, zeros, np.full(n, -0.0)])
+
+
+def check_summation() -> tuple[Optional[str], int]:
+    """numpy's summation of rows of 1 .. 700 floats against ``row_sum``."""
+    compared = 0
+    for n in range(1, 701):
+        rows = summation_rows(n)
+        want = np.array([row_sum(row) for row in rows.tolist()])
+        if _differ(np.add.reduce(rows, axis=1), want):
+            return (f"numpy's summation of {n} floats breaks the rule the padded "
+                    f"term rows rely on (numpy {np.__version__})"), compared
+        compared += rows.size
+    return None, compared
+
+
 def _differ(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape != want.shape or got.tobytes() != want.tobytes()
 
@@ -120,7 +176,7 @@ def check_chains(classes: int) -> tuple[Optional[str], int]:
         for p, c, s in zip(ps.tolist(), rng.integers(1, 10**6, classes), rng.random(classes) < 0.5)
     ), strict=False)
     if classes < driver._FLOAT_CLASSES:
-        return _check_term_chains(inst)
+        return _check_padded_chains(inst)
     tables, keeps = [], {}
 
     def powers(ps, low, top):
@@ -163,9 +219,9 @@ def _run_chains(inst: ProblemInstance) -> None:
         next(chain)
 
 
-def _check_term_chains(inst: ProblemInstance) -> tuple[Optional[str], int]:
+def _check_padded_chains(inst: ProblemInstance) -> tuple[Optional[str], int]:
     """``check_chains`` under 8 classes, where a chain reads every majority
-    vector from one term table."""
+    vector from the padded term rows."""
     classes, first = inst.ps.size, schedule_for_round(1)
     chains = []  # (last r_k, majority vectors) of every chain, the longest first
 
@@ -188,14 +244,10 @@ def _check_term_chains(inst: ProblemInstance) -> tuple[Optional[str], int]:
         if _differ(keep, reference_majority(r, inst.ps)):
             return f"the chain's majority vector at r = {r}, {classes} classes, differs", compared
         compared += classes
-    terms, _ = _chain_terms(inst.ps, top)
     for m, (top_m, keeps_m) in enumerate(prefixes, start=1):
-        terms_m, _ = _chain_terms(inst.ps, top_m)
-        if top_m != schedule_for_round(m) or _not_leading(terms_m, terms):
-            return f"the term table of {m} rounds, {classes} classes, differs", compared
-        if _differ(keeps_m, keeps[:len(keeps_m)]):
+        if top_m != schedule_for_round(m) or _differ(keeps_m, keeps[:len(keeps_m)]):
             return f"the majority vectors of {m} rounds, {classes} classes, differ", compared
-        compared += terms_m.size + keeps_m.size
+        compared += keeps_m.size
     return None, compared
 
 
@@ -203,10 +255,14 @@ def main() -> int:
     tasks = [functools.partial(check_majority, CLASSES[-1], part, WORKERS)
              for part in range(WORKERS)]
     tasks += [functools.partial(check_majority, classes, 0, 1) for classes in CLASSES[:-1]]
-    tasks += [functools.partial(check_chains, classes) for classes in CLASSES]
-    print(f"numpy {np.__version__}: classes {', '.join(map(str, CLASSES))}, "
-          f"every odd r up to {_MAX_REPS}, chains of 1 .. {MAX_ROUNDS} rounds")
-    compared = 0
+    tasks += [functools.partial(check_chains, classes) for classes in CHAIN_CLASSES]
+    print(f"numpy {np.__version__}: row sums of 1 .. 700 floats, classes "
+          f"{', '.join(map(str, CLASSES))} at every odd r up to {_MAX_REPS}, chains of "
+          f"1 .. {MAX_ROUNDS} rounds at {', '.join(map(str, CHAIN_CLASSES))}")
+    error, compared = check_summation()
+    if error:
+        print(error)
+        return 1
     with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
         for error, count in pool.map(_run, tasks):
             compared += count

@@ -252,7 +252,7 @@ def _rounds(
 
     An instance with fewer than ``_FLOAT_CLASSES`` classes is chained on
     tuples of floats by ``_float_round``, with the vectors of every odd r
-    up to r_rounds from one term table (``_chain_majorities``). A wider one
+    up to r_rounds from padded term rows (``_chain_majorities``). A wider one
     is chained on read-only arrays by ``_amplify`` and ``_push_back``, with
     each distinct r_m's vector computed by ``_majority`` from one pair of
     power tables (``_class_powers``). Both give the floats of the public

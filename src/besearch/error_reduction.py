@@ -15,7 +15,7 @@ import math
 import threading
 from bisect import bisect_left
 from functools import cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -132,90 +132,56 @@ def _majority(r: int, pw: np.ndarray, qw: np.ndarray, low: int) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-class _TermPlan(NamedTuple):
-    """Where each term of ``_chain_terms``' table comes from: segment i
-    holds, in columns bounds[i] .. bounds[i + 1] - 1, the terms of r = first
-    + 2i, j = (r+1)/2 .. r: C(r, j) times the p^j at ``p_column`` of a power
-    table from p^((first+1)/2) times the (1-p)^(r-j) at ``q_column`` of one
-    from (1-p)^0."""
-
-    first: int
-    bounds: tuple[int, ...]
-    coeffs: np.ndarray
-    p_column: np.ndarray
-    q_column: np.ndarray
-
-    @property
-    def top(self) -> int:
-        """The last r the plan covers (first - 2 while it is empty)."""
-        return self.first + 2 * (len(self.bounds) - 2)
+# The last r whose h = (r+1)/2 terms numpy adds as one row (h <= 128).
+_PADDED_TOP = 253
 
 
-# The term plan of every round chain under 8 classes, from r_1 on. It
-# depends only on the schedule, so all chains share it, each reading the
-# segments up to its last r_k, a prefix. It is grown on demand to the r a
-# chain needs, at most r_MAX_ROUNDS = 647 (322 segments, 52 647 terms), by
-# one thread at a time, and replaced whole, so a reader always sees a
-# complete plan.
-_term_plan: Optional[_TermPlan] = None
-_term_plan_lock = threading.Lock()
+@cache
+def _padded_plan(k: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """low = (r_1+1)/2 and the term rows, padded to width 8k+7, of every odd
+    r from r_1 to min(16k+13, 253): each entry's coefficient C(r, j) and its
+    columns in a p^j table from p^low and a (1-p)^j table from (1-p)^0, with
+    coefficient 0 and columns 0 in the padding. Callers keep k <= 15, and
+    threads that race build the same plan.
 
-
-def _plan_to(top: int) -> _TermPlan:
-    """The term plan, grown first to cover every odd r up to ``top``."""
-    global _term_plan
-    plan = _term_plan
-    if plan is None or plan.top < top:
-        with _term_plan_lock:
-            empty = np.empty(0, np.intp)
-            plan = _term_plan or _TermPlan(schedule_for_round(1), (0,), np.empty(0), empty, empty)
-            if plan.top < top:
-                rs = range(plan.top + 2, top + 1, 2)
-                ones = [np.arange((r + 1) // 2, r + 1) for r in rs]  # each r's j
-                bounds = [*plan.bounds]
-                for j in ones:
-                    bounds.append(bounds[-1] + j.size)
-                low = (plan.first + 1) // 2
-                plan = _term_plan = _TermPlan(
-                    plan.first,
-                    tuple(bounds),
-                    np.concatenate([plan.coeffs, *(_majority_terms(r).ravel() for r in rs)]),
-                    np.concatenate([plan.p_column, *(j - low for j in ones)]),
-                    np.concatenate([plan.q_column, *(r - j for r, j in zip(rs, ones))]),
-                )
-    return plan
-
-
-def _chain_terms(ps: np.ndarray, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The term table of a round chain whose last r_k is ``top``, and its
-    segment bounds: one C-ordered row per class of ``ps``, and in it, for
-    every odd r from r_1 to ``top`` in turn, the terms C(r, j) p^j
-    (1-p)^(r-j), j = (r+1)/2 .. r, as ``_majority`` forms them.
-
-    The powers are ``_class_powers``' floats, gathered along the rows by
-    ``take``, which gives a C-ordered table. Fancy indexing (``pw[:,
-    index]``) would give an F-ordered one, whose segments numpy adds in
-    another order.
+    numpy adds a contiguous row of n floats to 0.0: under 8 one by one; up
+    to 128 in 8 running sums over the first 8 floor(n/8), one per position
+    mod 8, combined as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), then the other
+    n mod 8 one by one; past 128 it splits the row. So an r's h terms laid
+    out as their first 8 floor(h/8), zeros up to position 8k, their other
+    h mod 8 and zeros up to 8k+7 add to the same float: padding adds zeros.
     """
-    plan = _plan_to(top)
-    bounds = plan.bounds[:(top - plan.first) // 2 + 2]
-    end = bounds[-1]
-    pw, qw = _class_powers(ps, (plan.first + 1) // 2, top)
-    terms = (plan.coeffs[:end] * pw.take(plan.p_column[:end], axis=1)
-             * qw.take(plan.q_column[:end], axis=1))
-    return terms, bounds
+    first = schedule_for_round(1)
+    rs = range(first, min(16 * k + 13, _PADDED_TOP) + 1, 2)
+    plan = np.zeros((3, len(rs), 8 * k + 7))
+    for row, r in enumerate(rs):
+        h = (r + 1) // 2
+        ones = np.arange(h, r + 1)
+        at = np.r_[0:h - h % 8, 8 * k:8 * k + h % 8]
+        plan[:, row, at] = _majority_terms(r).ravel(), ones - (first + 1) // 2, r - ones
+    columns = plan[1:].astype(np.intp)
+    plan.flags.writeable = columns.flags.writeable = False
+    return (first + 1) // 2, plan[0], *columns
 
 
 def _chain_majorities(ps: np.ndarray, top: int) -> np.ndarray:
     """The majority vector of every odd r from r_1 to ``top``, row (r -
-    r_1)/2 of the result, for the probabilities ``ps`` (unchecked) of an
-    instance under 8 classes: each class's terms in ``_chain_terms`` added
-    along their contiguous row segment, as ``_majority`` adds them."""
-    terms, bounds = _chain_terms(ps, top)
-    out = np.empty((len(bounds) - 1, ps.size))
-    for row, start, end in zip(out, bounds, bounds[1:]):
-        np.add.reduce(terms[:, start:end], axis=1, out=row)
-    return out
+    r_1)/2, for the probabilities ``ps`` (unchecked) of an instance under 8
+    classes, as ``_majority`` gives it: up to r = 253 from one C-ordered
+    (classes, rows, 8k+7) block of the narrowest plan that covers ``top``,
+    gathered by ``take`` (fancy indexing gives another order) and added
+    along its rows, and past 253 from ``_majority`` on the same tables."""
+    low, coeffs, p_column, q_column = _padded_plan(min(15, (top + 1) // 16))
+    rows = (min(top, _PADDED_TOP) + 1) // 2 - low + 1  # one per h = (r+1)/2
+    pw, qw = _class_powers(ps, low, top)
+    terms = pw.take(p_column[:rows], axis=1)
+    terms *= coeffs[:rows]
+    terms *= qw.take(q_column[:rows], axis=1)
+    vectors = np.add.reduce(terms, axis=2).T
+    if top <= _PADDED_TOP:
+        return vectors
+    return np.vstack([vectors, *(_majority(r, pw, qw, low)
+                                 for r in range(_PADDED_TOP + 2, top + 1, 2))])
 
 
 def _majority_errors() -> Iterator[float]:

@@ -46,8 +46,16 @@ def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo or (hi is not None and value > hi):
-        raise ValueError(f"{name} must lie in [{lo}, {'inf' if hi is None else hi}], got {value}")
+        high = "inf" if hi is None else _int_text(hi)
+        raise ValueError(f"{name} must lie in [{lo}, {high}], got {_int_text(value)}")
     return int(value)
+
+
+def _int_text(value: int) -> str:
+    """An int as an error writes it: past 30 digits by its bit length, as
+    Python writes no int of more than 4300 digits."""
+    sign = "negative " if value < 0 else ""
+    return str(value) if abs(value) < 10**30 else f"a {sign}{value.bit_length()}-bit int"
 
 
 def check_prob(name: str, value, hi: float = 1.0, hi_text: str = "1") -> float:
@@ -58,7 +66,8 @@ def check_prob(name: str, value, hi: float = 1.0, hi_text: str = "1") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0.0 <= value <= hi:
-        raise ValueError(f"{name} must lie in [0, {hi_text}], got {value!r}")
+        shown = _int_text(value) if isinstance(value, int) else repr(value)
+        raise ValueError(f"{name} must lie in [0, {hi_text}], got {shown}")
     return float(value)
 
 

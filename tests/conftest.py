@@ -1,7 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import hypothesis.strategies as st
 
 from besearch import IndexClass, ProblemInstance
 from besearch.driver import DEFAULT_SHOTS, _found_blocks
+
+
+def load_script(name: str):
+    """The module ``scripts/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite

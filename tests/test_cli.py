@@ -484,6 +484,11 @@ class TestExitContract:
         if "--seed" in argv:
             assert "seed" in err
 
+    def test_a_long_bound_is_written_by_its_bit_length(self, capsys):
+        # MAX_BASELINE_N has 309 digits.
+        code, _, err = run(capsys, "baselines", "--n", "1")
+        assert code == 2 and len(err) < 120, err
+
     def test_json_grid_error_names_the_value(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"dims": [2, 4]}))

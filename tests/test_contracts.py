@@ -186,6 +186,16 @@ def rejects(row: Row, value, what: str = "must ") -> None:
         pytest.fail(f"{row.entry} took {value!r}")
 
 
+def rejects_huge(row: Row, value: int) -> None:
+    """``row.call(value)``, for an int past Python's 4300-digit limit on
+    writing one, raises a short ValueError that starts with the row's name
+    and "must lie in"."""
+    with pytest.raises(ValueError) as err:
+        row.call(value)
+    message = str(err.value)
+    assert message.startswith(f"{row.name} must lie in ") and len(message) < 120, message
+
+
 def plain(result):
     """A result in a form that == compares: arrays as lists, states as masses."""
     if isinstance(result, np.ndarray):
@@ -247,6 +257,12 @@ class IntegerCases:
         with pytest.raises(ValueError, match=r"^x must lie in \[1, 4\], got 5$"):
             check_int("x", 5, 1, 4)
 
+    @pytest.mark.parametrize("entry", INTEGER_ROWS)
+    def test_huge_values_are_named(self, entry):
+        row = INTEGER_ROWS[entry]
+        for bad in (-10**5000, *(() if row.hi is None else (10**5000,))):
+            rejects_huge(row, bad)
+
     def test_odd_and_nonempty_checks_stay(self):
         for call in (lambda: majority_prob(4, 0.5), lambda: enumerate_majority(4, 0.5)):
             with pytest.raises(ValueError, match="^r must be odd"):
@@ -266,6 +282,10 @@ class ProbabilityCases:
     @pytest.mark.parametrize("bad", OFF_TYPE[PROB] + (-0.25, 1.5))
     def test_rejects_non_probabilities(self, entry, bad):
         rejects(UNIT_ROWS[entry], bad)
+
+    @pytest.mark.parametrize("entry", UNIT_ROWS)
+    def test_huge_ints_are_named(self, entry):
+        rejects_huge(UNIT_ROWS[entry], 10**5000)
 
     @pytest.mark.parametrize("entry", UNIT_ROWS)
     @pytest.mark.parametrize("good", (0.0, 0.3, 1.0))

@@ -1,7 +1,6 @@
 import ctypes
 import dataclasses
 import hashlib
-import importlib.util
 import itertools
 import math
 import pickle
@@ -13,7 +12,6 @@ from bisect import bisect_right
 from collections import Counter
 from functools import reduce
 from operator import add
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,21 +51,11 @@ from besearch.driver import (
 from besearch.error_reduction import majority_prob
 from besearch.model import IndexClass, ProblemInstance, StructuredState, _stats_rows
 from besearch.oracles import enumerate_majority
-from conftest import found_within, strict_instances
+from conftest import found_within, load_script, strict_instances
 from test_contracts import IntegerCases, ProbabilityCases, ShotCases
 
-_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _script(name: str):
-    spec = importlib.util.spec_from_file_location(name, _ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-vote_stream_check = _script("vote_stream_check")
-cost_table = _script("cost_table")
+vote_stream_check = load_script("vote_stream_check")
+cost_table = load_script("cost_table")
 
 
 def oracle_reps(eps: float) -> int:
@@ -264,7 +252,7 @@ class TestBuildState:
     @pytest.fixture
     def kernels(self, monkeypatch):
         # Every call of the chain's two majority kernels: ("chain", top,
-        # vectors, classes) for the term table under 8 classes, ("majority",
+        # vectors, classes) for the padded term rows under 8 classes, ("majority",
         # r) for each array-path vector, and ("powers", low, top, p^j rows,
         # columns, (1-p)^j columns) for the array path's power tables.
         calls = []
@@ -290,8 +278,8 @@ class TestBuildState:
 
     def test_majority_once_per_distinct_repetition_count(self, kernels):
         # r_1 .. r_5 = 5, 7, 7, 9, 9: three distinct counts, three vectors,
-        # from one term table under 8 classes and one _majority call each
-        # from 8 classes on.
+        # from one _chain_majorities call under 8 classes and one _majority
+        # call each from 8 classes on.
         narrow = make_instance(6561, 3, 0.9, 0.1)
         wide = _masked_instance(np.random.default_rng(8), 3, 9)
         build_state(narrow, 5)
@@ -311,7 +299,7 @@ class TestBuildState:
     @staticmethod
     def expected_tables(inst, rounds):
         # One table per chain of at least one round, none for a 0-round
-        # chain. Under 8 classes: the term table up to r_rounds, one vector
+        # chain. Under 8 classes: the padded term rows up to r_rounds, one vector
         # per distinct r_k. From 8 classes on: the power tables, one row per
         # class, p^j for j = (r_1+1)/2 .. r_rounds, top - low + 1 columns,
         # and (1-p)^j for j = 0 .. (top-1)/2, (top + 1)/2 columns.

@@ -31,7 +31,7 @@ from besearch import (
 )
 from besearch.driver import verification_repetitions
 from besearch.oracles import enumerate_majority
-from conftest import strict_instances
+from conftest import load_script, strict_instances
 
 odd_r = st.integers(0, 6).map(lambda k: 2 * k + 1)
 
@@ -208,8 +208,8 @@ class TestPowerTables:
     @pytest.mark.parametrize("classes", [1, 2, 8, 600])
     def test_chain_keep_vectors_equal_the_per_r_formula(self, classes, monkeypatch):
         # One keep vector per distinct r_k of a MAX_ROUNDS-round chain: under
-        # 8 classes from the chain's one term table, row (r - r_1)/2; from 8
-        # on from the chain's one pair of power tables.
+        # 8 classes from _chain_majorities, row (r - r_1)/2; from 8 on from
+        # the chain's one pair of power tables.
         keeps = {}
         chain, kernel = driver._chain_majorities, driver._majority
 
@@ -261,22 +261,13 @@ class TestPowerTables:
         assert peak <= 3.5 * table, peak / table
 
 
-def _plan_segments(top: int):
-    """The term plan from r_1 to ``top``, rebuilt from _majority_terms:
-    (bounds, coefficients, p^j columns, (1-p)^(r-j) columns)."""
-    first = schedule_for_round(1)
-    low = (first + 1) // 2
-    rs = range(first, top + 1, 2)
-    js = [np.arange((r + 1) // 2, r + 1) for r in rs]
-    bounds = [0, *itertools.accumulate(j.size for j in js)]
-    return (bounds, np.concatenate([error_reduction._majority_terms(r).ravel() for r in rs]),
-            np.concatenate([j - low for j in js]), np.concatenate([r - j for r, j in zip(rs, js)]))
+power_table_check = load_script("power_table_check")
 
 
 class TestChainTerms:
-    # Under 8 classes the round chain reads every majority vector from one
-    # term table (error_reduction._chain_terms), whose layout the process-
-    # wide plan gives, and adds each r's terms along its row segment.
+    # Under 8 classes the round chain reads every majority vector up to r =
+    # 253 from padded term rows of one width (error_reduction._padded_plan),
+    # added by one reduction, and each later one from _majority.
     TOP = schedule_for_round(MAX_ROUNDS)
 
     @pytest.mark.parametrize("classes", range(1, 8))
@@ -295,43 +286,56 @@ class TestChainTerms:
                 shorter = error_reduction._chain_majorities(ps, top)
                 assert _bits(shorter) == _bits(vectors[:len(shorter)]), top
 
-    @pytest.mark.parametrize("classes", [1, 2, 7])
-    def test_term_table_is_c_ordered(self, classes):
-        # A row segment of an F-ordered table is added in another order from
-        # 8 terms on (r >= 15), and its vectors differ in the last bit.
-        ps = p_grids(classes)[-1]
-        for top in (schedule_for_round(1), 15, 61, self.TOP):
-            terms, bounds = error_reduction._chain_terms(ps, top)
-            assert terms.flags.c_contiguous and terms.shape == (classes, bounds[-1])
-            assert list(bounds) == _plan_segments(top)[0]
+    def test_numpy_adds_rows_by_the_stated_rule(self):
+        # The padded rows give each r's own sum only under numpy's summation
+        # rule, stated in pure Python by scripts/power_table_check.py's
+        # row_sum and checked on rows of 1 .. 700 floats, some with -0.0
+        # and subnormal entries and some all -0.0.
+        rows = power_table_check.summation_rows(700)
+        assert np.signbit(rows[1][rows[1] == 0.0]).any() and (rows[1] == 5e-324).any()
+        assert np.signbit(rows[2]).all()
+        assert power_table_check.check_summation() == (None, 3 * 700 * 701 // 2)
 
-    def test_plan_is_the_terms_of_every_odd_r(self):
-        bounds, coeffs, p_column, q_column = _plan_segments(self.TOP)
-        plan = error_reduction._plan_to(self.TOP)
-        end = bounds[-1]
-        assert end == 52_647
-        assert list(plan.bounds[:len(bounds)]) == bounds
-        assert _bits(plan.coeffs[:end]) == _bits(coeffs)
-        assert np.array_equal(plan.p_column[:end], p_column)
-        assert np.array_equal(plan.q_column[:end], q_column)
+    @pytest.mark.parametrize("k", range(16))
+    def test_plan_rows_are_the_padded_terms_of_every_odd_r(self, k):
+        low, coeffs, p_column, q_column = error_reduction._padded_plan(k)
+        first = schedule_for_round(1)
+        rs = range(first, min(16 * k + 13, 253) + 1, 2)
+        assert low == (first + 1) // 2
+        assert coeffs.shape == p_column.shape == q_column.shape == (len(rs), 8 * k + 7)
+        assert not (coeffs.flags.writeable or p_column.flags.writeable or q_column.flags.writeable)
+        for row, r in enumerate(rs):
+            h = (r + 1) // 2
+            at = [*range(h - h % 8), *range(8 * k, 8 * k + h % 8)]
+            padding = np.ones(8 * k + 7, bool)
+            padding[at] = False
+            ones = np.arange(h, r + 1)
+            assert _bits(coeffs[row, at]) == _bits(error_reduction._majority_terms(r).ravel()), r
+            assert np.array_equal(p_column[row, at], ones - low), r
+            assert np.array_equal(q_column[row, at], r - ones), r
+            assert _bits(coeffs[row, padding]) == _bits(np.zeros(padding.sum())), r
+            assert not p_column[row, padding].any() and not q_column[row, padding].any(), r
 
-    def test_threads_grow_the_plan_in_order(self, monkeypatch):
-        # Eight threads growing a fresh plan to shuffled tops, switching
-        # every microsecond: each gets a plan that covers its top and is a
-        # prefix of the last, which ascends, covers r_MAX_ROUNDS and holds
-        # no term twice.
-        monkeypatch.setattr(error_reduction, "_term_plan", None)
+    def test_threads_share_the_plans(self, monkeypatch):
+        # Eight threads at shuffled tops on an empty plan cache, switching
+        # every microsecond, get the bits of a single-thread call, and the
+        # cache ends with one plan per k.
         tops = sorted({schedule_for_round(k) for k in range(1, MAX_ROUNDS + 1)})
+        tops = [top for top in tops if top <= 255] + [self.TOP]
+        ps = p_grids(3)[-1]
+        want = {top: error_reduction._chain_majorities(ps, top) for top in tops}
+        plans = functools.cache(error_reduction._padded_plan.__wrapped__)
+        monkeypatch.setattr(error_reduction, "_padded_plan", plans)
         got = []
 
-        def grow(seed):
+        def run(seed):
             for top in np.random.default_rng(seed).permutation(tops).tolist():
-                got.append((top, error_reduction._plan_to(top)))
+                got.append((top, error_reduction._chain_majorities(ps, top)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(8)]
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -340,20 +344,24 @@ class TestChainTerms:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(got) == 8 * len(tops)
-        plan = error_reduction._term_plan
-        bounds, coeffs, p_column, q_column = _plan_segments(self.TOP)
-        assert plan.top == self.TOP and list(plan.bounds) == bounds
-        assert all(a < b for a, b in zip(plan.bounds, plan.bounds[1:]))
-        assert plan.coeffs.size == plan.p_column.size == plan.q_column.size == 52_647
-        assert _bits(plan.coeffs) == _bits(coeffs)
-        assert np.array_equal(plan.p_column, p_column)
-        assert np.array_equal(plan.q_column, q_column)
-        for top, seen in got:
-            end = seen.bounds[-1]
-            assert seen.top >= top and seen.bounds == plan.bounds[:len(seen.bounds)]
-            assert _bits(seen.coeffs) == _bits(plan.coeffs[:end])
-            assert np.array_equal(seen.p_column, plan.p_column[:end])
-            assert np.array_equal(seen.q_column, plan.q_column[:end])
+        for top, vectors in got:
+            assert _bits(vectors) == _bits(want[top]), top
+        assert plans.cache_info().currsize == 16
+
+    @pytest.mark.parametrize("classes", [1, 2, 7])
+    def test_majority_runs_only_past_253(self, classes, monkeypatch):
+        calls = []
+        kernel = error_reduction._majority
+        monkeypatch.setattr(error_reduction, "_majority",
+                            lambda r, *tables: calls.append(r) or kernel(r, *tables))
+        ps = p_grids(classes)[-1]
+        for top in (schedule_for_round(1), 13, 15, 251, 253):
+            error_reduction._chain_majorities(ps, top)
+        assert calls == []
+        for top in (255, 257, self.TOP):
+            calls.clear()
+            error_reduction._chain_majorities(ps, top)
+            assert calls == list(range(255, top + 1, 2)), top
 
 
 class TestRepetitionsFor:
