@@ -9,9 +9,11 @@ against twin generators that draw ``binomial(v, p, N) > v // 2``:
 
 * the cut table at ``--draws`` votes: a uniform above the cut (p <= 1/2)
   or at or below it (p > 1/2) must vote as numpy does, and the generator
-  must end in the same state. Where the table leaves the votes to the
-  binomial path instead (numpy's BTPE regime), numpy must indeed take
-  more than one uniform per draw;
+  must end in the same state. The table leaves the votes to the binomial
+  path in three cases: a class at p = 0, for which numpy draws no
+  uniform; a class in numpy's BTPE regime, for which it draws more than
+  one per vote; and an instance of 8 classes or more. For a (v, p) of the
+  first two, numpy must indeed not draw one uniform per vote;
 * the block sampler ``besearch.driver._sample_block`` itself, on the
   blocks of ``BLOCKS``: ``--blocks`` blocks of one class (one sample
   each) and as many of two classes, p and 1 - p (two samples each), and a
@@ -97,8 +99,6 @@ def threshold_votes(rng: np.random.Generator, v: int, p: float, draws: int):
     cuts = _vote_cuts(np.array([p]), v)
     if cuts.cut is None:
         return None
-    if cuts.drawn is not None:  # p = 0: numpy draws nothing, and no vote passes
-        return np.zeros(draws, bool), np.zeros(draws, bool)
     u = rng.random(draws)
     margin = (u - cuts.cut[0]) * cuts.sign[0]
     return margin > 0.0, (np.abs(margin) < _BAND) | (u > cuts.top)
@@ -139,10 +139,10 @@ PATHS = ("shortcut", "general", "fallback", "binomial")
 @contextlib.contextmanager
 def tally_paths(tally: Counter):
     """Count in ``tally`` the path each ``_sample_block`` call takes while
-    the block runs: ``_cut_block`` returning a count of uniforms is a
-    fallback, and one that decides looked classes up on the general path
-    or not at all on the shortcut. Blocks that never reach ``_cut_block``
-    are counted as binomial by ``block_check``."""
+    the block runs: ``_cut_block`` returning None is a fallback, and one
+    that decides looked classes up on the general path or not at all on
+    the shortcut. Blocks that never reach ``_cut_block`` are counted as
+    binomial by ``block_check``."""
     cut_block, classes = driver._cut_block, driver._classes
     looked = []
 
@@ -153,7 +153,7 @@ def tally_paths(tally: Counter):
     def counted_cut_block(*args):
         looked.clear()
         block = cut_block(*args)
-        tally["fallback" if isinstance(block, int) else "general" if looked else "shortcut"] += 1
+        tally["fallback" if block is None else "general" if looked else "shortcut"] += 1
         return block
 
     driver._cut_block, driver._classes = counted_cut_block, counted_classes

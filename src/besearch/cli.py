@@ -165,14 +165,55 @@ _BOOL_WORDS = {
 }
 
 
-#: Per parameter type: the parse of a flag's or a config file's string, the
-#: JSON value types taken as they are, and what an error says is expected.
-#: A parameter's type is its default's type; a None default is a path
-#: string. Comma lists are strings too, split by the command that takes them.
+def _quote(value) -> str:
+    """``repr(value)``, cut to at most 40 characters, for an error message."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)``: the parse of every integer flag, config value and
+    comma-list entry. Text that is no integer raises a ValueError quoting
+    at most 40 characters of it. A decimal integer of more digits than
+    Python converts between int and str (``sys.get_int_max_str_digits()``,
+    4300 unless the interpreter sets another limit) raises one giving its
+    digit count: no command could write it back out."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise ValueError(
+                f"expects an integer of at most {limit} digits, got one of {len(digits)}"
+            ) from None
+        raise ValueError(f"expects an integer, got {_quote(text)}") from None
+
+
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expects a number, got {_quote(text)}") from None
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expects true or false, got {_quote(text)}") from None
+
+
+#: Per parameter type: the parse of a flag's or a config file's string,
+#: whose ValueError says what was expected and what was given, the JSON
+#: value types taken as they are, and what was expected of another JSON
+#: value. A parameter's type is its default's type; a None default is a
+#: path string. Comma lists are strings too, split by the command that
+#: takes them.
 PARAM_TYPES = {
-    bool: (lambda text: _BOOL_WORDS[text.lower()], (bool,), "true or false"),
-    int: (int, (int,), "an integer"),  # type() is exact, so a bool is no int
-    float: (float, (int, float), "a number"),
+    bool: (_parse_bool, (bool,), "true or false"),
+    int: (_parse_int, (int,), "an integer"),  # type() is exact, so a bool is no int
+    float: (_parse_float, (int, float), "a number"),
     str: (str, (), "a string"),
 }
 
@@ -185,26 +226,29 @@ def _coerce(key: str, value, default):
     """A config value of the default's type: strings are parsed as the flag
     would parse them, any other JSON value must have that type already (an
     int serves a float key). A value that does not parse or has the wrong
-    type is a usage error naming the key; a bool key reads only the words
-    of ``_BOOL_WORDS``, in any case."""
+    type is a usage error naming the key and quoting at most 40 characters
+    of the value; a bool key reads only the words of ``_BOOL_WORDS``, in
+    any case."""
     parse, json_types, expected = _param_type(default)
     if isinstance(value, str):
         try:
             return parse(value)
-        except (KeyError, ValueError):
-            pass
-    elif type(value) in json_types:
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r} {exc}") from None
+    if type(value) in json_types:
         return value
-    raise ValueError(f"config key {key!r} expects {expected}, got {value!r}")
+    raise ValueError(f"config key {key!r} expects {expected}, got {_quote(value)}")
 
 
-def _parse_grid(text: str) -> list[int]:
+def _parse_grid(key: str, text: str) -> list[int]:
+    """The entries of the comma list given for ``key``; a list with no
+    entries, or with one that is no integer, is a usage error naming it."""
     try:
-        grid = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"bad integer list {text!r}") from None
+        grid = [_parse_int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"integer list {key!r}: an entry {exc}") from None
     if not grid:
-        raise ValueError(f"empty integer list {text!r}")
+        raise ValueError(f"empty integer list {key!r}: {_quote(text)}")
     return grid
 
 
@@ -256,7 +300,7 @@ def cmd_curve(cfg: dict) -> int:
 # ----------------------------------------------------------------- sweep
 
 def cmd_sweep(cfg: dict) -> int:
-    grid = _parse_grid(cfg["n"])
+    grid = _parse_grid("n", cfg["n"])
     check_seed(cfg["seed"])
     rows = []
     for n, ss in zip(grid, np.random.SeedSequence(cfg["seed"]).spawn(len(grid))):
@@ -323,7 +367,8 @@ def cmd_andor(cfg: dict) -> int:
 # ------------------------------------------------------------ check-facts
 
 def cmd_check_facts(cfg: dict) -> int:
-    checks = run_fact_checks(cfg["scenarios"], _parse_grid(cfg["dims"]), cfg["seed"], cfg["max_r"])
+    dims = _parse_grid("dims", cfg["dims"])
+    checks = run_fact_checks(cfg["scenarios"], dims, cfg["seed"], cfg["max_r"])
     for check in checks:
         print(check)
     return 0 if all(check.ok for check in checks) else 1
@@ -333,7 +378,7 @@ def cmd_check_facts(cfg: dict) -> int:
 
 def cmd_baselines(cfg: dict) -> int:
     rows = []
-    for n in _parse_grid(cfg["n"]):
+    for n in _parse_grid("n", cfg["n"]):
         simple = simple_search_cost(n)
         block = block_recursion_cost(n)
         rows.append((n, simple, repr(simple / (math.sqrt(n) * math.log2(n))),
@@ -412,9 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
             if isinstance(default, bool):
                 p.add_argument(flag, dest=key, action="store_const", const=True, help=text)
             else:
-                parse = _param_type(default)[0]
+                parse = _flag_type(_param_type(default)[0])
                 p.add_argument(flag, dest=key, type=parse, help=text)
     return parser
+
+
+def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` as an argparse type: argparse reports the parse's ValueError
+    after the flag's name, not its own message, which echoes the whole
+    argument."""
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag_type
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:

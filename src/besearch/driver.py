@@ -462,7 +462,6 @@ class _Cuts(NamedTuple):
     ps: np.ndarray  # the instance's ps, for the binomial path
     cut: Optional[tuple[float, ...]]  # per class; None: every block takes the binomial path
     sign: Optional[tuple[float, ...]]  # 1.0: accepted above the cut (p <= 1/2); -1.0: below it
-    drawn: Optional[np.ndarray]  # classes numpy draws a uniform for (p != 0); None: all
     top: float  # a uniform above this may restart numpy's loop
     lo: Optional[np.ndarray]  # per class, a uniform in (lo, hi] is certainly a rejection
     hi: Optional[np.ndarray]
@@ -500,17 +499,17 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
     ``_BAND`` on its rejecting side of the cut and at or below ``top``:
     below the cut for p <= 1/2, above it for p > 1/2.
 
-    An instance with a class in numpy's BTPE regime gets no cuts, and
-    neither does one of ``_FLOAT_CLASSES`` classes or more: their blocks
-    take the binomial path (``_first_accept``). The table is set up in
-    Python floats, with the C library's exp and log as numpy's loop uses.
+    An instance with a class at p = 0 or in numpy's BTPE regime, or of
+    ``_FLOAT_CLASSES`` classes or more, gets no cuts: its blocks take the
+    binomial path (``_first_accept``). The table is set up in Python
+    floats, with the C library's exp and log as numpy's loop uses.
     """
-    binomial = _Cuts(v, ps, None, None, None, 0.0, None, None)
-    if ps.size >= _FLOAT_CLASSES:
+    binomial = _Cuts(v, ps, None, None, 0.0, None, None)
+    probabilities = ps.tolist()
+    if len(probabilities) >= _FLOAT_CLASSES or 0.0 in probabilities:
         return binomial
     half = v // 2
     cut, sign, restart = [], [], []
-    probabilities = ps.tolist()
     for p in probabilities:
         low = p <= 0.5
         p = p if low else 1.0 - p
@@ -527,61 +526,48 @@ def _vote_cuts(ps: np.ndarray, v: int) -> _Cuts:
     top = min(restart) - _BAND
     lo = [-math.inf if s > 0.0 else c + _BAND for c, s in zip(cut, sign)]
     hi = [min(c - _BAND, top) if s > 0.0 else top for c, s in zip(cut, sign)]
-    drawn = None if all(probabilities) else ps != 0.0
-    return _Cuts(v, ps, tuple(cut), tuple(sign), drawn, top, np.array(lo), np.array(hi))
+    return _Cuts(v, ps, tuple(cut), tuple(sign), top, np.array(lo), np.array(hi))
 
 
 def _cut_block(
     rng: np.random.Generator, cdf: list[float], cuts: _Cuts, shots: int
-) -> Union[tuple[Optional[int], int], int]:
+) -> Optional[tuple[Optional[int], int]]:
     """One block measured and voted on from uniforms alone: (accepted class
-    or None, samples verified), or, where a vote is too close to its cut,
-    or to a restart, to tell, the number of uniforms drawn.
+    or None, samples verified), or None where a vote is too close to its
+    cut, or to a restart, to tell.
 
-    Without p = 0 the block's 2 * shots uniforms come from one call, the
-    measurement's first; ``random(2 k)`` is ``random(k)`` followed by
-    ``random(k)``. If the smallest and the largest measurement uniform fall
-    in one class, every sample is in it, and if the smallest and the
-    largest vote also lie in its safe-reject interval, every sample is
-    rejected: most blocks of a search end there. Only the extremes the
-    test reads are reduced: no largest measurement uniform when the
-    smallest lies in the last class, no vote when the samples span
-    classes, and no smallest vote when the interval is open below. With
-    p = 0, numpy draws a vote uniform only for the samples with p != 0, so
-    those come from a second call. The votes up to the first acceptance
+    The block's 2 * shots uniforms, the measurement's first, come from one
+    call: ``random(2 k)`` is ``random(k)`` followed by ``random(k)``. If the
+    smallest and the largest measurement uniform fall in one class, every
+    sample is in it, and if the smallest and the largest vote also lie in
+    its safe-reject interval, every sample is rejected: most blocks of a
+    search end there. Only the extremes the test reads are reduced: no
+    largest measurement uniform when the smallest lies in the last class,
+    no vote when the samples span classes, and no smallest vote when the
+    interval is open below. Otherwise the votes up to the first acceptance
     must lie in their classes' safe-reject intervals, and the accepted one
     at least ``_BAND`` past its cut and at or below ``cuts.top``.
     """
-    if cuts.drawn is None:
-        u = rng.random(2 * shots)
-        measured, votes = u[:shots], u[shots:]
-        # The cdf's last entry, 1.0, lies above every uniform, so if the
-        # smallest is in the last class, all are; lo is -inf where sign is 1.0.
-        c = bisect_right(cdf, np.minimum.reduce(measured))
-        if (
-            (c == len(cdf) - 1 or bisect_right(cdf, np.maximum.reduce(measured)) == c)
-            and np.maximum.reduce(votes) <= cuts.hi[c]
-            and (cuts.sign[c] > 0.0 or cuts.lo[c] < np.minimum.reduce(votes))
-        ):
-            return None, shots
-        sampled = classes = _classes(cdf, measured)
-        at = None
-    else:
-        sampled = _classes(cdf, rng.random(shots))
-        at = np.flatnonzero(cuts.drawn[sampled])
-        if not at.size:
-            return None, shots  # p = 0 throughout: numpy draws nothing
-        classes = sampled[at]
-        votes = rng.random(at.size)
+    u = rng.random(2 * shots)
+    measured, votes = u[:shots], u[shots:]
+    # The cdf's last entry, 1.0, lies above every uniform, so if the
+    # smallest is in the last class, all are; lo is -inf where sign is 1.0.
+    c = bisect_right(cdf, np.minimum.reduce(measured))
+    if (
+        (c == len(cdf) - 1 or bisect_right(cdf, np.maximum.reduce(measured)) == c)
+        and np.maximum.reduce(votes) <= cuts.hi[c]
+        and (cuts.sign[c] > 0.0 or cuts.lo[c] < np.minimum.reduce(votes))
+    ):
+        return None, shots
+    classes = _classes(cdf, measured)
     rejected = (votes > cuts.lo.take(classes)) & (votes <= cuts.hi.take(classes))
     first = int(rejected.argmin())
     if rejected[first]:
         return None, shots
     c, u = int(classes[first]), float(votes[first])
     if (u - cuts.cut[c]) * cuts.sign[c] < _BAND or u > cuts.top:
-        return shots + votes.size
-    position = first if at is None else int(at[first])
-    return int(sampled[position]), position + 1
+        return None
+    return c, first + 1
 
 
 def _first_accept(rng: np.random.Generator, cuts: _Cuts, sampled: np.ndarray) -> int:
@@ -614,20 +600,19 @@ def _sample_block(
     nothing, are those of ``Generator.choice`` over the classes followed by
     one ``rng.binomial(v, ps[sampled])`` call. Where the table holds cuts,
     ``_cut_block`` finds the classes by compares on the cdf and decides the
-    votes from uniforms, one draw per block unless a class has p = 0. A
-    block it cannot decide rewinds the generator by the uniforms it drew,
-    to where it stood before the measurement, and takes the binomial path,
-    ``_measure`` and then ``_first_accept``, as every block of a table
-    without cuts does. Each uniform is one output of the generator's PCG64
-    (``_rng``), so rewinding by that count undoes the draws. After an acceptance the generator stands
-    further on, and no caller draws from it again.
+    votes from the block's one draw of 2 * shots uniforms, each one output
+    of the generator's PCG64 (``_rng``). A block it cannot decide rewinds
+    the generator by those 2 * shots outputs, to where it stood before the
+    measurement, and takes the binomial path, ``_measure`` and then
+    ``_first_accept``, as every block of a table without cuts does. After
+    an acceptance the generator stands further on; no caller draws again.
     """
     if cuts.cut is not None:
         cdf = _cdf(weights)  # unusable weights raise before anything is drawn
         block = _cut_block(rng, cdf, cuts, shots)
-        if isinstance(block, tuple):
+        if block is not None:
             return block
-        rng.bit_generator.advance(-block)
+        rng.bit_generator.advance(-2 * shots)
     sampled = _measure(rng, weights, shots)
     first = _first_accept(rng, cuts, sampled)
     return (None, shots) if first == shots else (int(sampled[first]), first + 1)

@@ -71,6 +71,16 @@ def check_prob(name: str, value, hi: float = 1.0, hi_text: str = "1") -> float:
     return float(value)
 
 
+def check_bool(name: str, value) -> bool:
+    """Return ``value`` as a ``bool``, or raise a ``ValueError`` naming
+    ``name`` if it is not one (0, 1, 1.0, str and None included). numpy
+    bools pass."""
+    if not isinstance(value, (bool, np.bool_)):
+        shown = _int_text(value) if isinstance(value, int) else repr(value)
+        raise ValueError(f"{name} must be a bool, got {shown}")
+    return bool(value)
+
+
 @dataclass(frozen=True, slots=True)
 class IndexClass:
     """A group of indices whose subroutines behave identically.
@@ -82,7 +92,7 @@ class IndexClass:
     count : int
         Number of indices in the class (>= 1), stored as an ``int``.
     is_solution : bool
-        Whether these indices really are solutions.
+        Whether these indices really are solutions, stored as a ``bool``.
     """
 
     p: float
@@ -92,6 +102,8 @@ class IndexClass:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_prob("p", self.p))
         object.__setattr__(self, "count", check_int("count", self.count, 1))
+        if type(self.is_solution) is not bool:  # an exact bool needs no call and no store
+            object.__setattr__(self, "is_solution", check_bool("is_solution", self.is_solution))
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,8 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
+        if type(self.strict) is not bool:  # an exact bool needs no call and no store
+            object.__setattr__(self, "strict", check_bool("strict", self.strict))
         object.__setattr__(self, "n", sum(c.count for c in self.classes))
         try:
             float(self.n)
@@ -162,8 +176,10 @@ def make_instance(
     """Build the canonical two-class instance: t solutions, n - t non-solutions.
 
     Raises ``ValueError`` for a non-integer n or t, t > n, a probability
-    that is not a number in [0, 1], or strict-mode promise violations.
+    that is not a number in [0, 1], a strict that is not a bool, or
+    strict-mode promise violations.
     """
+    strict = check_bool("strict", strict)
     n = check_int("n", n, 1)
     t = check_int("t", t, 0, n)
     p_good, p_bad = check_prob("p_good", p_good), check_prob("p_bad", p_bad)

@@ -408,6 +408,36 @@ class TestParameterTable:
             assert f"{flag_of(key)}{metavar} {HELP[key]} (default: {default})" in text
 
 
+# A decimal integer of 5001 digits, past Python's 4300-digit limit on
+# int-str conversion, and 5000 characters that are no integer. No command
+# could write the first back out; the error names the argument and its
+# digit count, or quotes at most 40 characters, and stays short.
+LONG_DIGITS = "1" + "0" * 5000
+LONG_TEXT = "x" * 5000
+
+# case: (argv, the start of stderr's last line). argparse refuses a flag
+# after its usage text; a command refuses a comma-list entry or a config
+# value in one line.
+LONG_INPUTS = {
+    **{
+        f"{cmd}-{flag[2:]}-5001-digits": (
+            [cmd, flag, LONG_DIGITS], f"besearch {cmd}: error: argument {flag}: expects an integer "
+        )
+        for cmd, flag in (("search", "--n"), ("search", "--t"), ("search", "--seed"),
+                          ("search", "--shots"), ("curve", "--m-max"),
+                          ("check-facts", "--scenarios"), ("check-facts", "--max-r"))
+    },
+    "search-n-5000-x": (["search", "--n", LONG_TEXT],
+                        "besearch search: error: argument --n: expects an integer, got 'xxx"),
+    "sweep-n-5001-digits": (["sweep", "--n", LONG_DIGITS], "error: integer list 'n': "),
+    "baselines-n-5001-digits": (["baselines", "--n", "9," + LONG_DIGITS],
+                                "error: integer list 'n': "),
+    "check-facts-dims-5001-digits": (["check-facts", "--dims", LONG_DIGITS],
+                                     "error: integer list 'dims': "),
+    "config-seed-5001-digits": (["search", "--config", "{long_config}"],
+                                "error: config key 'seed' expects an integer of at most "),
+}
+
 BAD_INPUTS = {
     "sweep-shots-0": ["sweep", "--shots", "0"],
     "baselines-n-1": ["baselines", "--n", "1"],
@@ -448,6 +478,7 @@ BAD_INPUTS = {
         for cmd, extra in (("search", []), ("sweep", []), ("andor", ["--tree", "{tree}"]))
         for label, shots in (("1e20", 10**20), ("past-cap", MAX_SHOTS + 1))
     },
+    **{case: argv for case, (argv, _) in LONG_INPUTS.items()},
 }
 
 
@@ -465,10 +496,13 @@ BAD_JSON_VALUES = {
 
 
 class TestExitContract:
-    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("case", BAD_INPUTS, ids=BAD_INPUTS.keys())
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, case):
+        argv = BAD_INPUTS[case]
         config = tmp_path / "cfg.txt"
         config.write_text("n = abc\n")
+        long_config = tmp_path / "long.txt"
+        long_config.write_text(f"seed = {LONG_DIGITS}\n")
         tree = tmp_path / "tree.txt"
         tree.write_text(dump_tree(AndOrTree(2, (3, 3), GATE_OR), [0] * 9))
         tree1 = tmp_path / "tree1.txt"
@@ -477,10 +511,17 @@ class TestExitContract:
         dims_json.write_text(json.dumps({"dims": [2, 4]}))
         n_json = tmp_path / "n.json"
         n_json.write_text(json.dumps({"n": 81}))
-        paths = dict(config=config, tree=tree, tree1=tree1, dims_json=dims_json, n_json=n_json)
+        paths = dict(config=config, tree=tree, tree1=tree1, dims_json=dims_json, n_json=n_json,
+                     long_config=long_config)
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        last = LONG_INPUTS[case][1] if case in LONG_INPUTS else "error: "
+        if last.startswith("error: "):
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:  # an ordinary usage error, such as --n abc, is 247 characters
+            assert err.startswith("usage: besearch ")
+        assert err.splitlines()[-1].startswith(last), err
+        assert case not in LONG_INPUTS or len(err) < 400, len(err)
         if "--seed" in argv:
             assert "seed" in err
 

@@ -29,14 +29,16 @@ from besearch import (
 from besearch.amplification import amplification_factors
 from besearch.driver import check_seed, check_shots
 from besearch.error_reduction import _MAX_REPS, majority_prob, repetitions_for
-from besearch.model import IndexClass, StructuredState, check_int, check_prob
+from besearch.model import (
+    IndexClass, ProblemInstance, StructuredState, check_bool, check_int, check_prob,
+)
 from besearch.oracles import (
     MAX_BASELINE_N, MAX_DENSE_DIM, MAX_ENUM_R, MAX_SCENARIOS, amplification_residual,
     block_recursion_cost, dense_amplification_check, enumerate_majority, grover_operator,
     majority_oracle_gap, random_scenario, random_unitary, run_fact_checks, simple_search_cost,
 )
 
-COUNT, SEED, SHOTS, PROB, SHAPE = "count", "seed", "shots", "probability", "shape"
+COUNT, SEED, SHOTS, PROB, SHAPE, BOOL = "count", "seed", "shots", "probability", "shape", "bool"
 
 # The fixed off-type values of each kind; a shape row has only its own.
 OFF_TYPE = {
@@ -45,6 +47,7 @@ OFF_TYPE = {
     SHOTS: (True, 5.0, "5", None),
     PROB: (True, "0.9", None, math.nan),
     SHAPE: (),
+    BOOL: (0, 1, 1.0, "no", None),
 }
 
 
@@ -163,6 +166,13 @@ ROWS = (
         lambda v: exact_cost_quantile(INST, v), (0.0, 1.0, [0.9], "0.9")),
     Row("amplification_factors", "theta", "theta", PROB, 0.0, math.pi / 2, 0.5,
         amplification_factors, ("0.5", 1.6)),
+    Row("check_bool", "value", "x", BOOL, None, None, True, lambda v: check_bool("x", v)),
+    Row("IndexClass", "is_solution", "is_solution", BOOL, None, None, True,
+        lambda v: IndexClass(0.95, 3, v)),
+    Row("ProblemInstance", "strict", "strict", BOOL, None, None, True,
+        lambda v: ProblemInstance((IndexClass(0.95, 3, True), IndexClass(0.05, 6, False)), v)),
+    Row("make_instance-strict", "strict", "strict", BOOL, None, None, True,
+        lambda v: make_instance(81, 1, 0.9, 0.1, strict=v)),
 )
 
 
@@ -215,6 +225,7 @@ def _cost(result):
 
 
 INTEGER_ROWS = {row.entry: row for row in ROWS if row.kind in (COUNT, SEED)}
+BOOL_ROWS = {row.entry: row for row in ROWS if row.kind == BOOL}
 SHOT_ROWS = {row.entry: row for row in ROWS if row.kind == SHOTS}
 # Probabilities on [0, 1] take the generated values only; the rest have their own too.
 UNIT_ROWS = {row.entry: row for row in ROWS if row.kind == PROB and not row.also}
@@ -334,10 +345,39 @@ class ShotCases:
         assert type(_cost(got)) is (float if isinstance(got, ExactOutcome) else int)
 
 
+class BoolCases:
+    """Every flag argument (a class's is_solution, an instance's strict) is
+    checked by ``check_bool``: 0, 1, 1.0, str and None raise a ValueError
+    that names the argument, and a numpy bool gives the same result as the
+    bool, stored as a bool."""
+
+    @pytest.mark.parametrize("entry", BOOL_ROWS)
+    @pytest.mark.parametrize("bad", OFF_TYPE[BOOL])
+    def test_rejects_non_bools(self, entry, bad):
+        rejects(BOOL_ROWS[entry], bad, "must be a bool")
+
+    @pytest.mark.parametrize("entry", BOOL_ROWS)
+    @pytest.mark.parametrize("good", (False, True))
+    def test_numpy_bool_counts_as_bool(self, entry, good):
+        call = BOOL_ROWS[entry].call
+        assert call(np.bool_(good)) == call(good)
+
+    def test_huge_ints_are_named(self):
+        rejects(BOOL_ROWS["IndexClass"], 10**5000, "must be a bool, got a 16610-bit int")
+
+    def test_flags_are_stored_as_bool(self):
+        assert type(check_bool("x", np.bool_(True))) is bool
+        assert type(IndexClass(0.95, 3, np.bool_(True)).is_solution) is bool
+        inst = ProblemInstance((IndexClass(0.95, 3, True),), np.bool_(False))
+        assert type(inst.strict) is bool and inst.strict is False
+        assert type(make_instance(81, 1, 0.9, 0.1, strict=np.bool_(True)).strict) is bool
+
+
 # The rows whose error names something other than their parameter, and why.
 NAMED_OTHERWISE = {
     ("check_int", "value"): "the caller gives the name",
     ("check_prob", "value"): "the caller gives the name",
+    ("check_bool", "value"): "the caller gives the name",
     ("run_fact_checks-dims", "dims"): "each dimension is checked, and named, on its own",
     ("AndOrTree-fanout", "fanouts"): "each fanout is checked, and named, on its own",
     ("dense_amplification_check-flag", "flag_indices"): "each flag index is checked on its own",
@@ -357,7 +397,7 @@ def test_each_error_names_its_parameter():
 # shot count or seed; records that only hold results are exempt.
 CHECKED = {"n", "t", "m", "m_max", "rounds", "k", "r", "max_r", "count", "depth", "fanouts",
            "scenarios", "dim", "dims", "shots", "seed", "p", "p_good", "p_bad",
-           "eps", "confidence", "theta", "flag_indices", "value"}
+           "eps", "confidence", "theta", "flag_indices", "value", "is_solution", "strict"}
 RECORDS = {"CurvePoint", "TraceRow", "SearchResult", "FactCheck"}
 
 
@@ -384,12 +424,14 @@ def _drawn_bad(row: Row) -> st.SearchStrategy:
         return st.one_of(st.booleans(), st.text(max_size=4), st.none(), st.just(math.nan),
                          st.floats(max_value=row.lo, exclude_max=True),
                          st.floats(min_value=row.hi, exclude_min=True))
+    if row.kind == BOOL:
+        return st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none())
     above = [] if row.hi is None else [st.integers(min_value=row.hi + 1)]
     return st.one_of(st.booleans(), st.floats(), st.text(max_size=4), st.none(),
                      st.integers(max_value=row.lo - 1), *above)
 
 
-@pytest.mark.parametrize("kind", (COUNT, SEED, SHOTS, PROB))
+@pytest.mark.parametrize("kind", (COUNT, SEED, SHOTS, PROB, BOOL))
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_drawn_bad_values_are_named(kind, data):
